@@ -21,7 +21,7 @@ from nusample.lti import (
     check_minimality,
     evaluate_fundamental_basis,
     exp_jordan,
-    real_jordan,
+    jordan_flow,
 )
 
 DEFAULT_ADMISSIBILITY_FACTOR = 1e-9  # |det| > factor * prod(row norms)
@@ -158,8 +158,7 @@ def joint_test(fm: FundamentalMatrix,
 def sampled_mode_vectors(spec: SystemSpec, av: AlphaVector) -> np.ndarray:
     """Columns Y_i = exp(J alpha_i) y0 in the real Jordan frame, where y0 is
     the real-basis modal coefficient vector."""
-    d = spec.real_mode_vector
-    return np.column_stack([exp_jordan(spec.eigen, a) @ d for a in av.alphas])
+    return jordan_flow(spec.eigen, spec.real_mode_vector, av.alphas).T
 
 
 def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
@@ -196,21 +195,17 @@ def bruteforce_controllability_matrix(real: Realization,
     """[G_{n-1}, ..., G_0] with G_i = exp(A (t_n - t_i)) b."""
     if seq.final_instant is None:
         raise ValueError("the controllability matrix needs the final instant t_n")
-    if real.spec is None:
-        raise ValueError("realization must carry its system spec")
     n = real.n
     if len(seq.instants) != n:
         raise ValueError(f"need {n} sampling instants, got {len(seq.instants)}")
-    jf = real_jordan(real.spec, real)
+    jf = real.jordan
     cols = [jf.expA(seq.final_instant - ti) @ real.b for ti in seq.instants]
     return np.column_stack(cols[::-1])
 
 
 def bruteforce_observability_matrix(real: Realization, av: AlphaVector) -> np.ndarray:
     """Rows c exp(A alpha_m)."""
-    if real.spec is None:
-        raise ValueError("realization must carry its system spec")
-    jf = real_jordan(real.spec, real)
+    jf = real.jordan
     return np.vstack([real.c @ jf.expA(a) for a in av.alphas])
 
 
@@ -260,10 +255,9 @@ def verify_factorizations(spec: SystemSpec, av: AlphaVector) -> FactorizationChe
     Y = sampled_mode_vectors(spec, av)
     lhs_ctrl = float(np.linalg.det(Y))
 
-    s_row = np.zeros(es.n)
-    for blk in es.blocks:
-        s_row[blk.offset] = 1.0
-    O = np.vstack([s_row @ exp_jordan(es, a) for a in av.alphas])
+    # output row in the Jordan frame: the leading row of every block
+    leading = [blk.offset for blk in es.blocks]
+    O = np.vstack([exp_jordan(es, a)[leading].sum(axis=0) for a in av.alphas])
     lhs_obs = float(np.linalg.det(O))
 
     N1 = _factorial_factor(es)

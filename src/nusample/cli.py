@@ -104,6 +104,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = None  # built on the first main() call and reused by later ones
+
+
+def _parser() -> argparse.ArgumentParser:
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -148,6 +158,8 @@ def _auto_method(spec) -> str:
 
 
 def run_design(args) -> int:
+    if args.steps < 1:
+        raise InputError("need at least one grid step")
     spec = fileio.load_system(args.system)
     method = args.method if args.method != "auto" else _auto_method(spec)
     trace = None
@@ -233,6 +245,8 @@ def run_sweep(args) -> int:
         raise InputError("need at least one sweep point")
     if args.noise <= 0:
         raise InputError("noise magnitude must be positive")
+    if args.trials < 1:
+        raise InputError("need at least one noise trial")
     real = observability_canonical(spec)
     tol = _tolerance(args)
     writer = csv.writer(sys.stdout)
@@ -274,9 +288,8 @@ def run_geometry(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         runner = {
             "analyze": run_analyze,
             "design": run_design,

@@ -4,7 +4,8 @@ Three routes:
 
 * closed form for a 2nd-order complex pair (quarter-turn rule),
 * the spiral-geometry step for the 3rd-order {real pole, complex pair} case,
-* a greedy grid search with golden-section refinement for arbitrary order.
+* a greedy grid search with golden-section refinement for arbitrary order;
+  each greedy step scores its whole candidate grid in one batched call.
 
 The 3rd-order geometry works in a normalized frame where the initial mode
 vector is (1, 0, 1)', so the sampled vectors trace the spiral
@@ -30,7 +31,7 @@ from nusample.analysis import (
     sampled_mode_vectors,
 )
 from nusample.errors import DesignError, InadmissibleDesignError
-from nusample.lti import SystemSpec, check_minimality, system_from_modes
+from nusample.lti import SystemSpec, check_minimality, jordan_flow, system_from_modes
 
 DEFAULT_M_MAX = 8
 MIN_GRAM_DET = 1e-12  # below this every grid candidate counts as inadmissible
@@ -196,26 +197,36 @@ def export_geometry_csv(trace: GeometryTrace, path) -> None:
 # ---------------------------------------------------------------------------
 # generic greedy search
 
+def _gram_dets(spec: SystemSpec, alpha_rows: np.ndarray) -> np.ndarray:
+    """Normalized Gram determinant of the sampled mode vectors of every row
+    of ``alpha_rows`` (shape (..., k)), in one kernel call.  A candidate
+    whose Gram matrix is not finite (overflowing flow, zero-norm vector)
+    scores 0, so it never wins."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        Y = jordan_flow(spec.eigen, spec.real_mode_vector, alpha_rows)
+        Yn = Y / np.linalg.norm(Y, axis=-1, keepdims=True)
+        G = Yn @ np.swapaxes(Yn, -1, -2)
+    G[~np.isfinite(G).all(axis=(-2, -1))] = 0.0
+    return np.clip(np.linalg.det(G), 0.0, 1.0)
+
+
 def _gram_det(spec: SystemSpec, instants) -> float:
-    av = alphas(SamplingSequence(tuple(instants)))
-    Y = sampled_mode_vectors(spec, av)
-    norms = np.linalg.norm(Y, axis=0)
-    if np.any(norms == 0.0):
-        return 0.0
-    Yn = Y / norms
-    return float(np.clip(np.linalg.det(Yn.T @ Yn), 0.0, 1.0))
+    t = np.asarray(instants, dtype=float)
+    return float(_gram_dets(spec, t[-1] - t[::-1]))
 
 
 def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
                             bounds: tuple[float, float] = (0.05, 5.0),
                             steps: int = 200) -> DesignResult:
     """Greedy sequential search: extend the sequence one instant at a time by
-    scanning a bounded grid of interval lengths and keeping the candidate
-    maximizing the normalized Gram determinant, then refine each interior
-    instant once by bounded golden-section search."""
+    scoring a bounded grid of interval lengths in one batched call and keeping
+    the candidate maximizing the normalized Gram determinant, then refine each
+    interior instant once by bounded golden-section search."""
     dmin, dmax = bounds
     if not (dmin > 0 and dmax > dmin):
         raise DesignError(f"invalid interval bounds {bounds}")
+    if steps < 1:
+        raise DesignError(f"need at least one grid step, got {steps}")
     report = check_minimality(spec)
     if not report.minimal:
         raise DesignError(f"system is not minimal (blocks {report.offending_blocks})")
@@ -223,7 +234,9 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
     instants = [float(t0)]
     for _ in range(1, n):
         grid = instants[-1] + np.linspace(dmin, dmax, steps)
-        scores = [_gram_det(spec, instants + [t]) for t in grid]
+        # alphas of each candidate sequence instants + [t]: (0, t - t_{j-1}, ..., t - t_0)
+        cand = np.column_stack([np.zeros(steps), grid[:, None] - instants[::-1]])
+        scores = _gram_dets(spec, cand)
         best = int(np.argmax(scores))  # argmax takes the first (smallest) instant on ties
         instants.append(float(grid[best]))
 
@@ -241,7 +254,13 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
             instants[i] = float(res.x)
 
     seq = SamplingSequence(tuple(instants))
-    metric = degree_metrics(spec, alphas(seq))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = sampled_mode_vectors(spec, alphas(seq))
+        norms = np.linalg.norm(Y, axis=0)
+    if not (np.isfinite(norms).all() and (norms > 0.0).all()):
+        raise DesignError("the sampled mode vectors of the designed sequence "
+                          "overflow or underflow; narrow the interval bounds")
+    metric = degree_metrics_from_vectors(Y)
     result = DesignResult(seq, metric, "generic-search", None)
     if n > 1 and metric.normalized_gram_det <= MIN_GRAM_DET:
         raise InadmissibleDesignError("every grid candidate is inadmissible",

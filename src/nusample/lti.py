@@ -15,6 +15,12 @@ The real Jordan form of the canonical companion realizations is built
 analytically from a confluent Vandermonde basis; its matrix exponential is
 evaluated in closed form (finite nilpotent series and rotation-scaling
 cells), so no general-purpose expm is needed on the canonical path.
+
+One batched kernel, ``jordan_flow``, evaluates the flow exp(J alpha) d for a
+whole array of alphas at once, without forming any n x n matrix; the sampled
+mode vectors and the design search's candidate grid both go through it.
+``exp_jordan`` stays as the per-alpha matrix route.  Each ``Realization``
+builds its real Jordan form once, on first use of ``Realization.jordan``.
 """
 from __future__ import annotations
 
@@ -232,7 +238,8 @@ def roots_from_coefficients(a) -> EigenStructure:
     """Roots (with multiplicities) of s^n + a_1 s^{n-1} + ... + a_n.
 
     Numerically close roots are merged into a multiple root at the cluster
-    mean; conjugate symmetry of the merged set is enforced afterwards.
+    mean; conjugate symmetry of the merged set is enforced afterwards, and
+    clusters it brings together are merged once more.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
@@ -248,7 +255,7 @@ def roots_from_coefficients(a) -> EigenStructure:
             raise RootFindingError(f"np.roots returned a non-root {z}")
 
     clusters = _cluster_roots(list(raw))
-    clusters = _symmetrize_conjugates(clusters)
+    clusters = _merge_coincident(_symmetrize_conjugates(clusters))
     return eigenstructure(clusters)
 
 
@@ -295,6 +302,25 @@ def _symmetrize_conjugates(clusters):
         out.append((mean, mult))
         out.append((mean.conjugate(), mult))
     return out
+
+
+def _merge_coincident(clusters):
+    """Merge clusters of the same kind (real or complex) that lie within the
+    clustering tolerance of each other, summing their multiplicities.
+
+    np.roots can scatter a multiple real root into a conjugate pair and a
+    real point, each farther apart than the tolerance; symmetrization then
+    turns the pair into two equal real roots, which must become one."""
+    merged = []
+    for val, mult in clusters:
+        for i, (v2, m2) in enumerate(merged):
+            same_kind = (val.imag == 0) == (v2.imag == 0)
+            if same_kind and abs(val - v2) <= CLUSTER_TOL * (1.0 + max(abs(val), abs(v2))):
+                merged[i] = ((v2 * m2 + val * mult) / (m2 + mult), m2 + mult)
+                break
+        else:
+            merged.append((val, mult))
+    return merged
 
 
 def coefficients_from_roots(es: EigenStructure) -> np.ndarray:
@@ -420,6 +446,13 @@ class Realization:
     def n(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def jordan(self) -> RealJordanForm:
+        """Real Jordan form of this realization, built on first use."""
+        if self.spec is None:
+            raise ValueError("realization must carry its system spec")
+        return real_jordan(self.spec, self)
+
 
 def observability_canonical(spec: SystemSpec) -> Realization:
     n = spec.n
@@ -461,28 +494,60 @@ def build_jordan_matrix(es: EigenStructure) -> np.ndarray:
 
 def exp_jordan(es: EigenStructure, t: float) -> np.ndarray:
     """Closed-form exp(J t) for the real Jordan matrix of ``es``."""
-    cells = []
+    E = np.zeros((es.n, es.n))
     for blk in es.blocks:
-        m = blk.multiplicity
+        m, o = blk.multiplicity, blk.offset
         if blk.kind == "real":
             e = math.exp(blk.value.real * t)
-            E = np.zeros((m, m))
             for k in range(m):
                 v = e * t ** k / math.factorial(k)
                 for p in range(m - k):
-                    E[p, p + k] = v
+                    E[o + p, o + p + k] = v
         else:
             a, b = blk.value.real, blk.value.imag
             e = math.exp(a * t)
-            R = e * np.array([[math.cos(b * t), -math.sin(b * t)],
-                              [math.sin(b * t), math.cos(b * t)]])
-            E = np.zeros((2 * m, 2 * m))
+            co, si = e * math.cos(b * t), e * math.sin(b * t)
             for k in range(m):
-                cell = R * (t ** k / math.factorial(k))
+                f = t ** k / math.factorial(k)
+                cell = ((co * f, -si * f), (si * f, co * f))
                 for p in range(m - k):
-                    E[2 * p:2 * p + 2, 2 * (p + k):2 * (p + k) + 2] = cell
-        cells.append(E)
-    return scipy.linalg.block_diag(*cells)
+                    r, c = o + 2 * p, o + 2 * (p + k)
+                    E[r:r + 2, c:c + 2] = cell
+    return E
+
+
+def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
+    """exp(J alpha) d for every alpha of an array of any shape.
+
+    Returns shape ``alphas.shape + (n,)``.  A real block applies the finite
+    nilpotent series e^{lambda alpha} sum_k alpha^k/k! N^k; a pair block does
+    the same on its cells read as complex numbers x + iy, on which the
+    rotation-scaling cell acts as multiplication by e^{lambda alpha}.
+    Overflow gives inf or nan entries, never an exception.
+    """
+    al = np.asarray(alphas, dtype=float)
+    d = np.asarray(d, dtype=float)
+    out = np.empty(al.shape + (es.n,))
+    for blk in es.blocks:
+        m, o = blk.multiplicity, blk.offset
+        if blk.kind == "real":
+            z = d[o:o + m]
+            e = np.exp(blk.value.real * al)
+        else:
+            z = d[o:o + 2 * m:2] + 1j * d[o + 1:o + 2 * m:2]
+            e = np.exp(blk.value * al)
+        for p in range(m):
+            # Horner form of sum_{k < m - p} alpha^k / k! z[p + k]
+            s = z[m - 1]
+            for k in range(m - 1 - p, 0, -1):
+                s = z[p + k - 1] + (al / k) * s
+            w = e * s
+            if blk.kind == "real":
+                out[..., o + p] = w
+            else:
+                out[..., o + 2 * p] = w.real
+                out[..., o + 2 * p + 1] = w.imag
+    return out
 
 
 def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
@@ -522,13 +587,6 @@ def _swap_reversal_permutation(es: EigenStructure) -> np.ndarray:
                     S[blk.offset + 2 * k + comp,
                       blk.offset + 2 * (m - 1 - k) + (1 - comp)] = 1.0
     return S
-
-
-def _block_indicator_row(es: EigenStructure) -> np.ndarray:
-    s = np.zeros(es.n)
-    for blk in es.blocks:
-        s[blk.offset] = 1.0
-    return s
 
 
 def _commuting_normalizer(es: EigenStructure, d: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Deadbeat impulse plans drive an initial state to the origin in n steps;
 initial states are reconstructed from n output samples.  An impulse u_i
 applied at t_i produces the instantaneous state jump b * u_i at t_i+, and
 the state flows freely by exp(A dt) between instants; all propagation uses
-the closed-form Jordan exponential.
+the closed-form Jordan exponential of the realization's Jordan form, which
+each realization builds once.
 """
 from __future__ import annotations
 
@@ -12,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nusample.analysis import AlphaVector, SamplingSequence
+from nusample.analysis import RANK_REL_TOL, AlphaVector, SamplingSequence
 from nusample.errors import RankDeficientError
-from nusample.lti import Realization, real_jordan
-
-SOLVE_RANK_TOL = 1e-8  # same relative singular-value threshold as the analysis module
+from nusample.lti import Realization
 
 
 @dataclass(frozen=True)
@@ -48,21 +47,14 @@ class Trajectory:
         return self.checkpoints[-1].state
 
 
-def _jordan(real: Realization):
-    if real.spec is None:
-        raise ValueError("realization must carry its system spec for the "
-                         "closed-form exponential")
-    return real_jordan(real.spec, real)
-
-
 def state_transition(real: Realization, x, dt: float) -> np.ndarray:
     """exp(A dt) x via the closed-form Jordan exponential."""
-    return _jordan(real).expA(dt) @ np.asarray(x, dtype=float)
+    return real.jordan.expA(dt) @ np.asarray(x, dtype=float)
 
 
 def _solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] <= SOLVE_RANK_TOL:
+    if svals[0] == 0.0 or svals[-1] / svals[0] <= RANK_REL_TOL:
         smin = float(svals[-1])
         cond = np.inf if smin == 0.0 else float(svals[0] / smin)
         raise RankDeficientError(f"{what} is numerically singular "
@@ -80,7 +72,7 @@ def deadbeat_inputs(real: Realization, x0, seq: SamplingSequence) -> ImpulsePlan
     n = real.n
     if len(seq.instants) != n:
         raise ValueError(f"need {n} sampling instants, got {len(seq.instants)}")
-    jf = _jordan(real)
+    jf = real.jordan
     tn = seq.final_instant
     cols = [jf.expA(tn - ti) @ real.b for ti in seq.instants]
     G = np.column_stack(cols[::-1])  # [G_{n-1}, ..., G_0]
@@ -92,7 +84,7 @@ def deadbeat_inputs(real: Realization, x0, seq: SamplingSequence) -> ImpulsePlan
 def simulate_impulse_train(real: Realization, x0, plan: ImpulsePlan) -> Trajectory:
     """Piecewise evolution: free flow between instants, jump b u_i at t_i."""
     x = np.asarray(x0, dtype=float)
-    jf = _jordan(real)
+    jf = real.jordan
     seq = plan.sequence
     checkpoints = []
     t_prev = seq.instants[0]
@@ -113,7 +105,7 @@ def reconstruct_initial_state(real: Realization, outputs, av: AlphaVector) -> np
     outputs = np.asarray(outputs, dtype=float)
     if outputs.shape != (real.n,):
         raise ValueError(f"need {real.n} output samples, got {outputs.shape}")
-    jf = _jordan(real)
+    jf = real.jordan
     O = np.vstack([real.c @ jf.expA(a) for a in av.alphas])
     return _solve_checked(O, outputs, "observability matrix [c exp(A alpha_m)]")
 
