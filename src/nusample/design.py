@@ -221,7 +221,9 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
     """Greedy sequential search: extend the sequence one instant at a time by
     scoring a bounded grid of interval lengths in one batched call and keeping
     the candidate maximizing the normalized Gram determinant, then refine each
-    interior instant once by bounded golden-section search."""
+    instant after t0 once by bounded golden-section search, at least dmin
+    from its neighbors and, for the last one, at most dmax after its
+    predecessor."""
     dmin, dmax = bounds
     if not (dmin > 0 and dmax > dmin):
         raise DesignError(f"invalid interval bounds {bounds}")
@@ -240,10 +242,10 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
         best = int(np.argmax(scores))  # argmax takes the first (smallest) instant on ties
         instants.append(float(grid[best]))
 
-    # one refinement pass, each instant within its neighbors
+    # one refinement pass, each instant at least dmin from its neighbors
     for i in range(1, n):
-        lo = instants[i - 1] + 1e-9 * (1.0 + abs(instants[i - 1]))
-        hi = instants[i + 1] - 1e-9 if i + 1 < n else instants[i - 1] + dmax
+        lo = instants[i - 1] + dmin
+        hi = instants[i + 1] - dmin if i + 1 < n else instants[i - 1] + dmax
         if hi <= lo:
             continue
         res = minimize_scalar(

@@ -19,7 +19,9 @@ class NonMinimalError(NuSampleError):
 
 
 class DegenerateSamplingError(NuSampleError):
-    """Sampling instants are not strictly increasing."""
+    """The sampling instants cannot be evaluated: they are not strictly
+    increasing, or an interval is so long that a growing mode e^{Re lambda
+    alpha} overflows a float."""
 
 
 class RankDeficientError(NuSampleError):

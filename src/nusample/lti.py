@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from nusample.errors import NonMinimalError, RootFindingError
+from nusample.errors import DegenerateSamplingError, NonMinimalError, RootFindingError
 
 CLUSTER_TOL = 1e-7        # relative tolerance for merging numerically equal roots
 MINIMALITY_TOL = 1e-9     # relative tolerance on the last modal coefficient of a block
@@ -339,22 +339,33 @@ def coefficients_from_roots(es: EigenStructure) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # fundamental basis
 
+def _overflow(es: EigenStructure, t: float) -> DegenerateSamplingError:
+    """The error for a basis or exponential that overflows a float at t."""
+    x = max(blk.value.real * t for blk in es.blocks)
+    return DegenerateSamplingError(
+        f"the modes overflow a float at alpha = {t:.6g} (largest Re lambda * "
+        f"alpha = {x:.6g}); shorten the sampling intervals")
+
+
 def evaluate_fundamental_basis(es: EigenStructure, t: float) -> np.ndarray:
     """(phi_1(t), ..., phi_n(t)) in the fixed real basis."""
     out = np.empty(es.n)
-    for blk in es.blocks:
-        if blk.kind == "real":
-            e = math.exp(blk.value.real * t)
-            for k in range(blk.multiplicity):
-                out[blk.offset + k] = t ** k * e
-        else:
-            a, b = blk.value.real, blk.value.imag
-            e = math.exp(a * t)
-            co, si = math.cos(b * t), math.sin(b * t)
-            for k in range(blk.multiplicity):
-                tk = t ** k
-                out[blk.offset + 2 * k] = tk * e * co
-                out[blk.offset + 2 * k + 1] = tk * e * si
+    try:
+        for blk in es.blocks:
+            if blk.kind == "real":
+                e = math.exp(blk.value.real * t)
+                for k in range(blk.multiplicity):
+                    out[blk.offset + k] = t ** k * e
+            else:
+                a, b = blk.value.real, blk.value.imag
+                e = math.exp(a * t)
+                co, si = math.cos(b * t), math.sin(b * t)
+                for k in range(blk.multiplicity):
+                    tk = t ** k
+                    out[blk.offset + 2 * k] = tk * e * co
+                    out[blk.offset + 2 * k + 1] = tk * e * si
+    except OverflowError:
+        raise _overflow(es, t) from None
     return out
 
 
@@ -495,24 +506,27 @@ def build_jordan_matrix(es: EigenStructure) -> np.ndarray:
 def exp_jordan(es: EigenStructure, t: float) -> np.ndarray:
     """Closed-form exp(J t) for the real Jordan matrix of ``es``."""
     E = np.zeros((es.n, es.n))
-    for blk in es.blocks:
-        m, o = blk.multiplicity, blk.offset
-        if blk.kind == "real":
-            e = math.exp(blk.value.real * t)
-            for k in range(m):
-                v = e * t ** k / math.factorial(k)
-                for p in range(m - k):
-                    E[o + p, o + p + k] = v
-        else:
-            a, b = blk.value.real, blk.value.imag
-            e = math.exp(a * t)
-            co, si = e * math.cos(b * t), e * math.sin(b * t)
-            for k in range(m):
-                f = t ** k / math.factorial(k)
-                cell = ((co * f, -si * f), (si * f, co * f))
-                for p in range(m - k):
-                    r, c = o + 2 * p, o + 2 * (p + k)
-                    E[r:r + 2, c:c + 2] = cell
+    try:
+        for blk in es.blocks:
+            m, o = blk.multiplicity, blk.offset
+            if blk.kind == "real":
+                e = math.exp(blk.value.real * t)
+                for k in range(m):
+                    v = e * t ** k / math.factorial(k)
+                    for p in range(m - k):
+                        E[o + p, o + p + k] = v
+            else:
+                a, b = blk.value.real, blk.value.imag
+                e = math.exp(a * t)
+                co, si = e * math.cos(b * t), e * math.sin(b * t)
+                for k in range(m):
+                    f = t ** k / math.factorial(k)
+                    cell = ((co * f, -si * f), (si * f, co * f))
+                    for p in range(m - k):
+                        r, c = o + 2 * p, o + 2 * (p + k)
+                        E[r:r + 2, c:c + 2] = cell
+    except OverflowError:
+        raise _overflow(es, t) from None
     return E
 
 

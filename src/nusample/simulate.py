@@ -5,7 +5,10 @@ initial states are reconstructed from n output samples.  An impulse u_i
 applied at t_i produces the instantaneous state jump b * u_i at t_i+, and
 the state flows freely by exp(A dt) between instants; all propagation uses
 the closed-form Jordan exponential of the realization's Jordan form, which
-each realization builds once.
+each realization builds once.  The controllability and observability
+matrices the solves use are the ``analysis.bruteforce_*`` builders; a
+reconstruction takes k output vectors as one (n, k) array and solves them
+against a single observability matrix.
 """
 from __future__ import annotations
 
@@ -13,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nusample.analysis import RANK_REL_TOL, AlphaVector, SamplingSequence
+from nusample.analysis import (
+    RANK_REL_TOL,
+    AlphaVector,
+    SamplingSequence,
+    bruteforce_controllability_matrix,
+    bruteforce_observability_matrix,
+)
 from nusample.errors import RankDeficientError
 from nusample.lti import Realization
 
@@ -69,14 +78,8 @@ def deadbeat_inputs(real: Realization, x0, seq: SamplingSequence) -> ImpulsePlan
     if seq.final_instant is None:
         raise ValueError("deadbeat plan needs the final instant t_n")
     x0 = np.asarray(x0, dtype=float)
-    n = real.n
-    if len(seq.instants) != n:
-        raise ValueError(f"need {n} sampling instants, got {len(seq.instants)}")
-    jf = real.jordan
-    tn = seq.final_instant
-    cols = [jf.expA(tn - ti) @ real.b for ti in seq.instants]
-    G = np.column_stack(cols[::-1])  # [G_{n-1}, ..., G_0]
-    rhs = -(jf.expA(tn - seq.instants[0]) @ x0)
+    G = bruteforce_controllability_matrix(real, seq)  # [G_{n-1}, ..., G_0]
+    rhs = -(real.jordan.expA(seq.final_instant - seq.instants[0]) @ x0)
     u_rev = _solve_checked(G, rhs, "controllability matrix [G_{n-1},...,G_0]")
     return ImpulsePlan(tuple(u_rev[::-1]), seq)
 
@@ -101,12 +104,17 @@ def simulate_impulse_train(real: Realization, x0, plan: ImpulsePlan) -> Trajecto
 
 
 def reconstruct_initial_state(real: Realization, outputs, av: AlphaVector) -> np.ndarray:
-    """Solve y(alpha_m) = c exp(A alpha_m) X0 for X0."""
+    """Solve y(alpha_m) = c exp(A alpha_m) X0 for X0.
+
+    ``outputs`` is one output vector, shape (n,), or k of them as the
+    columns of an (n, k) array; the result has the same shape, column j
+    solving for column j.  All columns share one observability matrix and
+    one rank check."""
     outputs = np.asarray(outputs, dtype=float)
-    if outputs.shape != (real.n,):
-        raise ValueError(f"need {real.n} output samples, got {outputs.shape}")
-    jf = real.jordan
-    O = np.vstack([real.c @ jf.expA(a) for a in av.alphas])
+    if outputs.ndim not in (1, 2) or outputs.shape[0] != real.n:
+        raise ValueError(f"need {real.n} output samples (shape ({real.n},) or "
+                         f"({real.n}, k)), got {outputs.shape}")
+    O = bruteforce_observability_matrix(real, av)
     return _solve_checked(O, outputs, "observability matrix [c exp(A alpha_m)]")
 
 

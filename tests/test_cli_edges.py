@@ -1,5 +1,6 @@
-"""CLI inputs at the edges: overflowing design searches, zero counts, and
-the parser shared by successive main() calls."""
+"""CLI inputs at the edges: overflowing design searches and exponential
+modes, the design's minimum spacing, zero counts, and the parser shared by
+successive main() calls."""
 import json
 from pathlib import Path
 
@@ -78,3 +79,55 @@ def test_parser_is_built_once(capsys, monkeypatch):
                          "--t0", "0.0")
         assert code == 0
     assert len(built) == 1
+
+
+def _clean_error(code, err):
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_analyze_overflowing_mode_is_an_error(capsys, tmp_path):
+    # e^{1.0 * alpha} overflows a float past alpha = 709.78
+    system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0, 800.0]}))
+    code, _, err = run(capsys, "analyze", "--system", system, "--instants", str(seq))
+    _clean_error(code, err)
+    assert "Re lambda * alpha = 800" in err
+
+
+def test_verify_overflowing_mode_is_an_error(capsys, tmp_path):
+    system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0, 800.0], "final_instant": 801.0}))
+    code, _, err = run(capsys, "verify", "--system", system, "--instants", str(seq),
+                       "--seed", "1")
+    _clean_error(code, err)
+
+
+def test_sweep_overflowing_mode_is_an_error(capsys, tmp_path):
+    system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
+    code, _, err = run(capsys, "sweep", "--system", system, "--from", "700",
+                       "--to", "800", "--points", "2")
+    _clean_error(code, err)
+
+
+def test_design_refinement_keeps_dmin(capsys, tmp_path):
+    # the grid starts at dmin = 600, where the flow already overflows; the
+    # refinement must not slide the instant below dmin to escape it
+    system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
+    code, out, err = run(capsys, "design", "--system", system, "--t0", "0",
+                         "--dmin", "600", "--dmax", "800")
+    _clean_error(code, err)
+    assert "instants" not in out
+
+
+def test_generic_design_intervals_respect_dmin(capsys):
+    code, out, _ = run(capsys, "design", "--system", str(DATA / "third_order.json"),
+                       "--t0", "0", "--method", "generic", "--dmin", "1.0")
+    assert code == 0
+    line = next(l for l in out.splitlines() if l.startswith("instants = "))
+    instants = [float(t) for t in line.split(" = ")[1].split()]
+    assert len(instants) == 3
+    assert min(b - a for a, b in zip(instants, instants[1:])) >= 1.0

@@ -1,0 +1,31 @@
+"""The experiment scripts run end to end on small inputs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_theorem_equivalence_runs():
+    proc = _run("theorem_equivalence.py", "--cases", "20")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("cases = 20  agree = ")
+
+
+def test_optimal_interval_scan_runs(tmp_path):
+    out = tmp_path / "scan.csv"
+    proc = _run("optimal_interval_scan.py", "--out", str(out), "--points", "50")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"wrote {out}: 50 rows x 9 curves")
+    assert out.read_text().startswith("dt,a=-0.5_b=0.5,")
