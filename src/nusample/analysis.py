@@ -4,7 +4,7 @@ Builds the alpha vector and the fundamental-solution matrix, decides joint
 n-reachability / n-observability from its determinant, quantifies the degree
 of orthogonality of the sampled mode vectors, verifies the determinant
 factorization identities, and provides brute-force state-space matrices as
-independent rank oracles.
+independent rank oracles; each matrix is one Jordan-flow call, built once.
 """
 from __future__ import annotations
 
@@ -18,9 +18,10 @@ from nusample.lti import (
     EigenStructure,
     Realization,
     SystemSpec,
+    _swap_reversal_permutation,
     check_minimality,
+    checked_flow,
     evaluate_fundamental_basis,
-    exp_jordan,
     jordan_flow,
 )
 
@@ -99,8 +100,7 @@ class FundamentalMatrix:
 def fundamental_matrix(es: EigenStructure, av: AlphaVector) -> FundamentalMatrix:
     if av.n != es.n:
         raise ValueError(f"alpha vector has {av.n} entries, system order is {es.n}")
-    M = np.vstack([evaluate_fundamental_basis(es, a) for a in av.alphas])
-    return FundamentalMatrix(M, es)
+    return FundamentalMatrix(evaluate_fundamental_basis(es, av.alphas), es)
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def joint_test(fm: FundamentalMatrix,
     svals = np.linalg.svd(M, compute_uv=False)
     smin, smax = float(svals[-1]), float(svals[0])
     cond = math.inf if smin == 0.0 else smax / smin
-    threshold = tol_factor * float(np.prod(np.linalg.norm(M, axis=1)))
+    threshold = tol_factor * float(np.prod(_norms(M, axis=1)))
     return AnalysisReport(det, abs(det) > threshold, smin, cond, threshold)
 
 
@@ -161,8 +161,15 @@ def sampled_mode_vectors(spec: SystemSpec, av: AlphaVector) -> np.ndarray:
     return jordan_flow(spec.eigen, spec.real_mode_vector, av.alphas).T
 
 
+def _norms(M: np.ndarray, axis: int) -> np.ndarray:
+    """2-norms along ``axis`` that do not overflow: each vector is first
+    divided by the power of two just above its largest |entry|, exactly."""
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1])
+    return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
+
+
 def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
-    norms = np.linalg.norm(Y, axis=0)
+    norms = _norms(Y, axis=0)
     if np.any(norms == 0.0):
         raise ArithmeticError("zero-norm mode vector (internal error)")
     Yn = Y / norms
@@ -192,21 +199,28 @@ def degree_metrics(spec: SystemSpec, av: AlphaVector) -> DegreeMetrics:
 
 def bruteforce_controllability_matrix(real: Realization,
                                       seq: SamplingSequence) -> np.ndarray:
-    """[G_{n-1}, ..., G_0] with G_i = exp(A (t_n - t_i)) b."""
+    """[G_{n-1}, ..., G_0] with G_i = exp(A (t_n - t_i)) b = B exp(J (t_n - t_i)) y0."""
     if seq.final_instant is None:
         raise ValueError("the controllability matrix needs the final instant t_n")
     n = real.n
     if len(seq.instants) != n:
         raise ValueError(f"need {n} sampling instants, got {len(seq.instants)}")
     jf = real.jordan
-    cols = [jf.expA(seq.final_instant - ti) @ real.b for ti in seq.instants]
-    return np.column_stack(cols[::-1])
+    dts = seq.final_instant - np.asarray(seq.instants[::-1])
+    return checked_flow(jf.es, jf.y0, dts, jf.B.T).T
 
 
 def bruteforce_observability_matrix(real: Realization, av: AlphaVector) -> np.ndarray:
-    """Rows c exp(A alpha_m)."""
+    """Rows c exp(A alpha_m) = (c B) exp(J alpha_m) B^{-1}."""
     jf = real.jordan
-    return np.vstack([real.c @ jf.expA(a) for a in av.alphas])
+    return _output_rows(jf.es, real.c @ jf.B, av.alphas, jf.B_inv)
+
+
+def _output_rows(es: EigenStructure, r: np.ndarray, alphas, right: np.ndarray) -> np.ndarray:
+    """Rows r exp(J alpha) right, by the flow of J' = S J S:
+    r exp(J alpha) = (exp(J alpha) S r)' S."""
+    S = _swap_reversal_permutation(es)
+    return checked_flow(es, S @ r, alphas, S @ right)
 
 
 def numerical_rank(M: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
@@ -251,14 +265,19 @@ def verify_factorizations(spec: SystemSpec, av: AlphaVector) -> FactorizationChe
     if not report.minimal:
         raise NonMinimalError("factorization identities are vacuous for "
                               f"non-minimal systems (blocks {report.offending_blocks})")
+    det_phi = float(np.linalg.det(fundamental_matrix(spec.eigen, av).M))
+    return _factorizations(spec, av, det_phi, sampled_mode_vectors(spec, av))
+
+
+def _factorizations(spec: SystemSpec, av: AlphaVector, det_phi: float,
+                    Y: np.ndarray) -> FactorizationCheck:
+    """verify_factorizations from det(Phi) and the mode vectors Y of ``av``."""
     es = spec.eigen
-    Y = sampled_mode_vectors(spec, av)
     lhs_ctrl = float(np.linalg.det(Y))
 
-    # output row in the Jordan frame: the leading row of every block
-    leading = [blk.offset for blk in es.blocks]
-    O = np.vstack([exp_jordan(es, a)[leading].sum(axis=0) for a in av.alphas])
-    lhs_obs = float(np.linalg.det(O))
+    leading = np.zeros(es.n)  # output row in the Jordan frame
+    leading[[blk.offset for blk in es.blocks]] = 1.0
+    lhs_obs = float(np.linalg.det(_output_rows(es, leading, av.alphas, np.eye(es.n))))
 
     N1 = _factorial_factor(es)
     n2 = 1.0 + 0j
@@ -270,9 +289,8 @@ def verify_factorizations(spec: SystemSpec, av: AlphaVector) -> FactorizationChe
         raise ArithmeticError("N2 is not real (broken conjugate structure)")
     N2 = float(n2.real)
     M1 = N1
-    M2 = float(np.linalg.det(np.eye(es.n)))  # product of identity blocks
+    M2 = 1.0  # product of identity blocks
 
-    det_phi = float(np.linalg.det(fundamental_matrix(es, av).M))
     rhs_ctrl = N1 * N2 * det_phi
     rhs_obs = M1 * M2 * det_phi
     ratio_ctrl = lhs_ctrl / rhs_ctrl if rhs_ctrl != 0.0 else math.inf
@@ -285,17 +303,17 @@ def verify_factorizations(spec: SystemSpec, av: AlphaVector) -> FactorizationChe
 # one-call analysis
 
 def analyze(spec: SystemSpec, seq: SamplingSequence,
-            tol_factor: float = DEFAULT_ADMISSIBILITY_FACTOR,
-            with_factors: bool = True) -> AnalysisReport:
-    """Full analysis: joint test plus degree metrics and, when the system is
-    minimal, the factorization factors."""
+            tol_factor: float = DEFAULT_ADMISSIBILITY_FACTOR) -> AnalysisReport:
+    """Joint test, plus degree metrics for a minimal system and factorization
+    factors for a minimal system with an admissible sequence."""
     av = alphas(seq)
     base = joint_test(fundamental_matrix(spec.eigen, av), tol_factor)
     degree = None
     factors = None
     if check_minimality(spec).minimal:
-        degree = degree_metrics(spec, av)
+        Y = sampled_mode_vectors(spec, av)
+        degree = degree_metrics_from_vectors(Y)
         if base.is_admissible:
-            factors = verify_factorizations(spec, av)
+            factors = _factorizations(spec, av, base.determinant, Y)
     return AnalysisReport(base.determinant, base.is_admissible, base.sigma_min,
                           base.condition_number, base.threshold, degree, factors)

@@ -129,8 +129,7 @@ def run_analyze(args) -> int:
     print(f"condition_number = {fmt(report.condition_number)}")
     print(f"threshold = {fmt(report.threshold)}")
     print(f"admissible = {'yes' if report.is_admissible else 'no'}")
-    minimal = check_minimality(spec)
-    print(f"minimal = {'yes' if minimal.minimal else 'no'}")
+    print(f"minimal = {'yes' if report.degree is not None else 'no'}")
     if report.degree is not None:
         print(f"gram_determinant = {fmt(report.degree.normalized_gram_det)}")
         print(f"min_principal_angle = {fmt(report.degree.min_principal_angle)}")
@@ -208,8 +207,7 @@ def run_verify(args) -> int:
         traj = simulate.simulate_impulse_train(real, x0, plan)
         residual_ctrl = float(np.linalg.norm(traj.final_state) / np.linalg.norm(x0))
         av = analysis.alphas(seq)
-        jf_outputs = np.array([float(real.c @ simulate.state_transition(real, x0, a))
-                               for a in av.alphas])
+        jf_outputs = simulate.state_transition(real, x0, av.alphas) @ real.c
         x0_hat = simulate.reconstruct_initial_state(real, jf_outputs, av)
         residual_rec = float(np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0))
     except RankDeficientError as exc:
@@ -232,7 +230,7 @@ def _noise_amplification(real, av, eps, trials, rng) -> float:
     O = analysis.bruteforce_observability_matrix(real, av)
     noisy = O @ x0 + eps * z[:, 1].T
     try:
-        x0_hat = simulate.reconstruct_initial_state(real, noisy, av)
+        x0_hat = simulate.solve_checked(O, noisy, "observability matrix")
     except RankDeficientError:
         return math.inf
     return float(np.median(np.linalg.norm(x0_hat - x0, axis=0))) / eps

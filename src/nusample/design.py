@@ -94,9 +94,13 @@ def _third_order_params(spec: SystemSpec):
 def spiral_point(spec: SystemSpec, alpha: float) -> np.ndarray:
     """Point of the parametric spiral traced by the normalized mode vector."""
     lam, a, b = _third_order_params(spec)
-    ea = math.exp(a * alpha)
-    return np.array([ea * math.cos(b * alpha), ea * math.sin(b * alpha),
-                     math.exp(lam * alpha)])
+    try:
+        ea = math.exp(a * alpha)
+        return np.array([ea * math.cos(b * alpha), ea * math.sin(b * alpha),
+                         math.exp(lam * alpha)])
+    except OverflowError:
+        raise DesignError(f"the spiral overflows a float at alpha = {alpha:.6g}; "
+                          "shorten the sampling intervals") from None
 
 
 def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
@@ -154,10 +158,13 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
         t2 = t0 + alpha2
         if t2 <= t1:
             continue
-        score = abs(q2_height - math.exp(lam * alpha2))
+        try:
+            score = abs(q2_height - math.exp(lam * alpha2))
+        except OverflowError:
+            continue  # a branch whose height overflows never wins
         candidates.append((score, m, t2, alpha2))
     if not candidates:
-        raise DesignError(f"no branch m in [0, {m_max}] yields t2 > t1")
+        raise DesignError(f"no branch m in [0, {m_max}] gives t2 > t1 with a finite height")
     _, best_m, t2, alpha2 = min(candidates, key=lambda c: (c[0], c[1]))
 
     seq = SamplingSequence((t0, t1, t2))

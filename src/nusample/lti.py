@@ -12,15 +12,11 @@ the roots:
         t^k e^{a t} cos(b t),  t^k e^{a t} sin(b t)        k = 0 .. m-1
 
 The real Jordan form of the canonical companion realizations is built
-analytically from a confluent Vandermonde basis; its matrix exponential is
-evaluated in closed form (finite nilpotent series and rotation-scaling
-cells), so no general-purpose expm is needed on the canonical path.
-
-One batched kernel, ``jordan_flow``, evaluates the flow exp(J alpha) d for a
-whole array of alphas at once, without forming any n x n matrix; the sampled
-mode vectors and the design search's candidate grid both go through it.
-``exp_jordan`` stays as the per-alpha matrix route.  Each ``Realization``
-builds its real Jordan form once, on first use of ``Realization.jordan``.
+analytically from a confluent Vandermonde basis, once per ``Realization``.
+Every exponential comes from one batched kernel, ``jordan_flow``: the flow
+exp(J alpha) d for a whole array of alphas, with no n x n exponential.  The
+basis, the mode vectors, O, G, the state transitions and the design grid all
+go through it; ``checked_flow`` raises DegenerateSamplingError on overflow.
 """
 from __future__ import annotations
 
@@ -340,33 +336,30 @@ def coefficients_from_roots(es: EigenStructure) -> np.ndarray:
 # fundamental basis
 
 def _overflow(es: EigenStructure, t: float) -> DegenerateSamplingError:
-    """The error for a basis or exponential that overflows a float at t."""
+    """The error for a flow that overflows a float at alpha = t."""
     x = max(blk.value.real * t for blk in es.blocks)
     return DegenerateSamplingError(
         f"the modes overflow a float at alpha = {t:.6g} (largest Re lambda * "
         f"alpha = {x:.6g}); shorten the sampling intervals")
 
 
-def evaluate_fundamental_basis(es: EigenStructure, t: float) -> np.ndarray:
-    """(phi_1(t), ..., phi_n(t)) in the fixed real basis."""
-    out = np.empty(es.n)
-    try:
-        for blk in es.blocks:
-            if blk.kind == "real":
-                e = math.exp(blk.value.real * t)
-                for k in range(blk.multiplicity):
-                    out[blk.offset + k] = t ** k * e
-            else:
-                a, b = blk.value.real, blk.value.imag
-                e = math.exp(a * t)
-                co, si = math.cos(b * t), math.sin(b * t)
-                for k in range(blk.multiplicity):
-                    tk = t ** k
-                    out[blk.offset + 2 * k] = tk * e * co
-                    out[blk.offset + 2 * k + 1] = tk * e * si
-    except OverflowError:
-        raise _overflow(es, t) from None
-    return out
+def evaluate_fundamental_basis(es: EigenStructure, t) -> np.ndarray:
+    """(phi_1(t), ..., phi_n(t)) for every t of an array of any shape, as
+    shape ``t.shape + (n,)``.  With d a one in the last slot (cell) of each
+    block, slot m-1-k of exp(J t) d is t^k e^{lambda t} / k!, so the basis is
+    that flow with each block's slots reversed and slot k scaled by k!."""
+    n = es.n
+    d = np.zeros(n)
+    reverse = np.zeros((n, n))
+    for blk in es.blocks:
+        m, o = blk.multiplicity, blk.offset
+        width = 1 if blk.kind == "real" else 2  # slots per cell
+        d[o + width * (m - 1)] = 1.0
+        for k in range(m):
+            for part in range(width):
+                reverse[o + width * (m - 1 - k) + part, o + width * k + part] = \
+                    math.factorial(k)
+    return checked_flow(es, d, t, reverse)
 
 
 def wronskian_at_zero(es: EigenStructure) -> np.ndarray:
@@ -503,33 +496,6 @@ def build_jordan_matrix(es: EigenStructure) -> np.ndarray:
     return scipy.linalg.block_diag(*cells)
 
 
-def exp_jordan(es: EigenStructure, t: float) -> np.ndarray:
-    """Closed-form exp(J t) for the real Jordan matrix of ``es``."""
-    E = np.zeros((es.n, es.n))
-    try:
-        for blk in es.blocks:
-            m, o = blk.multiplicity, blk.offset
-            if blk.kind == "real":
-                e = math.exp(blk.value.real * t)
-                for k in range(m):
-                    v = e * t ** k / math.factorial(k)
-                    for p in range(m - k):
-                        E[o + p, o + p + k] = v
-            else:
-                a, b = blk.value.real, blk.value.imag
-                e = math.exp(a * t)
-                co, si = e * math.cos(b * t), e * math.sin(b * t)
-                for k in range(m):
-                    f = t ** k / math.factorial(k)
-                    cell = ((co * f, -si * f), (si * f, co * f))
-                    for p in range(m - k):
-                        r, c = o + 2 * p, o + 2 * (p + k)
-                        E[r:r + 2, c:c + 2] = cell
-    except OverflowError:
-        raise _overflow(es, t) from None
-    return E
-
-
 def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
     """exp(J alpha) d for every alpha of an array of any shape.
 
@@ -561,6 +527,18 @@ def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
             else:
                 out[..., o + 2 * p] = w.real
                 out[..., o + 2 * p + 1] = w.imag
+    return out
+
+
+def checked_flow(es: EigenStructure, d, alphas, right: np.ndarray) -> np.ndarray:
+    """``jordan_flow(es, d, alphas) @ right``, raising DegenerateSamplingError
+    for the first alpha whose row has an entry that is not a finite float."""
+    al = np.asarray(alphas, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = jordan_flow(es, d, al) @ right
+    bad = ~np.isfinite(out).all(axis=-1)
+    if bad.any():
+        raise _overflow(es, float(al[bad][0]))
     return out
 
 
@@ -650,14 +628,6 @@ class RealJordanForm:
     y0: np.ndarray
     condition_number: float
     warning: str | None = None
-
-    def expm(self, t: float) -> np.ndarray:
-        """Closed-form exp(J t)."""
-        return exp_jordan(self.es, t)
-
-    def expA(self, t: float) -> np.ndarray:
-        """exp(A t) = B exp(J t) B^{-1} for the realization this was built from."""
-        return self.B @ self.expm(t) @ self.B_inv
 
 
 def real_jordan(spec: SystemSpec, real: Realization) -> RealJordanForm:

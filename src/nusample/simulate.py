@@ -3,12 +3,12 @@
 Deadbeat impulse plans drive an initial state to the origin in n steps;
 initial states are reconstructed from n output samples.  An impulse u_i
 applied at t_i produces the instantaneous state jump b * u_i at t_i+, and
-the state flows freely by exp(A dt) between instants; all propagation uses
-the closed-form Jordan exponential of the realization's Jordan form, which
-each realization builds once.  The controllability and observability
-matrices the solves use are the ``analysis.bruteforce_*`` builders; a
-reconstruction takes k output vectors as one (n, k) array and solves them
-against a single observability matrix.
+the state flows freely by exp(A dt) = B exp(J dt) B^{-1} between instants;
+all propagation is the Jordan-flow kernel in the frame of the realization's
+Jordan form, which each realization builds once.  The controllability and
+observability matrices the solves use are the ``analysis.bruteforce_*``
+builders; a reconstruction takes k output vectors as one (n, k) array and
+solves them against a single observability matrix.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from nusample.analysis import (
     bruteforce_observability_matrix,
 )
 from nusample.errors import RankDeficientError
-from nusample.lti import Realization
+from nusample.lti import Realization, checked_flow
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,16 @@ class Trajectory:
         return self.checkpoints[-1].state
 
 
-def state_transition(real: Realization, x, dt: float) -> np.ndarray:
-    """exp(A dt) x via the closed-form Jordan exponential."""
-    return real.jordan.expA(dt) @ np.asarray(x, dtype=float)
+def state_transition(real: Realization, x, dt) -> np.ndarray:
+    """exp(A dt) x = B exp(J dt) B^{-1} x for every dt of an array of any
+    shape; returns shape ``dt.shape + (n,)``."""
+    jf = real.jordan
+    return checked_flow(jf.es, jf.B_inv @ np.asarray(x, dtype=float), dt, jf.B.T)
 
 
-def _solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """np.linalg.solve(M, rhs), raising RankDeficientError (naming ``what``)
+    when sigma_min / sigma_max of M is at most RANK_REL_TOL."""
     svals = np.linalg.svd(M, compute_uv=False)
     if svals[0] == 0.0 or svals[-1] / svals[0] <= RANK_REL_TOL:
         smin = float(svals[-1])
@@ -79,26 +83,25 @@ def deadbeat_inputs(real: Realization, x0, seq: SamplingSequence) -> ImpulsePlan
         raise ValueError("deadbeat plan needs the final instant t_n")
     x0 = np.asarray(x0, dtype=float)
     G = bruteforce_controllability_matrix(real, seq)  # [G_{n-1}, ..., G_0]
-    rhs = -(real.jordan.expA(seq.final_instant - seq.instants[0]) @ x0)
-    u_rev = _solve_checked(G, rhs, "controllability matrix [G_{n-1},...,G_0]")
+    rhs = -state_transition(real, x0, seq.final_instant - seq.instants[0])
+    u_rev = solve_checked(G, rhs, "controllability matrix [G_{n-1},...,G_0]")
     return ImpulsePlan(tuple(u_rev[::-1]), seq)
 
 
 def simulate_impulse_train(real: Realization, x0, plan: ImpulsePlan) -> Trajectory:
     """Piecewise evolution: free flow between instants, jump b u_i at t_i."""
     x = np.asarray(x0, dtype=float)
-    jf = real.jordan
     seq = plan.sequence
     checkpoints = []
     t_prev = seq.instants[0]
     for ti, ui in zip(seq.instants, plan.inputs):
-        x = jf.expA(ti - t_prev) @ x
+        x = state_transition(real, x, ti - t_prev)
         checkpoints.append(Checkpoint(ti, "pre", x.copy()))
         x = x + real.b * ui
         checkpoints.append(Checkpoint(ti, "post", x.copy()))
         t_prev = ti
     if seq.final_instant is not None:
-        x = jf.expA(seq.final_instant - t_prev) @ x
+        x = state_transition(real, x, seq.final_instant - t_prev)
         checkpoints.append(Checkpoint(seq.final_instant, "pre", x.copy()))
     return Trajectory(tuple(checkpoints))
 
@@ -115,7 +118,7 @@ def reconstruct_initial_state(real: Realization, outputs, av: AlphaVector) -> np
         raise ValueError(f"need {real.n} output samples (shape ({real.n},) or "
                          f"({real.n}, k)), got {outputs.shape}")
     O = bruteforce_observability_matrix(real, av)
-    return _solve_checked(O, outputs, "observability matrix [c exp(A alpha_m)]")
+    return solve_checked(O, outputs, "observability matrix [c exp(A alpha_m)]")
 
 
 def export_trajectory_csv(traj: Trajectory, path) -> None:

@@ -118,3 +118,18 @@ def random_admissible_case(rng, n, max_cond=1e6):
         if sg[0] / sg[-1] < max_cond and so[0] / so[-1] < max_cond:
             return spec, seq
     raise RuntimeError("could not find an admissible, well-conditioned case")
+
+
+def count_calls(monkeypatch, original, modules):
+    """Route every listed module's binding of ``original`` through a counter;
+    returns the list that gains one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if hasattr(module, original.__name__):
+            monkeypatch.setattr(module, original.__name__, counting)
+    return calls

@@ -6,6 +6,7 @@ import pytest
 import nusample as ns
 from nusample.errors import DegenerateSamplingError, NonMinimalError
 from conftest import pathological_sequence, random_minimal_spec, random_sequence
+from reference import expA
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +121,8 @@ def test_bruteforce_controllability_columns():
     seq = ns.SamplingSequence((0.0, 1.0), final_instant=2.0)
     G = ns.bruteforce_controllability_matrix(real, seq)
     jf = ns.real_jordan(spec, real)
-    assert np.allclose(G[:, 0], jf.expA(1.0) @ real.b)
-    assert np.allclose(G[:, 1], jf.expA(2.0) @ real.b)
+    assert np.allclose(G[:, 0], expA(jf, 1.0) @ real.b)
+    assert np.allclose(G[:, 1], expA(jf, 2.0) @ real.b)
 
 
 def test_bruteforce_needs_final_instant():
@@ -148,6 +149,14 @@ def test_degree_degrades_near_parallel():
     near = ns.degree_metrics(spec, ns.alphas(ns.SamplingSequence((0.0, math.pi - 1e-4))))
     assert near.normalized_gram_det < 1e-7
     assert near.min_principal_angle < 1e-3
+
+
+def test_degree_vectors_near_float_max():
+    # entries near 1e304 are finite, but their squares are not
+    Y = np.array([[1e304, 1.0], [1e304, 0.0]])
+    dm = ns.analysis.degree_metrics_from_vectors(Y)
+    assert dm.normalized_gram_det == pytest.approx(0.5)
+    assert dm.min_principal_angle == pytest.approx(math.pi / 4)
 
 
 def test_degree_requires_minimal():

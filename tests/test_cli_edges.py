@@ -1,8 +1,10 @@
-"""CLI inputs at the edges: overflowing design searches and exponential
-modes, the design's minimum spacing, zero counts, and the parser shared by
-successive main() calls."""
+"""CLI inputs at the edges: overflowing design searches, spirals and
+exponential modes, the design's minimum spacing, zero counts, and the parser
+shared by successive main() calls."""
 import json
 from pathlib import Path
+
+import pytest
 
 from nusample import cli
 from nusample.cli import main
@@ -110,6 +112,60 @@ def test_sweep_overflowing_mode_is_an_error(capsys, tmp_path):
     system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
     code, _, err = run(capsys, "sweep", "--system", system, "--from", "700",
                        "--to", "800", "--points", "2")
+    _clean_error(code, err)
+
+
+def test_sweep_row_below_overflow_keeps_its_gram_det(capsys, tmp_path):
+    # at scale 700 every entry is finite but near 1e304, so squaring it for
+    # a norm would overflow; the row must still carry the true Gram det
+    system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
+    code, out, err = run(capsys, "sweep", "--system", system, "--from", "700",
+                         "--to", "800", "--points", "2")
+    _clean_error(code, err)
+    rows = out.splitlines()
+    assert len(rows) == 2
+    scale, _, gram, _, _ = rows[1].split(",")
+    assert (scale, float(gram)) == ("700", pytest.approx(0.5))
+
+
+def _write_spiral_system(tmp_path):
+    path = tmp_path / "spiral.json"
+    path.write_text(json.dumps({
+        "order": 3,
+        "roots": [{"re": 1.0, "im": 0.0, "mult": 1},
+                  {"re": -0.3, "im": 1.2, "mult": 1},
+                  {"re": -0.3, "im": -1.2, "mult": 1}],
+        "mode_coefficients": [{"re": 1.0, "im": 0.0}, {"re": 0.5, "im": -0.25},
+                              {"re": 0.5, "im": 0.25}],
+    }))
+    return str(path)
+
+
+def test_geometric_design_overflowing_spiral_is_an_error(capsys, tmp_path):
+    # e^{1.0 * alpha} at the second instant overflows a float
+    code, _, err = run(capsys, "design", "--system", _write_spiral_system(tmp_path),
+                       "--method", "geometric", "--t0", "0", "--t1", "800")
+    _clean_error(code, err)
+    assert "spiral overflows" in err
+
+
+def test_geometric_design_skips_overflowing_branches(capsys, tmp_path):
+    # branches up to m = 200 reach alpha ~ 1000, where the height overflows
+    code, out, err = run(capsys, "design", "--system", _write_spiral_system(tmp_path),
+                         "--method", "geometric", "--t0", "0", "--t1", "0.5",
+                         "--m-max", "200")
+    assert code == 0, err
+    lines = dict(line.split(" = ") for line in out.splitlines())
+    instants = [float(t) for t in lines["instants"].split()]
+    assert instants[:2] == [0.0, 0.5] and 0.5 < instants[2] < 700.0
+    assert 0.0 < float(lines["gram_determinant"]) <= 1.0
+
+
+def test_geometry_overflowing_spiral_is_an_error(capsys, tmp_path):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0, 800.0, 801.0]}))
+    code, _, err = run(capsys, "geometry", "--system", _write_spiral_system(tmp_path),
+                       "--instants", str(seq), "--out", str(tmp_path / "trace.csv"))
     _clean_error(code, err)
 
 

@@ -1,6 +1,7 @@
 """The batched Jordan-flow kernel against the per-alpha matrix routes, the
-batched design grid against the scalar score, and the per-realization
-Jordan form."""
+basis, O, G and the state transitions it builds against the same routes,
+the batched design grid against the scalar score, and how often each command
+builds the Jordan form and each matrix."""
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nusample as ns
-from nusample import analysis, design, lti, simulate
+from nusample import analysis, cli, design, lti, simulate
 from nusample.cli import main
-from conftest import random_minimal_spec
+from nusample.errors import DegenerateSamplingError
+from conftest import count_calls, random_minimal_spec, random_sequence
+from reference import expA, exp_jordan, fundamental_basis
 
 DATA = Path(__file__).parent / "data"
 
@@ -24,7 +27,7 @@ def _per_alpha(es, d, alphas):
     """exp(J alpha) d one alpha at a time, by exp_jordan and by scipy's expm."""
     J = lti.build_jordan_matrix(es)
     flat = np.ravel(alphas)
-    by_cells = np.array([lti.exp_jordan(es, a) @ d for a in flat])
+    by_cells = np.array([exp_jordan(es, a) @ d for a in flat])
     by_expm = np.array([scipy.linalg.expm(J * a) @ d for a in flat])
     shape = np.shape(alphas) + (es.n,)
     return by_cells.reshape(shape), by_expm.reshape(shape)
@@ -64,15 +67,94 @@ def test_flow_matches_exp_jordan_random(seed, n):
 def test_exp_jordan_matches_expm():
     J = lti.build_jordan_matrix(TRIPLE)
     for t in (0.0, 0.7, 2.5):
-        E = lti.exp_jordan(TRIPLE, t)
+        E = exp_jordan(TRIPLE, t)
         ref = scipy.linalg.expm(J * t)
         assert np.max(np.abs(E - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape", [(), (6,), (3, 4)])
+def test_basis_matches_math_exp_loop(shape):
+    rng = np.random.default_rng(len(shape))
+    for n in range(1, 10):
+        es = random_minimal_spec(rng, n).eigen
+        t = rng.uniform(-1.0, 4.0, shape)
+        got = lti.evaluate_fundamental_basis(es, t)
+        assert got.shape == shape + (n,)
+        ref = np.array([fundamental_basis(es, a) for a in np.ravel(t)]).reshape(got.shape)
+        scale = np.max(np.abs(ref), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+def _close(got, ref):
+    return np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_state_space_matrices_match_per_alpha_routes(n):
+    # O, G and the Jordan-frame O against exp_jordan (through expA) and expm
+    rng = np.random.default_rng(60 + n)
+    for _ in range(3):
+        spec = random_minimal_spec(rng, n)
+        seq = random_sequence(rng, n, with_final=True, max_step=0.6)
+        av = ns.alphas(seq)
+        for real in (ns.observability_canonical(spec), ns.controllability_canonical(spec)):
+            jf = real.jordan
+            O = ns.bruteforce_observability_matrix(real, av)
+            assert _close(O, np.array([real.c @ expA(jf, a) for a in av.alphas]))
+            assert _close(O, np.array([real.c @ scipy.linalg.expm(real.A * a)
+                                       for a in av.alphas]))
+            G = ns.bruteforce_controllability_matrix(real, seq)
+            dts = [seq.final_instant - t for t in reversed(seq.instants)]
+            assert _close(G, np.column_stack([expA(jf, dt) @ real.b for dt in dts]))
+            assert _close(G, np.column_stack([scipy.linalg.expm(real.A * dt) @ real.b
+                                              for dt in dts]))
+        es = spec.eigen
+        leading = np.zeros(n)
+        leading[[blk.offset for blk in es.blocks]] = 1.0
+        OJ = analysis._output_rows(es, leading, av.alphas, np.eye(n))
+        J = lti.build_jordan_matrix(es)
+        assert _close(OJ, np.array([leading @ exp_jordan(es, a) for a in av.alphas]))
+        assert _close(OJ, np.array([leading @ scipy.linalg.expm(J * a) for a in av.alphas]))
+
+
+def test_runtime_has_no_per_alpha_exponential():
+    # exp_jordan and expA live in tests/reference.py only, as the reference
+    for module in (lti, analysis, simulate, cli, design):
+        assert not hasattr(module, "exp_jordan")
+    assert not hasattr(lti.RealJordanForm, "expA")
+    assert not hasattr(lti.RealJordanForm, "expm")
+
+
+def test_batched_state_transition_matches_scalar_calls():
+    rng = np.random.default_rng(12)
+    spec = random_minimal_spec(rng, 6)
+    real = ns.observability_canonical(spec)
+    x = rng.standard_normal(6)
+    dts = rng.uniform(0.0, 3.0, 7)
+    batched = ns.state_transition(real, x, dts)
+    assert batched.shape == (7, 6)
+    scalar = np.array([ns.state_transition(real, x, dt) for dt in dts])
+    assert np.max(np.abs(batched - scalar)) <= 1e-14 * np.max(np.abs(scalar))
+
+
+@pytest.mark.parametrize("build", [
+    lambda real, seq: ns.bruteforce_observability_matrix(real, ns.alphas(seq)),
+    lambda real, seq: ns.bruteforce_controllability_matrix(real, seq),
+    lambda real, seq: ns.state_transition(real, np.ones(2), seq.instants),
+    lambda real, seq: ns.fundamental_matrix(real.spec.eigen, ns.alphas(seq)),
+])
+def test_overflowing_flow_raises_degenerate_sampling(build):
+    spec = ns.system_from_modes([(1.0, 1), (-0.5, 1)], [1.0, 1.0])
+    real = ns.observability_canonical(spec)
+    seq = ns.SamplingSequence((0.0, 800.0), final_instant=801.0)
+    with pytest.raises(DegenerateSamplingError, match="Re lambda \\* alpha = 80[01]"):
+        build(real, seq)
 
 
 def _scalar_gram_det(spec, instants):
     """The normalized Gram determinant, one exp_jordan matrix per alpha."""
     av = ns.alphas(ns.SamplingSequence(tuple(instants)))
-    Y = np.column_stack([lti.exp_jordan(spec.eigen, a) @ spec.real_mode_vector
+    Y = np.column_stack([exp_jordan(spec.eigen, a) @ spec.real_mode_vector
                          for a in av.alphas])
     Yn = Y / np.linalg.norm(Y, axis=0)
     return float(np.clip(np.linalg.det(Yn.T @ Yn), 0.0, 1.0))
@@ -104,18 +186,7 @@ def test_nonfinite_scores_are_zero():
 
 
 def _count_real_jordan(monkeypatch):
-    """Route every module's binding of real_jordan through a counter."""
-    calls = []
-    original = lti.real_jordan
-
-    def counting(spec, real):
-        calls.append(real)
-        return original(spec, real)
-
-    for module in (lti, analysis, simulate):
-        if hasattr(module, "real_jordan"):
-            monkeypatch.setattr(module, "real_jordan", counting)
-    return calls
+    return count_calls(monkeypatch, lti.real_jordan, (lti, analysis, simulate))
 
 
 def test_realization_builds_jordan_form_once(monkeypatch):
@@ -142,3 +213,25 @@ def test_commands_build_jordan_form_once(monkeypatch, capsys, argv):
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_analyze_builds_each_matrix_once(monkeypatch, capsys):
+    # third_order.json is minimal and third_sequence.json admissible, so
+    # analyze reaches the degree metrics and the factorization check
+    phi = count_calls(monkeypatch, analysis.fundamental_matrix, (analysis, ns))
+    modes = count_calls(monkeypatch, analysis.sampled_mode_vectors, (analysis, ns))
+    minimality = count_calls(monkeypatch, lti.check_minimality, (lti, analysis, cli, ns))
+    assert main(["analyze", "--system", str(DATA / "third_order.json"),
+                 "--instants", str(DATA / "third_sequence.json")]) == 0
+    out = capsys.readouterr().out
+    assert "basis_ratio_obs = " in out
+    assert (len(phi), len(modes), len(minimality)) == (1, 1, 1)
+
+
+def test_sweep_builds_one_observability_matrix_per_scale(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, analysis.bruteforce_observability_matrix,
+                        (analysis, simulate, ns))
+    assert main(["sweep", "--system", str(DATA / "third_order.json"), "--from", "0.2",
+                 "--to", "1.0", "--points", "4", "--trials", "30"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4

@@ -12,7 +12,7 @@ import nusample as ns
 from nusample import analysis, fileio, lti, simulate
 from nusample.cli import main
 from nusample.errors import RankDeficientError
-from conftest import random_minimal_spec, random_sequence
+from conftest import count_calls, random_minimal_spec, random_sequence
 
 DATA = Path(__file__).parent / "data"
 
@@ -130,31 +130,17 @@ def test_sweep_half_period_oscillator_is_inf(capsys):
 # ---------------------------------------------------------------------------
 # cost: one observability matrix per scale, whatever the number of trials
 
-def _count(monkeypatch, original, modules):
-    """Route every listed module's binding of ``original`` through a counter."""
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    for module in modules:
-        if hasattr(module, original.__name__):
-            monkeypatch.setattr(module, original.__name__, counting)
-    return calls
-
-
 @pytest.mark.parametrize("system", ["third_order.json", "oscillator.json"])
 def test_sweep_cost_does_not_grow_with_trials(monkeypatch, capsys, system):
-    exp_calls = _count(monkeypatch, lti.exp_jordan, (lti, analysis, simulate, ns))
-    transitions = _count(monkeypatch, simulate.state_transition, (simulate, ns))
+    flow_calls = count_calls(monkeypatch, lti.jordan_flow, (lti, analysis, simulate, ns))
+    transitions = count_calls(monkeypatch, simulate.state_transition, (simulate, ns))
     per_command = []
     for trials in (3, 30):
-        exp_calls.clear()
+        flow_calls.clear()
         code, _, _ = run(capsys, "sweep", "--system", str(DATA / system),
                          "--from", "0.2", "--to", "1.0", "--points", "4",
                          "--trials", str(trials))
         assert code == 0
-        per_command.append(len(exp_calls))
+        per_command.append(len(flow_calls))
     assert per_command[0] == per_command[1] > 0
     assert transitions == []
