@@ -163,8 +163,9 @@ def sampled_mode_vectors(spec: SystemSpec, av: AlphaVector) -> np.ndarray:
 
 def _norms(M: np.ndarray, axis: int) -> np.ndarray:
     """2-norms along ``axis`` that do not overflow: each vector is first
-    divided by the power of two just above its largest |entry|, exactly."""
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1])
+    divided by the power of two at or just below its largest |entry|,
+    exactly (the power just above it overflows for entries past 2**1023)."""
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1] - 1)
     return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
 
 

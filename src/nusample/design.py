@@ -4,8 +4,10 @@ Three routes:
 
 * closed form for a 2nd-order complex pair (quarter-turn rule),
 * the spiral-geometry step for the 3rd-order {real pole, complex pair} case,
-* a greedy grid search with golden-section refinement for arbitrary order;
-  each greedy step scores its whole candidate grid in one batched call.
+* a greedy grid search for arbitrary order: each greedy step scores its
+  whole candidate grid in one batched call, and each instant is then refined
+  by a bounded Brent search (golden-section steps with parabolic
+  interpolation).
 
 The 3rd-order geometry works in a normalized frame where the initial mode
 vector is (1, 0, 1)', so the sampled vectors trace the spiral
@@ -20,13 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from nusample.analysis import (
     DegreeMetrics,
     SamplingSequence,
+    _norms,
     alphas,
-    degree_metrics,
     degree_metrics_from_vectors,
     sampled_mode_vectors,
 )
@@ -43,6 +44,19 @@ class DesignResult:
     metric: DegreeMetrics
     method: str  # "closed-form-2nd" | "geometric-3rd" | "generic-search"
     branch_m: int | None = None
+
+
+def _designed_metric(spec: SystemSpec, seq: SamplingSequence) -> DegreeMetrics:
+    """Degree metrics of a designed sequence.  Every route ends here, so a
+    sequence whose sampled mode vectors overflow, or underflow to zero, is a
+    DesignError and never reaches the SVD."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y = sampled_mode_vectors(spec, alphas(seq))
+        norms = _norms(Y, axis=0)
+    if not (np.isfinite(norms).all() and (norms > 0.0).all()):
+        raise DesignError("the sampled mode vectors of the designed sequence "
+                          "overflow or underflow; narrow the interval bounds")
+    return degree_metrics_from_vectors(Y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +87,7 @@ def optimal_interval_second_order(a: float, b: float, t0: float = 0.0,
     seq = SamplingSequence((t0, t1))
     lam = complex(a, b)
     spec = system_from_modes([(lam, 1), (lam.conjugate(), 1)], [0.5, 0.5])
-    metric = degree_metrics(spec, alphas(seq))
-    return DesignResult(seq, metric, "closed-form-2nd", m)
+    return DesignResult(seq, _designed_metric(spec, seq), "closed-form-2nd", m)
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +104,11 @@ def _third_order_params(spec: SystemSpec):
     return real_blk.value.real, pair_blk.value.real, pair_blk.value.imag
 
 
+def _spiral_overflow(alpha: float) -> DesignError:
+    return DesignError(f"the spiral overflows a float at alpha = {alpha:.6g}; "
+                       "shorten the sampling intervals")
+
+
 def spiral_point(spec: SystemSpec, alpha: float) -> np.ndarray:
     """Point of the parametric spiral traced by the normalized mode vector."""
     lam, a, b = _third_order_params(spec)
@@ -99,8 +117,21 @@ def spiral_point(spec: SystemSpec, alpha: float) -> np.ndarray:
         return np.array([ea * math.cos(b * alpha), ea * math.sin(b * alpha),
                          math.exp(lam * alpha)])
     except OverflowError:
-        raise DesignError(f"the spiral overflows a float at alpha = {alpha:.6g}; "
-                          "shorten the sampling intervals") from None
+        raise _spiral_overflow(alpha) from None
+
+
+def _spiral_trace(lam: float, a: float, b: float, grid: np.ndarray) -> np.ndarray:
+    """Rows (alpha, x, y, z) of the spiral at every alpha of ``grid``, in one
+    vectorized evaluation (numpy's exp may differ from ``math.exp`` in the
+    last bit, so these points are for plotting only)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ea = np.exp(a * grid)
+        rows = np.column_stack([grid, ea * np.cos(b * grid), ea * np.sin(b * grid),
+                                np.exp(lam * grid)])
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise _spiral_overflow(float(grid[np.argmin(finite)]))
+    return rows
 
 
 def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
@@ -128,9 +159,12 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     a0, a1 = 0.0, t1 - t0
     Y0 = spiral_point(spec, a0)
     Y1 = spiral_point(spec, a1)
-    cross = np.cross(Y0, Y1)
-    nrm = np.linalg.norm(cross)
-    if nrm <= 1e-12 * np.linalg.norm(Y0) * np.linalg.norm(Y1):
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.cross(Y0, Y1)
+        nrm, nrm0, nrm1 = _norms(np.stack([cross, Y0, Y1]), axis=1)
+    if not (np.isfinite(cross).all() and np.isfinite(nrm) and np.isfinite(nrm1)):
+        raise _spiral_overflow(a1)
+    if nrm <= 1e-12 * nrm0 * nrm1:
         raise DesignError("Y0 and Y1 are parallel: no orthogonal direction exists")
     if cross[2] < 0:
         cross = -cross  # endpoint must lie on the upper surface sheet (z > 0)
@@ -148,9 +182,14 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     # mu > 0 scaling Y0 x Y1 onto the surface z = (x^2 + y^2)^(lambda/2a):
     # mu * z_c = (mu * r2)^(lambda/a)  =>  mu^(1 - lambda/a) = r2^(lambda/a) / z_c
     expo = lam / a
-    mu = (r2 ** expo / cross[2]) ** (1.0 / (1.0 - expo))
-    q2 = mu * cross
-    q2_height = (mu * mu * r2 * r2) ** (lam / (2.0 * a))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mu = (np.float64(r2) ** expo / cross[2]) ** (1.0 / (1.0 - expo))
+        q2 = mu * cross
+        q2_height = (mu * mu * r2 * r2) ** (lam / (2.0 * a))
+    # mu and the height are positive; 0 or inf means a float over- or underflowed
+    if not (0.0 < mu < math.inf and 0.0 < q2_height < math.inf and np.isfinite(q2).all()):
+        raise DesignError(f"scaling Y0 x Y1 onto the surface z = r^{expo:.6g} "
+                          "leaves the float range; choose another t1")
 
     candidates = []
     for m in range(m_max + 1):
@@ -168,14 +207,11 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     _, best_m, t2, alpha2 = min(candidates, key=lambda c: (c[0], c[1]))
 
     seq = SamplingSequence((t0, t1, t2))
-    metric = degree_metrics(spec, alphas(seq))
-    result = DesignResult(seq, metric, "geometric-3rd", best_m)
+    result = DesignResult(seq, _designed_metric(spec, seq), "geometric-3rd", best_m)
 
-    grid = np.linspace(0.0, 1.05 * alpha2, 400)
-    spiral = np.array([[g, *spiral_point(spec, g)] for g in grid])
     trace = GeometryTrace(
         surface_exponent=lam / (2.0 * a),
-        spiral=spiral,
+        spiral=_spiral_trace(lam, a, b, np.linspace(0.0, 1.05 * alpha2, 400)),
         vectors={"Y0": Y0, "Y1": Y1, "Y2": spiral_point(spec, alpha2)},
         projections={"P0": P0, "P1": P1, "P2": P2},
         q2=q2,
@@ -222,15 +258,99 @@ def _gram_det(spec: SystemSpec, instants) -> float:
     return float(_gram_dets(spec, t[-1] - t[::-1]))
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _minimize_bounded(func, lo: float, hi: float, xatol: float,
+                      maxfun: int = 500) -> tuple[float, float]:
+    """(x, func(x)) minimizing ``func`` on [lo, hi] by Brent's method:
+    golden-section steps, parabolic ones where the fit is acceptable.
+
+    A step-for-step port of ``_minimize_scalar_bounded`` in
+    ``scipy.optimize._optimize``, so it evaluates the same points and returns
+    the same x and f(x), bit for bit, as
+    ``scipy.optimize.minimize_scalar(method="bounded")`` with the options
+    ``xatol`` and ``maxiter=maxfun``.  The scipy original is
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers, and is
+    used under the BSD 3-Clause license.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
                             bounds: tuple[float, float] = (0.05, 5.0),
                             steps: int = 200) -> DesignResult:
     """Greedy sequential search: extend the sequence one instant at a time by
     scoring a bounded grid of interval lengths in one batched call and keeping
     the candidate maximizing the normalized Gram determinant, then refine each
-    instant after t0 once by bounded golden-section search, at least dmin
-    from its neighbors and, for the last one, at most dmax after its
-    predecessor."""
+    instant after t0 once by a bounded Brent search (``_minimize_bounded``),
+    at least dmin from its neighbors and, for the last one, at most dmax
+    after its predecessor."""
     dmin, dmax = bounds
     if not (dmin > 0 and dmax > dmin):
         raise DesignError(f"invalid interval bounds {bounds}")
@@ -255,23 +375,27 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
         hi = instants[i + 1] - dmin if i + 1 < n else instants[i - 1] + dmax
         if hi <= lo:
             continue
-        res = minimize_scalar(
+        x, fun = _minimize_bounded(
             lambda t, i=i: -_gram_det(spec, instants[:i] + [float(t)] + instants[i + 1:]),
-            bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-10 * (1.0 + abs(hi))})
-        if -res.fun >= _gram_det(spec, instants):
-            instants[i] = float(res.x)
+            lo, hi, xatol=1e-10 * (1.0 + abs(hi)))
+        if -fun >= _gram_det(spec, instants):
+            instants[i] = float(x)
 
     seq = SamplingSequence(tuple(instants))
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y = sampled_mode_vectors(spec, alphas(seq))
-        norms = np.linalg.norm(Y, axis=0)
-    if not (np.isfinite(norms).all() and (norms > 0.0).all()):
-        raise DesignError("the sampled mode vectors of the designed sequence "
-                          "overflow or underflow; narrow the interval bounds")
-    metric = degree_metrics_from_vectors(Y)
+    metric = _designed_metric(spec, seq)
     result = DesignResult(seq, metric, "generic-search", None)
     if n > 1 and metric.normalized_gram_det <= MIN_GRAM_DET:
         raise InadmissibleDesignError("every grid candidate is inadmissible",
                                       best=result)
     return result
+
+
+def __getattr__(name):
+    # perfbench/spans.py still wraps ``design.minimize_scalar`` when it
+    # installs a trace, so scipy's optimizer is imported here only when asked
+    # for and never by the runtime.  Delete this once the benchmark drops
+    # that binding (ROADMAP item 7).
+    if name == "minimize_scalar":
+        from scipy.optimize import minimize_scalar
+        return minimize_scalar
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from nusample.errors import DegenerateSamplingError, NonMinimalError, RootFindingError
 
@@ -480,20 +479,23 @@ def controllability_canonical(spec: SystemSpec) -> Realization:
 # real Jordan form
 
 def build_jordan_matrix(es: EigenStructure) -> np.ndarray:
-    cells = []
+    """The real Jordan matrix J, block-diagonal in the order of ``es.blocks``."""
+    J = np.zeros((es.n, es.n))
     for blk in es.blocks:
-        m = blk.multiplicity
+        m, o = blk.multiplicity, blk.offset
         if blk.kind == "real":
-            J = np.diag(np.full(m, blk.value.real)) + np.diag(np.ones(m - 1), 1)
+            for k in range(m):
+                J[o + k, o + k] = blk.value.real
+                if k + 1 < m:
+                    J[o + k, o + k + 1] = 1.0
         else:
             a, b = blk.value.real, blk.value.imag
-            J = np.zeros((2 * m, 2 * m))
             for k in range(m):
-                J[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, -b], [b, a]]
+                r = o + 2 * k
+                J[r:r + 2, r:r + 2] = ((a, -b), (b, a))
                 if k + 1 < m:
-                    J[2 * k:2 * k + 2, 2 * k + 2:2 * k + 4] = np.eye(2)
-        cells.append(J)
-    return scipy.linalg.block_diag(*cells)
+                    J[r, r + 2] = J[r + 1, r + 3] = 1.0
+    return J
 
 
 def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
@@ -682,3 +684,14 @@ def check_minimality(spec: SystemSpec) -> MinimalityReport:
         if mag <= MINIMALITY_TOL * scale:
             offending.append(blk.root_index)
     return MinimalityReport(not offending, tuple(offending), tuple(mags))
+
+
+def __getattr__(name):
+    # perfbench/spans.py still reads ``lti.scipy.linalg.block_diag`` when it
+    # installs a trace, so ``scipy`` is imported here only when asked for and
+    # never by the runtime.  Delete this once the benchmark drops that
+    # binding (ROADMAP item 7).
+    if name == "scipy":
+        import scipy.linalg
+        return scipy
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

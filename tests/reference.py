@@ -1,10 +1,30 @@
-"""Per-alpha matrix exponentials: the independent route the tests compare the
-Jordan-flow kernel against.  The runtime never calls these."""
+"""Per-alpha matrix exponentials and a block-by-block Jordan matrix: the
+independent routes the tests compare the runtime against.  The runtime never
+calls these."""
 import math
 
 import numpy as np
+import scipy.linalg
 
 from nusample.lti import EigenStructure, _overflow
+
+
+def jordan_matrix(es: EigenStructure) -> np.ndarray:
+    """The real Jordan matrix as scipy's block_diag of one cell per block."""
+    cells = []
+    for blk in es.blocks:
+        m = blk.multiplicity
+        if blk.kind == "real":
+            J = np.diag(np.full(m, blk.value.real)) + np.diag(np.ones(m - 1), 1)
+        else:
+            a, b = blk.value.real, blk.value.imag
+            J = np.zeros((2 * m, 2 * m))
+            for k in range(m):
+                J[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, -b], [b, a]]
+                if k + 1 < m:
+                    J[2 * k:2 * k + 2, 2 * k + 2:2 * k + 4] = np.eye(2)
+        cells.append(J)
+    return scipy.linalg.block_diag(*cells)
 
 
 def exp_jordan(es: EigenStructure, t: float) -> np.ndarray:

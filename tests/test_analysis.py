@@ -159,6 +159,14 @@ def test_degree_vectors_near_float_max():
     assert dm.min_principal_angle == pytest.approx(math.pi / 4)
 
 
+def test_degree_vectors_past_two_to_the_1023():
+    # the largest entry lies past 2**1023, whose next power of two overflows
+    Y = np.array([[1.2e308, 1.0], [0.0, 1.0]])
+    dm = ns.analysis.degree_metrics_from_vectors(Y)
+    assert dm.normalized_gram_det == pytest.approx(0.5)
+    assert dm.min_principal_angle == pytest.approx(math.pi / 4)
+
+
 def test_degree_requires_minimal():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 0.0])
     with pytest.raises(NonMinimalError):

@@ -1,10 +1,14 @@
 """CLI inputs at the edges: overflowing design searches, spirals and
 exponential modes, the design's minimum spacing, zero counts, and the parser
 shared by successive main() calls."""
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nusample import cli
 from nusample.cli import main
@@ -128,13 +132,14 @@ def test_sweep_row_below_overflow_keeps_its_gram_det(capsys, tmp_path):
     assert (scale, float(gram)) == ("700", pytest.approx(0.5))
 
 
-def _write_spiral_system(tmp_path):
+def _write_spiral_system(tmp_path, lam=1.0, a=-0.3, b=1.2):
+    """Real root lam and pair a +- jb, coefficients 1 and 0.5 -+ 0.25j."""
     path = tmp_path / "spiral.json"
     path.write_text(json.dumps({
         "order": 3,
-        "roots": [{"re": 1.0, "im": 0.0, "mult": 1},
-                  {"re": -0.3, "im": 1.2, "mult": 1},
-                  {"re": -0.3, "im": -1.2, "mult": 1}],
+        "roots": [{"re": lam, "im": 0.0, "mult": 1},
+                  {"re": a, "im": b, "mult": 1},
+                  {"re": a, "im": -b, "mult": 1}],
         "mode_coefficients": [{"re": 1.0, "im": 0.0}, {"re": 0.5, "im": -0.25},
                               {"re": 0.5, "im": 0.25}],
     }))
@@ -167,6 +172,65 @@ def test_geometry_overflowing_spiral_is_an_error(capsys, tmp_path):
     code, _, err = run(capsys, "geometry", "--system", _write_spiral_system(tmp_path),
                        "--instants", str(seq), "--out", str(tmp_path / "trace.csv"))
     _clean_error(code, err)
+
+
+# (lam, a, b, t1) whose geometric step ended in a traceback: the surface
+# scaling mu over- or underflowing (lam / a = 5000), mode vectors of the
+# designed sequence that overflow (LinAlgError from the SVD), and ones that
+# underflow to zero (ArithmeticError)
+GEOMETRIC_TRACEBACKS = [(5.0, 0.001, 1.0, 0.5), (-6.979, 9.005, 0.0032, 1.28),
+                        (-9.139, -4.872, 0.0032, 1.08)]
+
+
+@pytest.mark.parametrize("lam, a, b, t1", GEOMETRIC_TRACEBACKS)
+@pytest.mark.parametrize("method", ["geometric", "auto"])
+def test_geometric_design_out_of_float_range_is_an_error(capsys, tmp_path,
+                                                         lam, a, b, t1, method):
+    code, out, err = run(capsys, "design", "--system",
+                         _write_spiral_system(tmp_path, lam, a, b),
+                         "--method", method, "--t0", "0", "--t1", str(t1))
+    _clean_error(code, err)
+    assert out == ""
+
+
+@pytest.mark.parametrize("lam, a, b, t1", GEOMETRIC_TRACEBACKS)
+def test_geometry_out_of_float_range_is_an_error(capsys, tmp_path, lam, a, b, t1):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0, t1]}))
+    code, _, err = run(capsys, "geometry", "--system",
+                       _write_spiral_system(tmp_path, lam, a, b),
+                       "--instants", str(seq), "--out", str(tmp_path / "trace.csv"))
+    _clean_error(code, err)
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_closed_form_design_overflow_is_an_error(capsys, tmp_path):
+    # a quarter turn of b = 1 takes alpha = pi / 2, where e^{800 alpha} overflows
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "order": 2,
+        "roots": [{"re": 800.0, "im": 1.0, "mult": 1},
+                  {"re": 800.0, "im": -1.0, "mult": 1}],
+        "mode_coefficients": [{"re": 0.5, "im": -0.25}, {"re": 0.5, "im": 0.25}],
+    }))
+    code, _, err = run(capsys, "design", "--system", str(path), "--t0", "0")
+    _clean_error(code, err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(-20.0, 10.0), a=st.floats(-10.0, 10.0),
+       log_b=st.floats(-3.0, 1.0), log_t1=st.floats(-2.0, 2.0))
+def test_geometric_design_never_raises(tmp_path_factory, lam, a, log_b, log_t1):
+    system = _write_spiral_system(tmp_path_factory.mktemp("geo"), lam, a, 10.0 ** log_b)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["design", "--system", system, "--method", "geometric",
+                     "--t0", "0", "--t1", repr(10.0 ** log_t1)])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert "gram_determinant = " in out.getvalue()
 
 
 def test_design_refinement_keeps_dmin(capsys, tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import nusample as ns
-from nusample.design import export_geometry_csv, spiral_point
+from nusample import design
+from nusample.design import _minimize_bounded, export_geometry_csv, spiral_point
 from nusample.errors import DesignError
 
 
@@ -180,3 +181,66 @@ def test_generic_sequences_are_admissible():
         res = ns.design_sequence_generic(spec, t0=0.0)
         report = ns.joint_test(ns.fundamental_matrix(spec.eigen, ns.alphas(res.sequence)))
         assert report.is_admissible
+
+
+# ---------------------------------------------------------------------------
+# the bounded Brent refinement against scipy's
+
+def _same_float(x, y):
+    return float(x).hex() == float(y).hex()
+
+
+def _brent_matches_scipy(func, lo, hi, xatol, maxfun=500):
+    """Run both minimizers; assert the same x and f(x) bit for bit and return
+    scipy's result."""
+    from scipy.optimize import minimize_scalar
+    x, fun = _minimize_bounded(func, lo, hi, xatol, maxfun)
+    ref = minimize_scalar(func, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxfun})
+    assert _same_float(x, ref.x) and _same_float(fun, ref.fun), (x, fun, ref)
+    return ref
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_brent_matches_scipy_on_design_objectives(monkeypatch, n):
+    from conftest import random_minimal_spec
+    calls = []
+
+    def both(func, lo, hi, xatol, maxfun=500):
+        calls.append(_brent_matches_scipy(func, lo, hi, xatol, maxfun).nfev)
+        return _minimize_bounded(func, lo, hi, xatol, maxfun)
+
+    monkeypatch.setattr(design, "_minimize_bounded", both)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(4):
+        spec = random_minimal_spec(rng, n)
+        ns.design_sequence_generic(spec, t0=float(rng.uniform(-1, 1)), steps=60)
+    assert len(calls) == 4 * (n - 1)  # one refinement per instant after t0
+
+
+@pytest.mark.parametrize("func, lo, hi", [
+    (lambda x: x, 1.0, 2.0),                       # minimum at the lower bound
+    (lambda x: -x, -3.0, 0.5),                     # minimum at the upper bound
+    (lambda x: (x - 2.0) ** 2, 0.0, 2.0),
+    (lambda x: 0.0, 0.0, 1.0),                     # flat
+    (lambda x: math.cos(3.0 * x) + 0.1 * x, -4.0, 7.0),
+    (lambda x: abs(x - 0.3), -1.0, 1.0),
+    # plateaus, as where overflowing candidates all score 0: ties in f and x
+    (lambda x: float(math.floor(4.0 * abs(x - 1.03181761176121))), 0.0, 1.0),
+    (lambda x: -float(abs(x + 1.3223015756101293) < 0.125), -2.0, 0.0),
+])
+def test_brent_matches_scipy_on_test_functions(func, lo, hi):
+    ref = _brent_matches_scipy(func, lo, hi, 1e-10 * (1.0 + abs(hi)))
+    assert ref.status == 0
+
+
+def test_brent_matches_scipy_when_maxfun_runs_out():
+    calls = []
+
+    def func(x):
+        calls.append(x)
+        return math.sin(5.0 * x) + 0.05 * x * x
+
+    ref = _brent_matches_scipy(func, -3.0, 4.0, 1e-12, maxfun=6)
+    assert ref.status == 1 and ref.nfev == 6
+    assert len(calls) == 12   # six evaluations by each minimizer

@@ -15,7 +15,7 @@ from nusample import analysis, cli, design, lti, simulate
 from nusample.cli import main
 from nusample.errors import DegenerateSamplingError
 from conftest import count_calls, random_minimal_spec, random_sequence
-from reference import expA, exp_jordan, fundamental_basis
+from reference import expA, exp_jordan, fundamental_basis, jordan_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -115,6 +115,16 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         J = lti.build_jordan_matrix(es)
         assert _close(OJ, np.array([leading @ exp_jordan(es, a) for a in av.alphas]))
         assert _close(OJ, np.array([leading @ scipy.linalg.expm(J * a) for a in av.alphas]))
+
+
+def test_jordan_matrix_matches_block_diag():
+    rng = np.random.default_rng(4)
+    structures = [TRIPLE, ns.eigenstructure([(2.5, 1)]),
+                  *(random_minimal_spec(rng, n).eigen for n in range(2, 10) for _ in range(3))]
+    for es in structures:
+        J = lti.build_jordan_matrix(es)
+        assert J.shape == (es.n, es.n)
+        assert np.array_equal(J, jordan_matrix(es))
 
 
 def test_runtime_has_no_per_alpha_exponential():
