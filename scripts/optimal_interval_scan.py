@@ -14,19 +14,15 @@ import math
 import numpy as np
 
 import nusample as ns
-from nusample.analysis import sampled_mode_vectors
+from nusample.design import _gram_dets
 
 
 def gram_curve(a, b, grid):
+    """The normalized Gram determinant of the sequence (0, dt) for every dt of
+    ``grid``, whose alphas are (0, dt), in one batched call."""
     lam = complex(a, b)
     spec = ns.system_from_modes([(lam, 1), (lam.conjugate(), 1)], [0.5, 0.5])
-    out = np.empty(grid.size)
-    for i, dt in enumerate(grid):
-        av = ns.alphas(ns.SamplingSequence((0.0, dt)))
-        Y = sampled_mode_vectors(spec, av)
-        Yn = Y / np.linalg.norm(Y, axis=0)
-        out[i] = np.linalg.det(Yn.T @ Yn)
-    return out
+    return _gram_dets(spec, np.column_stack([np.zeros(grid.size), grid]))
 
 
 def main():

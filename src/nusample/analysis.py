@@ -144,11 +144,17 @@ def joint_test(fm: FundamentalMatrix,
     tol_factor times the product of the row norms.
     """
     M = fm.M
-    det = float(np.linalg.det(M))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(M))
+        threshold = tol_factor * float(np.prod(_norms(M, axis=1)))
+    if not (math.isfinite(det) and math.isfinite(threshold)):
+        raise DegenerateSamplingError(
+            "the determinant of the basis matrix or its threshold overflows a "
+            f"float (largest |entry| = {np.max(np.abs(M)):.6g}); shorten the "
+            "sampling intervals")
     svals = np.linalg.svd(M, compute_uv=False)
     smin, smax = float(svals[-1]), float(svals[0])
     cond = math.inf if smin == 0.0 else smax / smin
-    threshold = tol_factor * float(np.prod(_norms(M, axis=1)))
     return AnalysisReport(det, abs(det) > threshold, smin, cond, threshold)
 
 
@@ -157,23 +163,36 @@ def joint_test(fm: FundamentalMatrix,
 
 def sampled_mode_vectors(spec: SystemSpec, av: AlphaVector) -> np.ndarray:
     """Columns Y_i = exp(J alpha_i) y0 in the real Jordan frame, where y0 is
-    the real-basis modal coefficient vector."""
-    return jordan_flow(spec.eigen, spec.real_mode_vector, av.alphas).T
+    the real-basis modal coefficient vector.  An overflowing mode gives inf
+    or nan entries, which ``degree_metrics_from_vectors`` rejects."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return jordan_flow(spec.eigen, spec.real_mode_vector, av.alphas).T
+
+
+def _pow2_scale(M: np.ndarray, axis: int) -> np.ndarray:
+    """The power of two at or just below the largest |entry| of each vector
+    along ``axis`` (keeping that axis): dividing by it is exact, and the
+    quotient's 2-norm cannot overflow.  The power just above would overflow
+    for entries past 2**1023."""
+    return np.ldexp(1.0, np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1] - 1)
 
 
 def _norms(M: np.ndarray, axis: int) -> np.ndarray:
-    """2-norms along ``axis`` that do not overflow: each vector is first
-    divided by the power of two at or just below its largest |entry|,
-    exactly (the power just above it overflows for entries past 2**1023)."""
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1] - 1)
+    """2-norms along ``axis`` that overflow only where the norm itself does."""
+    scale = _pow2_scale(M, axis)
     return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
 
 
 def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
-    norms = _norms(Y, axis=0)
-    if np.any(norms == 0.0):
-        raise ArithmeticError("zero-norm mode vector (internal error)")
-    Yn = Y / norms
+    """Degree metrics of the columns of Y, each normalized in one pass: divided
+    by its power-of-two scale, then by the norm of the scaled column."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ys = Y / _pow2_scale(Y, axis=0)
+        norms = np.linalg.norm(Ys, axis=0)
+    if not (np.isfinite(norms).all() and (norms > 0.0).all()):
+        raise DegenerateSamplingError("a sampled mode vector overflows a float or "
+                                      "vanishes; shorten the sampling intervals")
+    Yn = Ys / norms
     G = Yn.T @ Yn
     gram = float(np.clip(np.linalg.det(G), 0.0, 1.0))
     k = Y.shape[1]

@@ -295,9 +295,6 @@ def main(argv=None) -> int:
             "geometry": run_geometry,
         }[args.command]
         return runner(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except NuSampleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -12,8 +12,10 @@ Three routes:
 The 3rd-order geometry works in a normalized frame where the initial mode
 vector is (1, 0, 1)', so the sampled vectors trace the spiral
 Y(alpha) = (e^{a alpha} cos(b alpha), e^{a alpha} sin(b alpha), e^{lambda alpha})'
-on the surface z = (x^2 + y^2)^{lambda/2a}.  Scaling/rotating to that frame
-commutes with the flow, so the chosen instants are unaffected.
+on the surface z = (x^2 + y^2)^{lambda/2a}.  That spiral is the Jordan flow
+exp(J alpha) of the normalized mode vector, so every point of it, the branch
+heights included, comes from ``lti.jordan_flow``.  Scaling/rotating to that
+frame commutes with the flow, so the chosen instants are unaffected.
 """
 from __future__ import annotations
 
@@ -47,16 +49,7 @@ class DesignResult:
 
 
 def _designed_metric(spec: SystemSpec, seq: SamplingSequence) -> DegreeMetrics:
-    """Degree metrics of a designed sequence.  Every route ends here, so a
-    sequence whose sampled mode vectors overflow, or underflow to zero, is a
-    DesignError and never reaches the SVD."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y = sampled_mode_vectors(spec, alphas(seq))
-        norms = _norms(Y, axis=0)
-    if not (np.isfinite(norms).all() and (norms > 0.0).all()):
-        raise DesignError("the sampled mode vectors of the designed sequence "
-                          "overflow or underflow; narrow the interval bounds")
-    return degree_metrics_from_vectors(Y)
+    return degree_metrics_from_vectors(sampled_mode_vectors(spec, alphas(seq)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +86,27 @@ def optimal_interval_second_order(a: float, b: float, t0: float = 0.0,
 # ---------------------------------------------------------------------------
 # 3rd order: spiral geometry
 
-def _third_order_params(spec: SystemSpec):
+def _third_order_blocks(spec: SystemSpec):
+    """(real block, pair block) of a 3rd-order {real pole, complex pair} system."""
     blocks = spec.eigen.blocks
-    kinds = sorted(blk.kind for blk in blocks)
-    if spec.n != 3 or kinds != ["pair", "real"]:
+    kinds = [blk.kind for blk in blocks]
+    if spec.n != 3 or sorted(kinds) != ["pair", "real"]:
         raise DesignError("geometric design needs a 3rd-order system with one "
                           "real pole and one complex pair")
-    real_blk = next(blk for blk in blocks if blk.kind == "real")
-    pair_blk = next(blk for blk in blocks if blk.kind == "pair")
-    return real_blk.value.real, pair_blk.value.real, pair_blk.value.imag
+    return blocks[kinds.index("real")], blocks[kinds.index("pair")]
+
+
+def _spiral(spec: SystemSpec, alphas) -> np.ndarray:
+    """(x, y, z) of the normalized mode vector at every alpha of an array of
+    any shape: the flow of d = (1, 0) in the pair's cell and 1 in the real
+    slot, read as (Re, Im) of the pair and the real slot.  Overflow gives inf
+    or nan entries, never a warning."""
+    real, pair = _third_order_blocks(spec)
+    d = np.zeros(3)
+    d[pair.offset] = d[real.offset] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = jordan_flow(spec.eigen, d, alphas)
+    return flow[..., [pair.offset, pair.offset + 1, real.offset]]
 
 
 def _spiral_overflow(alpha: float) -> DesignError:
@@ -109,29 +114,16 @@ def _spiral_overflow(alpha: float) -> DesignError:
                        "shorten the sampling intervals")
 
 
-def spiral_point(spec: SystemSpec, alpha: float) -> np.ndarray:
-    """Point of the parametric spiral traced by the normalized mode vector."""
-    lam, a, b = _third_order_params(spec)
-    try:
-        ea = math.exp(a * alpha)
-        return np.array([ea * math.cos(b * alpha), ea * math.sin(b * alpha),
-                         math.exp(lam * alpha)])
-    except OverflowError:
-        raise _spiral_overflow(alpha) from None
-
-
-def _spiral_trace(lam: float, a: float, b: float, grid: np.ndarray) -> np.ndarray:
-    """Rows (alpha, x, y, z) of the spiral at every alpha of ``grid``, in one
-    vectorized evaluation (numpy's exp may differ from ``math.exp`` in the
-    last bit, so these points are for plotting only)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ea = np.exp(a * grid)
-        rows = np.column_stack([grid, ea * np.cos(b * grid), ea * np.sin(b * grid),
-                                np.exp(lam * grid)])
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise _spiral_overflow(float(grid[np.argmin(finite)]))
-    return rows
+def spiral_point(spec: SystemSpec, alpha) -> np.ndarray:
+    """Point of the parametric spiral traced by the normalized mode vector
+    (one row per alpha when ``alpha`` is an array); DesignError where it
+    leaves the float range."""
+    al = np.asarray(alpha, dtype=float)
+    points = _spiral(spec, al)
+    bad = ~np.isfinite(points).all(axis=-1)
+    if bad.any():
+        raise _spiral_overflow(float(al[bad][0]))
+    return points
 
 
 def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
@@ -144,7 +136,8 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     those with t2 > t1) and the one minimizing the surface/spiral height
     mismatch is selected; ties break toward the smallest m.
     """
-    lam, a, b = _third_order_params(spec)
+    real, pair = _third_order_blocks(spec)
+    lam, a, b = real.value.real, pair.value.real, pair.value.imag
     if a == 0.0:
         raise DesignError("surface exponent lambda/2a is undefined for a = 0; "
                           "use the generic search instead")
@@ -156,9 +149,8 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     if not report.minimal:
         raise DesignError(f"system is not minimal (blocks {report.offending_blocks})")
 
-    a0, a1 = 0.0, t1 - t0
-    Y0 = spiral_point(spec, a0)
-    Y1 = spiral_point(spec, a1)
+    a1 = t1 - t0
+    Y0, Y1 = spiral_point(spec, [0.0, a1])
     with np.errstate(over="ignore", invalid="ignore"):
         cross = np.cross(Y0, Y1)
         nrm, nrm0, nrm1 = _norms(np.stack([cross, Y0, Y1]), axis=1)
@@ -191,27 +183,22 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
         raise DesignError(f"scaling Y0 x Y1 onto the surface z = r^{expo:.6g} "
                           "leaves the float range; choose another t1")
 
-    candidates = []
-    for m in range(m_max + 1):
-        alpha2 = (M + 2.0 * math.pi * m) / b
-        t2 = t0 + alpha2
-        if t2 <= t1:
-            continue
-        try:
-            score = abs(q2_height - math.exp(lam * alpha2))
-        except OverflowError:
-            continue  # a branch whose height overflows never wins
-        candidates.append((score, m, t2, alpha2))
-    if not candidates:
+    branch_alphas = (M + 2.0 * math.pi * np.arange(m_max + 1)) / b
+    scores = np.abs(q2_height - _spiral(spec, branch_alphas)[:, 2])
+    # a branch before t1, or whose height overflows, never wins
+    scores[~((t0 + branch_alphas > t1) & np.isfinite(scores))] = math.inf
+    best_m = int(np.argmin(scores))  # the first, so ties go to the smallest m
+    if scores[best_m] == math.inf:
         raise DesignError(f"no branch m in [0, {m_max}] gives t2 > t1 with a finite height")
-    _, best_m, t2, alpha2 = min(candidates, key=lambda c: (c[0], c[1]))
+    alpha2 = float(branch_alphas[best_m])
 
-    seq = SamplingSequence((t0, t1, t2))
+    seq = SamplingSequence((t0, t1, t0 + alpha2))
     result = DesignResult(seq, _designed_metric(spec, seq), "geometric-3rd", best_m)
 
+    grid = np.linspace(0.0, 1.05 * alpha2, 400)
     trace = GeometryTrace(
         surface_exponent=lam / (2.0 * a),
-        spiral=_spiral_trace(lam, a, b, np.linspace(0.0, 1.05 * alpha2, 400)),
+        spiral=np.column_stack([grid, spiral_point(spec, grid)]),
         vectors={"Y0": Y0, "Y1": Y1, "Y2": spiral_point(spec, alpha2)},
         projections={"P0": P0, "P1": P1, "P2": P2},
         q2=q2,

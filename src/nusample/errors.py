@@ -21,7 +21,8 @@ class NonMinimalError(NuSampleError):
 class DegenerateSamplingError(NuSampleError):
     """The sampling instants cannot be evaluated: they are not strictly
     increasing, or an interval is so long that a growing mode e^{Re lambda
-    alpha} overflows a float."""
+    alpha} overflows a float (or the basis determinant does), or that a
+    decaying mode vector vanishes."""
 
 
 class RankDeficientError(NuSampleError):

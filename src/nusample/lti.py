@@ -15,8 +15,10 @@ The real Jordan form of the canonical companion realizations is built
 analytically from a confluent Vandermonde basis, once per ``Realization``.
 Every exponential comes from one batched kernel, ``jordan_flow``: the flow
 exp(J alpha) d for a whole array of alphas, with no n x n exponential.  The
-basis, the mode vectors, O, G, the state transitions and the design grid all
-go through it; ``checked_flow`` raises DegenerateSamplingError on overflow.
+basis and h(t) (one row of the basis times the real mode vector), the mode
+vectors, O, G, the state transitions, the design grid and the third-order
+spiral (the flow of the normalized mode vector) all go through it;
+``checked_flow`` raises DegenerateSamplingError on overflow.
 """
 from __future__ import annotations
 
@@ -51,6 +53,7 @@ class Block:
     multiplicity   m (the pair block spans 2*m basis functions)
     offset      first index of this block in the real basis
     root_index  index into EigenStructure.roots of the representative root
+    partner_index  for "pair", the index of the conjugate root; else None
     """
 
     kind: str
@@ -58,6 +61,7 @@ class Block:
     multiplicity: int
     offset: int
     root_index: int
+    partner_index: int | None = None
 
     @property
     def size(self) -> int:
@@ -99,16 +103,7 @@ class EigenStructure:
                 if abs(vals[i] - vals[j]) <= tol:
                     raise ValueError(f"roots {vals[i]} and {vals[j]} are not distinct "
                                      "at the clustering tolerance")
-        # conjugate pairing
-        used = set()
-        for i, rt in enumerate(self.roots):
-            if i in used or rt.value.imag == 0:
-                continue
-            j = _conjugate_partner(self.roots, i, used)
-            if j is None:
-                raise ValueError(f"complex root {rt.value} lacks a conjugate partner")
-            used.add(i)
-            used.add(j)
+        self.blocks  # pairs the conjugate roots, or raises
 
     @cached_property
     def n(self) -> int:
@@ -120,6 +115,8 @@ class EigenStructure:
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
+        """The blocks in first-appearance order; the one place conjugate
+        roots are paired."""
         blocks = []
         used = set()
         offset = 0
@@ -131,9 +128,12 @@ class EigenStructure:
                 offset += rt.multiplicity
             else:
                 j = _conjugate_partner(self.roots, i, used)
+                if j is None:
+                    raise ValueError(f"complex root {rt.value} lacks a conjugate partner")
                 used.add(j)
-                rep = i if rt.value.imag > 0 else j
-                blocks.append(Block("pair", self.roots[rep].value, rt.multiplicity, offset, rep))
+                rep, partner = (i, j) if rt.value.imag > 0 else (j, i)
+                blocks.append(Block("pair", self.roots[rep].value, rt.multiplicity,
+                                    offset, rep, partner))
                 offset += 2 * rt.multiplicity
         return tuple(blocks)
 
@@ -180,18 +180,15 @@ class SystemSpec:
         scale = float(np.max(np.abs(c))) or 1.0
         # h(t) must be real: real-root blocks carry real coefficients and
         # conjugate-pair blocks carry conjugate coefficients.
-        used = set()
-        for i, rt in enumerate(self.eigen.roots):
-            sl = self.eigen.root_slices[i]
-            if rt.value.imag == 0:
-                if np.max(np.abs(c[sl].imag)) > 1e-9 * scale:
+        slices = self.eigen.root_slices
+        for blk in self.eigen.blocks:
+            if blk.kind == "real":
+                i = blk.root_index
+                if np.max(np.abs(c[slices[i]].imag)) > 1e-9 * scale:
                     raise ValueError(f"real-root block {i} has complex coefficients")
-            elif i not in used:
-                j = _conjugate_partner(self.eigen.roots, i, used)
-                used.add(i)
-                used.add(j)
-                sl_j = self.eigen.root_slices[j]
-                if np.max(np.abs(c[sl] - np.conj(c[sl_j]))) > 1e-9 * scale:
+            else:
+                i, j = sorted((blk.root_index, blk.partner_index))
+                if np.max(np.abs(c[slices[i]] - np.conj(c[slices[j]]))) > 1e-9 * scale:
                     raise ValueError(f"blocks {i} and {j} do not carry conjugate coefficients")
 
     @property
@@ -361,39 +358,36 @@ def evaluate_fundamental_basis(es: EigenStructure, t) -> np.ndarray:
     return checked_flow(es, d, t, reverse)
 
 
-def wronskian_at_zero(es: EigenStructure) -> np.ndarray:
-    """W[i, j] = i-th derivative of phi_j at t = 0 (analytic, no differences)."""
+def _confluent(es: EigenStructure, weight, im_sign: float) -> np.ndarray:
+    """M[i, k] = weight(i, k) lambda^{i-k} (0 for i < k), column k of each
+    block: a real block takes the real part, a pair block the interleaved
+    real columns [Re, im_sign * Im]."""
     n = es.n
-    W = np.zeros((n, n))
+    M = np.zeros((n, n))
     for blk in es.blocks:
         lam = blk.value
         for k in range(blk.multiplicity):
-            for i in range(k, n):
-                z = math.perm(i, k) * lam ** (i - k)
+            for i in range(n):
+                z = weight(i, k) * lam ** (i - k) if i >= k else 0.0
                 if blk.kind == "real":
-                    W[i, blk.offset + k] = z.real
+                    M[i, blk.offset + k] = z.real
                 else:
-                    W[i, blk.offset + 2 * k] = z.real
-                    W[i, blk.offset + 2 * k + 1] = z.imag
-    return W
+                    M[i, blk.offset + 2 * k] = z.real
+                    M[i, blk.offset + 2 * k + 1] = im_sign * z.imag
+    return M
+
+
+def wronskian_at_zero(es: EigenStructure) -> np.ndarray:
+    """W[i, j] = i-th derivative of phi_j at t = 0 (analytic, no differences)."""
+    return _confluent(es, math.perm, 1.0)
 
 
 def impulse_response(spec: SystemSpec, t: float) -> float:
-    """h(t) = sum C_i t^k e^{lambda t}; the imaginary residue must vanish."""
+    """h(t) = sum C_i t^k e^{lambda t}, one row of the real basis times the
+    real mode vector."""
     if t < 0:
         raise ValueError("impulse response is defined for t >= 0")
-    total = 0j
-    c = spec.modes.coeffs
-    scale = max(1.0, max(abs(ci) for ci in c))
-    for i, rt in enumerate(spec.eigen.roots):
-        sl = spec.eigen.root_slices[i]
-        e = np.exp(rt.value * t)
-        for k, ck in enumerate(c[sl.start:sl.stop]):
-            total += ck * t ** k * e
-    if abs(total.imag) > 1e-10 * scale * max(1.0, abs(total)):
-        raise ValueError(f"imaginary residue {total.imag} exceeds tolerance "
-                         "(inconsistent conjugate coefficients)")
-    return total.real
+    return float(evaluate_fundamental_basis(spec.eigen, t) @ spec.real_mode_vector)
 
 
 def markov_from_modes(spec: SystemSpec) -> np.ndarray:
@@ -419,12 +413,7 @@ def modes_from_markov(es: EigenStructure, h) -> ModeCoefficients:
             block_c = np.array([0.5 * d[blk.offset + 2 * k] - 0.5j * d[blk.offset + 2 * k + 1]
                                 for k in range(blk.multiplicity)])
             coeffs[sl] = block_c
-            # conjugate partner block
-            for j, rt in enumerate(es.roots):
-                if j != blk.root_index and rt.multiplicity == blk.multiplicity and \
-                        abs(rt.value - blk.value.conjugate()) <= 1e-12 * (1.0 + abs(blk.value)):
-                    coeffs[es.root_slices[j]] = np.conj(block_c)
-                    break
+            coeffs[es.root_slices[blk.partner_index]] = np.conj(block_c)
     return ModeCoefficients(tuple(coeffs))
 
 
@@ -550,19 +539,7 @@ def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
     Complex columns are w_k(lambda)[i] = C(i, k) lambda^{i-k}; a conjugate
     pair contributes the interleaved real columns [Re w_k, -Im w_k].
     """
-    n = es.n
-    V = np.zeros((n, n))
-    for blk in es.blocks:
-        lam = blk.value
-        for k in range(blk.multiplicity):
-            col = np.array([math.comb(i, k) * lam ** (i - k) if i >= k else 0.0
-                            for i in range(n)], dtype=complex)
-            if blk.kind == "real":
-                V[:, blk.offset + k] = col.real
-            else:
-                V[:, blk.offset + 2 * k] = col.real
-                V[:, blk.offset + 2 * k + 1] = -col.imag
-    return V
+    return _confluent(es, math.comb, -1.0)
 
 
 def _swap_reversal_permutation(es: EigenStructure) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Per-alpha matrix exponentials and a block-by-block Jordan matrix: the
-independent routes the tests compare the runtime against.  The runtime never
-calls these."""
+"""Per-alpha matrix exponentials, a block-by-block Jordan matrix, the
+math.exp spiral and the separate confluent loops: the independent routes the
+tests compare the runtime against.  The runtime never calls these."""
 import math
 
 import numpy as np
@@ -76,3 +76,44 @@ def fundamental_basis(es: EigenStructure, t: float) -> np.ndarray:
                 out[blk.offset + 2 * k] = tk * e * co
                 out[blk.offset + 2 * k + 1] = tk * e * si
     return out
+
+
+def spiral_point(lam: float, a: float, b: float, alpha: float) -> np.ndarray:
+    """(e^{a alpha} cos(b alpha), e^{a alpha} sin(b alpha), e^{lam alpha}) by math.exp."""
+    ea = math.exp(a * alpha)
+    return np.array([ea * math.cos(b * alpha), ea * math.sin(b * alpha),
+                     math.exp(lam * alpha)])
+
+
+def wronskian_at_zero(es: EigenStructure) -> np.ndarray:
+    """W[i, j] = i-th derivative of phi_j at t = 0, one derivative at a time."""
+    n = es.n
+    W = np.zeros((n, n))
+    for blk in es.blocks:
+        lam = blk.value
+        for k in range(blk.multiplicity):
+            for i in range(k, n):
+                z = math.perm(i, k) * lam ** (i - k)
+                if blk.kind == "real":
+                    W[i, blk.offset + k] = z.real
+                else:
+                    W[i, blk.offset + 2 * k] = z.real
+                    W[i, blk.offset + 2 * k + 1] = z.imag
+    return W
+
+
+def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
+    """Real confluent Vandermonde basis, one complex column at a time."""
+    n = es.n
+    V = np.zeros((n, n))
+    for blk in es.blocks:
+        lam = blk.value
+        for k in range(blk.multiplicity):
+            col = np.array([math.comb(i, k) * lam ** (i - k) if i >= k else 0.0
+                            for i in range(n)], dtype=complex)
+            if blk.kind == "real":
+                V[:, blk.offset + k] = col.real
+            else:
+                V[:, blk.offset + 2 * k] = col.real
+                V[:, blk.offset + 2 * k + 1] = -col.imag
+    return V

@@ -167,6 +167,21 @@ def test_degree_vectors_past_two_to_the_1023():
     assert dm.min_principal_angle == pytest.approx(math.pi / 4)
 
 
+def test_degree_vectors_whose_norm_overflows():
+    # every entry is finite, but the first column's 2-norm, 2.1e308, is not
+    Y = np.array([[1.5e308, 1.0], [1.5e308, 0.0]])
+    dm = ns.analysis.degree_metrics_from_vectors(Y)
+    assert dm.normalized_gram_det == pytest.approx(0.5)
+    assert dm.min_principal_angle == pytest.approx(math.pi / 4)
+
+
+@pytest.mark.parametrize("column", [[math.inf, 1e200], [math.nan, 1e200], [0.0, 0.0]])
+def test_degree_vectors_not_finite_or_zero(column):
+    Y = np.column_stack([column, [1.0, 1.0]])
+    with pytest.raises(DegenerateSamplingError, match="overflows a float or vanishes"):
+        ns.analysis.degree_metrics_from_vectors(Y)
+
+
 def test_degree_requires_minimal():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 0.0])
     with pytest.raises(NonMinimalError):

@@ -4,6 +4,7 @@ shared by successive main() calls."""
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,26 @@ def test_verify_overflowing_mode_is_an_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--system", system, "--instants", str(seq),
                        "--seed", "1")
     _clean_error(code, err)
+
+
+def test_analyze_overflowing_determinant_is_an_error(capsys, tmp_path):
+    # every entry of Phi is finite (the largest is 9.6e307), but det(Phi) and
+    # the product of its row norms overflow, and so do the mode vectors
+    path = tmp_path / "system.json"
+    b = math.pi / 4 / 709.5
+    path.write_text(json.dumps({
+        "order": 3,
+        "roots": [{"re": -0.5, "im": 0.0, "mult": 1}, {"re": 1.0, "im": b, "mult": 1},
+                  {"re": 1.0, "im": -b, "mult": 1}],
+        "mode_coefficients": [{"re": 1.0, "im": 0.0}, {"re": 0.75, "im": -0.75},
+                              {"re": 0.75, "im": 0.75}],
+    }))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0, 354.75, 709.5]}))
+    code, out, err = run(capsys, "analyze", "--system", str(path), "--instants", str(seq))
+    _clean_error(code, err)
+    assert "Warning" not in err
+    assert out == ""
 
 
 def test_sweep_overflowing_mode_is_an_error(capsys, tmp_path):

@@ -7,6 +7,7 @@ import nusample as ns
 from nusample import design
 from nusample.design import _minimize_bounded, export_geometry_csv, spiral_point
 from nusample.errors import DesignError
+import reference
 
 
 def _angle_diff(x, y):
@@ -63,6 +64,23 @@ def test_spiral_point_half_turn():
     assert p[0] == pytest.approx(-math.exp(0.0001 * math.pi), rel=1e-9)
     assert p[1] == pytest.approx(0.0, abs=1e-12)
     assert p[2] == pytest.approx(math.exp(-math.pi), rel=1e-12)
+
+
+def test_spiral_matches_math_exp_spiral():
+    # the flow route against (e^{a t} cos bt, e^{a t} sin bt, e^{lam t}) by
+    # math.exp, with the real root listed before and after the pair
+    rng = np.random.default_rng(44)
+    for case in range(40):
+        lam, a, b = rng.uniform(-3.0, 2.0), rng.uniform(-2.0, 1.0), 10.0 ** rng.uniform(-1, 1)
+        roots = [(lam, 1), (complex(a, b), 1), (complex(a, -b), 1)]
+        spec = ns.system_from_modes(roots[case % 3:] + roots[:case % 3],
+                                    [1.0, 0.5, 0.5][case % 3:] + [1.0, 0.5, 0.5][:case % 3])
+        alphas = rng.uniform(0.0, 20.0, 25)
+        got = design._spiral(spec, alphas)
+        ref = np.array([reference.spiral_point(lam, a, b, t) for t in alphas])
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-15 * scale)
+        assert np.array_equal(spiral_point(spec, alphas), got)
 
 
 def test_third_order_result_is_orthogonalish():

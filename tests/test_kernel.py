@@ -2,6 +2,7 @@
 basis, O, G and the state transitions it builds against the same routes,
 the batched design grid against the scalar score, and how often each command
 builds the Jordan form and each matrix."""
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -127,12 +128,58 @@ def test_jordan_matrix_matches_block_diag():
         assert np.array_equal(J, jordan_matrix(es))
 
 
+MATH_MODULES = {"math", "cmath", "numpy"}
+EXPONENTIALS = {"exp", "cos", "sin"}
+
+
+def _exponential_calls(path):
+    """(function, line) of every call to exp, cos or sin of math, cmath or
+    numpy in the module at ``path``, by import binding, with the innermost
+    enclosing function's name ("" at module level)."""
+    tree = ast.parse(path.read_text())
+    modules, direct = {}, {}  # local name -> module; local name -> function
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                modules[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom) and node.module in MATH_MODULES:
+            for a in node.names:
+                direct[a.asname or a.name] = a.name
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr in EXPONENTIALS
+                    and isinstance(f.value, ast.Name)
+                    and modules.get(f.value.id) in MATH_MODULES):
+                found.append((func, node.lineno))
+            elif isinstance(f, ast.Name) and direct.get(f.id) in EXPONENTIALS:
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, "")
+    return found
+
+
 def test_runtime_has_no_per_alpha_exponential():
     # exp_jordan and expA live in tests/reference.py only, as the reference
     for module in (lti, analysis, simulate, cli, design):
         assert not hasattr(module, "exp_jordan")
     assert not hasattr(lti.RealJordanForm, "expA")
     assert not hasattr(lti.RealJordanForm, "expm")
+    # and lti.jordan_flow is the only code that calls an exponential at all
+    sources = sorted(Path(lti.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    calls = {f"{path.name}:{func}:{line}" for path in sources
+             for func, line in _exponential_calls(path)
+             if (path.name, func) != ("lti.py", "jordan_flow")}
+    assert not calls
+    assert [func for func, _ in _exponential_calls(Path(lti.__file__))] == \
+        ["jordan_flow", "jordan_flow"]
 
 
 def test_batched_state_transition_matches_scalar_calls():

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 import scipy.linalg
 
 import nusample as ns
+from nusample import lti
 from nusample.errors import NonMinimalError
 from conftest import random_minimal_spec
+import reference
 from reference import expA, exp_jordan
 
 
@@ -83,6 +86,22 @@ def test_impulse_response_sine():
     assert ns.impulse_response(spec, math.pi / 2) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_impulse_response_matches_per_root_sum():
+    # h(t) = sum over roots of C t^k e^{lambda t}, term by term; h can cancel
+    # to near zero, so the error is relative to the sum of the terms' sizes
+    rng = np.random.default_rng(21)
+    for n in range(1, 10):
+        spec = random_minimal_spec(rng, n)
+        es, c = spec.eigen, spec.modes.coeffs
+        for t in rng.uniform(0.0, 4.0, 5):
+            terms = [ck * t ** k * cmath.exp(rt.value * t)
+                     for rt, sl in zip(es.roots, es.root_slices)
+                     for k, ck in enumerate(c[sl])]
+            scale = sum(abs(z) for z in terms)
+            assert abs(sum(terms).imag) <= 1e-12 * scale
+            assert abs(ns.impulse_response(spec, t) - sum(terms).real) <= 1e-12 * scale
+
+
 def test_impulse_at_zero_is_first_markov_parameter():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4):
@@ -112,6 +131,49 @@ def test_modes_from_markov_trivials():
     mc = ns.modes_from_markov(es, [0.0, 1.0])
     spec = ns.SystemSpec(es, mc)
     assert ns.impulse_response(spec, 0.7) == pytest.approx(math.sin(0.7), rel=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_confluent_matrices_match_separate_loops():
+    # the Wronskian and the Vandermonde basis share one loop; each must keep
+    # the bits of its own former loop, signed zeros included
+    rng = np.random.default_rng(17)
+    structures = [random_minimal_spec(rng, int(rng.integers(1, 11))).eigen
+                  for _ in range(50)]
+    assert max(blk.multiplicity for es in structures for blk in es.blocks) == 3
+    for es in structures:
+        assert _same_bits(lti.wronskian_at_zero(es), reference.wronskian_at_zero(es))
+        assert _same_bits(lti.confluent_vandermonde_real(es),
+                          reference.confluent_vandermonde_real(es))
+
+
+@pytest.mark.parametrize("roots, coeffs, message", [
+    ([(1 + 1j, 1)], None, r"complex root \(1\+1j\) lacks a conjugate partner"),
+    ([(1 + 1j, 1), (1 - 1j, 2)], None, "lacks a conjugate partner"),
+    ([(-1, 1), (0.5 - 1j, 1), (0.5 + 1j, 1)], [1, 1, 1j],
+     "blocks 1 and 2 do not carry conjugate coefficients"),
+    ([(2j, 1), (-2j, 1), (-1, 1)], [1j, 1j, 1j],
+     "blocks 0 and 1 do not carry conjugate coefficients"),
+    ([(-1, 1), (2j, 1), (-2j, 1)], [1j, 1j, 1j],
+     "real-root block 0 has complex coefficients"),
+])
+def test_conjugate_pairing_errors(roots, coeffs, message):
+    # errors come in root order: the first offending root or pair wins
+    with pytest.raises(ValueError, match=message):
+        if coeffs is None:
+            ns.eigenstructure(roots)
+        else:
+            ns.system_from_modes(roots, coeffs)
+
+
+def test_pair_blocks_carry_partner_index():
+    es = ns.eigenstructure([(0.5 - 1j, 2), (-1, 1), (0.5 + 1j, 2)])
+    pair, real = es.blocks
+    assert (pair.kind, pair.root_index, pair.partner_index) == ("pair", 2, 0)
+    assert (real.kind, real.root_index, real.partner_index) == ("real", 1, None)
 
 
 # ---------------------------------------------------------------------------
