@@ -18,7 +18,6 @@ from nusample.lti import (
     EigenStructure,
     Realization,
     SystemSpec,
-    _swap_reversal_permutation,
     check_minimality,
     checked_flow,
     evaluate_fundamental_basis,
@@ -185,11 +184,14 @@ def _norms(M: np.ndarray, axis: int) -> np.ndarray:
 
 def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
     """Degree metrics of the columns of Y, each normalized in one pass: divided
-    by its power-of-two scale, then by the norm of the scaled column."""
+    by its power-of-two scale, then by the norm of the scaled column.  A
+    column whose largest |entry| is below the smallest normal float carries
+    too few bits for any metric, so it is rejected like a zero one."""
     with np.errstate(over="ignore", invalid="ignore"):
         Ys = Y / _pow2_scale(Y, axis=0)
         norms = np.linalg.norm(Ys, axis=0)
-    if not (np.isfinite(norms).all() and (norms > 0.0).all()):
+    normal = np.max(np.abs(Y), axis=0) >= np.finfo(float).tiny
+    if not (np.isfinite(norms).all() and normal.all()):
         raise DegenerateSamplingError("a sampled mode vector overflows a float or "
                                       "vanishes; shorten the sampling intervals")
     Yn = Ys / norms
@@ -239,7 +241,7 @@ def bruteforce_observability_matrix(real: Realization, av: AlphaVector) -> np.nd
 def _output_rows(es: EigenStructure, r: np.ndarray, alphas, right: np.ndarray) -> np.ndarray:
     """Rows r exp(J alpha) right, by the flow of J' = S J S:
     r exp(J alpha) = (exp(J alpha) S r)' S."""
-    S = _swap_reversal_permutation(es)
+    S = es._swap_reversal
     return checked_flow(es, S @ r, alphas, S @ right)
 
 
@@ -295,8 +297,9 @@ def _factorizations(spec: SystemSpec, av: AlphaVector, det_phi: float,
     es = spec.eigen
     lhs_ctrl = float(np.linalg.det(Y))
 
-    leading = np.zeros(es.n)  # output row in the Jordan frame
-    leading[[blk.offset for blk in es.blocks]] = 1.0
+    leading = np.zeros(es.n)  # output row in the Jordan frame: 1 in each block's first cell
+    for blk in es.blocks:
+        blk.cells(leading)[0] = 1.0
     lhs_obs = float(np.linalg.det(_output_rows(es, leading, av.alphas, np.eye(es.n))))
 
     N1 = _factorial_factor(es)

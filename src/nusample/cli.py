@@ -258,8 +258,10 @@ def run_sweep(args) -> int:
                                         final_instant=spec.n * s)
         av = analysis.alphas(seq)
         report = analysis.joint_test(analysis.fundamental_matrix(spec.eigen, av), tol)
-        gram = (analysis.degree_metrics(spec, av).normalized_gram_det
-                if minimal else math.nan)
+        gram = math.nan
+        if minimal:
+            Y = analysis.sampled_mode_vectors(spec, av)
+            gram = analysis.degree_metrics_from_vectors(Y).normalized_gram_det
         rng = np.random.default_rng(args.seed * 1000003 + idx)
         amp = _noise_amplification(real, av, args.noise, args.trials, rng)
         writer.writerow([fmt(s), fmt(report.determinant), fmt(gram),

@@ -103,10 +103,11 @@ def _spiral(spec: SystemSpec, alphas) -> np.ndarray:
     or nan entries, never a warning."""
     real, pair = _third_order_blocks(spec)
     d = np.zeros(3)
-    d[pair.offset] = d[real.offset] = 1.0
+    pair.cells(d)[0] = real.cells(d)[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         flow = jordan_flow(spec.eigen, d, alphas)
-    return flow[..., [pair.offset, pair.offset + 1, real.offset]]
+    xy = pair.cells(flow)[..., 0]
+    return np.stack([xy.real, xy.imag, real.cells(flow)[..., 0]], axis=-1)
 
 
 def _spiral_overflow(alpha: float) -> DesignError:

@@ -11,6 +11,11 @@ the roots:
     complex pair a +- jb (b > 0), multiplicity m:
         t^k e^{a t} cos(b t),  t^k e^{a t} sin(b t)        k = 0 .. m-1
 
+Each block's slots hold m cells: a real cell is one slot, a pair cell the
+slots (x, y) = (Re, Im), which is numpy's complex128 layout; ``Block.cells``
+views them as complex numbers x + iy, on which the pair's rotation-scaling
+acts as multiplication by lambda.
+
 The real Jordan form of the canonical companion realizations is built
 analytically from a confluent Vandermonde basis, once per ``Realization``.
 Every exponential comes from one batched kernel, ``jordan_flow``: the flow
@@ -54,6 +59,9 @@ class Block:
     offset      first index of this block in the real basis
     root_index  index into EigenStructure.roots of the representative root
     partner_index  for "pair", the index of the conjugate root; else None
+
+    A pair's cell k, slots (offset + 2k, offset + 2k + 1) = (Re, Im), is a
+    complex128 in numpy's layout, so ``cells`` views it without a copy.
     """
 
     kind: str
@@ -66,6 +74,25 @@ class Block:
     @property
     def size(self) -> int:
         return self.multiplicity if self.kind == "real" else 2 * self.multiplicity
+
+    def cells(self, v: np.ndarray) -> np.ndarray:
+        """Writable view of this block's m cells along the last axis of ``v``
+        (which must be contiguous): the slots themselves for a real block,
+        complex numbers x + iy for a pair."""
+        cells = v[..., self.offset:self.offset + self.size]
+        return cells if self.kind == "real" else cells.view(complex)
+
+    def put_operator(self, T: np.ndarray, Z: np.ndarray) -> None:
+        """Write into T the real form of the m x m complex matrix Z acting on
+        this block's cells.  For a pair, w z = (x Re w - y Im w) +
+        i (x Im w + y Re w), so the x row of a cell holds conj(w) read as a
+        cell and the y row holds i conj(w)."""
+        rows = T[self.offset:self.offset + self.size]
+        if self.kind == "real":
+            self.cells(rows)[:] = Z.real
+        else:
+            x = np.conjugate(Z, out=self.cells(rows[0::2]))
+            np.multiply(1j, x, out=self.cells(rows[1::2]))
 
 
 def _conjugate_partner(roots, idx, used):
@@ -138,6 +165,36 @@ class EigenStructure:
         return tuple(blocks)
 
     @cached_property
+    def _basis_seed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (d, R) with basis(t) = exp(J t) d @ R.  With d a one in
+        the last cell of each block, cell m-1-k of the flow is
+        t^k e^{lambda t} / k!, so R reverses each block's cells and scales
+        cell k by k!."""
+        eye = np.eye(self.n)
+        d = np.zeros(self.n)
+        R = np.zeros((self.n, self.n))
+        for blk in self.blocks:
+            blk.cells(d)[-1] = 1.0
+            factorials = [math.factorial(k) for k in range(blk.multiplicity)]
+            blk.cells(R)[:] = blk.cells(eye)[:, ::-1] * factorials
+        d.setflags(write=False)
+        R.setflags(write=False)
+        return d, R
+
+    @cached_property
+    def _swap_reversal(self) -> np.ndarray:
+        """Read-only symmetric permutation S with S J' S = J: it reverses each
+        block's cells and maps a pair cell z to i conj(z), swapping x and y;
+        that map is not complex-linear, so S is not built as an operator."""
+        eye = np.eye(self.n)
+        S = np.zeros((self.n, self.n))
+        for blk in self.blocks:
+            z = blk.cells(eye)[:, ::-1]
+            blk.cells(S)[:] = z if blk.kind == "real" else 1j * np.conj(z)
+        S.setflags(write=False)
+        return S
+
+    @cached_property
     def root_slices(self) -> tuple[slice, ...]:
         """Slice of the modal coefficient vector belonging to each root entry."""
         slices = []
@@ -201,15 +258,11 @@ class SystemSpec:
         d = np.empty(self.eigen.n)
         c = self.modes.coeffs
         for blk in self.eigen.blocks:
-            sl = self.eigen.root_slices[blk.root_index]
-            block_c = c[sl.start:sl.stop]
-            if blk.kind == "real":
-                for k, ck in enumerate(block_c):
-                    d[blk.offset + k] = ck.real
-            else:
-                for k, ck in enumerate(block_c):
-                    d[blk.offset + 2 * k] = 2.0 * ck.real
-                    d[blk.offset + 2 * k + 1] = -2.0 * ck.imag
+            cells = blk.cells(d)
+            pair = blk.kind == "pair"
+            # a pair's cell is 2 conj(C): 2 Re(C e^{lambda t}) = 2 Re C cos - 2 Im C sin
+            for k, ck in enumerate(c[self.eigen.root_slices[blk.root_index]]):
+                cells[k] = complex(2.0 * ck.real, -2.0 * ck.imag) if pair else ck.real
         d.setflags(write=False)
         return d
 
@@ -341,45 +394,31 @@ def _overflow(es: EigenStructure, t: float) -> DegenerateSamplingError:
 
 def evaluate_fundamental_basis(es: EigenStructure, t) -> np.ndarray:
     """(phi_1(t), ..., phi_n(t)) for every t of an array of any shape, as
-    shape ``t.shape + (n,)``.  With d a one in the last slot (cell) of each
-    block, slot m-1-k of exp(J t) d is t^k e^{lambda t} / k!, so the basis is
-    that flow with each block's slots reversed and slot k scaled by k!."""
-    n = es.n
-    d = np.zeros(n)
-    reverse = np.zeros((n, n))
-    for blk in es.blocks:
-        m, o = blk.multiplicity, blk.offset
-        width = 1 if blk.kind == "real" else 2  # slots per cell
-        d[o + width * (m - 1)] = 1.0
-        for k in range(m):
-            for part in range(width):
-                reverse[o + width * (m - 1 - k) + part, o + width * k + part] = \
-                    math.factorial(k)
+    shape ``t.shape + (n,)``: the flow of the structure's basis seed (see
+    ``EigenStructure._basis_seed``)."""
+    d, reverse = es._basis_seed
     return checked_flow(es, d, t, reverse)
 
 
-def _confluent(es: EigenStructure, weight, im_sign: float) -> np.ndarray:
-    """M[i, k] = weight(i, k) lambda^{i-k} (0 for i < k), column k of each
-    block: a real block takes the real part, a pair block the interleaved
-    real columns [Re, im_sign * Im]."""
+def _confluent(es: EigenStructure, weight, conjugate: bool) -> np.ndarray:
+    """M[i, k] = weight(i, k) lambda^{i-k} (0 for i < k) in cell k of each
+    block, or its conjugate: a real block takes the real value, a pair
+    block the complex one."""
     n = es.n
     M = np.zeros((n, n))
     for blk in es.blocks:
-        lam = blk.value
+        cells = blk.cells(M)
+        zero = 0.0 if blk.kind == "real" else 0j  # conj(0j) is -0j in V's pairs
         for k in range(blk.multiplicity):
             for i in range(n):
-                z = weight(i, k) * lam ** (i - k) if i >= k else 0.0
-                if blk.kind == "real":
-                    M[i, blk.offset + k] = z.real
-                else:
-                    M[i, blk.offset + 2 * k] = z.real
-                    M[i, blk.offset + 2 * k + 1] = im_sign * z.imag
+                z = weight(i, k) * blk.value ** (i - k) if i >= k else zero
+                cells[i, k] = z.conjugate() if conjugate else z
     return M
 
 
 def wronskian_at_zero(es: EigenStructure) -> np.ndarray:
     """W[i, j] = i-th derivative of phi_j at t = 0 (analytic, no differences)."""
-    return _confluent(es, math.perm, 1.0)
+    return _confluent(es, math.perm, False)
 
 
 def impulse_response(spec: SystemSpec, t: float) -> float:
@@ -406,14 +445,11 @@ def modes_from_markov(es: EigenStructure, h) -> ModeCoefficients:
         raise RootFindingError("singular Wronskian-at-zero matrix") from exc
     coeffs = np.zeros(es.n, dtype=complex)
     for blk in es.blocks:
-        sl = es.root_slices[blk.root_index]
-        if blk.kind == "real":
-            coeffs[sl] = d[blk.offset:blk.offset + blk.multiplicity]
-        else:
-            block_c = np.array([0.5 * d[blk.offset + 2 * k] - 0.5j * d[blk.offset + 2 * k + 1]
-                                for k in range(blk.multiplicity)])
-            coeffs[sl] = block_c
+        block_c = blk.cells(d)
+        if blk.kind == "pair":
+            block_c = 0.5 * block_c.real - 0.5j * block_c.imag  # conj(cell) / 2
             coeffs[es.root_slices[blk.partner_index]] = np.conj(block_c)
+        coeffs[es.root_slices[blk.root_index]] = block_c
     return ModeCoefficients(tuple(coeffs))
 
 
@@ -468,22 +504,15 @@ def controllability_canonical(spec: SystemSpec) -> Realization:
 # real Jordan form
 
 def build_jordan_matrix(es: EigenStructure) -> np.ndarray:
-    """The real Jordan matrix J, block-diagonal in the order of ``es.blocks``."""
+    """The real Jordan matrix J, block-diagonal in the order of ``es.blocks``:
+    each block is the real form of lambda I + N on its cells."""
     J = np.zeros((es.n, es.n))
     for blk in es.blocks:
-        m, o = blk.multiplicity, blk.offset
-        if blk.kind == "real":
-            for k in range(m):
-                J[o + k, o + k] = blk.value.real
-                if k + 1 < m:
-                    J[o + k, o + k + 1] = 1.0
-        else:
-            a, b = blk.value.real, blk.value.imag
-            for k in range(m):
-                r = o + 2 * k
-                J[r:r + 2, r:r + 2] = ((a, -b), (b, a))
-                if k + 1 < m:
-                    J[r, r + 2] = J[r + 1, r + 3] = 1.0
+        m = blk.multiplicity
+        Z = np.zeros((m, m), dtype=type(blk.value))
+        Z.flat[::m + 1] = blk.value  # the diagonal
+        Z.flat[1::m + 1] = 1.0       # the superdiagonal
+        blk.put_operator(J, Z)
     return J
 
 
@@ -497,27 +526,20 @@ def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
     Overflow gives inf or nan entries, never an exception.
     """
     al = np.asarray(alphas, dtype=float)
-    d = np.asarray(d, dtype=float)
+    d = np.ascontiguousarray(d, dtype=float)
     out = np.empty(al.shape + (es.n,))
     for blk in es.blocks:
-        m, o = blk.multiplicity, blk.offset
-        if blk.kind == "real":
-            z = d[o:o + m]
-            e = np.exp(blk.value.real * al)
-        else:
-            z = d[o:o + 2 * m:2] + 1j * d[o + 1:o + 2 * m:2]
-            e = np.exp(blk.value * al)
+        m = blk.multiplicity
+        z = blk.cells(d)
+        cells = blk.cells(out)
+        # a real block's exponential stays a float array, like its cells
+        e = np.exp(blk.value.real * al) if blk.kind == "real" else np.exp(blk.value * al)
         for p in range(m):
             # Horner form of sum_{k < m - p} alpha^k / k! z[p + k]
             s = z[m - 1]
             for k in range(m - 1 - p, 0, -1):
                 s = z[p + k - 1] + (al / k) * s
-            w = e * s
-            if blk.kind == "real":
-                out[..., o + p] = w
-            else:
-                out[..., o + 2 * p] = w.real
-                out[..., o + 2 * p + 1] = w.imag
+            cells[..., p] = e * s
     return out
 
 
@@ -536,28 +558,10 @@ def checked_flow(es: EigenStructure, d, alphas, right: np.ndarray) -> np.ndarray
 def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
     """Real confluent Vandermonde basis V with A_ob V = V J.
 
-    Complex columns are w_k(lambda)[i] = C(i, k) lambda^{i-k}; a conjugate
-    pair contributes the interleaved real columns [Re w_k, -Im w_k].
+    Complex columns are w_k(lambda)[i] = C(i, k) lambda^{i-k}; cell k of a
+    conjugate pair holds conj(w_k).
     """
-    return _confluent(es, math.comb, -1.0)
-
-
-def _swap_reversal_permutation(es: EigenStructure) -> np.ndarray:
-    """Symmetric permutation S with S J' S = J, built per block
-    (index reversal; for pair blocks cell reversal plus in-cell swap)."""
-    n = es.n
-    S = np.zeros((n, n))
-    for blk in es.blocks:
-        m = blk.multiplicity
-        if blk.kind == "real":
-            for k in range(m):
-                S[blk.offset + k, blk.offset + m - 1 - k] = 1.0
-        else:
-            for k in range(m):
-                for comp in range(2):
-                    S[blk.offset + 2 * k + comp,
-                      blk.offset + 2 * (m - 1 - k) + (1 - comp)] = 1.0
-    return S
+    return _confluent(es, math.comb, True)
 
 
 def _commuting_normalizer(es: EigenStructure, d: np.ndarray) -> np.ndarray:
@@ -568,33 +572,21 @@ def _commuting_normalizer(es: EigenStructure, d: np.ndarray) -> np.ndarray:
     K = np.zeros((n, n))
     for blk in es.blocks:
         m = blk.multiplicity
-        if blk.kind == "real":
-            delta = [complex(d[blk.offset + k]) for k in range(m)]
-            target = 1.0 + 0j
-        else:
-            delta = [complex(d[blk.offset + 2 * k], d[blk.offset + 2 * k + 1])
-                     for k in range(m)]
-            target = 1j
+        delta = [complex(z) for z in blk.cells(d)]
         if abs(delta[-1]) == 0.0:
             raise NonMinimalError(f"block at offset {blk.offset} has zero "
                                   "highest-order coefficient")
+        target = 1.0 + 0j if blk.kind == "real" else 1j
+        Z = np.zeros((m, m), dtype=complex)
         c = [0j] * m
         for off in range(m):
             i = m - 1 - off
             acc = sum(c[k] * delta[i + k] for k in range(off))
             rhs = (target if i == m - 1 else 0j) - acc
             c[off] = rhs / delta[-1]
-        if blk.kind == "real":
-            for off in range(m):
-                for p in range(m - off):
-                    K[blk.offset + p, blk.offset + p + off] = c[off].real
-        else:
-            for off in range(m):
-                p_, q_ = c[off].real, c[off].imag
-                cell = np.array([[p_, -q_], [q_, p_]])
-                for p in range(m - off):
-                    K[blk.offset + 2 * p:blk.offset + 2 * p + 2,
-                      blk.offset + 2 * (p + off):blk.offset + 2 * (p + off) + 2] = cell
+            for p in range(m - off):
+                Z[p, p + off] = c[off]
+        blk.put_operator(K, Z)
     return K
 
 
@@ -622,8 +614,7 @@ def real_jordan(spec: SystemSpec, real: Realization) -> RealJordanForm:
         if not report.minimal:
             raise NonMinimalError("controllability-form Jordan basis needs a minimal "
                                   f"system; offending blocks {report.offending_blocks}")
-        S = _swap_reversal_permutation(es)
-        B0 = np.linalg.solve(V.T, S)
+        B0 = np.linalg.solve(V.T, es._swap_reversal)
         K = _commuting_normalizer(es, spec.real_mode_vector)
         B = B0 @ K
     else:

@@ -1,12 +1,14 @@
 """Per-alpha matrix exponentials, a block-by-block Jordan matrix, the
-math.exp spiral and the separate confluent loops: the independent routes the
-tests compare the runtime against.  The runtime never calls these."""
+math.exp spiral, the separate confluent loops and slot-by-slot builders of
+the real-basis layout: the independent routes the tests compare the runtime
+against.  The runtime never calls these."""
 import math
 
 import numpy as np
 import scipy.linalg
 
-from nusample.lti import EigenStructure, _overflow
+from nusample.errors import NonMinimalError
+from nusample.lti import EigenStructure, ModeCoefficients, SystemSpec, _overflow
 
 
 def jordan_matrix(es: EigenStructure) -> np.ndarray:
@@ -117,3 +119,112 @@ def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
                 V[:, blk.offset + 2 * k] = col.real
                 V[:, blk.offset + 2 * k + 1] = -col.imag
     return V
+
+
+# ---------------------------------------------------------------------------
+# the real-basis layout, one slot index at a time
+
+def real_mode_vector(spec: SystemSpec) -> np.ndarray:
+    """Coefficients of h(t) in the real fundamental basis: C for a real
+    slot, (2 Re C, -2 Im C) for a pair's (x, y) slots."""
+    d = np.empty(spec.eigen.n)
+    c = spec.modes.coeffs
+    for blk in spec.eigen.blocks:
+        sl = spec.eigen.root_slices[blk.root_index]
+        block_c = c[sl.start:sl.stop]
+        if blk.kind == "real":
+            for k, ck in enumerate(block_c):
+                d[blk.offset + k] = ck.real
+        else:
+            for k, ck in enumerate(block_c):
+                d[blk.offset + 2 * k] = 2.0 * ck.real
+                d[blk.offset + 2 * k + 1] = -2.0 * ck.imag
+    return d
+
+
+def modes_from_markov(es: EigenStructure, h) -> ModeCoefficients:
+    """Modal coefficients from the first n Markov parameters, read slot by slot."""
+    d = np.linalg.solve(wronskian_at_zero(es), np.asarray(h, dtype=float))
+    coeffs = np.zeros(es.n, dtype=complex)
+    for blk in es.blocks:
+        sl = es.root_slices[blk.root_index]
+        if blk.kind == "real":
+            coeffs[sl] = d[blk.offset:blk.offset + blk.multiplicity]
+        else:
+            block_c = np.array([0.5 * d[blk.offset + 2 * k] - 0.5j * d[blk.offset + 2 * k + 1]
+                                for k in range(blk.multiplicity)])
+            coeffs[sl] = block_c
+            coeffs[es.root_slices[blk.partner_index]] = np.conj(block_c)
+    return ModeCoefficients(tuple(coeffs))
+
+
+def basis_seed(es: EigenStructure) -> tuple[np.ndarray, np.ndarray]:
+    """(d, R) with basis(t) = exp(J t) d @ R: a one in each block's last
+    slot (cell), and R reversing each block's cells, slot k scaled by k!."""
+    n = es.n
+    d = np.zeros(n)
+    reverse = np.zeros((n, n))
+    for blk in es.blocks:
+        m, o = blk.multiplicity, blk.offset
+        width = 1 if blk.kind == "real" else 2  # slots per cell
+        d[o + width * (m - 1)] = 1.0
+        for k in range(m):
+            for part in range(width):
+                reverse[o + width * (m - 1 - k) + part, o + width * k + part] = \
+                    math.factorial(k)
+    return d, reverse
+
+
+def swap_reversal_permutation(es: EigenStructure) -> np.ndarray:
+    """Symmetric permutation S with S J' S = J, built per block
+    (index reversal; for pair blocks cell reversal plus in-cell swap)."""
+    n = es.n
+    S = np.zeros((n, n))
+    for blk in es.blocks:
+        m = blk.multiplicity
+        if blk.kind == "real":
+            for k in range(m):
+                S[blk.offset + k, blk.offset + m - 1 - k] = 1.0
+        else:
+            for k in range(m):
+                for comp in range(2):
+                    S[blk.offset + 2 * k + comp,
+                      blk.offset + 2 * (m - 1 - k) + (1 - comp)] = 1.0
+    return S
+
+
+def commuting_normalizer(es: EigenStructure, d: np.ndarray) -> np.ndarray:
+    """Upper (cell-)Toeplitz K commuting with J with K d = S V' b_co, one
+    2 x 2 rotation-scaling cell at a time."""
+    n = es.n
+    K = np.zeros((n, n))
+    for blk in es.blocks:
+        m = blk.multiplicity
+        if blk.kind == "real":
+            delta = [complex(d[blk.offset + k]) for k in range(m)]
+            target = 1.0 + 0j
+        else:
+            delta = [complex(d[blk.offset + 2 * k], d[blk.offset + 2 * k + 1])
+                     for k in range(m)]
+            target = 1j
+        if abs(delta[-1]) == 0.0:
+            raise NonMinimalError(f"block at offset {blk.offset} has zero "
+                                  "highest-order coefficient")
+        c = [0j] * m
+        for off in range(m):
+            i = m - 1 - off
+            acc = sum(c[k] * delta[i + k] for k in range(off))
+            rhs = (target if i == m - 1 else 0j) - acc
+            c[off] = rhs / delta[-1]
+        if blk.kind == "real":
+            for off in range(m):
+                for p in range(m - off):
+                    K[blk.offset + p, blk.offset + p + off] = c[off].real
+        else:
+            for off in range(m):
+                p_, q_ = c[off].real, c[off].imag
+                cell = np.array([[p_, -q_], [q_, p_]])
+                for p in range(m - off):
+                    K[blk.offset + 2 * p:blk.offset + 2 * p + 2,
+                      blk.offset + 2 * (p + off):blk.offset + 2 * (p + off) + 2] = cell
+    return K

@@ -182,6 +182,16 @@ def test_degree_vectors_not_finite_or_zero(column):
         ns.analysis.degree_metrics_from_vectors(Y)
 
 
+def test_degree_vectors_subnormal_column():
+    # a column whose largest entry is subnormal carries a few bits at most
+    tiny = np.finfo(float).tiny
+    with pytest.raises(DegenerateSamplingError, match="overflows a float or vanishes"):
+        ns.analysis.degree_metrics_from_vectors(np.array([[1.0, 6.9e-319], [1.0, 3.5e-323]]))
+    # one at the smallest normal float still counts
+    dm = ns.analysis.degree_metrics_from_vectors(np.array([[1.0, 0.0], [0.0, tiny]]))
+    assert dm.normalized_gram_det == 1.0
+
+
 def test_degree_requires_minimal():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 0.0])
     with pytest.raises(NonMinimalError):

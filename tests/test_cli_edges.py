@@ -153,18 +153,43 @@ def test_sweep_row_below_overflow_keeps_its_gram_det(capsys, tmp_path):
     assert (scale, float(gram)) == ("700", pytest.approx(0.5))
 
 
-def _write_spiral_system(tmp_path, lam=1.0, a=-0.3, b=1.2):
-    """Real root lam and pair a +- jb, coefficients 1 and 0.5 -+ 0.25j."""
+def _write_spiral_system(tmp_path, lam=1.0, a=-0.3, b=1.2, c=0.5 - 0.25j):
+    """Real root lam and pair a +- jb, coefficients 1 and c, conj(c)."""
     path = tmp_path / "spiral.json"
     path.write_text(json.dumps({
         "order": 3,
         "roots": [{"re": lam, "im": 0.0, "mult": 1},
                   {"re": a, "im": b, "mult": 1},
                   {"re": a, "im": -b, "mult": 1}],
-        "mode_coefficients": [{"re": 1.0, "im": 0.0}, {"re": 0.5, "im": -0.25},
-                              {"re": 0.5, "im": 0.25}],
+        "mode_coefficients": [{"re": 1.0, "im": 0.0}, {"re": c.real, "im": c.imag},
+                              {"re": c.real, "im": -c.imag}],
     }))
     return str(path)
+
+
+# at these instants the mode vectors' largest entries are subnormal (6.9e-319
+# and 3.5e-323): a few bits, too few for a Gram determinant or an angle
+SUBNORMAL_SYSTEM = dict(lam=-9.225, a=-5.657, b=0.01212, c=0.909 + 0.892j)
+
+
+def test_geometric_design_subnormal_mode_vectors_is_an_error(capsys, tmp_path):
+    code, out, err = run(capsys, "design", "--system",
+                         _write_spiral_system(tmp_path, **SUBNORMAL_SYSTEM),
+                         "--method", "geometric", "--t0", "0", "--t1", "1.757")
+    _clean_error(code, err)
+    assert "vanishes" in err
+    assert out == ""
+
+
+def test_analyze_subnormal_mode_vectors_is_an_error(capsys, tmp_path):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0, 1.757, 131.363991441]}))
+    code, out, err = run(capsys, "analyze", "--system",
+                         _write_spiral_system(tmp_path, **SUBNORMAL_SYSTEM),
+                         "--instants", str(seq))
+    _clean_error(code, err)
+    assert "vanishes" in err
+    assert out == ""
 
 
 def test_geometric_design_overflowing_spiral_is_an_error(capsys, tmp_path):

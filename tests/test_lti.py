@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -148,6 +149,90 @@ def test_confluent_matrices_match_separate_loops():
         assert _same_bits(lti.wronskian_at_zero(es), reference.wronskian_at_zero(es))
         assert _same_bits(lti.confluent_vandermonde_real(es),
                           reference.confluent_vandermonde_real(es))
+
+
+def _layout_specs():
+    """50 random minimal systems (n = 1 ... 10, multiplicities up to 3) and a
+    few whose coefficients and Markov solutions hold exact zeros."""
+    rng = np.random.default_rng(23)
+    specs = [random_minimal_spec(rng, int(rng.integers(1, 11))) for _ in range(50)]
+    assert max(blk.multiplicity for spec in specs for blk in spec.eigen.blocks) == 3
+    return specs + [
+        ns.system_from_modes([(1j, 1), (-1j, 1)], [0.5, 0.5]),
+        ns.system_from_modes([(-1, 1), (2j, 2), (-2j, 2)], [-1, 0.5j, -0.25, -0.5j, -0.25]),
+        ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0]),
+        ns.system_from_markov([(1j, 1), (-1j, 1)], [-1.0, 0.0]),
+        ns.system_from_markov([(-0.5, 3), (0.3 + 1j, 1), (0.3 - 1j, 1)], [1, 0, 0, 0, 2]),
+    ]
+
+
+def test_layout_builders_match_slot_loops():
+    # the cell views must keep the bits of the former slot-index loops;
+    # J and K may differ only in the sign of a structural zero
+    for spec in _layout_specs():
+        es = spec.eigen
+        assert _same_bits(spec.real_mode_vector, reference.real_mode_vector(spec))
+        d, R = es._basis_seed
+        ref_d, ref_R = reference.basis_seed(es)
+        assert _same_bits(d, ref_d) and _same_bits(R, ref_R)
+        t = np.linspace(0.0, 3.0, 2 * es.n).reshape(2, es.n)
+        assert _same_bits(lti.evaluate_fundamental_basis(es, t),
+                          lti.checked_flow(es, ref_d, t, ref_R))
+        assert _same_bits(es._swap_reversal, reference.swap_reversal_permutation(es))
+        h = ns.markov_from_modes(spec)
+        assert _same_bits(np.array(lti.modes_from_markov(es, h).coeffs),
+                          np.array(reference.modes_from_markov(es, h).coeffs))
+        assert np.array_equal(lti.build_jordan_matrix(es), reference.jordan_matrix(es))
+        K = lti._commuting_normalizer(es, spec.real_mode_vector)
+        assert np.array_equal(K, reference.commuting_normalizer(es, spec.real_mode_vector))
+
+
+def test_block_cells_view_the_slots_and_operators_act_on_them():
+    rng = np.random.default_rng(29)
+    es = ns.eigenstructure([(-1, 2), (0.5 + 2j, 3), (0.5 - 2j, 3)])
+    v = rng.standard_normal((4, es.n))
+    for blk in es.blocks:
+        m = blk.multiplicity
+        cells = blk.cells(v)
+        assert cells.shape == (4, m) and np.shares_memory(cells, v)
+        Z = rng.standard_normal((m, m)) + (blk.kind == "pair") * 1j * rng.standard_normal((m, m))
+        T = np.zeros((es.n, es.n))
+        blk.put_operator(T, Z)
+        assert np.allclose(blk.cells(v @ T.T), cells @ Z.T, rtol=1e-14, atol=1e-14)
+    _, pair = es.blocks
+    assert np.array_equal(pair.cells(v)[:, 1], v[:, 4] + 1j * v[:, 5])
+
+
+def _count_builds(monkeypatch, name):
+    """Count the builds of the cached EigenStructure property ``name``."""
+    calls = []
+    build = getattr(lti.EigenStructure, name).func
+
+    def counting(self):
+        calls.append(1)
+        return build(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(lti.EigenStructure, name)
+    monkeypatch.setattr(lti.EigenStructure, name, prop)
+    return calls
+
+
+def test_layout_constants_are_built_once_and_read_only(monkeypatch):
+    seeds = _count_builds(monkeypatch, "_basis_seed")
+    swaps = _count_builds(monkeypatch, "_swap_reversal")
+    spec = random_minimal_spec(np.random.default_rng(31), 5)
+    av = ns.alphas(ns.SamplingSequence((0.0, 0.3, 0.9, 1.4, 2.2)))
+    ns.fundamental_matrix(spec.eigen, av)
+    ns.fundamental_matrix(spec.eigen, av)
+    real = ns.controllability_canonical(spec)
+    ns.bruteforce_observability_matrix(real, av)
+    ns.bruteforce_observability_matrix(real, av)
+    assert (len(seeds), len(swaps)) == (1, 1)
+    for const in (*spec.eigen._basis_seed, spec.eigen._swap_reversal):
+        assert not const.flags.writeable
+        with pytest.raises(ValueError):
+            const[0] = 1.0
 
 
 @pytest.mark.parametrize("roots, coeffs, message", [

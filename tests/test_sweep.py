@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nusample as ns
-from nusample import analysis, fileio, lti, simulate
+from nusample import analysis, cli, fileio, lti, simulate
 from nusample.cli import main
 from nusample.errors import RankDeficientError
 from conftest import count_calls, random_minimal_spec, random_sequence
@@ -144,3 +144,11 @@ def test_sweep_cost_does_not_grow_with_trials(monkeypatch, capsys, system):
         per_command.append(len(flow_calls))
     assert per_command[0] == per_command[1] > 0
     assert transitions == []
+
+
+def test_sweep_checks_minimality_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, lti.check_minimality, (lti, analysis, cli, simulate, ns))
+    code, _, _ = run(capsys, "sweep", "--system", str(DATA / "third_order.json"),
+                     "--from", "0.2", "--to", "1.0", "--points", "4", "--trials", "3")
+    assert code == 0
+    assert len(calls) == 1
