@@ -43,7 +43,7 @@ def main():
         else:
             seq = random_sequence(rng, n, with_final=True)
         av = ns.alphas(seq)
-        M = ns.fundamental_matrix(spec.eigen, av).M
+        M = ns.fundamental_matrix(spec.eigen, av)
         verdict = ns.numerical_rank(M) == n
         real = ns.observability_canonical(spec)
         G = ns.bruteforce_controllability_matrix(real, seq)

@@ -2,10 +2,8 @@
 nonuniformly sampled SISO LTI systems."""
 
 from nusample.analysis import (
-    AlphaVector,
     AnalysisReport,
     DegreeMetrics,
-    FundamentalMatrix,
     SamplingSequence,
     alphas,
     analyze,
@@ -27,7 +25,6 @@ from nusample.design import (
 )
 from nusample.lti import (
     EigenStructure,
-    ModeCoefficients,
     Realization,
     RealJordanForm,
     SystemSpec,

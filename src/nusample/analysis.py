@@ -1,8 +1,8 @@
 """Admissibility analysis of sampling sequences.
 
-Builds the alpha vector and the fundamental-solution matrix, decides joint
-n-reachability / n-observability from its determinant, quantifies the degree
-of orthogonality of the sampled mode vectors, verifies the determinant
+Builds the alpha vector (a tuple) and the basis matrix Phi (an array), decides
+joint n-reachability / n-observability from its determinant, quantifies the
+degree of orthogonality of the sampled mode vectors, verifies the determinant
 factorization identities, and provides brute-force state-space matrices as
 independent rank oracles; each matrix is one Jordan-flow call, built once.
 """
@@ -62,44 +62,21 @@ class SamplingSequence:
         return SamplingSequence(tuple(t + dt for t in self.instants), tf)
 
 
-@dataclass(frozen=True)
-class AlphaVector:
-    alphas: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if self.alphas[0] != 0.0:
-            raise ValueError("alpha_0 must be zero")
-
-    @property
-    def n(self) -> int:
-        return len(self.alphas)
-
-
-def alphas(seq: SamplingSequence) -> AlphaVector:
-    """alpha_m = t_{n-1} - t_{n-m-1}: instants enter only through differences."""
+def alphas(seq: SamplingSequence) -> tuple[float, ...]:
+    """(alpha_0, ..., alpha_{n-1}) with alpha_m = t_{n-1} - t_{n-m-1}, so
+    alpha_0 = 0: instants enter only through differences."""
     t = seq.instants
-    return AlphaVector(tuple(t[-1] - ti for ti in reversed(t)))
+    return tuple(t[-1] - ti for ti in reversed(t))
 
 
 # ---------------------------------------------------------------------------
 # fundamental matrix and joint test
 
-@dataclass(frozen=True, eq=False)
-class FundamentalMatrix:
-    M: np.ndarray
-    es: EigenStructure
-
-    def __post_init__(self):
-        M = np.array(self.M, dtype=float)
-        M.setflags(write=False)
-        object.__setattr__(self, "M", M)
-
-
-def fundamental_matrix(es: EigenStructure, av: AlphaVector) -> FundamentalMatrix:
-    if av.n != es.n:
-        raise ValueError(f"alpha vector has {av.n} entries, system order is {es.n}")
-    return FundamentalMatrix(evaluate_fundamental_basis(es, av.alphas), es)
+def fundamental_matrix(es: EigenStructure, av: tuple[float, ...]) -> np.ndarray:
+    """The n x n basis matrix Phi = [phi_i(alpha_m)], one row per alpha."""
+    if len(av) != es.n:
+        raise ValueError(f"alpha vector has {len(av)} entries, system order is {es.n}")
+    return evaluate_fundamental_basis(es, av)
 
 
 @dataclass(frozen=True)
@@ -135,14 +112,14 @@ class AnalysisReport:
     factors: FactorizationCheck | None = None
 
 
-def joint_test(fm: FundamentalMatrix,
+def joint_test(M: np.ndarray,
                tol_factor: float = DEFAULT_ADMISSIBILITY_FACTOR) -> AnalysisReport:
-    """Joint n-reachability and n-observability verdict from det[phi_i(alpha_m)].
+    """Joint n-reachability and n-observability verdict from det[phi_i(alpha_m)],
+    given the basis matrix M that ``fundamental_matrix`` builds.
 
     The admissibility threshold is Hadamard-scaled: |det| must exceed
     tol_factor times the product of the row norms.
     """
-    M = fm.M
     with np.errstate(over="ignore", invalid="ignore"):
         det = float(np.linalg.det(M))
         threshold = tol_factor * float(np.prod(_norms(M, axis=1)))
@@ -160,12 +137,12 @@ def joint_test(fm: FundamentalMatrix,
 # ---------------------------------------------------------------------------
 # degree of orthogonality
 
-def sampled_mode_vectors(spec: SystemSpec, av: AlphaVector) -> np.ndarray:
+def sampled_mode_vectors(spec: SystemSpec, av: tuple[float, ...]) -> np.ndarray:
     """Columns Y_i = exp(J alpha_i) y0 in the real Jordan frame, where y0 is
     the real-basis modal coefficient vector.  An overflowing mode gives inf
     or nan entries, which ``degree_metrics_from_vectors`` rejects."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return jordan_flow(spec.eigen, spec.real_mode_vector, av.alphas).T
+        return jordan_flow(spec.eigen, spec.real_mode_vector, av).T
 
 
 def _pow2_scale(M: np.ndarray, axis: int) -> np.ndarray:
@@ -208,7 +185,7 @@ def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
     return DegreeMetrics(gram, min_angle, cond)
 
 
-def degree_metrics(spec: SystemSpec, av: AlphaVector) -> DegreeMetrics:
+def degree_metrics(spec: SystemSpec, av: tuple[float, ...]) -> DegreeMetrics:
     report = check_minimality(spec)
     if not report.minimal:
         raise NonMinimalError(f"degree metrics need a minimal system; "
@@ -232,10 +209,10 @@ def bruteforce_controllability_matrix(real: Realization,
     return checked_flow(jf.es, jf.y0, dts, jf.B.T).T
 
 
-def bruteforce_observability_matrix(real: Realization, av: AlphaVector) -> np.ndarray:
+def bruteforce_observability_matrix(real: Realization, av: tuple[float, ...]) -> np.ndarray:
     """Rows c exp(A alpha_m) = (c B) exp(J alpha_m) B^{-1}."""
     jf = real.jordan
-    return _output_rows(jf.es, real.c @ jf.B, av.alphas, jf.B_inv)
+    return _output_rows(jf.es, real.c @ jf.B, av, jf.B_inv)
 
 
 def _output_rows(es: EigenStructure, r: np.ndarray, alphas, right: np.ndarray) -> np.ndarray:
@@ -245,11 +222,11 @@ def _output_rows(es: EigenStructure, r: np.ndarray, alphas, right: np.ndarray) -
     return checked_flow(es, S @ r, alphas, S @ right)
 
 
-def numerical_rank(M: np.ndarray, rel_tol: float = RANK_REL_TOL) -> int:
+def numerical_rank(M: np.ndarray) -> int:
     svals = np.linalg.svd(M, compute_uv=False)
     if svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > rel_tol * svals[0]))
+    return int(np.sum(svals > RANK_REL_TOL * svals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +252,7 @@ def _block_hankel_det(coeffs) -> complex:
     return complex(np.linalg.det(H))
 
 
-def verify_factorizations(spec: SystemSpec, av: AlphaVector) -> FactorizationCheck:
+def verify_factorizations(spec: SystemSpec, av: tuple[float, ...]) -> FactorizationCheck:
     """Check the two determinant factorizations in the real Jordan frame.
 
     Because the artifact works in the real fundamental basis, each identity
@@ -287,11 +264,11 @@ def verify_factorizations(spec: SystemSpec, av: AlphaVector) -> FactorizationChe
     if not report.minimal:
         raise NonMinimalError("factorization identities are vacuous for "
                               f"non-minimal systems (blocks {report.offending_blocks})")
-    det_phi = float(np.linalg.det(fundamental_matrix(spec.eigen, av).M))
+    det_phi = float(np.linalg.det(fundamental_matrix(spec.eigen, av)))
     return _factorizations(spec, av, det_phi, sampled_mode_vectors(spec, av))
 
 
-def _factorizations(spec: SystemSpec, av: AlphaVector, det_phi: float,
+def _factorizations(spec: SystemSpec, av: tuple[float, ...], det_phi: float,
                     Y: np.ndarray) -> FactorizationCheck:
     """verify_factorizations from det(Phi) and the mode vectors Y of ``av``."""
     es = spec.eigen
@@ -300,11 +277,11 @@ def _factorizations(spec: SystemSpec, av: AlphaVector, det_phi: float,
     leading = np.zeros(es.n)  # output row in the Jordan frame: 1 in each block's first cell
     for blk in es.blocks:
         blk.cells(leading)[0] = 1.0
-    lhs_obs = float(np.linalg.det(_output_rows(es, leading, av.alphas, np.eye(es.n))))
+    lhs_obs = float(np.linalg.det(_output_rows(es, leading, av, np.eye(es.n))))
 
     N1 = _factorial_factor(es)
     n2 = 1.0 + 0j
-    c = np.asarray(spec.modes.coeffs)
+    c = np.asarray(spec.coeffs)
     for i in range(es.r):
         sl = es.root_slices[i]
         n2 *= _block_hankel_det(c[sl])

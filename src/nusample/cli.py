@@ -207,7 +207,7 @@ def run_verify(args) -> int:
         traj = simulate.simulate_impulse_train(real, x0, plan)
         residual_ctrl = float(np.linalg.norm(traj.final_state) / np.linalg.norm(x0))
         av = analysis.alphas(seq)
-        jf_outputs = simulate.state_transition(real, x0, av.alphas) @ real.c
+        jf_outputs = simulate.state_transition(real, x0, av) @ real.c
         x0_hat = simulate.reconstruct_initial_state(real, jf_outputs, av)
         residual_rec = float(np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0))
     except RankDeficientError as exc:

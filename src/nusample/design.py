@@ -37,7 +37,7 @@ from nusample.errors import DesignError, InadmissibleDesignError
 from nusample.lti import SystemSpec, check_minimality, jordan_flow, system_from_modes
 
 DEFAULT_M_MAX = 8
-MIN_GRAM_DET = 1e-12  # below this every grid candidate counts as inadmissible
+MIN_GRAM_DET = 1e-12  # a design at or below this Gram determinant is inadmissible
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,8 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     Returns (DesignResult, GeometryTrace).  Candidate branches
     b (t2 - t0) = M + 2 pi m are enumerated for m = 0 .. m_max (keeping only
     those with t2 > t1) and the one minimizing the surface/spiral height
-    mismatch is selected; ties break toward the smallest m.
+    mismatch is selected; ties break toward the smallest m.  A sequence at or
+    below MIN_GRAM_DET raises InadmissibleDesignError with it as ``best``.
     """
     real, pair = _third_order_blocks(spec)
     lam, a, b = real.value.real, pair.value.real, pair.value.imag
@@ -206,6 +207,11 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
         mu=float(mu),
         rotation_angle=M,
     )
+    gram = result.metric.normalized_gram_det
+    if gram <= MIN_GRAM_DET:
+        raise InadmissibleDesignError(
+            "the geometric step's sequence is inadmissible "
+            f"(gram_determinant = {gram:.6g} <= {MIN_GRAM_DET:g})", best=result)
     return result, trace
 
 

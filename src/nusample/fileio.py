@@ -39,7 +39,7 @@ def _load_json(path):
                          f"column {exc.colno}") from exc
 
 
-def _number(doc, path, field, value):
+def _number(path, field, value):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise InputError(f"{path}: field '{field}' must be a number, got {value!r}")
     return float(value)
@@ -64,8 +64,8 @@ def load_system(path) -> SystemSpec:
         mult = r["mult"]
         if not isinstance(mult, int) or mult < 1:
             raise InputError(f"{path}: roots[{i}].mult must be a positive integer")
-        roots.append((complex(_number(doc, path, "re", r["re"]),
-                              _number(doc, path, "im", r["im"])), mult))
+        roots.append((complex(_number(path, "re", r["re"]),
+                              _number(path, "im", r["im"])), mult))
     if sum(m for _, m in roots) != order:
         raise InputError(f"{path}: multiplicities sum to "
                          f"{sum(m for _, m in roots)}, but order is {order}")
@@ -80,7 +80,7 @@ def load_system(path) -> SystemSpec:
             h = doc["markov"]
             if not isinstance(h, list) or len(h) != order:
                 raise InputError(f"{path}: 'markov' must list {order} numbers")
-            return system_from_markov(roots, [_number(doc, path, "markov", v) for v in h])
+            return system_from_markov(roots, [_number(path, "markov", v) for v in h])
         mc = doc["mode_coefficients"]
         if not isinstance(mc, list) or len(mc) != order:
             raise InputError(f"{path}: 'mode_coefficients' must list {order} entries")
@@ -88,8 +88,8 @@ def load_system(path) -> SystemSpec:
         for i, c in enumerate(mc):
             if not isinstance(c, dict) or not {"re", "im"} <= set(c):
                 raise InputError(f"{path}: mode_coefficients[{i}] needs fields re, im")
-            coeffs.append(complex(_number(doc, path, "re", c["re"]),
-                                  _number(doc, path, "im", c["im"])))
+            coeffs.append(complex(_number(path, "re", c["re"]),
+                                  _number(path, "im", c["im"])))
         return system_from_modes(roots, coeffs)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -106,7 +106,7 @@ def load_sequence(path) -> SamplingSequence:
     final = doc.get("final_instant")
     try:
         return SamplingSequence(
-            tuple(_number(doc, path, "instants", t) for t in inst),
-            None if final is None else _number(doc, path, "final_instant", final))
+            tuple(_number(path, "instants", t) for t in inst),
+            None if final is None else _number(path, "final_instant", final))
     except DegenerateSamplingError as exc:
         raise InputError(f"{path}: {exc}") from exc

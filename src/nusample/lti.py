@@ -214,26 +214,19 @@ def eigenstructure(roots) -> EigenStructure:
 # modal coefficients and system description
 
 @dataclass(frozen=True)
-class ModeCoefficients:
-    """Coefficients C_i of h(t) = sum C_i t^k e^{lambda t}, ordered block-wise
-    to match the root entries of the eigenstructure."""
+class SystemSpec:
+    """h(t) = sum C_i t^k e^{lambda t}: the roots, and the coefficients C_i as a
+    tuple of complex, ordered block-wise to match the root entries of ``eigen``."""
 
+    eigen: EigenStructure
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    eigen: EigenStructure
-    modes: ModeCoefficients
-
-    def __post_init__(self):
-        if len(self.modes.coeffs) != self.eigen.n:
+        if len(self.coeffs) != self.eigen.n:
             raise ValueError(f"expected {self.eigen.n} modal coefficients, "
-                             f"got {len(self.modes.coeffs)}")
-        c = np.asarray(self.modes.coeffs)
+                             f"got {len(self.coeffs)}")
+        c = np.asarray(self.coeffs)
         scale = float(np.max(np.abs(c))) or 1.0
         # h(t) must be real: real-root blocks carry real coefficients and
         # conjugate-pair blocks carry conjugate coefficients.
@@ -256,7 +249,7 @@ class SystemSpec:
     def real_mode_vector(self) -> np.ndarray:
         """Coefficients of h(t) in the real fundamental basis."""
         d = np.empty(self.eigen.n)
-        c = self.modes.coeffs
+        c = self.coeffs
         for blk in self.eigen.blocks:
             cells = blk.cells(d)
             pair = blk.kind == "pair"
@@ -268,7 +261,7 @@ class SystemSpec:
 
 
 def system_from_modes(roots, coeffs) -> SystemSpec:
-    return SystemSpec(eigenstructure(roots), ModeCoefficients(tuple(coeffs)))
+    return SystemSpec(eigenstructure(roots), coeffs)
 
 
 def system_from_markov(roots, markov) -> SystemSpec:
@@ -434,7 +427,7 @@ def markov_from_modes(spec: SystemSpec) -> np.ndarray:
     return wronskian_at_zero(spec.eigen) @ spec.real_mode_vector
 
 
-def modes_from_markov(es: EigenStructure, h) -> ModeCoefficients:
+def modes_from_markov(es: EigenStructure, h) -> tuple[complex, ...]:
     h = np.asarray(h, dtype=float)
     if h.shape != (es.n,):
         raise ValueError(f"expected {es.n} Markov parameters, got {h.shape}")
@@ -450,7 +443,7 @@ def modes_from_markov(es: EigenStructure, h) -> ModeCoefficients:
             block_c = 0.5 * block_c.real - 0.5j * block_c.imag  # conj(cell) / 2
             coeffs[es.root_slices[blk.partner_index]] = np.conj(block_c)
         coeffs[es.root_slices[blk.root_index]] = block_c
-    return ModeCoefficients(tuple(coeffs))
+    return tuple(coeffs.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -635,23 +628,19 @@ def real_jordan(spec: SystemSpec, real: Realization) -> RealJordanForm:
 class MinimalityReport:
     minimal: bool
     offending_blocks: tuple[int, ...]
-    magnitudes: tuple[float, ...]
 
 
 def check_minimality(spec: SystemSpec) -> MinimalityReport:
     """True iff the highest-order modal coefficient of every block is nonzero
     (relative to the largest coefficient magnitude)."""
-    c = np.asarray(spec.modes.coeffs)
+    c = np.asarray(spec.coeffs)
     scale = float(np.max(np.abs(c))) or 1.0
     offending = []
-    mags = []
     for blk in spec.eigen.blocks:
         sl = spec.eigen.root_slices[blk.root_index]
-        mag = abs(c[sl.stop - 1])
-        mags.append(float(mag))
-        if mag <= MINIMALITY_TOL * scale:
+        if abs(c[sl.stop - 1]) <= MINIMALITY_TOL * scale:
             offending.append(blk.root_index)
-    return MinimalityReport(not offending, tuple(offending), tuple(mags))
+    return MinimalityReport(not offending, tuple(offending))
 
 
 def __getattr__(name):

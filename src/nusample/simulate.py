@@ -18,7 +18,6 @@ import numpy as np
 
 from nusample.analysis import (
     RANK_REL_TOL,
-    AlphaVector,
     SamplingSequence,
     bruteforce_controllability_matrix,
     bruteforce_observability_matrix,
@@ -106,7 +105,8 @@ def simulate_impulse_train(real: Realization, x0, plan: ImpulsePlan) -> Trajecto
     return Trajectory(tuple(checkpoints))
 
 
-def reconstruct_initial_state(real: Realization, outputs, av: AlphaVector) -> np.ndarray:
+def reconstruct_initial_state(real: Realization, outputs,
+                              av: tuple[float, ...]) -> np.ndarray:
     """Solve y(alpha_m) = c exp(A alpha_m) X0 for X0.
 
     ``outputs`` is one output vector, shape (n,), or k of them as the

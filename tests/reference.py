@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from nusample.errors import NonMinimalError
-from nusample.lti import EigenStructure, ModeCoefficients, SystemSpec, _overflow
+from nusample.lti import EigenStructure, SystemSpec, _overflow
 
 
 def jordan_matrix(es: EigenStructure) -> np.ndarray:
@@ -128,7 +128,7 @@ def real_mode_vector(spec: SystemSpec) -> np.ndarray:
     """Coefficients of h(t) in the real fundamental basis: C for a real
     slot, (2 Re C, -2 Im C) for a pair's (x, y) slots."""
     d = np.empty(spec.eigen.n)
-    c = spec.modes.coeffs
+    c = spec.coeffs
     for blk in spec.eigen.blocks:
         sl = spec.eigen.root_slices[blk.root_index]
         block_c = c[sl.start:sl.stop]
@@ -142,7 +142,7 @@ def real_mode_vector(spec: SystemSpec) -> np.ndarray:
     return d
 
 
-def modes_from_markov(es: EigenStructure, h) -> ModeCoefficients:
+def modes_from_markov(es: EigenStructure, h) -> tuple[complex, ...]:
     """Modal coefficients from the first n Markov parameters, read slot by slot."""
     d = np.linalg.solve(wronskian_at_zero(es), np.asarray(h, dtype=float))
     coeffs = np.zeros(es.n, dtype=complex)
@@ -155,7 +155,7 @@ def modes_from_markov(es: EigenStructure, h) -> ModeCoefficients:
                                 for k in range(blk.multiplicity)])
             coeffs[sl] = block_c
             coeffs[es.root_slices[blk.partner_index]] = np.conj(block_c)
-    return ModeCoefficients(tuple(coeffs))
+    return tuple(coeffs.tolist())
 
 
 def basis_seed(es: EigenStructure) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ def _well_conditioned_spec(rng, n):
 
 def _ratios(spec, seq):
     av = ns.alphas(seq)
-    M = ns.fundamental_matrix(spec.eigen, av).M
+    M = ns.fundamental_matrix(spec.eigen, av)
     real = ns.observability_canonical(spec)
     G = ns.bruteforce_controllability_matrix(real, seq)
     O = ns.bruteforce_observability_matrix(real, av)
@@ -170,7 +170,7 @@ def test_acceptance_5_deadbeat_and_reconstruction():
         assert np.linalg.norm(traj.final_state) <= 1e-8 * np.linalg.norm(x0)
         av = ns.alphas(seq)
         y = np.array([float(real.c @ ns.state_transition(real, x0, a))
-                      for a in av.alphas])
+                      for a in av])
         xr = ns.reconstruct_initial_state(real, y, av)
         assert np.linalg.norm(xr - x0) <= 1e-8 * np.linalg.norm(x0)
     print("ACCEPTANCE 5 deadbeat & reconstruction round trips (100 cases): PASS")
@@ -230,7 +230,7 @@ def test_acceptance_7_sensitivity_ordering():
         errs = []
         for av in (av_opt, av_bad):
             y = np.array([float(real.c @ ns.state_transition(real, x0, a))
-                          for a in av.alphas])
+                          for a in av])
             xh = ns.reconstruct_initial_state(real, y + noise, av)
             errs.append(np.linalg.norm(xh - x0))
         wins += errs[0] < errs[1]

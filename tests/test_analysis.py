@@ -23,13 +23,13 @@ def test_sequence_rejects_nonincreasing():
 
 def test_alphas_reverse_differences():
     av = ns.alphas(ns.SamplingSequence((0.0, 1.0, 3.0)))
-    assert av.alphas == pytest.approx((0.0, 2.0, 3.0))
+    assert av == pytest.approx((0.0, 2.0, 3.0))
 
 
 def test_alphas_translation_invariant():
     seq = ns.SamplingSequence((0.3, 1.1, 2.9, 3.4))
-    assert ns.alphas(seq.shifted(17.3)).alphas == pytest.approx(
-        ns.alphas(seq).alphas)
+    assert ns.alphas(seq.shifted(17.3)) == pytest.approx(
+        ns.alphas(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -39,10 +39,26 @@ def test_fundamental_matrix_two_real_roots():
     es = ns.eigenstructure([(0, 1), (-1, 1)])
     av = ns.alphas(ns.SamplingSequence((0.0, 1.0)))
     fm = ns.fundamental_matrix(es, av)
-    assert np.allclose(fm.M, [[1.0, 1.0], [1.0, math.exp(-1)]])
+    assert np.allclose(fm, [[1.0, 1.0], [1.0, math.exp(-1)]])
     report = ns.joint_test(fm)
     assert report.determinant == pytest.approx(math.exp(-1) - 1.0)
     assert report.is_admissible
+
+
+def test_alpha_phi_and_coefficients_are_plain_values():
+    es = ns.eigenstructure([(-0.5, 1), (1j, 1), (-1j, 1)])
+    av = ns.alphas(ns.SamplingSequence((0.25, 1.0, 3.0)))
+    assert type(av) is tuple and [type(a) for a in av] == [float] * 3
+    assert av[0] == 0.0
+    M = ns.fundamental_matrix(es, av)
+    assert type(M) is np.ndarray and M.shape == (3, 3) and M.dtype == float
+    assert ns.joint_test(M).determinant == np.linalg.det(M)
+    spec = ns.SystemSpec(es, [2, 0.5 - 1j, 0.5 + 1j])
+    assert spec.coeffs == (2 + 0j, 0.5 - 1j, 0.5 + 1j)
+    assert all(type(c) is complex for c in spec.coeffs)
+    h = ns.markov_from_modes(spec)
+    mc = ns.modes_from_markov(es, h)
+    assert type(mc) is tuple and all(type(c) is complex for c in mc)
 
 
 def test_joint_test_oscillator_pathological():
@@ -68,7 +84,7 @@ def test_threshold_scales_with_rows():
     es = ns.eigenstructure([(0, 1), (-1, 1)])
     av = ns.alphas(ns.SamplingSequence((0.0, 1.0)))
     fm = ns.fundamental_matrix(es, av)
-    expected = 1e-9 * np.prod(np.linalg.norm(fm.M, axis=1))
+    expected = 1e-9 * np.prod(np.linalg.norm(fm, axis=1))
     assert ns.joint_test(fm).threshold == pytest.approx(expected)
     assert ns.joint_test(fm, tol_factor=1e-3).threshold == pytest.approx(1e6 * expected)
 

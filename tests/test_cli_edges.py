@@ -220,6 +220,36 @@ def test_geometry_overflowing_spiral_is_an_error(capsys, tmp_path):
     _clean_error(code, err)
 
 
+# the growing real mode e^{5.094 alpha} swamps the pair in the second and third
+# mode vectors, so they are parallel: the geometric step's sequence has a zero
+# Gram determinant, which used to exit 0
+DEGENERATE_SPIRAL = dict(lam=5.094, a=-0.4729, b=0.36, c=0.1506 + 0.6349j)
+DEGENERATE_ERROR = ("error: the geometric step's sequence is inadmissible "
+                    "(gram_determinant = 0 <= 1e-12)\n")
+
+
+@pytest.mark.parametrize("method", ["geometric", "auto"])
+def test_design_degenerate_geometric_step_is_an_error(capsys, tmp_path, method):
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "design", "--system",
+                         _write_spiral_system(tmp_path, **DEGENERATE_SPIRAL),
+                         "--method", method, "--t0", "0", "--t1", "4.019",
+                         "--trace", str(trace))
+    assert (code, out, err) == (1, "", DEGENERATE_ERROR)
+    assert not trace.exists()
+
+
+def test_geometry_degenerate_step_is_an_error(capsys, tmp_path):
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0, 4.019]}))
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "geometry", "--system",
+                         _write_spiral_system(tmp_path, **DEGENERATE_SPIRAL),
+                         "--instants", str(seq), "--out", str(trace))
+    assert (code, out, err) == (1, "", DEGENERATE_ERROR)
+    assert not trace.exists()
+
+
 # (lam, a, b, t1) whose geometric step ended in a traceback: the surface
 # scaling mu over- or underflowing (lam / a = 5000), mode vectors of the
 # designed sequence that overflow (LinAlgError from the SVD), and ones that
@@ -280,13 +310,23 @@ def test_geometric_design_never_raises(tmp_path_factory, lam, a, log_b, log_t1):
 
 
 def test_design_refinement_keeps_dmin(capsys, tmp_path):
-    # the grid starts at dmin = 600, where the flow already overflows; the
-    # refinement must not slide the instant below dmin to escape it
+    # the grid starts at dmin = 600, where the flow is still finite but the
+    # search's 2-norm overflows; the refinement must not slide the instant
+    # below dmin to escape it
     system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
     code, out, err = run(capsys, "design", "--system", system, "--t0", "0",
                          "--dmin", "600", "--dmax", "800")
     _clean_error(code, err)
     assert "instants" not in out
+
+
+def test_generic_design_inadmissible_search_is_an_error(capsys, tmp_path):
+    # past an interval of 100 only the e^{-0.5 alpha} mode is left in a sampled
+    # mode vector, so no candidate clears the Gram floor
+    system = _write_system(tmp_path, [-7.0, -0.5, -6.9], [1.0, 1.0, 1.0])
+    code, out, err = run(capsys, "design", "--system", system, "--t0", "0",
+                         "--dmin", "100", "--dmax", "160")
+    assert (code, out, err) == (1, "", "error: every grid candidate is inadmissible\n")
 
 
 def test_generic_design_intervals_respect_dmin(capsys):

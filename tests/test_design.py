@@ -6,7 +6,7 @@ import pytest
 import nusample as ns
 from nusample import design
 from nusample.design import _minimize_bounded, export_geometry_csv, spiral_point
-from nusample.errors import DesignError
+from nusample.errors import DesignError, InadmissibleDesignError
 import reference
 
 
@@ -154,6 +154,19 @@ def test_third_order_rejects_wrong_structure():
         ns.next_instant_third_order(spec, 0.0, 1.0)
 
 
+def test_third_order_rejects_degenerate_sequence():
+    # the growing real mode e^{5.094 alpha} swamps the pair in the second and
+    # third mode vectors, so they are parallel: a zero Gram determinant
+    spec = _third_order_spec(5.094, -0.4729, 0.36, (1.0, 0.1506 + 0.6349j))
+    with pytest.raises(InadmissibleDesignError,
+                       match="geometric step's sequence is inadmissible") as info:
+        ns.next_instant_third_order(spec, 0.0, 4.019)
+    best = info.value.best
+    assert best.method == "geometric-3rd"
+    assert best.sequence.instants[:2] == (0.0, 4.019)
+    assert best.metric.normalized_gram_det <= design.MIN_GRAM_DET
+
+
 def test_geometry_csv_roundtrip(tmp_path):
     spec = _third_order_spec(-1.0, -0.3, 1.2)
     _, trace = ns.next_instant_third_order(spec, 0.0, 1.0)
@@ -199,6 +212,22 @@ def test_generic_sequences_are_admissible():
         res = ns.design_sequence_generic(spec, t0=0.0)
         report = ns.joint_test(ns.fundamental_matrix(spec.eigen, ns.alphas(res.sequence)))
         assert report.is_admissible
+
+
+def test_generic_inadmissible_search_attaches_best():
+    # past an interval of 100 only the e^{-0.5 alpha} mode is left in a sampled
+    # mode vector, so the later two are parallel and no candidate clears the
+    # Gram floor
+    spec = ns.system_from_modes([(-7.0, 1), (-0.5, 1), (-6.9, 1)], [1.0, 1.0, 1.0])
+    with pytest.raises(InadmissibleDesignError,
+                       match="^every grid candidate is inadmissible$") as info:
+        ns.design_sequence_generic(spec, t0=0.0, bounds=(100.0, 160.0))
+    best = info.value.best
+    assert best.method == "generic-search"
+    assert best.metric.normalized_gram_det <= design.MIN_GRAM_DET
+    t = best.sequence.instants
+    assert len(t) == 3 and t[0] == 0.0
+    assert min(b - a for a, b in zip(t, t[1:])) >= 100.0
 
 
 # ---------------------------------------------------------------------------

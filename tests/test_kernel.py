@@ -101,9 +101,9 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         for real in (ns.observability_canonical(spec), ns.controllability_canonical(spec)):
             jf = real.jordan
             O = ns.bruteforce_observability_matrix(real, av)
-            assert _close(O, np.array([real.c @ expA(jf, a) for a in av.alphas]))
+            assert _close(O, np.array([real.c @ expA(jf, a) for a in av]))
             assert _close(O, np.array([real.c @ scipy.linalg.expm(real.A * a)
-                                       for a in av.alphas]))
+                                       for a in av]))
             G = ns.bruteforce_controllability_matrix(real, seq)
             dts = [seq.final_instant - t for t in reversed(seq.instants)]
             assert _close(G, np.column_stack([expA(jf, dt) @ real.b for dt in dts]))
@@ -112,10 +112,10 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         es = spec.eigen
         leading = np.zeros(n)
         leading[[blk.offset for blk in es.blocks]] = 1.0
-        OJ = analysis._output_rows(es, leading, av.alphas, np.eye(n))
+        OJ = analysis._output_rows(es, leading, av, np.eye(n))
         J = lti.build_jordan_matrix(es)
-        assert _close(OJ, np.array([leading @ exp_jordan(es, a) for a in av.alphas]))
-        assert _close(OJ, np.array([leading @ scipy.linalg.expm(J * a) for a in av.alphas]))
+        assert _close(OJ, np.array([leading @ exp_jordan(es, a) for a in av]))
+        assert _close(OJ, np.array([leading @ scipy.linalg.expm(J * a) for a in av]))
 
 
 def test_jordan_matrix_matches_block_diag():
@@ -212,7 +212,7 @@ def _scalar_gram_det(spec, instants):
     """The normalized Gram determinant, one exp_jordan matrix per alpha."""
     av = ns.alphas(ns.SamplingSequence(tuple(instants)))
     Y = np.column_stack([exp_jordan(spec.eigen, a) @ spec.real_mode_vector
-                         for a in av.alphas])
+                         for a in av])
     Yn = Y / np.linalg.norm(Y, axis=0)
     return float(np.clip(np.linalg.det(Yn.T @ Yn), 0.0, 1.0))
 

@@ -141,7 +141,7 @@ def test_reconstruction_round_trip():
         av = ns.alphas(seq)
         x0 = rng.standard_normal(n)
         outputs = np.array([real.c @ ns.state_transition(real, x0, a)
-                            for a in av.alphas])
+                            for a in av])
         xr = ns.reconstruct_initial_state(real, outputs, av)
         assert np.linalg.norm(xr - x0) < 1e-8 * max(1.0, np.linalg.norm(x0))
 

@@ -70,12 +70,12 @@ def _per_trial_amplification(spec, real, av, eps, trials, rng):
     solves its own system, with an O built column by column from the flow."""
     n = spec.n
     O = np.array([[real.c @ simulate.state_transition(real, e, a) for e in np.eye(n)]
-                  for a in av.alphas])
+                  for a in av])
     errors = []
     for _ in range(trials):
         x0 = rng.standard_normal(n)
         outputs = np.array([float(real.c @ simulate.state_transition(real, x0, a))
-                            for a in av.alphas])
+                            for a in av])
         noisy = outputs + rng.normal(0.0, eps, n)
         errors.append(float(np.linalg.norm(np.linalg.solve(O, noisy) - x0)))
     return float(np.median(errors)) / eps
@@ -86,7 +86,7 @@ def _write_system(path, spec):
         "order": spec.n,
         "roots": [{"re": r.value.real, "im": r.value.imag, "mult": r.multiplicity}
                   for r in spec.eigen.roots],
-        "mode_coefficients": [{"re": c.real, "im": c.imag} for c in spec.modes.coeffs],
+        "mode_coefficients": [{"re": c.real, "im": c.imag} for c in spec.coeffs],
     }))
     return str(path)
 
