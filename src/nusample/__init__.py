@@ -30,15 +30,12 @@ from nusample.lti import (
     SystemSpec,
     check_minimality,
     coefficients_from_roots,
-    controllability_canonical,
     eigenstructure,
     evaluate_fundamental_basis,
-    impulse_response,
     markov_from_modes,
     modes_from_markov,
     observability_canonical,
     real_jordan,
-    roots_from_coefficients,
     system_from_markov,
     system_from_modes,
 )

@@ -57,10 +57,6 @@ class SamplingSequence:
                 raise DegenerateSamplingError("final instant must exceed the last "
                                               "sampling instant")
 
-    def shifted(self, dt: float) -> "SamplingSequence":
-        tf = None if self.final_instant is None else self.final_instant + dt
-        return SamplingSequence(tuple(t + dt for t in self.instants), tf)
-
 
 def alphas(seq: SamplingSequence) -> tuple[float, ...]:
     """(alpha_0, ..., alpha_{n-1}) with alpha_m = t_{n-1} - t_{n-m-1}, so

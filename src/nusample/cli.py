@@ -30,6 +30,17 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
+def _finite_float(text: str) -> float:
+    """float(text), refusing inf and nan: the type of every float flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _tolerance(args) -> float:
     if getattr(args, "tol", None) is not None:
         if args.tol <= 0:
@@ -41,6 +52,8 @@ def _tolerance(args) -> float:
             value = float(env)
         except ValueError as exc:
             raise InputError(f"NUSAMPLE_TOL={env!r} is not a number") from exc
+        if not math.isfinite(value):
+            raise InputError(f"NUSAMPLE_TOL={env!r} is not a finite number")
         if value <= 0:
             raise InputError("NUSAMPLE_TOL must be positive")
         return value
@@ -63,21 +76,21 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="joint test, degree metrics, factorization factors")
     pa.add_argument("--system", required=True)
     pa.add_argument("--instants", required=True)
-    pa.add_argument("--tol", type=float, default=None,
+    pa.add_argument("--tol", type=_finite_float, default=None,
                     help="admissibility tolerance factor (overrides NUSAMPLE_TOL)")
 
     pd = sub.add_parser("design", help="synthesize a sampling sequence")
     pd.add_argument("--system", required=True)
-    pd.add_argument("--t0", type=float, required=True)
+    pd.add_argument("--t0", type=_finite_float, required=True)
     pd.add_argument("--method", choices=["auto", "closed", "geometric", "generic"],
                     default="auto")
     pd.add_argument("--m", type=int, default=0, help="branch integer for the closed form")
-    pd.add_argument("--t1", type=float, default=None,
+    pd.add_argument("--t1", type=_finite_float, default=None,
                     help="second instant for the geometric method "
                          "(default: t0 + pi/(2 b))")
     pd.add_argument("--m-max", type=int, default=design.DEFAULT_M_MAX)
-    pd.add_argument("--dmin", type=float, default=0.05)
-    pd.add_argument("--dmax", type=float, default=5.0)
+    pd.add_argument("--dmin", type=_finite_float, default=0.05)
+    pd.add_argument("--dmax", type=_finite_float, default=5.0)
     pd.add_argument("--steps", type=int, default=200)
     pd.add_argument("--trace", default=None, help="write the geometry trace CSV here")
 
@@ -88,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="CSV sweep over uniformly scaled intervals")
     ps.add_argument("--system", required=True)
-    ps.add_argument("--from", dest="start", type=float, required=True)
-    ps.add_argument("--to", dest="stop", type=float, required=True)
+    ps.add_argument("--from", dest="start", type=_finite_float, required=True)
+    ps.add_argument("--to", dest="stop", type=_finite_float, required=True)
     ps.add_argument("--points", type=int, required=True)
-    ps.add_argument("--noise", type=float, default=1e-4)
+    ps.add_argument("--noise", type=_finite_float, default=1e-4)
     ps.add_argument("--trials", type=int, default=50)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--tol", type=float, default=None)
+    ps.add_argument("--tol", type=_finite_float, default=None)
 
     pg = sub.add_parser("geometry", help="third-order spiral construction trace")
     pg.add_argument("--system", required=True)
@@ -117,12 +130,18 @@ def _parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def run_analyze(args) -> int:
+def _load_case(args):
+    """The system and the sequence of ``args``, one instant per state."""
     spec = fileio.load_system(args.system)
     seq = fileio.load_sequence(args.instants)
     if len(seq.instants) != spec.n:
         raise InputError(f"system order is {spec.n} but the sequence has "
                          f"{len(seq.instants)} instants")
+    return spec, seq
+
+
+def run_analyze(args) -> int:
+    spec, seq = _load_case(args)
     report = analysis.analyze(spec, seq, tol_factor=_tolerance(args))
     print(f"determinant = {fmt(report.determinant)}")
     print(f"smallest_singular_value = {fmt(report.sigma_min)}")
@@ -145,9 +164,15 @@ def run_analyze(args) -> int:
     return EXIT_OK if report.is_admissible else EXIT_INADMISSIBLE
 
 
+def _single_pair(spec) -> bool:
+    """A 2nd-order system with one complex pair: the closed form's case."""
+    blocks = spec.eigen.blocks
+    return spec.n == 2 and len(blocks) == 1 and blocks[0].kind == "pair"
+
+
 def _auto_method(spec) -> str:
     blocks = spec.eigen.blocks
-    if spec.n == 2 and len(blocks) == 1 and blocks[0].kind == "pair":
+    if _single_pair(spec):
         return "closed"
     if spec.n == 3 and sorted(b.kind for b in blocks) == ["pair", "real"]:
         pair = next(b for b in blocks if b.kind == "pair")
@@ -163,11 +188,10 @@ def run_design(args) -> int:
     method = args.method if args.method != "auto" else _auto_method(spec)
     trace = None
     if method == "closed":
-        blocks = spec.eigen.blocks
-        if spec.n != 2 or len(blocks) != 1 or blocks[0].kind != "pair":
+        if not _single_pair(spec):
             raise InputError("closed-form design needs a 2nd-order complex pair")
-        a, b = blocks[0].value.real, blocks[0].value.imag
-        result = design.optimal_interval_second_order(a, b, args.t0, args.m)
+        lam = spec.eigen.blocks[0].value
+        result = design.optimal_interval_second_order(lam.real, lam.imag, args.t0, args.m)
     elif method == "geometric":
         pair = next((b for b in spec.eigen.blocks if b.kind == "pair"), None)
         if pair is None:
@@ -192,11 +216,7 @@ def run_design(args) -> int:
 
 
 def run_verify(args) -> int:
-    spec = fileio.load_system(args.system)
-    seq = fileio.load_sequence(args.instants)
-    if len(seq.instants) != spec.n:
-        raise InputError(f"system order is {spec.n} but the sequence has "
-                         f"{len(seq.instants)} instants")
+    spec, seq = _load_case(args)
     if seq.final_instant is None:
         raise InputError("verify needs 'final_instant' for the controllability leg")
     real = observability_canonical(spec)
@@ -289,6 +309,8 @@ def run_geometry(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # verify and sweep seed numpy with it
+            raise InputError("seed must be nonnegative")
         runner = {
             "analyze": run_analyze,
             "design": run_design,

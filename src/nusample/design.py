@@ -185,6 +185,8 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
         raise DesignError(f"scaling Y0 x Y1 onto the surface z = r^{expo:.6g} "
                           "leaves the float range; choose another t1")
 
+    if m_max < 0:
+        raise DesignError("branch bound m_max must be nonnegative")
     branch_alphas = (M + 2.0 * math.pi * np.arange(m_max + 1)) / b
     scores = np.abs(q2_height - _spiral(spec, branch_alphas)[:, 2])
     # a branch before t1, or whose height overflows, never wins

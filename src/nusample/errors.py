@@ -10,7 +10,7 @@ class InputError(NuSampleError):
 
 
 class RootFindingError(NuSampleError):
-    """Root extraction failed or returned an inconsistent conjugate structure."""
+    """The roots break conjugate symmetry, or their Wronskian is singular."""
 
 
 class NonMinimalError(NuSampleError):

@@ -1,4 +1,5 @@
-"""Modal representation of SISO LTI systems and their canonical realizations.
+"""Modal representation of SISO LTI systems and their observability-canonical
+realization.
 
 A system is described by its eigenstructure (the distinct characteristic
 roots with multiplicities) together with modal coefficients of the impulse
@@ -16,14 +17,14 @@ slots (x, y) = (Re, Im), which is numpy's complex128 layout; ``Block.cells``
 views them as complex numbers x + iy, on which the pair's rotation-scaling
 acts as multiplication by lambda.
 
-The real Jordan form of the canonical companion realizations is built
-analytically from a confluent Vandermonde basis, once per ``Realization``.
-Every exponential comes from one batched kernel, ``jordan_flow``: the flow
-exp(J alpha) d for a whole array of alphas, with no n x n exponential.  The
-basis and h(t) (one row of the basis times the real mode vector), the mode
-vectors, O, G, the state transitions, the design grid and the third-order
-spiral (the flow of the normalized mode vector) all go through it;
-``checked_flow`` raises DegenerateSamplingError on overflow.
+The one realization the package builds is the observability-canonical
+(companion) form; its real Jordan basis is the confluent Vandermonde matrix,
+built analytically once per ``Realization``.  Every exponential comes from
+one batched kernel, ``jordan_flow``: the flow exp(J alpha) d for a whole
+array of alphas, with no n x n exponential.  The basis, the mode vectors, O,
+G, the state transitions, the design grid and the third-order spiral (the
+flow of the normalized mode vector) all go through it; ``checked_flow``
+raises DegenerateSamplingError on overflow.
 """
 from __future__ import annotations
 
@@ -33,9 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from nusample.errors import DegenerateSamplingError, NonMinimalError, RootFindingError
+from nusample.errors import DegenerateSamplingError, RootFindingError
 
-CLUSTER_TOL = 1e-7        # relative tolerance for merging numerically equal roots
+CLUSTER_TOL = 1e-7        # relative distance below which two roots count as one
 MINIMALITY_TOL = 1e-9     # relative tolerance on the last modal coefficient of a block
 B_CONDITION_WARN = 1e12   # condition number above which real_jordan attaches a warning
 
@@ -81,18 +82,6 @@ class Block:
         complex numbers x + iy for a pair."""
         cells = v[..., self.offset:self.offset + self.size]
         return cells if self.kind == "real" else cells.view(complex)
-
-    def put_operator(self, T: np.ndarray, Z: np.ndarray) -> None:
-        """Write into T the real form of the m x m complex matrix Z acting on
-        this block's cells.  For a pair, w z = (x Re w - y Im w) +
-        i (x Im w + y Re w), so the x row of a cell holds conj(w) read as a
-        cell and the y row holds i conj(w)."""
-        rows = T[self.offset:self.offset + self.size]
-        if self.kind == "real":
-            self.cells(rows)[:] = Z.real
-        else:
-            x = np.conjugate(Z, out=self.cells(rows[0::2]))
-            np.multiply(1j, x, out=self.cells(rows[1::2]))
 
 
 def _conjugate_partner(roots, idx, used):
@@ -185,7 +174,8 @@ class EigenStructure:
     def _swap_reversal(self) -> np.ndarray:
         """Read-only symmetric permutation S with S J' S = J: it reverses each
         block's cells and maps a pair cell z to i conj(z), swapping x and y;
-        that map is not complex-linear, so S is not built as an operator."""
+        that map is not complex-linear, so S is not the real form of a
+        complex matrix."""
         eye = np.eye(self.n)
         S = np.zeros((self.n, self.n))
         for blk in self.blocks:
@@ -270,96 +260,7 @@ def system_from_markov(roots, markov) -> SystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# polynomial <-> roots
-
-def roots_from_coefficients(a) -> EigenStructure:
-    """Roots (with multiplicities) of s^n + a_1 s^{n-1} + ... + a_n.
-
-    Numerically close roots are merged into a multiple root at the cluster
-    mean; conjugate symmetry of the merged set is enforced afterwards, and
-    clusters it brings together are merged once more.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError("need at least one coefficient (system order >= 1)")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("coefficients must be finite")
-    raw = np.roots(np.concatenate(([1.0], a)))
-    poly = np.concatenate(([1.0], a))
-    # sanity: the returned values must actually be zeros of the polynomial
-    scale = max(1.0, float(np.max(np.abs(poly))))
-    for z in raw:
-        if abs(np.polyval(poly, z)) > 1e-6 * scale * max(1.0, abs(z)) ** a.size:
-            raise RootFindingError(f"np.roots returned a non-root {z}")
-
-    clusters = _cluster_roots(list(raw))
-    clusters = _merge_coincident(_symmetrize_conjugates(clusters))
-    return eigenstructure(clusters)
-
-
-def _cluster_roots(values):
-    clusters = []
-    remaining = list(values)
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            center = np.mean(members)
-            tol = CLUSTER_TOL * (1.0 + abs(center))
-            for z in list(remaining):
-                if abs(z - center) <= tol:
-                    members.append(z)
-                    remaining.remove(z)
-                    changed = True
-        clusters.append((complex(np.mean(members)), len(members)))
-    return clusters
-
-
-def _symmetrize_conjugates(clusters):
-    out = []
-    pending = list(clusters)
-    while pending:
-        val, mult = pending.pop(0)
-        tol = CLUSTER_TOL * (1.0 + abs(val))
-        if abs(val.imag) <= tol:
-            out.append((complex(val.real), mult))
-            continue
-        partner = None
-        for j, (v2, m2) in enumerate(pending):
-            if m2 == mult and abs(v2 - val.conjugate()) <= 2 * tol:
-                partner = j
-                break
-        if partner is None:
-            raise RootFindingError(f"no conjugate partner found for root {val}")
-        v2, _ = pending.pop(partner)
-        mean = 0.5 * (val + v2.conjugate())
-        if mean.imag < 0:
-            mean = mean.conjugate()
-        out.append((mean, mult))
-        out.append((mean.conjugate(), mult))
-    return out
-
-
-def _merge_coincident(clusters):
-    """Merge clusters of the same kind (real or complex) that lie within the
-    clustering tolerance of each other, summing their multiplicities.
-
-    np.roots can scatter a multiple real root into a conjugate pair and a
-    real point, each farther apart than the tolerance; symmetrization then
-    turns the pair into two equal real roots, which must become one."""
-    merged = []
-    for val, mult in clusters:
-        for i, (v2, m2) in enumerate(merged):
-            same_kind = (val.imag == 0) == (v2.imag == 0)
-            if same_kind and abs(val - v2) <= CLUSTER_TOL * (1.0 + max(abs(val), abs(v2))):
-                merged[i] = ((v2 * m2 + val * mult) / (m2 + mult), m2 + mult)
-                break
-        else:
-            merged.append((val, mult))
-    return merged
-
+# characteristic polynomial
 
 def coefficients_from_roots(es: EigenStructure) -> np.ndarray:
     """Monic characteristic polynomial coefficients (a_1 ... a_n)."""
@@ -414,14 +315,6 @@ def wronskian_at_zero(es: EigenStructure) -> np.ndarray:
     return _confluent(es, math.perm, False)
 
 
-def impulse_response(spec: SystemSpec, t: float) -> float:
-    """h(t) = sum C_i t^k e^{lambda t}, one row of the real basis times the
-    real mode vector."""
-    if t < 0:
-        raise ValueError("impulse response is defined for t >= 0")
-    return float(evaluate_fundamental_basis(spec.eigen, t) @ spec.real_mode_vector)
-
-
 def markov_from_modes(spec: SystemSpec) -> np.ndarray:
     """First n Markov parameters h_{i+1} = d^i h / dt^i at 0."""
     return wronskian_at_zero(spec.eigen) @ spec.real_mode_vector
@@ -447,15 +340,14 @@ def modes_from_markov(es: EigenStructure, h) -> tuple[complex, ...]:
 
 
 # ---------------------------------------------------------------------------
-# canonical realizations
+# the observability-canonical realization
 
 @dataclass(frozen=True, eq=False)
 class Realization:
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    tag: str  # "observability-canonical" | "controllability-canonical" | "general"
-    spec: SystemSpec | None = None
+    spec: SystemSpec
 
     def __post_init__(self):
         for name in ("A", "b", "c"):
@@ -470,8 +362,6 @@ class Realization:
     @cached_property
     def jordan(self) -> RealJordanForm:
         """Real Jordan form of this realization, built on first use."""
-        if self.spec is None:
-            raise ValueError("realization must carry its system spec")
         return real_jordan(self.spec, self)
 
 
@@ -485,29 +375,11 @@ def observability_canonical(spec: SystemSpec) -> Realization:
     b = markov_from_modes(spec)
     c = np.zeros(n)
     c[0] = 1.0
-    return Realization(A, b, c, "observability-canonical", spec)
-
-
-def controllability_canonical(spec: SystemSpec) -> Realization:
-    ob = observability_canonical(spec)
-    return Realization(ob.A.T, ob.c.copy(), ob.b.copy(), "controllability-canonical", spec)
+    return Realization(A, b, c, spec)
 
 
 # ---------------------------------------------------------------------------
 # real Jordan form
-
-def build_jordan_matrix(es: EigenStructure) -> np.ndarray:
-    """The real Jordan matrix J, block-diagonal in the order of ``es.blocks``:
-    each block is the real form of lambda I + N on its cells."""
-    J = np.zeros((es.n, es.n))
-    for blk in es.blocks:
-        m = blk.multiplicity
-        Z = np.zeros((m, m), dtype=type(blk.value))
-        Z.flat[::m + 1] = blk.value  # the diagonal
-        Z.flat[1::m + 1] = 1.0       # the superdiagonal
-        blk.put_operator(J, Z)
-    return J
-
 
 def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
     """exp(J alpha) d for every alpha of an array of any shape.
@@ -557,36 +429,9 @@ def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
     return _confluent(es, math.comb, True)
 
 
-def _commuting_normalizer(es: EigenStructure, d: np.ndarray) -> np.ndarray:
-    """Upper (cell-)Toeplitz K commuting with J such that K d = S V' b_co,
-    i.e. the Jordan basis of the controllability form is normalized to
-    B^{-1} b_co = d.  Requires minimality (last block coefficients nonzero)."""
-    n = es.n
-    K = np.zeros((n, n))
-    for blk in es.blocks:
-        m = blk.multiplicity
-        delta = [complex(z) for z in blk.cells(d)]
-        if abs(delta[-1]) == 0.0:
-            raise NonMinimalError(f"block at offset {blk.offset} has zero "
-                                  "highest-order coefficient")
-        target = 1.0 + 0j if blk.kind == "real" else 1j
-        Z = np.zeros((m, m), dtype=complex)
-        c = [0j] * m
-        for off in range(m):
-            i = m - 1 - off
-            acc = sum(c[k] * delta[i + k] for k in range(off))
-            rhs = (target if i == m - 1 else 0j) - acc
-            c[off] = rhs / delta[-1]
-            for p in range(m - off):
-                Z[p, p + off] = c[off]
-        blk.put_operator(K, Z)
-    return K
-
-
 @dataclass(frozen=True, eq=False)
 class RealJordanForm:
     es: EigenStructure
-    J: np.ndarray
     B: np.ndarray
     B_inv: np.ndarray
     y0: np.ndarray
@@ -595,30 +440,18 @@ class RealJordanForm:
 
 
 def real_jordan(spec: SystemSpec, real: Realization) -> RealJordanForm:
-    """Real Jordan form of a canonical realization, with B built analytically
-    from the eigenstructure (never by numerical eigendecomposition of A)."""
+    """Real Jordan form of the observability-canonical realization ``real``:
+    B is the confluent Vandermonde basis, built analytically from the
+    eigenstructure (never by numerical eigendecomposition of A)."""
     es = spec.eigen
-    J = build_jordan_matrix(es)
-    V = confluent_vandermonde_real(es)
-    if real.tag == "observability-canonical":
-        B = V
-    elif real.tag == "controllability-canonical":
-        report = check_minimality(spec)
-        if not report.minimal:
-            raise NonMinimalError("controllability-form Jordan basis needs a minimal "
-                                  f"system; offending blocks {report.offending_blocks}")
-        B0 = np.linalg.solve(V.T, es._swap_reversal)
-        K = _commuting_normalizer(es, spec.real_mode_vector)
-        B = B0 @ K
-    else:
-        raise ValueError("real_jordan supports the two canonical forms only")
+    B = confluent_vandermonde_real(es)
     B_inv = np.linalg.inv(B)
     y0 = B_inv @ real.b
     cond = float(np.linalg.cond(B))
     warning = None
     if not np.isfinite(cond) or cond > B_CONDITION_WARN:
         warning = f"ill-conditioned change of basis (cond = {cond:.3e})"
-    return RealJordanForm(es, J, B, B_inv, y0, cond, warning)
+    return RealJordanForm(es, B, B_inv, y0, cond, warning)
 
 
 # ---------------------------------------------------------------------------

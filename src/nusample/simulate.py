@@ -4,11 +4,12 @@ Deadbeat impulse plans drive an initial state to the origin in n steps;
 initial states are reconstructed from n output samples.  An impulse u_i
 applied at t_i produces the instantaneous state jump b * u_i at t_i+, and
 the state flows freely by exp(A dt) = B exp(J dt) B^{-1} between instants;
-all propagation is the Jordan-flow kernel in the frame of the realization's
-Jordan form, which each realization builds once.  The controllability and
-observability matrices the solves use are the ``analysis.bruteforce_*``
-builders; a reconstruction takes k output vectors as one (n, k) array and
-solves them against a single observability matrix.
+all propagation is the Jordan-flow kernel in the frame of the
+observability-canonical realization's Jordan form, built once per
+realization.  The controllability and observability matrices the solves use
+are the ``analysis.bruteforce_*`` builders; a reconstruction takes k output
+vectors as one (n, k) array and solves them against a single observability
+matrix.
 """
 from __future__ import annotations
 
@@ -120,13 +121,3 @@ def reconstruct_initial_state(real: Realization, outputs,
     O = bruteforce_observability_matrix(real, av)
     return solve_checked(O, outputs, "observability matrix [c exp(A alpha_m)]")
 
-
-def export_trajectory_csv(traj: Trajectory, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        n = traj.checkpoints[0].state.size
-        w.writerow(["time", *[f"x{i}" for i in range(n)], "side"])
-        for cp in traj.checkpoints:
-            w.writerow([f"{cp.time:.12g}", *[f"{v:.12g}" for v in cp.state], cp.side])

@@ -1,14 +1,24 @@
 """Per-alpha matrix exponentials, a block-by-block Jordan matrix, the
-math.exp spiral, the separate confluent loops and slot-by-slot builders of
-the real-basis layout: the independent routes the tests compare the runtime
+math.exp spiral, the per-root impulse response, the separate confluent loops,
+slot-by-slot builders of the real-basis layout and the controllability-
+canonical realization: the independent routes the tests compare the runtime
 against.  The runtime never calls these."""
+import cmath
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from nusample.errors import NonMinimalError
-from nusample.lti import EigenStructure, SystemSpec, _overflow
+from nusample.lti import (
+    EigenStructure,
+    RealJordanForm,
+    Realization,
+    SystemSpec,
+    _overflow,
+    observability_canonical,
+)
 
 
 def jordan_matrix(es: EigenStructure) -> np.ndarray:
@@ -228,3 +238,41 @@ def commuting_normalizer(es: EigenStructure, d: np.ndarray) -> np.ndarray:
                     K[blk.offset + 2 * p:blk.offset + 2 * p + 2,
                       blk.offset + 2 * (p + off):blk.offset + 2 * (p + off) + 2] = cell
     return K
+
+
+def impulse_response(spec: SystemSpec, t: float) -> float:
+    """h(t) = sum over roots of C t^k e^{lambda t}, term by term."""
+    es, c = spec.eigen, spec.coeffs
+    return sum(ck * t ** k * cmath.exp(rt.value * t)
+               for rt, sl in zip(es.roots, es.root_slices)
+               for k, ck in enumerate(c[sl])).real
+
+
+# ---------------------------------------------------------------------------
+# the controllability-canonical realization (A', c, b) of the observability form
+
+def controllability_jordan(spec: SystemSpec) -> RealJordanForm:
+    """Real Jordan form of the controllability-canonical realization: the
+    basis B = solve(V', S) K, with K normalizing B^{-1} b_co to the real
+    mode vector.  Needs a minimal system."""
+    es = spec.eigen
+    B0 = np.linalg.solve(confluent_vandermonde_real(es).T, swap_reversal_permutation(es))
+    B = B0 @ commuting_normalizer(es, real_mode_vector(spec))
+    B_inv = np.linalg.inv(B)
+    b_co = np.zeros(es.n)
+    b_co[0] = 1.0
+    return RealJordanForm(es, B, B_inv, B_inv @ b_co, float(np.linalg.cond(B)))
+
+
+class ControllabilityForm(Realization):
+    """A realization whose Jordan form is ``controllability_jordan``; the
+    runtime's ``real_jordan`` knows the observability form only."""
+
+    @cached_property
+    def jordan(self) -> RealJordanForm:
+        return controllability_jordan(self.spec)
+
+
+def controllability_canonical(spec: SystemSpec) -> ControllabilityForm:
+    ob = observability_canonical(spec)
+    return ControllabilityForm(ob.A.T, ob.c.copy(), ob.b.copy(), spec)

@@ -1,6 +1,7 @@
 """CLI inputs at the edges: overflowing design searches, spirals and
-exponential modes, the design's minimum spacing, zero counts, and the parser
-shared by successive main() calls."""
+exponential modes, the design's minimum spacing, zero counts, negative seeds
+and branch bounds, non-finite floats, and the parser shared by successive
+main() calls."""
 import contextlib
 import io
 import json
@@ -337,3 +338,58 @@ def test_generic_design_intervals_respect_dmin(capsys):
     instants = [float(t) for t in line.split(" = ")[1].split()]
     assert len(instants) == 3
     assert min(b - a for a, b in zip(instants, instants[1:])) >= 1.0
+
+
+THIRD = ["--system", str(DATA / "third_order.json")]
+THIRD_SEQ = [*THIRD, "--instants", str(DATA / "third_sequence.json")]
+
+
+def test_geometric_design_negative_branch_bound_is_an_error(capsys):
+    code, out, err = run(capsys, "design", *THIRD, "--t0", "0", "--method", "geometric",
+                         "--m-max", "-1")
+    assert (code, out, err) == (1, "", "error: branch bound m_max must be nonnegative\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", *THIRD_SEQ, "--seed", "-1"],
+    ["sweep", *THIRD, "--from", "0.2", "--to", "1.0", "--points", "3", "--seed", "-1"],
+])
+def test_negative_seed_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: seed must be nonnegative\n")
+
+
+def _sweep(start="0.2", stop="1.0"):
+    return ["sweep", *THIRD, "--from", start, "--to", stop, "--points", "3", "--trials", "3"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["analyze", *THIRD_SEQ, "--tol", "inf"], None),
+    (["analyze", *THIRD_SEQ, "--tol", "nan"], None),
+    ([*_sweep(), "--tol", "inf"], None),
+    (["analyze", *THIRD_SEQ], "inf"),
+    (["analyze", *THIRD_SEQ], "nan"),
+    (_sweep(), "-inf"),
+    ([*_sweep(), "--noise", "inf"], None),
+    (_sweep(stop="inf"), None),
+    (_sweep(start="nan"), None),
+    (["design", *THIRD, "--t0", "0", "--method", "generic", "--dmax", "inf"], None),
+    (["design", *THIRD, "--t0", "nan"], None),
+    # a flag outranks NUSAMPLE_TOL, whatever the variable holds
+    (["analyze", *THIRD_SEQ, "--tol", "nan"], "1e-9"),
+])
+def test_non_finite_float_is_an_input_error(capsys, monkeypatch, argv, env):
+    if env is None:
+        monkeypatch.delenv("NUSAMPLE_TOL", raising=False)
+    else:
+        monkeypatch.setenv("NUSAMPLE_TOL", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "error: " in err and "finite" in err
+    assert "Traceback" not in err and "Warning" not in err and "overflow" not in err
+
+
+def test_finite_tolerance_flag_outranks_a_non_finite_environment(capsys, monkeypatch):
+    monkeypatch.setenv("NUSAMPLE_TOL", "inf")
+    code, out, _ = run(capsys, "analyze", *THIRD_SEQ, "--tol", "1e-9")
+    assert code == 0 and "admissible = yes" in out

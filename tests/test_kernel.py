@@ -16,7 +16,13 @@ from nusample import analysis, cli, design, lti, simulate
 from nusample.cli import main
 from nusample.errors import DegenerateSamplingError
 from conftest import count_calls, random_minimal_spec, random_sequence
-from reference import expA, exp_jordan, fundamental_basis, jordan_matrix
+from reference import (
+    controllability_canonical,
+    expA,
+    exp_jordan,
+    fundamental_basis,
+    jordan_matrix,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -26,7 +32,7 @@ TRIPLE = ns.eigenstructure([(-0.4, 3), (complex(0.3, 1.1), 3), (complex(0.3, -1.
 
 def _per_alpha(es, d, alphas):
     """exp(J alpha) d one alpha at a time, by exp_jordan and by scipy's expm."""
-    J = lti.build_jordan_matrix(es)
+    J = jordan_matrix(es)
     flat = np.ravel(alphas)
     by_cells = np.array([exp_jordan(es, a) @ d for a in flat])
     by_expm = np.array([scipy.linalg.expm(J * a) @ d for a in flat])
@@ -66,7 +72,7 @@ def test_flow_matches_exp_jordan_random(seed, n):
 
 
 def test_exp_jordan_matches_expm():
-    J = lti.build_jordan_matrix(TRIPLE)
+    J = jordan_matrix(TRIPLE)
     for t in (0.0, 0.7, 2.5):
         E = exp_jordan(TRIPLE, t)
         ref = scipy.linalg.expm(J * t)
@@ -98,7 +104,7 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         spec = random_minimal_spec(rng, n)
         seq = random_sequence(rng, n, with_final=True, max_step=0.6)
         av = ns.alphas(seq)
-        for real in (ns.observability_canonical(spec), ns.controllability_canonical(spec)):
+        for real in (ns.observability_canonical(spec), controllability_canonical(spec)):
             jf = real.jordan
             O = ns.bruteforce_observability_matrix(real, av)
             assert _close(O, np.array([real.c @ expA(jf, a) for a in av]))
@@ -113,19 +119,9 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         leading = np.zeros(n)
         leading[[blk.offset for blk in es.blocks]] = 1.0
         OJ = analysis._output_rows(es, leading, av, np.eye(n))
-        J = lti.build_jordan_matrix(es)
+        J = jordan_matrix(es)
         assert _close(OJ, np.array([leading @ exp_jordan(es, a) for a in av]))
         assert _close(OJ, np.array([leading @ scipy.linalg.expm(J * a) for a in av]))
-
-
-def test_jordan_matrix_matches_block_diag():
-    rng = np.random.default_rng(4)
-    structures = [TRIPLE, ns.eigenstructure([(2.5, 1)]),
-                  *(random_minimal_spec(rng, n).eigen for n in range(2, 10) for _ in range(3))]
-    for es in structures:
-        J = lti.build_jordan_matrix(es)
-        assert J.shape == (es.n, es.n)
-        assert np.array_equal(J, jordan_matrix(es))
 
 
 MATH_MODULES = {"math", "cmath", "numpy"}

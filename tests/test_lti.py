@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import math
 
@@ -11,40 +12,11 @@ from nusample import lti
 from nusample.errors import NonMinimalError
 from conftest import random_minimal_spec
 import reference
-from reference import expA, exp_jordan
+from reference import controllability_canonical, controllability_jordan, expA, exp_jordan
 
 
 # ---------------------------------------------------------------------------
-# roots <-> coefficients
-
-def test_roots_of_s_squared_plus_one():
-    es = ns.roots_from_coefficients([0.0, 1.0])
-    vals = sorted((rt.value for rt in es.roots), key=lambda z: z.imag)
-    assert vals[0] == pytest.approx(-1j, abs=1e-12)
-    assert vals[1] == pytest.approx(1j, abs=1e-12)
-    assert all(rt.multiplicity == 1 for rt in es.roots)
-
-
-def test_roots_perfect_square():
-    es = ns.roots_from_coefficients([-2.0, 1.0])
-    assert es.r == 1
-    assert es.roots[0].multiplicity == 2
-    assert es.roots[0].value == pytest.approx(1.0, abs=1e-7)
-
-
-def test_roots_of_s_squared_plus_s():
-    # factor s(s+1) by hand; oracle: the polynomial vanishes at the roots
-    es = ns.roots_from_coefficients([1.0, 0.0])
-    vals = sorted(rt.value.real for rt in es.roots)
-    assert vals == pytest.approx([-1.0, 0.0], abs=1e-10)
-    for rt in es.roots:
-        assert abs(np.polyval([1.0, 1.0, 0.0], rt.value)) < 1e-10
-
-
-def test_roots_rejects_empty():
-    with pytest.raises(ValueError):
-        ns.roots_from_coefficients([])
-
+# characteristic polynomial
 
 def test_coefficients_from_roots_trivials():
     assert ns.coefficients_from_roots(ns.eigenstructure([(0, 1), (-1, 1)])) \
@@ -79,17 +51,18 @@ def test_basis_double_root():
 
 def test_impulse_response_scalar_exponential():
     spec = ns.system_from_modes([(-1, 1)], [1.0])
-    assert ns.impulse_response(spec, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+    assert reference.impulse_response(spec, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
 
 def test_impulse_response_sine():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    assert ns.impulse_response(spec, math.pi / 2) == pytest.approx(1.0, rel=1e-12)
+    assert reference.impulse_response(spec, math.pi / 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_impulse_response_matches_per_root_sum():
-    # h(t) = sum over roots of C t^k e^{lambda t}, term by term; h can cancel
-    # to near zero, so the error is relative to the sum of the terms' sizes
+    # h(t) = sum over roots of C t^k e^{lambda t}, term by term, against one
+    # row of the real basis times the real mode vector; h can cancel to near
+    # zero, so the error is relative to the sum of the terms' sizes
     rng = np.random.default_rng(21)
     for n in range(1, 10):
         spec = random_minimal_spec(rng, n)
@@ -100,7 +73,8 @@ def test_impulse_response_matches_per_root_sum():
                      for k, ck in enumerate(c[sl])]
             scale = sum(abs(z) for z in terms)
             assert abs(sum(terms).imag) <= 1e-12 * scale
-            assert abs(ns.impulse_response(spec, t) - sum(terms).real) <= 1e-12 * scale
+            h = ns.evaluate_fundamental_basis(es, t) @ spec.real_mode_vector
+            assert abs(h - sum(terms).real) <= 1e-12 * scale
 
 
 def test_impulse_at_zero_is_first_markov_parameter():
@@ -108,7 +82,7 @@ def test_impulse_at_zero_is_first_markov_parameter():
     for n in (1, 2, 3, 4):
         spec = random_minimal_spec(rng, n)
         h = ns.markov_from_modes(spec)
-        assert ns.impulse_response(spec, 0.0) == pytest.approx(h[0], abs=1e-12)
+        assert reference.impulse_response(spec, 0.0) == pytest.approx(h[0], abs=1e-12)
 
 
 def test_markov_examples():
@@ -131,7 +105,7 @@ def test_modes_from_markov_trivials():
     es = ns.eigenstructure([(1j, 1), (-1j, 1)])
     mc = ns.modes_from_markov(es, [0.0, 1.0])
     spec = ns.SystemSpec(es, mc)
-    assert ns.impulse_response(spec, 0.7) == pytest.approx(math.sin(0.7), rel=1e-12)
+    assert reference.impulse_response(spec, 0.7) == pytest.approx(math.sin(0.7), rel=1e-12)
 
 
 def _same_bits(a, b):
@@ -167,8 +141,7 @@ def _layout_specs():
 
 
 def test_layout_builders_match_slot_loops():
-    # the cell views must keep the bits of the former slot-index loops;
-    # J and K may differ only in the sign of a structural zero
+    # the cell views must keep the bits of the former slot-index loops
     for spec in _layout_specs():
         es = spec.eigen
         assert _same_bits(spec.real_mode_vector, reference.real_mode_vector(spec))
@@ -182,23 +155,23 @@ def test_layout_builders_match_slot_loops():
         h = ns.markov_from_modes(spec)
         assert _same_bits(np.array(lti.modes_from_markov(es, h)),
                           np.array(reference.modes_from_markov(es, h)))
-        assert np.array_equal(lti.build_jordan_matrix(es), reference.jordan_matrix(es))
-        K = lti._commuting_normalizer(es, spec.real_mode_vector)
-        assert np.array_equal(K, reference.commuting_normalizer(es, spec.real_mode_vector))
 
 
 def test_block_cells_view_the_slots_and_operators_act_on_them():
+    # the real Jordan matrix acts on a block's cells as lambda I plus the
+    # shift to the next cell: a pair's rotation-scaling is multiplication
+    # by lambda on the cells read as complex numbers
     rng = np.random.default_rng(29)
     es = ns.eigenstructure([(-1, 2), (0.5 + 2j, 3), (0.5 - 2j, 3)])
     v = rng.standard_normal((4, es.n))
+    Jv = v @ reference.jordan_matrix(es).T
     for blk in es.blocks:
         m = blk.multiplicity
         cells = blk.cells(v)
         assert cells.shape == (4, m) and np.shares_memory(cells, v)
-        Z = rng.standard_normal((m, m)) + (blk.kind == "pair") * 1j * rng.standard_normal((m, m))
-        T = np.zeros((es.n, es.n))
-        blk.put_operator(T, Z)
-        assert np.allclose(blk.cells(v @ T.T), cells @ Z.T, rtol=1e-14, atol=1e-14)
+        expected = blk.value * cells
+        expected[:, :m - 1] += cells[:, 1:]
+        assert np.allclose(blk.cells(Jv), expected, rtol=1e-14, atol=1e-14)
     _, pair = es.blocks
     assert np.array_equal(pair.cells(v)[:, 1], v[:, 4] + 1j * v[:, 5])
 
@@ -225,7 +198,7 @@ def test_layout_constants_are_built_once_and_read_only(monkeypatch):
     av = ns.alphas(ns.SamplingSequence((0.0, 0.3, 0.9, 1.4, 2.2)))
     ns.fundamental_matrix(spec.eigen, av)
     ns.fundamental_matrix(spec.eigen, av)
-    real = ns.controllability_canonical(spec)
+    real = ns.observability_canonical(spec)
     ns.bruteforce_observability_matrix(real, av)
     ns.bruteforce_observability_matrix(real, av)
     assert (len(seeds), len(swaps)) == (1, 1)
@@ -291,7 +264,7 @@ def test_c_ob_is_leading_indicator():
 def test_controllability_canonical_transposes():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
     ob = ns.observability_canonical(spec)
-    co = ns.controllability_canonical(spec)
+    co = controllability_canonical(spec)
     assert np.allclose(co.A, [[0, -1], [1, 0]], atol=1e-12)
     assert co.b == pytest.approx([1, 0])
     assert co.c == pytest.approx([0, 1])
@@ -305,16 +278,20 @@ def test_controllability_canonical_transposes():
 
 def test_jordan_rotation_block():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    co = ns.controllability_canonical(spec)
-    jf = ns.real_jordan(spec, co)
-    assert np.allclose(jf.J, [[0, -1], [1, 0]], atol=1e-12)
+    co = controllability_canonical(spec)
+    jf = co.jordan
+    J = reference.jordan_matrix(spec.eigen)
+    assert np.allclose(J, [[0, -1], [1, 0]], atol=1e-12)
+    assert np.allclose(jf.B @ J @ jf.B_inv, co.A, atol=1e-12)
 
 
 def test_jordan_distinct_real_roots():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 1.0])
     ob = ns.observability_canonical(spec)
     jf = ns.real_jordan(spec, ob)
-    assert np.allclose(jf.J, np.diag([0.0, -1.0]), atol=1e-12)
+    J = reference.jordan_matrix(spec.eigen)
+    assert np.allclose(J, np.diag([0.0, -1.0]), atol=1e-12)
+    assert np.allclose(jf.B @ J @ jf.B_inv, ob.A, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -322,11 +299,11 @@ def test_jordan_reconstructs_A(n):
     rng = np.random.default_rng(100 + n)
     for _ in range(5):
         spec = random_minimal_spec(rng, n)
-        for real in (ns.observability_canonical(spec),
-                     ns.controllability_canonical(spec)):
-            jf = ns.real_jordan(spec, real)
+        J = reference.jordan_matrix(spec.eigen)
+        for real in (ns.observability_canonical(spec), controllability_canonical(spec)):
+            jf = real.jordan
             scale = max(1.0, np.max(np.abs(real.A)))
-            assert np.max(np.abs(jf.B @ jf.J @ jf.B_inv - real.A)) < 1e-10 * scale
+            assert np.max(np.abs(jf.B @ J @ jf.B_inv - real.A)) < 1e-10 * scale
             assert np.allclose(exp_jordan(jf.es, 0.0), np.eye(n), atol=1e-12)
 
 
@@ -335,8 +312,7 @@ def test_jordan_controllability_normalization():
     rng = np.random.default_rng(42)
     for n in (2, 3, 4, 5):
         spec = random_minimal_spec(rng, n)
-        co = ns.controllability_canonical(spec)
-        jf = ns.real_jordan(spec, co)
+        jf = controllability_jordan(spec)
         assert jf.y0 == pytest.approx(spec.real_mode_vector, rel=1e-8, abs=1e-10)
 
 
@@ -353,28 +329,18 @@ def test_jordan_observability_row():
         assert row == pytest.approx(expected, abs=1e-12)
 
 
-def test_jordan_rejects_general_realization():
-    spec = ns.system_from_markov([(-1, 1)], [1.0])
-    real = ns.Realization(np.array([[-1.0]]), np.array([1.0]), np.array([1.0]),
-                          "general", spec)
-    with pytest.raises(ValueError):
-        ns.real_jordan(spec, real)
-
-
 def test_jordan_controllability_needs_minimality():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 0.0])
-    co = ns.controllability_canonical(spec)
     with pytest.raises(NonMinimalError):
-        ns.real_jordan(spec, co)
+        controllability_jordan(spec)
 
 
 def test_expA_matches_scipy_expm():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5):
         spec = random_minimal_spec(rng, n)
-        for real in (ns.observability_canonical(spec),
-                     ns.controllability_canonical(spec)):
-            jf = ns.real_jordan(spec, real)
+        for real in (ns.observability_canonical(spec), controllability_canonical(spec)):
+            jf = real.jordan
             for t in rng.uniform(0.0, 4.0, 3):
                 ref = scipy.linalg.expm(real.A * t)
                 assert np.max(np.abs(expA(jf, t) - ref)) < 1e-8 * max(1.0, np.max(np.abs(ref)))
@@ -398,3 +364,28 @@ def test_minimality_flags_zero_block():
 def test_minimality_multiple_root_highest_coefficient():
     spec = ns.system_from_modes([(-1, 2)], [5.0, 0.0])
     assert not ns.check_minimality(spec).minimal
+
+
+# ---------------------------------------------------------------------------
+# the trimmed API
+
+@pytest.mark.parametrize("owner, name", [
+    (ns, "roots_from_coefficients"),
+    (lti, "roots_from_coefficients"),
+    (ns, "controllability_canonical"),
+    (lti, "controllability_canonical"),
+    (ns, "impulse_response"),
+    (lti, "impulse_response"),
+    (lti, "build_jordan_matrix"),
+    (ns.simulate, "export_trajectory_csv"),
+    (lti.Block, "put_operator"),
+    (ns.SamplingSequence, "shifted"),
+    (ns.Realization, "tag"),
+    (ns.RealJordanForm, "J"),
+])
+def test_removed_api_is_gone(owner, name):
+    # the package builds one realization and the CLI reaches no root finder,
+    # Jordan-matrix builder or trajectory export
+    assert not hasattr(owner, name)
+    if dataclasses.is_dataclass(owner):
+        assert name not in {f.name for f in dataclasses.fields(owner)}

@@ -5,8 +5,8 @@ import pytest
 
 import nusample as ns
 from nusample.errors import RankDeficientError
-from nusample.simulate import export_trajectory_csv
 from conftest import random_admissible_case, random_minimal_spec
+from reference import impulse_response
 
 
 def _oscillator():
@@ -114,7 +114,7 @@ def test_impulse_from_rest_reproduces_impulse_response():
         x_post = traj.final_state
         for t in (0.3, 1.1, 2.4):
             y = real.c @ ns.state_transition(real, x_post, t)
-            assert y == pytest.approx(ns.impulse_response(spec, t),
+            assert y == pytest.approx(impulse_response(spec, t),
                                       rel=1e-9, abs=1e-12)
 
 
@@ -152,14 +152,3 @@ def test_reconstruction_pathological_raises():
     with pytest.raises(RankDeficientError):
         ns.reconstruct_initial_state(real, [0.0, 0.0], av)
 
-
-def test_trajectory_csv(tmp_path):
-    spec, real = _oscillator()
-    seq = ns.SamplingSequence((0.0, 1.0), final_instant=2.0)
-    plan = ns.ImpulsePlan((0.5, -0.5), seq)
-    traj = ns.simulate_impulse_train(real, np.zeros(2), plan)
-    out = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "time,x0,x1,side"
-    assert len(lines) == 1 + len(traj.checkpoints)
