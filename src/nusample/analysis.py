@@ -68,10 +68,12 @@ def alphas(seq: SamplingSequence) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # fundamental matrix and joint test
 
-def fundamental_matrix(es: EigenStructure, av: tuple[float, ...]) -> np.ndarray:
-    """The n x n basis matrix Phi = [phi_i(alpha_m)], one row per alpha."""
-    if len(av) != es.n:
-        raise ValueError(f"alpha vector has {len(av)} entries, system order is {es.n}")
+def fundamental_matrix(es: EigenStructure, av) -> np.ndarray:
+    """The n x n basis matrix Phi = [phi_i(alpha_m)], one row per alpha; a
+    stack of them, shape (..., n, n), for alpha vectors stacked as (..., n)."""
+    av = np.asarray(av, dtype=float)
+    if av.shape[-1] != es.n:
+        raise ValueError(f"alpha vector has {av.shape[-1]} entries, system order is {es.n}")
     return evaluate_fundamental_basis(es, av)
 
 
@@ -116,29 +118,40 @@ def joint_test(M: np.ndarray,
     The admissibility threshold is Hadamard-scaled: |det| must exceed
     tol_factor times the product of the row norms.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = float(np.linalg.det(M))
-        threshold = tol_factor * float(np.prod(_norms(M, axis=1)))
-    if not (math.isfinite(det) and math.isfinite(threshold)):
-        raise DegenerateSamplingError(
-            "the determinant of the basis matrix or its threshold overflows a "
-            f"float (largest |entry| = {np.max(np.abs(M)):.6g}); shorten the "
-            "sampling intervals")
-    svals = np.linalg.svd(M, compute_uv=False)
-    smin, smax = float(svals[-1]), float(svals[0])
-    cond = math.inf if smin == 0.0 else smax / smin
-    return AnalysisReport(det, abs(det) > threshold, smin, cond, threshold)
+    det, threshold, smin, cond = joint_arrays(M, tol_factor)
+    return AnalysisReport(float(det), bool(abs(det) > threshold), float(smin), float(cond),
+                          float(threshold))
+
+
+def joint_arrays(M: np.ndarray, tol_factor: float):
+    """(det, Hadamard threshold, sigma_min, condition number) of each n x n
+    matrix of the stack M, shape (..., n, n), as arrays of shape (...);
+    raises DegenerateSamplingError for the first matrix whose determinant or
+    threshold overflows a float."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = np.linalg.det(M)
+        threshold = tol_factor * np.prod(_norms(M, axis=-1), axis=-1)
+        finite = np.isfinite(det) & np.isfinite(threshold)
+        if not finite.all():
+            raise DegenerateSamplingError(
+                "the determinant of the basis matrix or its threshold overflows a "
+                f"float (largest |entry| = {np.max(np.abs(M[~finite][0])):.6g}); "
+                "shorten the sampling intervals")
+        svals = np.linalg.svd(M, compute_uv=False)
+        smin, smax = svals[..., -1], svals[..., 0]
+        return det, threshold, smin, np.where(smin == 0.0, math.inf, smax / smin)
 
 
 # ---------------------------------------------------------------------------
 # degree of orthogonality
 
-def sampled_mode_vectors(spec: SystemSpec, av: tuple[float, ...]) -> np.ndarray:
+def sampled_mode_vectors(spec: SystemSpec, av) -> np.ndarray:
     """Columns Y_i = exp(J alpha_i) y0 in the real Jordan frame, where y0 is
-    the real-basis modal coefficient vector.  An overflowing mode gives inf
-    or nan entries, which ``degree_metrics_from_vectors`` rejects."""
+    the real-basis modal coefficient vector; a stack of such matrices for
+    alpha vectors stacked as (..., n).  An overflowing mode gives inf or nan
+    entries, which ``unit_gram`` rejects."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return jordan_flow(spec.eigen, spec.real_mode_vector, av).T
+        return np.swapaxes(jordan_flow(spec.eigen, spec.real_mode_vector, av), -1, -2)
 
 
 def _pow2_scale(M: np.ndarray, axis: int) -> np.ndarray:
@@ -155,21 +168,28 @@ def _norms(M: np.ndarray, axis: int) -> np.ndarray:
     return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
 
 
-def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
-    """Degree metrics of the columns of Y, each normalized in one pass: divided
-    by its power-of-two scale, then by the norm of the scaled column.  A
-    column whose largest |entry| is below the smallest normal float carries
-    too few bits for any metric, so it is rejected like a zero one."""
+def unit_gram(Y: np.ndarray):
+    """(Yn, G, det G clipped to [0, 1]) for each matrix of the stack Y, shape
+    (..., n, k): its columns each normalized in one pass (divided by their
+    power-of-two scale, then by the norm of the scaled column) and their
+    Gram matrix.  A column whose largest |entry| is below the smallest normal
+    float carries too few bits for any metric, so it is rejected like a zero
+    or overflowing one: DegenerateSamplingError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        Ys = Y / _pow2_scale(Y, axis=0)
-        norms = np.linalg.norm(Ys, axis=0)
-    normal = np.max(np.abs(Y), axis=0) >= np.finfo(float).tiny
+        Ys = Y / _pow2_scale(Y, axis=-2)
+        norms = np.linalg.norm(Ys, axis=-2)
+    normal = np.max(np.abs(Y), axis=-2) >= np.finfo(float).tiny
     if not (np.isfinite(norms).all() and normal.all()):
         raise DegenerateSamplingError("a sampled mode vector overflows a float or "
                                       "vanishes; shorten the sampling intervals")
-    Yn = Ys / norms
-    G = Yn.T @ Yn
-    gram = float(np.clip(np.linalg.det(G), 0.0, 1.0))
+    Yn = Ys / norms[..., None, :]
+    G = np.swapaxes(Yn, -1, -2) @ Yn
+    return Yn, G, np.clip(np.linalg.det(G), 0.0, 1.0)
+
+
+def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
+    """Degree metrics of the columns of Y, normalized by ``unit_gram``."""
+    Yn, G, gram = unit_gram(Y)
     k = Y.shape[1]
     if k < 2:
         min_angle = math.pi / 2  # single vector: orthogonality is vacuous
@@ -178,7 +198,7 @@ def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
                         for i in range(k) for j in range(i + 1, k))
     svals = np.linalg.svd(Yn, compute_uv=False)
     cond = math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-    return DegreeMetrics(gram, min_angle, cond)
+    return DegreeMetrics(float(gram), min_angle, cond)
 
 
 def degree_metrics(spec: SystemSpec, av: tuple[float, ...]) -> DegreeMetrics:

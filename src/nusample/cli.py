@@ -24,6 +24,7 @@ EXIT_ERROR = 1
 EXIT_INADMISSIBLE = 2
 
 RESIDUAL_TOL = 1e-8
+SWEEP_BLOCK_FLOATS = 1 << 15  # floats a sweep holds per block of scales
 
 
 def fmt(x: float) -> str:
@@ -241,19 +242,81 @@ def run_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INADMISSIBLE
 
 
-def _noise_amplification(real, av, eps, trials, rng) -> float:
+def _scales(args, lo: int, hi: int) -> np.ndarray:
+    """np.linspace(args.start, args.stop, args.points)[lo:hi] by linspace's
+    own arithmetic, allocating only that slice."""
+    div = args.points - 1
+    y = np.arange(lo, hi, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = np.subtract(args.stop, args.start)
+        y = (y / div * delta if delta / div == 0 else y * (delta / div)) if div else y * delta
+        y += args.start
+    if div and hi == args.points:
+        y[-1] = args.stop
+    return y
+
+
+def _noise_amplification(O, eps, trials, seeds) -> np.ndarray:
     """Median reconstruction error per unit output noise over ``trials``
-    random initial states, all solved against one observability matrix.
-    Trial t draws its initial state, then its noise / eps, from ``rng``."""
-    z = rng.standard_normal((trials, 2, real.n))
-    x0 = z[:, 0].T  # (n, trials): one initial state per column
+    random initial states for each observability matrix of the stack O, inf
+    where O is numerically singular.  Matrix p draws each trial's initial
+    state, then its noise / eps, from default_rng(seeds[p]).  Noise above 1
+    is divided, with the states, by the power of two 2**e >= eps: the ratio
+    keeps its bits and O x0 + eps z cannot overflow."""
+    n = O.shape[-1]
+    z = np.empty((len(seeds), trials, 2, n))
+    for zp, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=zp)
+    e = math.frexp(eps)[1] if eps > 1 else 0
+    eps = math.ldexp(eps, -e)
+    x0 = np.ldexp(z[:, :, 0], -e).swapaxes(-1, -2)  # one initial state per column
+    deficient = simulate.rank_deficient(O)[0]
+    solvable = ~deficient[:, None, None]  # the others solve I x = x0 exactly
+    noisy = np.where(solvable, O @ x0 + eps * z[:, :, 1].swapaxes(-1, -2), x0)
+    x0_hat = np.linalg.solve(np.where(solvable, O, np.eye(n)), noisy)
+    amp = np.median(np.linalg.norm(x0_hat - x0, axis=-2), axis=-1) / eps
+    return np.where(deficient, math.inf, amp)
+
+
+def _sweep_columns(spec, real, minimal, tol, args, lo: int, hi: int):
+    """The five CSV columns of scales lo..hi-1, each matrix built by one
+    call for all of them; raises the error of a failing scale."""
+    n = spec.n
+    s = _scales(args, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.arange(n) * s[:, None]  # the instants i * s
+    # the instants i * s of a scale s > 0 increase, so only s <= 0 or an
+    # instant that is not finite can fail the checks of SamplingSequence
+    bad = ~((s > 0) & np.isfinite(t).all(axis=-1))
+    if bad.any():
+        if s[bad][0] <= 0:
+            raise InputError("interval scale must stay positive over the sweep")
+        analysis.SamplingSequence(tuple(t[bad][0]), final_instant=n * s[bad][0])  # raises
+    av = t[:, -1:] - t[:, ::-1]  # analysis.alphas, row by row
+    det, _, _, cond = analysis.joint_arrays(analysis.fundamental_matrix(spec.eigen, av), tol)
+    gram = np.full(len(s), math.nan)
+    if minimal:
+        gram = analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
     O = analysis.bruteforce_observability_matrix(real, av)
-    noisy = O @ x0 + eps * z[:, 1].T
+    seeds = [args.seed * 1000003 + idx for idx in range(lo, hi)]
+    return s, det, gram, cond, _noise_amplification(O, args.noise, args.trials, seeds)
+
+
+def _sweep_rows(spec, real, minimal, tol, args, lo: int, hi: int):
+    """The CSV rows of scales lo..hi-1.  A block with a failing scale is
+    halved until that scale stands alone: the rows before it come out, then
+    the error of its first failing stage."""
     try:
-        x0_hat = simulate.solve_checked(O, noisy, "observability matrix")
-    except RankDeficientError:
-        return math.inf
-    return float(np.median(np.linalg.norm(x0_hat - x0, axis=0))) / eps
+        columns = _sweep_columns(spec, real, minimal, tol, args, lo, hi)
+    except NuSampleError:
+        if hi - lo == 1:
+            raise
+        mid = (lo + hi) // 2
+        yield from _sweep_rows(spec, real, minimal, tol, args, lo, mid)
+        yield from _sweep_rows(spec, real, minimal, tol, args, mid, hi)
+        return
+    for row in zip(*columns):
+        yield [fmt(x) for x in row]
 
 
 def run_sweep(args) -> int:
@@ -269,23 +332,12 @@ def run_sweep(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(["scale", "determinant", "gram_det",
                      "condition_number", "noise_amplification"])
-    scales = np.linspace(args.start, args.stop, args.points)
     minimal = check_minimality(spec).minimal
-    for idx, s in enumerate(scales):
-        if s <= 0:
-            raise InputError("interval scale must stay positive over the sweep")
-        seq = analysis.SamplingSequence(tuple(i * s for i in range(spec.n)),
-                                        final_instant=spec.n * s)
-        av = analysis.alphas(seq)
-        report = analysis.joint_test(analysis.fundamental_matrix(spec.eigen, av), tol)
-        gram = math.nan
-        if minimal:
-            Y = analysis.sampled_mode_vectors(spec, av)
-            gram = analysis.degree_metrics_from_vectors(Y).normalized_gram_det
-        rng = np.random.default_rng(args.seed * 1000003 + idx)
-        amp = _noise_amplification(real, av, args.noise, args.trials, rng)
-        writer.writerow([fmt(s), fmt(report.determinant), fmt(gram),
-                         fmt(report.condition_number), fmt(amp)])
+    # a scale holds an n x n matrix and 2n noise draws per trial
+    block = max(1, SWEEP_BLOCK_FLOATS // (spec.n * (spec.n + 2 * args.trials)))
+    for lo in range(0, args.points, block):
+        writer.writerows(_sweep_rows(spec, real, minimal, tol, args, lo,
+                                     min(lo + block, args.points)))
     return EXIT_OK
 
 
@@ -321,6 +373,9 @@ def main(argv=None) -> int:
         return runner(args)
     except NuSampleError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:  # a count too large to allocate
+        print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
         return EXIT_ERROR
 
 

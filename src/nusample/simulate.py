@@ -63,13 +63,23 @@ def state_transition(real: Realization, x, dt) -> np.ndarray:
     return checked_flow(jf.es, jf.B_inv @ np.asarray(x, dtype=float), dt, jf.B.T)
 
 
+def rank_deficient(M: np.ndarray):
+    """(deficient, sigma_min, sigma_max) for each matrix of the stack M, shape
+    (..., n, n), as arrays of shape (...): deficient where sigma_min /
+    sigma_max is at most RANK_REL_TOL or M is zero."""
+    svals = np.linalg.svd(M, compute_uv=False)
+    smin, smax = svals[..., -1], svals[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (smax == 0.0) | (smin / smax <= RANK_REL_TOL), smin, smax
+
+
 def solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """np.linalg.solve(M, rhs), raising RankDeficientError (naming ``what``)
-    when sigma_min / sigma_max of M is at most RANK_REL_TOL."""
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] / svals[0] <= RANK_REL_TOL:
-        smin = float(svals[-1])
-        cond = np.inf if smin == 0.0 else float(svals[0] / smin)
+    when ``rank_deficient(M)``."""
+    deficient, smin, smax = rank_deficient(M)
+    if deficient:
+        smin = float(smin)
+        cond = np.inf if smin == 0.0 else float(smax / smin)
         raise RankDeficientError(f"{what} is numerically singular "
                                  f"(sigma_min = {smin:.3e}, cond = {cond:.3e})",
                                  sigma_min=smin, condition_number=cond)

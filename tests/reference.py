@@ -1,22 +1,31 @@
 """Per-alpha matrix exponentials, a block-by-block Jordan matrix, the
 math.exp spiral, the per-root impulse response, the separate confluent loops,
 slot-by-slot builders of the real-basis layout and the controllability-
-canonical realization: the independent routes the tests compare the runtime
-against.  The runtime never calls these."""
+canonical realization, and the sweep one scale at a time: the independent
+routes the tests compare the runtime against.  The runtime never calls these."""
 import cmath
+import csv
+import io
 import math
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from nusample.errors import NonMinimalError
+from nusample import analysis, fileio
+from nusample.errors import (
+    DegenerateSamplingError,
+    InputError,
+    NonMinimalError,
+    NuSampleError,
+)
 from nusample.lti import (
     EigenStructure,
     RealJordanForm,
     Realization,
     SystemSpec,
     _overflow,
+    check_minimality,
     observability_canonical,
 )
 
@@ -276,3 +285,85 @@ class ControllabilityForm(Realization):
 def controllability_canonical(spec: SystemSpec) -> ControllabilityForm:
     ob = observability_canonical(spec)
     return ControllabilityForm(ob.A.T, ob.c.copy(), ob.b.copy(), spec)
+
+
+# ---------------------------------------------------------------------------
+# the sweep, one scale at a time
+
+def _pow2_norms(M: np.ndarray, axis: int) -> np.ndarray:
+    """2-norms along ``axis`` of M divided by the power of two at or just below
+    its largest |entry|, times that power."""
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1] - 1)
+    return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
+
+
+def _sweep_row(spec, real, minimal, tol, noise, trials, seed, idx, s):
+    """One CSV row: each matrix built for this scale alone, each check in the
+    order the CLI's stages run."""
+    if s <= 0:
+        raise InputError("interval scale must stay positive over the sweep")
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq = analysis.SamplingSequence(tuple(i * s for i in range(spec.n)),
+                                        final_instant=spec.n * s)
+    av = analysis.alphas(seq)
+    M = analysis.fundamental_matrix(spec.eigen, av)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(M))
+        threshold = tol * float(np.prod(_pow2_norms(M, axis=1)))
+    if not (math.isfinite(det) and math.isfinite(threshold)):
+        raise DegenerateSamplingError(
+            "the determinant of the basis matrix or its threshold overflows a "
+            f"float (largest |entry| = {np.max(np.abs(M)):.6g}); shorten the "
+            "sampling intervals")
+    svals = np.linalg.svd(M, compute_uv=False)
+    cond = math.inf if svals[-1] == 0.0 else float(svals[0]) / float(svals[-1])
+    gram = math.nan
+    if minimal:
+        Y = analysis.sampled_mode_vectors(spec, av)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Ys = Y / np.ldexp(1.0, np.frexp(np.max(np.abs(Y), axis=0))[1] - 1)
+            norms = np.linalg.norm(Ys, axis=0)
+        if not (np.isfinite(norms).all()
+                and (np.max(np.abs(Y), axis=0) >= np.finfo(float).tiny).all()):
+            raise DegenerateSamplingError("a sampled mode vector overflows a float or "
+                                          "vanishes; shorten the sampling intervals")
+        Yn = Ys / norms
+        gram = float(np.clip(np.linalg.det(Yn.T @ Yn), 0.0, 1.0))
+    # trial t draws its initial state, then its noise / eps; noise above 1 is
+    # scaled with the states by the power of two 2**e >= eps
+    z = np.random.default_rng(seed * 1000003 + idx).standard_normal((trials, 2, spec.n))
+    e = math.frexp(noise)[1] if noise > 1 else 0
+    eps = math.ldexp(noise, -e)
+    x0 = np.ldexp(z[:, 0].T, -e)
+    O = analysis.bruteforce_observability_matrix(real, av)
+    noisy = O @ x0 + eps * z[:, 1].T
+    so = np.linalg.svd(O, compute_uv=False)
+    if so[0] == 0.0 or so[-1] / so[0] <= analysis.RANK_REL_TOL:
+        amp = math.inf
+    else:
+        x0_hat = np.linalg.solve(O, noisy)
+        amp = float(np.median(np.linalg.norm(x0_hat - x0, axis=0))) / eps
+    return [s, det, gram, cond, amp]
+
+
+def sweep(system, start, stop, points, noise=1e-4, trials=50, seed=0,
+          tol=analysis.DEFAULT_ADMISSIBILITY_FACTOR) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``nusample sweep`` run one scale at a
+    time over np.linspace(start, stop, points): the rows before a failing
+    scale, then that scale's error."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    try:
+        spec = fileio.load_system(system)
+        real = observability_canonical(spec)
+        minimal = check_minimality(spec).minimal
+        writer.writerow(["scale", "determinant", "gram_det",
+                         "condition_number", "noise_amplification"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            scales = np.linspace(start, stop, points)
+        for idx, s in enumerate(scales):
+            row = _sweep_row(spec, real, minimal, tol, noise, trials, seed, idx, s)
+            writer.writerow([f"{float(x):.12g}" for x in row])
+    except NuSampleError as exc:
+        return 1, out.getvalue(), f"error: {exc}\n"
+    return 0, out.getvalue(), ""

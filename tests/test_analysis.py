@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import nusample as ns
-from nusample.errors import DegenerateSamplingError, NonMinimalError
+from nusample import analysis, simulate
+from nusample.errors import DegenerateSamplingError, NonMinimalError, RankDeficientError
 from conftest import pathological_sequence, random_minimal_spec, random_sequence
 from reference import expA
 
@@ -196,6 +197,40 @@ def test_degree_vectors_not_finite_or_zero(column):
     Y = np.column_stack([column, [1.0, 1.0]])
     with pytest.raises(DegenerateSamplingError, match="overflows a float or vanishes"):
         ns.analysis.degree_metrics_from_vectors(Y)
+
+
+def test_stacked_helpers_give_each_matrix_its_own_bits():
+    # the sweep runs the helpers of joint_test, degree_metrics_from_vectors
+    # and solve_checked over stacks; analyze and verify run them on one matrix
+    rng = np.random.default_rng(31)
+    seen = set()
+    for n in (2, 5, 8, 10):
+        spec = random_minimal_spec(rng, n)
+        real = ns.observability_canonical(spec)
+        seqs = [random_sequence(rng, n) for _ in range(5)]
+        if pathological_sequence(spec) is not None:
+            seqs.append(pathological_sequence(spec))
+        av = np.array([ns.alphas(seq) for seq in seqs])
+        det, threshold, smin, cond = analysis.joint_arrays(
+            ns.fundamental_matrix(spec.eigen, av), 1e-9)
+        gram = analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
+        deficient = simulate.rank_deficient(ns.bruteforce_observability_matrix(real, av))[0]
+        seen.update(deficient.tolist())
+        for p, seq in enumerate(seqs):
+            a = ns.alphas(seq)
+            single = ns.joint_test(ns.fundamental_matrix(spec.eigen, a))
+            assert (det[p], threshold[p], smin[p], cond[p]) == (
+                single.determinant, single.threshold, single.sigma_min,
+                single.condition_number)
+            assert gram[p] == ns.degree_metrics(spec, a).normalized_gram_det
+            O = ns.bruteforce_observability_matrix(real, a)
+            try:
+                simulate.solve_checked(O, np.ones(n), "O")
+            except RankDeficientError:
+                assert deficient[p]
+            else:
+                assert not deficient[p]
+    assert seen == {False, True}
 
 
 def test_degree_vectors_subnormal_column():

@@ -178,15 +178,15 @@ def test_sweep_single_point_matches_analyze(capsys, tmp_path):
                        "--from", str(s), "--to", str(s), "--points", "1",
                        "--trials", "3")
     assert code == 0
-    det_sweep = out.strip().splitlines()[1].split(",")[1]
+    _, det, gram, cond, _ = out.strip().splitlines()[1].split(",")
     seq = tmp_path / "seq.json"
     seq.write_text(json.dumps({"instants": [0.0, s]}))
     code, out, _ = run(capsys, "analyze",
                        "--system", str(DATA / "oscillator.json"),
                        "--instants", str(seq))
-    det_analyze = next(l.split(" = ")[1] for l in out.splitlines()
-                       if l.startswith("determinant"))
-    assert det_sweep == det_analyze
+    printed = dict(line.split(" = ") for line in out.splitlines())
+    assert (det, gram, cond) == (printed["determinant"], printed["gram_determinant"],
+                                 printed["condition_number"])
 
 
 def test_sweep_rejects_nonpositive_scale(capsys):

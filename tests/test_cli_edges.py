@@ -393,3 +393,17 @@ def test_finite_tolerance_flag_outranks_a_non_finite_environment(capsys, monkeyp
     monkeypatch.setenv("NUSAMPLE_TOL", "inf")
     code, out, _ = run(capsys, "analyze", *THIRD_SEQ, "--tol", "1e-9")
     assert code == 0 and "admissible = yes" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", *THIRD, "--from", "0.2", "--to", "1.0", "--points", "2",
+     "--trials", "100000000000000"],
+    ["design", *THIRD, "--t0", "0", "--method", "geometric", "--m-max", "100000000000000"],
+])
+def test_unallocatable_count_is_an_error(capsys, argv):
+    # the arrays would take petabytes or hundreds of terabytes, so numpy
+    # refuses them at once, before any memory is touched
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: out of memory (Unable to allocate ")
+    assert err.count("\n") == 1 and "Traceback" not in err

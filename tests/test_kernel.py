@@ -281,10 +281,13 @@ def test_analyze_builds_each_matrix_once(monkeypatch, capsys):
     assert (len(phi), len(modes), len(minimality)) == (1, 1, 1)
 
 
-def test_sweep_builds_one_observability_matrix_per_scale(monkeypatch, capsys):
+def test_sweep_builds_one_observability_matrix_per_block(monkeypatch, capsys):
+    # both sweeps fit in one block of scales, so each builds O once
     calls = count_calls(monkeypatch, analysis.bruteforce_observability_matrix,
                         (analysis, simulate, ns))
-    assert main(["sweep", "--system", str(DATA / "third_order.json"), "--from", "0.2",
-                 "--to", "1.0", "--points", "4", "--trials", "30"]) == 0
-    capsys.readouterr()
-    assert len(calls) == 4
+    for points in (4, 64):
+        calls.clear()
+        assert main(["sweep", "--system", str(DATA / "third_order.json"), "--from", "0.2",
+                     "--to", "1.0", "--points", str(points), "--trials", "30"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == points + 1
+        assert len(calls) == 1

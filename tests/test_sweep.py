@@ -1,8 +1,13 @@
-"""Batched reconstruction and the sweep's noise amplification: k output
-vectors solve against one observability matrix, and the CLI column matches
-the per-trial loop it replaces."""
+"""Batched reconstruction and the batched sweep: k output vectors solve
+against one observability matrix, the noise column matches the per-trial
+loop, the whole output matches the per-scale loop byte for byte, and the
+cost of a sweep grows with neither its points nor its trials."""
+import argparse
+import contextlib
 import json
 import math
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +17,7 @@ import nusample as ns
 from nusample import analysis, cli, fileio, lti, simulate
 from nusample.cli import main
 from nusample.errors import RankDeficientError
+import reference
 from conftest import count_calls, random_minimal_spec, random_sequence
 
 DATA = Path(__file__).parent / "data"
@@ -152,3 +158,140 @@ def test_sweep_checks_minimality_once(monkeypatch, capsys):
                      "--from", "0.2", "--to", "1.0", "--points", "4", "--trials", "3")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_sweep_kernel_calls_do_not_grow_with_points(monkeypatch, capsys):
+    flow_calls = count_calls(monkeypatch, lti.jordan_flow, (lti, analysis, simulate, ns))
+    per_command = []
+    for points in (4, 64):
+        flow_calls.clear()
+        code, _, _ = run(capsys, "sweep", "--system", str(DATA / "third_order.json"),
+                         "--from", "0.2", "--to", "1.0", "--points", str(points),
+                         "--trials", "6")
+        assert code == 0
+        per_command.append(len(flow_calls))
+    assert per_command[0] == per_command[1] > 0
+
+
+def _sweep_peak_bytes(points, trials):
+    argv = ["sweep", "--system", str(DATA / "oscillator.json"), "--from", "0.2",
+            "--to", "3.0", "--trials", str(trials), "--points"]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert main(argv + ["10"]) == 0  # parser, caches and first-call allocations
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(points)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_points_or_trials():
+    # rows stream block by block, and a block holds about the same number of
+    # floats whatever --trials is
+    base = _sweep_peak_bytes(2000, 20)
+    assert _sweep_peak_bytes(20000, 20) <= 1.1 * base
+    assert _sweep_peak_bytes(2000, 200) <= 1.1 * base
+
+
+@pytest.mark.parametrize("start, stop, points", [
+    (0.2, 1.0, 8), (1.0, 0.2, 7), (-3.0, 5.5, 1), (0.3, 0.3, 4), (0.1, 40.0, 1000),
+    (2.0, 0.0, 2), (1e-320, 1e-310, 9), (5e-324, 1e-323, 5), (-1e308, 1e308, 6)])
+def test_sweep_scales_are_slices_of_linspace(start, stop, points):
+    args = argparse.Namespace(start=start, stop=stop, points=points)
+    with np.errstate(all="ignore"):
+        full = np.linspace(start, stop, points)
+    for block in (1, 3, points):
+        got = np.concatenate([cli._scales(args, lo, min(lo + block, points))
+                              for lo in range(0, points, block)])
+        assert got.tobytes() == full.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# noise above 1
+
+@pytest.mark.parametrize("noise", ["1e300", "1e308"])
+def test_sweep_huge_noise_stays_finite(capsys, noise):
+    argv = ["sweep", "--system", str(DATA / "third_order.json"), "--from", "0.2",
+            "--to", "1", "--points", "2", "--trials", "3"]
+    code, out, err = run(capsys, *argv, "--noise", noise)
+    assert (code, err) == (0, "")
+    amps = [float(row.split(",")[4]) for row in out.splitlines()[1:]]
+    assert all(math.isfinite(a) for a in amps)
+    # the error per unit noise is scale-free: it matches the value at noise 1
+    _, out, _ = run(capsys, *argv, "--noise", "1")
+    assert amps == pytest.approx([float(row.split(",")[4]) for row in out.splitlines()[1:]],
+                                 rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the whole output against the per-scale loop of tests/reference.py
+
+def _system_file(tmp_path, name, spec):
+    return _write_system(tmp_path / f"{name}.json", spec)
+
+
+def _pinned_system(tmp_path, name):
+    if name in ("third_order", "oscillator"):
+        return str(DATA / f"{name}.json")
+    if name.startswith("random"):
+        n = int(name[len("random"):])
+        return _system_file(tmp_path, name, random_minimal_spec(np.random.default_rng(90 + n), n))
+    if name == "non_minimal":  # the second mode is unobservable: gram_det is nan
+        return _system_file(tmp_path, name, ns.system_from_modes([(-0.3, 1), (-1.1, 1)],
+                                                                 [1.0, 0.0]))
+    assert name == "overflowing"  # e^{alpha} overflows past alpha = 709.78
+    return _system_file(tmp_path, name, ns.system_from_modes([(1.0, 1), (-0.5, 1)],
+                                                             [1.0, 1.0]))
+
+
+PINNED = [
+    # system, from, to, points, trials, seed, noise
+    ("third_order", 0.2, 1.0, 8, 6, 0, 1e-4),
+    ("third_order", 0.05, 6.0, 25, 3, 11, 0.37),
+    ("oscillator", 0.5, 3.5, 9, 5, 2, 1e-4),
+    ("oscillator", math.pi, math.pi, 3, 4, 0, 1e-4),  # half period: O singular, inf
+    ("third_order", 1.2, 0.1, 7, 4, 5, 1e-3),         # descending
+    ("oscillator", 1.0, -0.5, 7, 3, 0, 1e-4),         # reaches 0 after four rows
+    ("third_order", 0.3, -0.3, 1, 3, 0, 1e-4),
+    ("third_order", 0.2, 1.0, 5, 4, 1, 1e5),          # noise above 1, below overflow
+    ("non_minimal", 0.2, 2.0, 5, 6, 3, 1e-4),
+    ("overflowing", 700.0, 800.0, 2, 50, 0, 1e-4),    # one row, then the error
+    ("overflowing", 600.0, 760.0, 9, 4, 7, 1e-4),
+    *[(f"random{n}", 0.2, 1.5, 6, 5, n, 1e-3) for n in range(2, 9)],
+]
+
+
+def _pinned_output(capsys, monkeypatch, tmp_path, case):
+    name, start, stop, points, trials, seed, noise = case
+    monkeypatch.delenv("NUSAMPLE_TOL", raising=False)
+    system = _pinned_system(tmp_path, name)
+    got = run(capsys, "sweep", "--system", system, "--from", repr(start), "--to", repr(stop),
+              "--points", str(points), "--trials", str(trials), "--seed", str(seed),
+              "--noise", repr(noise))
+    assert got == reference.sweep(system, start, stop, points, noise, trials, seed)
+    return got
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c[0]}-{c[1]:g}-{c[2]:g}")
+def test_sweep_output_matches_per_scale_loop(capsys, monkeypatch, tmp_path, case):
+    code, out, err = _pinned_output(capsys, monkeypatch, tmp_path, case)
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert err == "" if code == 0 else err.startswith("error: ")
+    if case[0] == "non_minimal":
+        assert {row[2] for row in rows} == {"nan"}
+    if case[1] == math.pi:
+        assert {row[4] for row in rows} == {"inf"}
+    if case[:3] == ("oscillator", 1.0, -0.5):  # 1, 0.75, 0.5 and 0.25, then 0
+        assert (code, len(rows)) == (1, 4)
+    if case[:3] == ("overflowing", 600.0, 760.0):  # 600 to 700, then 720 overflows
+        assert (code, len(rows)) == (1, 6)
+
+
+def test_sweep_small_blocks_match_per_scale_loop(capsys, monkeypatch, tmp_path):
+    # three scales per block: the overflow falls in the third block, and the
+    # rows of the blocks before it and of its first scale still come out
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_FLOATS", 2 * (2 + 2 * 4) * 3)
+    code, out, _ = _pinned_output(capsys, monkeypatch, tmp_path,
+                                  ("overflowing", 600.0, 760.0, 9, 4, 7, 1e-4))
+    assert code == 1 and len(out.splitlines()) == 7
