@@ -154,35 +154,46 @@ def sampled_mode_vectors(spec: SystemSpec, av) -> np.ndarray:
         return np.swapaxes(jordan_flow(spec.eigen, spec.real_mode_vector, av), -1, -2)
 
 
-def _pow2_scale(M: np.ndarray, axis: int) -> np.ndarray:
-    """The power of two at or just below the largest |entry| of each vector
-    along ``axis`` (keeping that axis): dividing by it is exact, and the
-    quotient's 2-norm cannot overflow.  The power just above would overflow
-    for entries past 2**1023."""
-    return np.ldexp(1.0, np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1] - 1)
+def _pow2_scale(peak: np.ndarray) -> np.ndarray:
+    """The power of two at or just below each ``peak``, the largest |entry|
+    of a vector: dividing the vector by it is exact, and the quotient's
+    2-norm cannot overflow.  The power just above would overflow for entries
+    past 2**1023."""
+    return np.ldexp(1.0, np.frexp(peak)[1] - 1)
 
 
 def _norms(M: np.ndarray, axis: int) -> np.ndarray:
     """2-norms along ``axis`` that overflow only where the norm itself does."""
-    scale = _pow2_scale(M, axis)
+    scale = _pow2_scale(np.max(np.abs(M), axis=axis, keepdims=True))
     return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
+
+
+_TINY = np.finfo(float).tiny
+
+
+def unit_vectors(Y: np.ndarray, axis: int):
+    """(Yn, usable): each vector of Y along ``axis`` divided by its
+    power-of-two scale, then by the norm of the scaled vector, and whether it
+    is usable (keeping that axis).  A vector with an entry that is not a
+    finite float is not, nor is one whose largest |entry| is zero or below
+    the smallest normal float: it carries too few bits for any metric.  An
+    unusable vector is zero in Yn."""
+    peak = np.abs(Y).max(axis=axis, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ys = Y / _pow2_scale(peak)
+        norms = np.linalg.norm(Ys, axis=axis, keepdims=True)
+    usable = np.isfinite(norms) & (peak >= _TINY)
+    return np.divide(Ys, norms, out=np.zeros_like(Ys), where=usable), usable
 
 
 def unit_gram(Y: np.ndarray):
     """(Yn, G, det G clipped to [0, 1]) for each matrix of the stack Y, shape
-    (..., n, k): its columns each normalized in one pass (divided by their
-    power-of-two scale, then by the norm of the scaled column) and their
-    Gram matrix.  A column whose largest |entry| is below the smallest normal
-    float carries too few bits for any metric, so it is rejected like a zero
-    or overflowing one: DegenerateSamplingError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        Ys = Y / _pow2_scale(Y, axis=-2)
-        norms = np.linalg.norm(Ys, axis=-2)
-    normal = np.max(np.abs(Y), axis=-2) >= np.finfo(float).tiny
-    if not (np.isfinite(norms).all() and normal.all()):
+    (..., n, k): its columns normalized by ``unit_vectors`` and their Gram
+    matrix.  An unusable column raises DegenerateSamplingError."""
+    Yn, usable = unit_vectors(Y, axis=-2)
+    if not usable.all():
         raise DegenerateSamplingError("a sampled mode vector overflows a float or "
                                       "vanishes; shorten the sampling intervals")
-    Yn = Ys / norms[..., None, :]
     G = np.swapaxes(Yn, -1, -2) @ Yn
     return Yn, G, np.clip(np.linalg.det(G), 0.0, 1.0)
 

@@ -6,8 +6,7 @@ Three routes:
 * the spiral-geometry step for the 3rd-order {real pole, complex pair} case,
 * a greedy grid search for arbitrary order: each greedy step scores its
   whole candidate grid in one batched call, and each instant is then refined
-  by a bounded Brent search (golden-section steps with parabolic
-  interpolation).
+  by two ever finer grids and one parabolic step, each one batched call.
 
 The 3rd-order geometry works in a normalized frame where the initial mode
 vector is (1, 0, 1)', so the sampled vectors trace the spiral
@@ -32,6 +31,7 @@ from nusample.analysis import (
     alphas,
     degree_metrics_from_vectors,
     sampled_mode_vectors,
+    unit_vectors,
 )
 from nusample.errors import DesignError, InadmissibleDesignError
 from nusample.lti import SystemSpec, check_minimality, jordan_flow, system_from_modes
@@ -236,106 +236,70 @@ def export_geometry_csv(trace: GeometryTrace, path) -> None:
 # ---------------------------------------------------------------------------
 # generic greedy search
 
+# Within these plain 2-norms no square of an entry overflows, and any that
+# underflows lies far below the last place of the sum, so Y / norm is the
+# quotient ``unit_vectors`` gets by first dividing by a power of two; only
+# outside them does a call pay for that scaling.
+_PLAIN_NORMS = (2.0 ** -460, 2.0 ** 460)
+
+
 def _gram_dets(spec: SystemSpec, alpha_rows: np.ndarray) -> np.ndarray:
     """Normalized Gram determinant of the sampled mode vectors of every row
-    of ``alpha_rows`` (shape (..., k)), in one kernel call.  A candidate
-    whose Gram matrix is not finite (overflowing flow, zero-norm vector)
-    scores 0, so it never wins."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    of ``alpha_rows`` (shape (..., k)), in one kernel call, each vector
+    normalized as ``unit_gram`` does.  A candidate with a vector that
+    ``unit_gram`` rejects (overflowing, zero or subnormal) scores 0, so it
+    never wins and the search never picks a sequence its metric refuses."""
+    with np.errstate(over="ignore", invalid="ignore"):
         Y = jordan_flow(spec.eigen, spec.real_mode_vector, alpha_rows)
-        Yn = Y / np.linalg.norm(Y, axis=-1, keepdims=True)
-        G = Yn @ np.swapaxes(Yn, -1, -2)
-    G[~np.isfinite(G).all(axis=(-2, -1))] = 0.0
-    return np.clip(np.linalg.det(G), 0.0, 1.0)
+        norms = np.linalg.norm(Y, axis=-1, keepdims=True)
+    lo, hi = _PLAIN_NORMS
+    if ((norms >= lo) & (norms <= hi)).all():
+        Yn = Y / norms
+    else:
+        Yn = unit_vectors(Y, axis=-1)[0]  # an unusable vector is a zero row: det 0
+    return np.clip(np.linalg.det(Yn @ np.swapaxes(Yn, -1, -2)), 0.0, 1.0)
 
 
-def _gram_det(spec: SystemSpec, instants) -> float:
-    t = np.asarray(instants, dtype=float)
-    return float(_gram_dets(spec, t[-1] - t[::-1]))
+REFINE_POINTS = 65  # candidates per refinement grid
+REFINE_ROUNDS = 2   # grids per instant, each one spacing either side of the last's best
 
 
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+def _refine_instant(spec: SystemSpec, instants: list, i: int, lo: float,
+                    hi: float, score: float) -> tuple[float, float]:
+    """(t_i, score) after refining instant i of ``instants`` on [lo, hi].
 
+    ``score`` is the Gram determinant of ``instants`` as given.  The first
+    grid spans [lo, hi]; each later one spans one spacing either side of the
+    previous grid's best, clipped to [lo, hi]; last comes the vertex of the
+    parabola through the final grid's best and its two neighbours.  Each is
+    one ``_gram_dets`` call.  A candidate replaces t_i only if it scores
+    strictly higher, so a flat objective keeps t_i and ties go to the
+    smallest instant."""
+    base = np.array(instants)
+    best = instants[i]
 
-def _minimize_bounded(func, lo: float, hi: float, xatol: float,
-                      maxfun: int = 500) -> tuple[float, float]:
-    """(x, func(x)) minimizing ``func`` on [lo, hi] by Brent's method:
-    golden-section steps, parabolic ones where the fit is acceptable.
+    def scores(cands):
+        rows = np.repeat(base[None, :], cands.size, axis=0)
+        rows[:, i] = cands
+        return _gram_dets(spec, rows[:, -1:] - rows[:, ::-1])
 
-    A step-for-step port of ``_minimize_scalar_bounded`` in
-    ``scipy.optimize._optimize``, so it evaluates the same points and returns
-    the same x and f(x), bit for bit, as
-    ``scipy.optimize.minimize_scalar(method="bounded")`` with the options
-    ``xatol`` and ``maxiter=maxfun``.  The scipy original is
-    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers, and is
-    used under the BSD 3-Clause license.
-    """
     a, b = lo, hi
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = func(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit through xf, nfc and fulc
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 if xm >= xf else -tol1
-            else:
-                golden = True
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-
-        step = max(abs(rat), tol1)
-        x = xf + step if rat >= 0.0 else xf - step
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx
+    for _ in range(REFINE_ROUNDS):
+        cands = np.linspace(a, b, REFINE_POINTS)
+        s = scores(cands)
+        k = int(np.argmax(s))
+        if s[k] > score:
+            best, score = float(cands[k]), s[k]
+        h = (b - a) / (REFINE_POINTS - 1)
+        a, b = max(lo, cands[k] - h), min(hi, cands[k] + h)
+    if 0 < k < REFINE_POINTS - 1:
+        # k is the first maximum, so s[k] > s[k - 1] and the parabola is concave
+        f0, f1, f2 = s[k - 1:k + 2]
+        vertex = cands[k] + 0.5 * h * (f0 - f2) / (f0 - 2.0 * f1 + f2)
+        s = scores(np.array([vertex]))
+        if s[0] > score:
+            best, score = float(vertex), s[0]
+    return best, score
 
 
 def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
@@ -344,9 +308,10 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
     """Greedy sequential search: extend the sequence one instant at a time by
     scoring a bounded grid of interval lengths in one batched call and keeping
     the candidate maximizing the normalized Gram determinant, then refine each
-    instant after t0 once by a bounded Brent search (``_minimize_bounded``),
-    at least dmin from its neighbors and, for the last one, at most dmax
-    after its predecessor."""
+    instant after t0 once, in order, by ``_refine_instant`` (two finer grids
+    and a parabolic step, three batched calls at most), never lowering the
+    Gram determinant.  A refined instant stays at least dmin from its
+    neighbors, and the last stays at most dmax after its predecessor."""
     dmin, dmax = bounds
     if not (dmin > 0 and dmax > dmin):
         raise DesignError(f"invalid interval bounds {bounds}")
@@ -357,6 +322,7 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
         raise DesignError(f"system is not minimal (blocks {report.offending_blocks})")
     n = spec.n
     instants = [float(t0)]
+    score = 0.0
     for _ in range(1, n):
         grid = instants[-1] + np.linspace(dmin, dmax, steps)
         # alphas of each candidate sequence instants + [t]: (0, t - t_{j-1}, ..., t - t_0)
@@ -364,18 +330,17 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
         scores = _gram_dets(spec, cand)
         best = int(np.argmax(scores))  # argmax takes the first (smallest) instant on ties
         instants.append(float(grid[best]))
+        score = scores[best]
 
-    # one refinement pass, each instant at least dmin from its neighbors
+    # one refinement pass, each instant at least dmin from its neighbors and
+    # the last at most dmax after its predecessor
     for i in range(1, n):
         lo = instants[i - 1] + dmin
         hi = instants[i + 1] - dmin if i + 1 < n else instants[i - 1] + dmax
-        if hi <= lo:
-            continue
-        x, fun = _minimize_bounded(
-            lambda t, i=i: -_gram_det(spec, instants[:i] + [float(t)] + instants[i + 1:]),
-            lo, hi, xatol=1e-10 * (1.0 + abs(hi)))
-        if -fun >= _gram_det(spec, instants):
-            instants[i] = float(x)
+        if i + 2 == n:
+            lo = max(lo, instants[i + 1] - dmax)
+        if hi > lo:
+            instants[i], score = _refine_instant(spec, instants, i, lo, hi, score)
 
     seq = SamplingSequence(tuple(instants))
     metric = _designed_metric(spec, seq)

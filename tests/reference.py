@@ -1,8 +1,9 @@
 """Per-alpha matrix exponentials, a block-by-block Jordan matrix, the
 math.exp spiral, the per-root impulse response, the separate confluent loops,
 slot-by-slot builders of the real-basis layout and the controllability-
-canonical realization, and the sweep one scale at a time: the independent
-routes the tests compare the runtime against.  The runtime never calls these."""
+canonical realization, the sweep one scale at a time, and the generic design
+search with a bounded Brent refinement per instant: the independent routes
+the tests compare the runtime against.  The runtime never calls these."""
 import cmath
 import csv
 import io
@@ -12,7 +13,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from nusample import analysis, fileio
+from nusample import analysis, design, fileio
 from nusample.errors import (
     DegenerateSamplingError,
     InputError,
@@ -367,3 +368,144 @@ def sweep(system, start, stop, points, noise=1e-4, trials=50, seed=0,
     except NuSampleError as exc:
         return 1, out.getvalue(), f"error: {exc}\n"
     return 0, out.getvalue(), ""
+
+
+# ---------------------------------------------------------------------------
+# the generic design search with a scalar Brent refinement per instant
+
+def gram_det(spec: SystemSpec, instants) -> float:
+    """The normalized Gram determinant of the sequence, one exp_jordan matrix
+    per alpha, each mode vector divided by its power-of-two scale and then by
+    its norm."""
+    av = analysis.alphas(analysis.SamplingSequence(tuple(instants)))
+    Y = np.column_stack([exp_jordan(spec.eigen, a) @ spec.real_mode_vector
+                         for a in av])
+    Y = Y / np.ldexp(1.0, np.frexp(np.max(np.abs(Y), axis=0))[1] - 1)
+    Yn = Y / np.linalg.norm(Y, axis=0)
+    return float(np.clip(np.linalg.det(Yn.T @ Yn), 0.0, 1.0))
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def minimize_bounded(func, lo: float, hi: float, xatol: float,
+                     maxfun: int = 500) -> tuple[float, float]:
+    """(x, func(x)) minimizing ``func`` on [lo, hi] by Brent's method:
+    golden-section steps, parabolic ones where the fit is acceptable.
+
+    A step-for-step port of ``_minimize_scalar_bounded`` in
+    ``scipy.optimize._optimize``, so it evaluates the same points and returns
+    the same x and f(x), bit for bit, as
+    ``scipy.optimize.minimize_scalar(method="bounded")`` with the options
+    ``xatol`` and ``maxiter=maxfun``.  The scipy original is
+    Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers, and is
+    used under the BSD 3-Clause license.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
+def greedy_instants(spec: SystemSpec, t0: float, bounds, steps: int) -> list[float]:
+    """The greedy grid of the generic design search: each instant after t0
+    is the first maximizer of the Gram determinant over ``steps`` interval
+    lengths in [dmin, dmax], scored one batched ``design._gram_dets`` call per
+    instant."""
+    dmin, dmax = bounds
+    instants = [float(t0)]
+    for _ in range(1, spec.n):
+        grid = instants[-1] + np.linspace(dmin, dmax, steps)
+        cand = np.column_stack([np.zeros(steps), grid[:, None] - instants[::-1]])
+        instants.append(float(grid[int(np.argmax(design._gram_dets(spec, cand)))]))
+    return instants
+
+
+def brent_design(spec: SystemSpec, t0: float = 0.0, bounds=(0.05, 5.0),
+                 steps: int = 200, minimize=minimize_bounded) -> list[float]:
+    """The instants of the generic design search with a scalar refinement:
+    the greedy grid, then each instant after t0 refined once, in order, by
+    ``minimize`` on minus the Gram determinant (one ``design._gram_dets``
+    row per evaluation), at least dmin from its neighbors and, for the last,
+    at most dmax after its predecessor; kept if no worse."""
+    dmin, dmax = bounds
+    n = spec.n
+    instants = greedy_instants(spec, t0, bounds, steps)
+
+    def score(inst):
+        t = np.asarray(inst, dtype=float)
+        return float(design._gram_dets(spec, t[-1] - t[::-1]))
+
+    for i in range(1, n):
+        lo = instants[i - 1] + dmin
+        hi = instants[i + 1] - dmin if i + 1 < n else instants[i - 1] + dmax
+        if hi <= lo:
+            continue
+        x, fun = minimize(
+            lambda t, i=i: -score(instants[:i] + [float(t)] + instants[i + 1:]),
+            lo, hi, xatol=1e-10 * (1.0 + abs(hi)))
+        if -fun >= score(instants):
+            instants[i] = float(x)
+    return instants

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nusample import cli
+from nusample import cli, fileio
 from nusample.cli import main
+import reference
 
 DATA = Path(__file__).parent / "data"
 
@@ -311,14 +312,18 @@ def test_geometric_design_never_raises(tmp_path_factory, lam, a, log_b, log_t1):
 
 
 def test_design_refinement_keeps_dmin(capsys, tmp_path):
-    # the grid starts at dmin = 600, where the flow is still finite but the
-    # search's 2-norm overflows; the refinement must not slide the instant
-    # below dmin to escape it
+    # the grid starts at dmin = 600, where e^{alpha} is finite but its square
+    # is not; the search scores it anyway (0.5, flat up to the overflow near
+    # 709), and the refinement must not slide the instant below dmin
     system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
     code, out, err = run(capsys, "design", "--system", system, "--t0", "0",
                          "--dmin", "600", "--dmax", "800")
-    _clean_error(code, err)
-    assert "instants" not in out
+    assert (code, err) == (0, "")
+    printed = dict(line.split(" = ") for line in out.splitlines())
+    instants = [float(t) for t in printed["instants"].split()]
+    assert min(b - a for a, b in zip(instants, instants[1:])) >= 600.0
+    spec = fileio.load_system(system)
+    assert printed["gram_determinant"] == cli.fmt(reference.gram_det(spec, instants))
 
 
 def test_generic_design_inadmissible_search_is_an_error(capsys, tmp_path):

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nusample as ns
 from nusample import design
-from nusample.design import _minimize_bounded, export_geometry_csv, spiral_point
+from nusample.design import export_geometry_csv, spiral_point
 from nusample.errors import DesignError, InadmissibleDesignError
 import reference
 
@@ -231,7 +233,62 @@ def test_generic_inadmissible_search_attaches_best():
 
 
 # ---------------------------------------------------------------------------
-# the bounded Brent refinement against scipy's
+# the batched refinement against the Brent route of tests/reference.py
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_generic_search_keeps_the_brent_routes_quality(n):
+    # seeded systems, default bounds: per order, the median log10 Gram
+    # determinant may trail the Brent route's by at most 1e-6 decades (on 100
+    # systems per order it trailed by at most 1e-7), and no design may drop
+    # below the floor that the Brent route clears
+    from conftest import random_minimal_spec
+    rng = np.random.default_rng(7)
+    new, old = [], []
+    for _ in range(25):
+        spec = random_minimal_spec(rng, n)
+        try:
+            res = ns.design_sequence_generic(spec)
+        except InadmissibleDesignError as exc:
+            res = exc.best
+        new.append(res.metric.normalized_gram_det)
+        seq = ns.SamplingSequence(tuple(reference.brent_design(spec)))
+        old.append(design._designed_metric(spec, seq).normalized_gram_det)
+    new, old = np.array(new), np.array(old)
+    assert np.median(np.log10(new)) >= np.median(np.log10(old)) - 1e-6
+    assert np.sum(new > design.MIN_GRAM_DET) >= np.sum(old > design.MIN_GRAM_DET)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1),
+       n=st.integers(min_value=2, max_value=5),
+       t0=st.floats(-50.0, 50.0),
+       dmin=st.floats(0.01, 3.0),
+       span=st.floats(0.01, 6.0))
+@example(seed=20, n=3, t0=0.0, dmin=1.0, span=2.0)  # refining t1 used to stretch the last gap
+def test_generic_search_invariants(seed, n, t0, dmin, span):
+    from conftest import count_calls, random_minimal_spec
+    spec = random_minimal_spec(np.random.default_rng(seed), n)
+    dmax = dmin + span
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, design._gram_dets, (design,))
+        try:
+            res = ns.design_sequence_generic(spec, t0=t0, bounds=(dmin, dmax))
+        except InadmissibleDesignError as exc:
+            res = exc.best
+    assert len(calls) <= 4 * (n - 1)  # one greedy grid, three refinement calls
+    t = np.array(res.sequence.instants)
+    assert t[0] == t0 and np.all(np.diff(t) > 0)
+    slack = 4 * np.spacing(np.max(np.abs(t)))  # the rounding of t + dmin
+    assert np.all(np.diff(t) >= dmin - slack)
+    assert t[-1] - t[-2] <= dmax + slack
+    greedy = np.array(reference.greedy_instants(spec, t0, (dmin, dmax), 200))
+    refined, first = design._gram_dets(spec, np.stack([t[-1] - t[::-1],
+                                                       greedy[-1] - greedy[::-1]]))
+    assert refined >= first
+
+
+# ---------------------------------------------------------------------------
+# the Brent route's minimizer against scipy's
 
 def _same_float(x, y):
     return float(x).hex() == float(y).hex()
@@ -241,7 +298,7 @@ def _brent_matches_scipy(func, lo, hi, xatol, maxfun=500):
     """Run both minimizers; assert the same x and f(x) bit for bit and return
     scipy's result."""
     from scipy.optimize import minimize_scalar
-    x, fun = _minimize_bounded(func, lo, hi, xatol, maxfun)
+    x, fun = reference.minimize_bounded(func, lo, hi, xatol, maxfun)
     ref = minimize_scalar(func, bounds=(lo, hi), method="bounded",
                           options={"xatol": xatol, "maxiter": maxfun})
     assert _same_float(x, ref.x) and _same_float(fun, ref.fun), (x, fun, ref)
@@ -249,19 +306,19 @@ def _brent_matches_scipy(func, lo, hi, xatol, maxfun=500):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_brent_matches_scipy_on_design_objectives(monkeypatch, n):
+def test_brent_matches_scipy_on_design_objectives(n):
     from conftest import random_minimal_spec
     calls = []
 
     def both(func, lo, hi, xatol, maxfun=500):
         calls.append(_brent_matches_scipy(func, lo, hi, xatol, maxfun).nfev)
-        return _minimize_bounded(func, lo, hi, xatol, maxfun)
+        return reference.minimize_bounded(func, lo, hi, xatol, maxfun)
 
-    monkeypatch.setattr(design, "_minimize_bounded", both)
     rng = np.random.default_rng(40 + n)
     for _ in range(4):
         spec = random_minimal_spec(rng, n)
-        ns.design_sequence_generic(spec, t0=float(rng.uniform(-1, 1)), steps=60)
+        reference.brent_design(spec, t0=float(rng.uniform(-1, 1)), steps=60,
+                               minimize=both)
     assert len(calls) == 4 * (n - 1)  # one refinement per instant after t0
 
 

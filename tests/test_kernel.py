@@ -3,6 +3,7 @@ basis, O, G and the state transitions it builds against the same routes,
 the batched design grid against the scalar score, and how often each command
 builds the Jordan form and each matrix."""
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from reference import (
     expA,
     exp_jordan,
     fundamental_basis,
+    gram_det,
     jordan_matrix,
 )
 
@@ -204,15 +206,6 @@ def test_overflowing_flow_raises_degenerate_sampling(build):
         build(real, seq)
 
 
-def _scalar_gram_det(spec, instants):
-    """The normalized Gram determinant, one exp_jordan matrix per alpha."""
-    av = ns.alphas(ns.SamplingSequence(tuple(instants)))
-    Y = np.column_stack([exp_jordan(spec.eigen, a) @ spec.real_mode_vector
-                         for a in av])
-    Yn = Y / np.linalg.norm(Y, axis=0)
-    return float(np.clip(np.linalg.det(Yn.T @ Yn), 0.0, 1.0))
-
-
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_grid_scores_match_scalar(n):
     rng = np.random.default_rng(40 + n)
@@ -224,17 +217,46 @@ def test_batched_grid_scores_match_scalar(n):
     cand = np.column_stack([np.zeros(grid.size), grid[:, None] - instants[::-1]])
     batched = design._gram_dets(spec, cand)
     assert batched.shape == grid.shape
-    for t, score in zip(grid, batched):
-        assert score == pytest.approx(design._gram_det(spec, instants + [t]),
-                                      rel=1e-12, abs=1e-14)
-        assert score == pytest.approx(_scalar_gram_det(spec, instants + [t]),
+    for row, t, score in zip(cand, grid, batched):
+        assert score == design._gram_dets(spec, row)
+        assert score == pytest.approx(gram_det(spec, instants + [t]),
                                       rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7])
+def test_plain_scores_are_the_scaled_ones(monkeypatch, n):
+    # intervals up to 150 spread the mode vectors' norms over 70 to 215
+    # binary orders, all inside the range where _gram_dets skips the scaling
+    rng = np.random.default_rng(60 + n)
+    spec = random_minimal_spec(rng, n)
+    instants = np.cumsum(np.r_[0.0, rng.uniform(0.05, 5.0, n - 2)])
+    grid = instants[-1] + np.linspace(0.05, 150.0, 200)
+    cand = np.column_stack([np.zeros(grid.size), grid[:, None] - instants[::-1]])
+    plain = design._gram_dets(spec, cand)
+    monkeypatch.setattr(design, "_PLAIN_NORMS", (math.inf, 0.0))  # always scale
+    assert design._gram_dets(spec, cand).tobytes() == plain.tobytes()
 
 
 def test_nonfinite_scores_are_zero():
     spec = ns.system_from_modes([(5.0, 1), (4.0, 1)], [1.0, 1.0])
     scores = design._gram_dets(spec, np.array([[0.0, 0.5], [0.0, 300.0]]))
     assert scores[0] > 0.0
+    assert scores[1] == 0.0
+
+
+def test_scores_hold_until_the_flow_leaves_the_normal_range():
+    # the squares of e^{alpha} (roots 1, -0.5) overflow past alpha = 355, and
+    # those of e^{-alpha} (roots -1, -1.1) underflow; the score stays the Gram
+    # determinant, 0.5, until e^{alpha} overflows near 709.8 or e^{-alpha}
+    # turns subnormal near 708.4, where unit_gram would reject the vector
+    spec = ns.system_from_modes([(1.0, 1), (-0.5, 1)], [1.0, 1.0])
+    alphas = [354.0, 356.0, 600.0, 704.0, 709.0, 710.0]
+    scores = design._gram_dets(spec, np.column_stack([np.zeros(6), alphas]))
+    assert scores.tolist() == pytest.approx([0.5] * 5 + [0.0], rel=1e-12, abs=0.0)
+    spec = ns.system_from_modes([(-1.0, 1), (-1.1, 1)], [1.0, 1.0])
+    scores = design._gram_dets(spec, np.array([[0.0, 700.0], [0.0, 710.0]]))
+    assert scores[0] == pytest.approx(gram_det(spec, [0.0, 700.0]), rel=1e-12)
+    assert scores[0] == pytest.approx(0.5, rel=1e-12)
     assert scores[1] == 0.0
 
 
