@@ -10,16 +10,12 @@ Usage:
     python scripts/theorem_equivalence.py [--cases 1000] [--seed 0]
 """
 import argparse
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
 import nusample as ns
-from conftest import pathological_sequence, random_minimal_spec, random_sequence
+from random_cases import pathological_sequence, random_minimal_spec, random_sequence
 
 
 def main():

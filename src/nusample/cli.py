@@ -90,8 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="second instant for the geometric method "
                          "(default: t0 + pi/(2 b))")
     pd.add_argument("--m-max", type=int, default=design.DEFAULT_M_MAX)
-    pd.add_argument("--dmin", type=_finite_float, default=0.05)
-    pd.add_argument("--dmax", type=_finite_float, default=5.0)
+    pd.add_argument("--dmin", type=_finite_float, default=0.05,
+                    help="shortest sampling interval of the generic search")
+    pd.add_argument("--dmax", type=_finite_float, default=5.0,
+                    help="longest sampling interval of the generic search")
     pd.add_argument("--steps", type=int, default=200)
     pd.add_argument("--trace", default=None, help="write the geometry trace CSV here")
 

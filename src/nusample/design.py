@@ -310,8 +310,8 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
     the candidate maximizing the normalized Gram determinant, then refine each
     instant after t0 once, in order, by ``_refine_instant`` (two finer grids
     and a parabolic step, three batched calls at most), never lowering the
-    Gram determinant.  A refined instant stays at least dmin from its
-    neighbors, and the last stays at most dmax after its predecessor."""
+    Gram determinant.  A refined instant stays at least dmin and at most dmax
+    from its neighbors, so every interval lies in [dmin, dmax]."""
     dmin, dmax = bounds
     if not (dmin > 0 and dmax > dmin):
         raise DesignError(f"invalid interval bounds {bounds}")
@@ -332,13 +332,12 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
         instants.append(float(grid[best]))
         score = scores[best]
 
-    # one refinement pass, each instant at least dmin from its neighbors and
-    # the last at most dmax after its predecessor
+    # one refinement pass, each instant at least dmin and at most dmax from
+    # its neighbors
     for i in range(1, n):
-        lo = instants[i - 1] + dmin
-        hi = instants[i + 1] - dmin if i + 1 < n else instants[i - 1] + dmax
-        if i + 2 == n:
-            lo = max(lo, instants[i + 1] - dmax)
+        lo, hi = instants[i - 1] + dmin, instants[i - 1] + dmax
+        if i + 1 < n:
+            lo, hi = max(lo, instants[i + 1] - dmax), min(hi, instants[i + 1] - dmin)
         if hi > lo:
             instants[i], score = _refine_instant(spec, instants, i, lo, hi, score)
 

@@ -18,13 +18,18 @@ views them as complex numbers x + iy, on which the pair's rotation-scaling
 acts as multiplication by lambda.
 
 The one realization the package builds is the observability-canonical
-(companion) form; its real Jordan basis is the confluent Vandermonde matrix,
-built analytically once per ``Realization``.  Every exponential comes from
-one batched kernel, ``jordan_flow``: the flow exp(J alpha) d for a whole
-array of alphas, with no n x n exponential.  The basis, the mode vectors, O,
-G, the state transitions, the design grid and the third-order spiral (the
-flow of the normalized mode vector) all go through it; ``checked_flow``
-raises DegenerateSamplingError on overflow.
+(companion) form; its real Jordan basis B is the confluent Vandermonde
+matrix, built analytically once per ``Realization``.  The Wronskian at zero
+is B times a diagonal of signed factorials, so the input vector in the
+Jordan frame, y0 = B^{-1} b, is that diagonal times the real mode vector,
+in closed form.  The companion matrix A, the Markov vector b and cond(B) are
+built only when read; no subcommand reads them.  Every exponential comes
+from one batched kernel, ``jordan_flow``: the flow exp(J alpha) d for a
+whole array of alphas and a stack of seeds d, with no n x n exponential.
+The basis, the mode vectors, O, G, the state transitions, the steps of an
+impulse train, the design grid and the third-order spiral (the flow of the
+normalized mode vector) all go through it; ``checked_flow`` raises
+DegenerateSamplingError on overflow.
 """
 from __future__ import annotations
 
@@ -185,6 +190,21 @@ class EigenStructure:
         return S
 
     @cached_property
+    def _wronskian_scale(self) -> np.ndarray:
+        """Read-only D with ``wronskian_at_zero(es) == B @ diag(D)`` for the
+        confluent Vandermonde basis B: the Wronskian's cell k carries the
+        falling factorial i!/(i-k)! where B's carries C(i, k), and B's pair
+        cells are conjugated, so D is k! in a real slot and in a pair's x
+        slot, and -k! in its y slot."""
+        D = np.empty(self.n)
+        for blk in self.blocks:
+            factorials = [math.factorial(k) for k in range(blk.multiplicity)]
+            blk.cells(D)[:] = (factorials if blk.kind == "real"
+                               else [complex(f, -f) for f in factorials])
+        D.setflags(write=False)
+        return D
+
+    @cached_property
     def root_slices(self) -> tuple[slice, ...]:
         """Slice of the modal coefficient vector belonging to each root entry."""
         slices = []
@@ -212,23 +232,26 @@ class SystemSpec:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if len(self.coeffs) != self.eigen.n:
+        coeffs = tuple(complex(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != self.eigen.n:
             raise ValueError(f"expected {self.eigen.n} modal coefficients, "
-                             f"got {len(self.coeffs)}")
-        c = np.asarray(self.coeffs)
-        scale = float(np.max(np.abs(c))) or 1.0
+                             f"got {len(coeffs)}")
+        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
+            raise ValueError("modal coefficients must be finite")
+        scale = max(map(abs, coeffs)) or 1.0
         # h(t) must be real: real-root blocks carry real coefficients and
         # conjugate-pair blocks carry conjugate coefficients.
         slices = self.eigen.root_slices
         for blk in self.eigen.blocks:
             if blk.kind == "real":
                 i = blk.root_index
-                if np.max(np.abs(c[slices[i]].imag)) > 1e-9 * scale:
+                if max(abs(c.imag) for c in coeffs[slices[i]]) > 1e-9 * scale:
                     raise ValueError(f"real-root block {i} has complex coefficients")
             else:
                 i, j = sorted((blk.root_index, blk.partner_index))
-                if np.max(np.abs(c[slices[i]] - np.conj(c[slices[j]]))) > 1e-9 * scale:
+                if max(abs(ci - cj.conjugate())
+                       for ci, cj in zip(coeffs[slices[i]], coeffs[slices[j]])) > 1e-9 * scale:
                     raise ValueError(f"blocks {i} and {j} do not carry conjugate coefficients")
 
     @property
@@ -304,9 +327,8 @@ def _confluent(es: EigenStructure, weight, conjugate: bool) -> np.ndarray:
         cells = blk.cells(M)
         zero = 0.0 if blk.kind == "real" else 0j  # conj(0j) is -0j in V's pairs
         for k in range(blk.multiplicity):
-            for i in range(n):
-                z = weight(i, k) * blk.value ** (i - k) if i >= k else zero
-                cells[i, k] = z.conjugate() if conjugate else z
+            col = [weight(i, k) * blk.value ** (i - k) if i >= k else zero for i in range(n)]
+            cells[:, k] = [z.conjugate() for z in col] if conjugate else col
     return M
 
 
@@ -342,79 +364,101 @@ def modes_from_markov(es: EigenStructure, h) -> tuple[complex, ...]:
 # ---------------------------------------------------------------------------
 # the observability-canonical realization
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Realization:
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    spec: SystemSpec
+    """The observability-canonical realization (A, b, c) of ``spec``: A the
+    companion matrix of the characteristic polynomial, b the first n Markov
+    parameters and c = e_1.  Every matrix is read-only and built on first
+    use; the runtime reads only c and the Jordan form, so A and b are built
+    only for a caller that asks."""
 
-    def __post_init__(self):
-        for name in ("A", "b", "c"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    spec: SystemSpec
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.spec.n
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        n = self.n
+        A = np.eye(n, k=1)
+        A[n - 1, :] = -coefficients_from_roots(self.spec.eigen)[::-1]
+        return _read_only(A)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return _read_only(markov_from_modes(self.spec))
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        c = np.zeros(self.n)
+        c[0] = 1.0
+        return _read_only(c)
 
     @cached_property
     def jordan(self) -> RealJordanForm:
         """Real Jordan form of this realization, built on first use."""
-        return real_jordan(self.spec, self)
+        return real_jordan(self.spec)
 
 
 def observability_canonical(spec: SystemSpec) -> Realization:
-    n = spec.n
-    a = coefficients_from_roots(spec.eigen)
-    A = np.zeros((n, n))
-    for i in range(n - 1):
-        A[i, i + 1] = 1.0
-    A[n - 1, :] = -a[::-1]
-    b = markov_from_modes(spec)
-    c = np.zeros(n)
-    c[0] = 1.0
-    return Realization(A, b, c, spec)
+    return Realization(spec)
 
 
 # ---------------------------------------------------------------------------
 # real Jordan form
 
 def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
-    """exp(J alpha) d for every alpha of an array of any shape.
+    """exp(J alpha) d for every alpha of an array of any shape and every seed
+    d of a stack, shape (..., n).
 
-    Returns shape ``alphas.shape + (n,)``.  A real block applies the finite
+    Returns shape ``alphas.shape + d.shape``.  A real block applies the finite
     nilpotent series e^{lambda alpha} sum_k alpha^k/k! N^k; a pair block does
     the same on its cells read as complex numbers x + iy, on which the
     rotation-scaling cell acts as multiplication by e^{lambda alpha}.
-    Overflow gives inf or nan entries, never an exception.
+    Overflow gives inf or nan entries, never an exception.  For an array of
+    alphas each seed's flow is, bit for bit, the flow of that seed alone; for
+    a single alpha numpy's scalar arithmetic serves a single seed, its array
+    loops a stack, and the two may differ in the last bit.
     """
     al = np.asarray(alphas, dtype=float)
     d = np.ascontiguousarray(d, dtype=float)
-    out = np.empty(al.shape + (es.n,))
+    out = np.empty(al.shape + d.shape)
+    spread = al.shape + (1,) * (d.ndim - 1)  # one alpha for a whole seed of a stack
+    al_spread = al.reshape(spread)
+    cell_axis_first = (d.ndim - 1, *range(d.ndim - 1))
     for blk in es.blocks:
         m = blk.multiplicity
-        z = blk.cells(d)
+        z = blk.cells(d).transpose(cell_axis_first)  # z[k]: cell k of every seed
         cells = blk.cells(out)
         # a real block's exponential stays a float array, like its cells
         e = np.exp(blk.value.real * al) if blk.kind == "real" else np.exp(blk.value * al)
+        if d.ndim > 1:  # a lone seed keeps a single alpha's e a numpy scalar
+            e = np.reshape(e, spread)
         for p in range(m):
             # Horner form of sum_{k < m - p} alpha^k / k! z[p + k]
             s = z[m - 1]
             for k in range(m - 1 - p, 0, -1):
-                s = z[p + k - 1] + (al / k) * s
+                s = z[p + k - 1] + (al_spread / k) * s
             cells[..., p] = e * s
     return out
 
 
-def checked_flow(es: EigenStructure, d, alphas, right: np.ndarray) -> np.ndarray:
-    """``jordan_flow(es, d, alphas) @ right``, raising DegenerateSamplingError
-    for the first alpha whose row has an entry that is not a finite float."""
+def checked_flow(es: EigenStructure, d, alphas, right: np.ndarray | None = None) -> np.ndarray:
+    """``jordan_flow(es, d, alphas) @ right``, or the flow itself without
+    ``right``, raising DegenerateSamplingError for the first alpha whose
+    result has an entry that is not a finite float."""
     al = np.asarray(alphas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = jordan_flow(es, d, al) @ right
-    bad = ~np.isfinite(out).all(axis=-1)
+        out = jordan_flow(es, d, al)
+        if right is not None:
+            out = out @ right
+    bad = ~np.isfinite(out.reshape(al.shape + (-1,))).all(axis=-1)
     if bad.any():
         raise _overflow(es, float(al[bad][0]))
     return out
@@ -431,27 +475,35 @@ def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RealJordanForm:
+    """A = B J B^{-1}, with y0 = B^{-1} b the input vector in the Jordan frame.
+    cond(B) and its warning are computed on first read."""
+
     es: EigenStructure
     B: np.ndarray
     B_inv: np.ndarray
     y0: np.ndarray
-    condition_number: float
-    warning: str | None = None
+
+    @cached_property
+    def condition_number(self) -> float:
+        return float(np.linalg.cond(self.B))
+
+    @cached_property
+    def warning(self) -> str | None:
+        cond = self.condition_number
+        if not np.isfinite(cond) or cond > B_CONDITION_WARN:
+            return f"ill-conditioned change of basis (cond = {cond:.3e})"
+        return None
 
 
-def real_jordan(spec: SystemSpec, real: Realization) -> RealJordanForm:
-    """Real Jordan form of the observability-canonical realization ``real``:
-    B is the confluent Vandermonde basis, built analytically from the
-    eigenstructure (never by numerical eigendecomposition of A)."""
+def real_jordan(spec: SystemSpec) -> RealJordanForm:
+    """Real Jordan form of the observability-canonical realization of
+    ``spec``: B is the confluent Vandermonde basis, built analytically from
+    the eigenstructure (never by numerical eigendecomposition of A).  As
+    b = W d for the Wronskian at zero W = B diag(D) and the real mode vector
+    d, y0 = B^{-1} b is D d in closed form."""
     es = spec.eigen
     B = confluent_vandermonde_real(es)
-    B_inv = np.linalg.inv(B)
-    y0 = B_inv @ real.b
-    cond = float(np.linalg.cond(B))
-    warning = None
-    if not np.isfinite(cond) or cond > B_CONDITION_WARN:
-        warning = f"ill-conditioned change of basis (cond = {cond:.3e})"
-    return RealJordanForm(es, B, B_inv, y0, cond, warning)
+    return RealJordanForm(es, B, np.linalg.inv(B), es._wronskian_scale * spec.real_mode_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +518,12 @@ class MinimalityReport:
 def check_minimality(spec: SystemSpec) -> MinimalityReport:
     """True iff the highest-order modal coefficient of every block is nonzero
     (relative to the largest coefficient magnitude)."""
-    c = np.asarray(spec.coeffs)
-    scale = float(np.max(np.abs(c))) or 1.0
-    offending = []
-    for blk in spec.eigen.blocks:
-        sl = spec.eigen.root_slices[blk.root_index]
-        if abs(c[sl.stop - 1]) <= MINIMALITY_TOL * scale:
-            offending.append(blk.root_index)
-    return MinimalityReport(not offending, tuple(offending))
+    c = spec.coeffs
+    scale = max(map(abs, c)) or 1.0
+    offending = tuple(blk.root_index for blk in spec.eigen.blocks
+                      if abs(c[spec.eigen.root_slices[blk.root_index].stop - 1])
+                      <= MINIMALITY_TOL * scale)
+    return MinimalityReport(not offending, offending)
 
 
 def __getattr__(name):

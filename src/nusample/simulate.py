@@ -3,13 +3,16 @@
 Deadbeat impulse plans drive an initial state to the origin in n steps;
 initial states are reconstructed from n output samples.  An impulse u_i
 applied at t_i produces the instantaneous state jump b * u_i at t_i+, and
-the state flows freely by exp(A dt) = B exp(J dt) B^{-1} between instants;
-all propagation is the Jordan-flow kernel in the frame of the
+the state flows freely by exp(A dt) = B exp(J dt) B^{-1} between instants.
+All propagation is the Jordan-flow kernel in the frame of the
 observability-canonical realization's Jordan form, built once per
-realization.  The controllability and observability matrices the solves use
-are the ``analysis.bruteforce_*`` builders; a reconstruction takes k output
-vectors as one (n, k) array and solves them against a single observability
-matrix.
+realization.  An impulse train runs in that frame: the state z = B^{-1} x
+flows by exp(J dt), one kernel call for every step of the train, and jumps
+by y0 u_i, where y0 = B^{-1} b is known in closed form; only the
+checkpoints go back to x = B z.  The controllability and observability
+matrices the solves use are the ``analysis.bruteforce_*`` builders; a
+reconstruction takes k output vectors as one (n, k) array and solves them
+against a single observability matrix.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from nusample.analysis import (
     bruteforce_controllability_matrix,
     bruteforce_observability_matrix,
 )
-from nusample.errors import RankDeficientError
+from nusample.errors import DegenerateSamplingError, RankDeficientError
 from nusample.lti import Realization, checked_flow
 
 
@@ -99,21 +102,35 @@ def deadbeat_inputs(real: Realization, x0, seq: SamplingSequence) -> ImpulsePlan
 
 
 def simulate_impulse_train(real: Realization, x0, plan: ImpulsePlan) -> Trajectory:
-    """Piecewise evolution: free flow between instants, jump b u_i at t_i."""
-    x = np.asarray(x0, dtype=float)
+    """Piecewise evolution: free flow between instants, jump b u_i at t_i.
+
+    Runs in the Jordan frame: z = B^{-1} x0, then for each instant z flows by
+    exp(J dt) and jumps by y0 u_i, ending with the flow to the final instant
+    if there is one; every checkpoint is x = B z."""
+    jf = real.jordan
     seq = plan.sequence
-    checkpoints = []
-    t_prev = seq.instants[0]
-    for ti, ui in zip(seq.instants, plan.inputs):
-        x = state_transition(real, x, ti - t_prev)
-        checkpoints.append(Checkpoint(ti, "pre", x.copy()))
-        x = x + real.b * ui
-        checkpoints.append(Checkpoint(ti, "post", x.copy()))
-        t_prev = ti
-    if seq.final_instant is not None:
-        x = state_transition(real, x, seq.final_instant - t_prev)
-        checkpoints.append(Checkpoint(seq.final_instant, "pre", x.copy()))
-    return Trajectory(tuple(checkpoints))
+    times = seq.instants if seq.final_instant is None else seq.instants + (seq.final_instant,)
+    # steps[k] = exp(J dt_k)', so z exp(J dt_k)' = exp(J dt_k) z
+    steps = checked_flow(jf.es, np.eye(real.n), np.subtract(times, times[:1] + times[:-1]))
+    z = jf.B_inv @ np.asarray(x0, dtype=float)
+    labels, states = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ti, step, ui in zip(times, steps, plan.inputs):
+            z = z @ step
+            labels += [(ti, "pre"), (ti, "post")]
+            states += [z, z + jf.y0 * ui]
+            z = states[-1]
+        if seq.final_instant is not None:
+            labels.append((seq.final_instant, "pre"))
+            states.append(z @ steps[-1])
+        xs = np.array(states) @ jf.B.T
+    bad = ~np.isfinite(xs).all(axis=-1)
+    if bad.any():
+        raise DegenerateSamplingError(f"the simulated state overflows a float at "
+                                      f"t = {labels[bad.argmax()][0]:.6g}; shorten the "
+                                      "sampling intervals")
+    checkpoints = tuple(Checkpoint(t, side, x) for (t, side), x in zip(labels, xs))
+    return Trajectory(checkpoints)
 
 
 def reconstruct_initial_state(real: Realization, outputs,

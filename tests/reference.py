@@ -1,7 +1,8 @@
 """Per-alpha matrix exponentials, a block-by-block Jordan matrix, the
 math.exp spiral, the per-root impulse response, the separate confluent loops,
 slot-by-slot builders of the real-basis layout and the controllability-
-canonical realization, the sweep one scale at a time, and the generic design
+canonical realization, the impulse train carried in the state frame, the
+sweep one scale at a time, and the generic design
 search with a bounded Brent refinement per instant: the independent routes
 the tests compare the runtime against.  The runtime never calls these."""
 import cmath
@@ -13,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from nusample import analysis, design, fileio
+from nusample import analysis, design, fileio, simulate
 from nusample.errors import (
     DegenerateSamplingError,
     InputError,
@@ -271,12 +272,29 @@ def controllability_jordan(spec: SystemSpec) -> RealJordanForm:
     B_inv = np.linalg.inv(B)
     b_co = np.zeros(es.n)
     b_co[0] = 1.0
-    return RealJordanForm(es, B, B_inv, B_inv @ b_co, float(np.linalg.cond(B)))
+    return RealJordanForm(es, B, B_inv, B_inv @ b_co)
 
 
 class ControllabilityForm(Realization):
-    """A realization whose Jordan form is ``controllability_jordan``; the
-    runtime's ``real_jordan`` knows the observability form only."""
+    """The dual (A', c', b') of the observability-canonical realization, with
+    ``controllability_jordan`` as its Jordan form; the runtime's
+    ``real_jordan`` knows the observability form only."""
+
+    @cached_property
+    def _dual(self) -> Realization:
+        return observability_canonical(self.spec)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return self._dual.A.T
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return self._dual.c.copy()
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return self._dual.b.copy()
 
     @cached_property
     def jordan(self) -> RealJordanForm:
@@ -284,8 +302,30 @@ class ControllabilityForm(Realization):
 
 
 def controllability_canonical(spec: SystemSpec) -> ControllabilityForm:
-    ob = observability_canonical(spec)
-    return ControllabilityForm(ob.A.T, ob.c.copy(), ob.b.copy(), spec)
+    return ControllabilityForm(spec)
+
+
+# ---------------------------------------------------------------------------
+# the impulse train in the state frame
+
+def simulate_impulse_train(real: Realization, x0, plan) -> list:
+    """(time, side, state) of every checkpoint, the state carried as x:
+    each free flow is ``simulate.state_transition`` and each jump adds
+    b u_i, with b the realization's Markov vector."""
+    x = np.asarray(x0, dtype=float)
+    seq = plan.sequence
+    checkpoints = []
+    t_prev = seq.instants[0]
+    for ti, ui in zip(seq.instants, plan.inputs):
+        x = simulate.state_transition(real, x, ti - t_prev)
+        checkpoints.append((ti, "pre", x.copy()))
+        x = x + real.b * ui
+        checkpoints.append((ti, "post", x.copy()))
+        t_prev = ti
+    if seq.final_instant is not None:
+        x = simulate.state_transition(real, x, seq.final_instant - t_prev)
+        checkpoints.append((seq.final_instant, "pre", x.copy()))
+    return checkpoints
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def _well_conditioned_spec(rng, n):
     for _ in range(200):
         spec = random_minimal_spec(rng, n)
         ob = ns.observability_canonical(spec)
-        cb = max(ns.real_jordan(spec, ob).condition_number,
+        cb = max(ns.real_jordan(spec).condition_number,
                  controllability_jordan(spec).condition_number)
         if cb < MAX_BASIS_COND:
             return spec

@@ -137,7 +137,7 @@ def test_bruteforce_controllability_columns():
     real = ns.observability_canonical(spec)
     seq = ns.SamplingSequence((0.0, 1.0), final_instant=2.0)
     G = ns.bruteforce_controllability_matrix(real, seq)
-    jf = ns.real_jordan(spec, real)
+    jf = ns.real_jordan(spec)
     assert np.allclose(G[:, 0], expA(jf, 1.0) @ real.b)
     assert np.allclose(G[:, 1], expA(jf, 2.0) @ real.b)
 

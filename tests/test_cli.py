@@ -2,8 +2,10 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nusample import lti
 from nusample.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -154,6 +156,56 @@ def test_verify_needs_final_instant(capsys, tmp_path):
                        "--instants", str(seq), "--seed", "1")
     assert code == 1
     assert "final_instant" in err
+
+
+def test_verify_carries_the_impulse_train_in_the_jordan_frame(capsys, tmp_path):
+    # an undecided case of the benchmark's check workload (seed 77, n = 6): the
+    # train carried as x went through B^{-1} and B at every step and ended
+    # 4.6e-7 from the origin (verified = no, exit 2); in the Jordan frame it
+    # ends 2.7e-10 from it
+    system = {"order": 6,
+              "roots": [{"re": -0.17798647902027187, "im": 0.0, "mult": 1},
+                        {"re": -0.9553927784856064, "im": 1.5525732749048777, "mult": 1},
+                        {"re": -0.9553927784856064, "im": -1.5525732749048777, "mult": 1},
+                        {"re": 0.09116829250246927, "im": 0.0, "mult": 2},
+                        {"re": 0.20941019684267692, "im": 0.0, "mult": 1}],
+              "mode_coefficients": [{"re": -1.6217578753588062, "im": 0.0},
+                                    {"re": 1.0797124190398337, "im": -0.08791083515202258},
+                                    {"re": 1.0797124190398337, "im": 0.08791083515202258},
+                                    {"re": -1.2431747442398073, "im": 0.0},
+                                    {"re": 0.7805219319617014, "im": 0.0},
+                                    {"re": 1.1540827550136403, "im": 0.0}]}
+    sequence = {"instants": [0.8020090225808698, 1.5924908950081758, 2.2312082518444747,
+                             2.9354927967579103, 4.0526776729668, 5.105222123393599],
+                "final_instant": 5.902173474256695}
+    sys_path, seq_path = tmp_path / "sys.json", tmp_path / "seq.json"
+    sys_path.write_text(json.dumps(system))
+    seq_path.write_text(json.dumps(sequence))
+    code, out, _ = run(capsys, "verify", "--system", str(sys_path),
+                       "--instants", str(seq_path), "--seed", "770018927")
+    assert code == 0 and "verified = yes" in out
+    fields = dict(line.split(" = ") for line in out.splitlines())
+    assert float(fields["deadbeat_residual"]) < 1e-9
+
+
+def test_verify_and_sweep_build_no_companion_form_and_no_cond(capsys, monkeypatch):
+    # the runtime reads c and the Jordan form of the realization: the
+    # companion matrix A, the Markov vector b and cond(B) are built only for
+    # a caller that reads them
+    def refuse(*args, **kwargs):
+        raise AssertionError("built although nothing reads it")
+
+    monkeypatch.setattr(lti, "coefficients_from_roots", refuse)
+    monkeypatch.setattr(lti, "markov_from_modes", refuse)
+    monkeypatch.setattr(np.linalg, "cond", refuse)
+    for system, sequence in (("oscillator.json", "quarter_turn.json"),
+                             ("third_order.json", "third_sequence.json")):
+        code, out, _ = run(capsys, "verify", "--system", str(DATA / system),
+                           "--instants", str(DATA / sequence), "--seed", "5")
+        assert code == 0 and "verified = yes" in out
+        code, out, _ = run(capsys, "sweep", "--system", str(DATA / system),
+                           "--from", "0.2", "--to", "1.0", "--points", "4", "--trials", "3")
+        assert code == 0 and len(out.splitlines()) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,33 @@ def test_flow_matches_per_alpha_routes(shape):
     assert np.max(np.abs(got - by_expm)) <= 1e-11 * scale
 
 
+@pytest.mark.parametrize("alpha_shape, seed_shape", [((6,), (4,)), ((2, 3), (2, 5)),
+                                                     ((1,), (3,))])
+def test_flow_of_a_seed_stack_is_the_flow_of_each_seed(alpha_shape, seed_shape):
+    rng = np.random.default_rng(4)
+    for es in (TRIPLE, random_minimal_spec(rng, 7).eigen):
+        d = rng.standard_normal(seed_shape + (es.n,))
+        alphas = rng.uniform(-1.0, 3.0, alpha_shape)
+        got = lti.jordan_flow(es, d, alphas)
+        assert got.shape == alpha_shape + d.shape
+        for idx in np.ndindex(*seed_shape):
+            each = got[(slice(None),) * len(alpha_shape) + idx]
+            assert np.array_equal(each, lti.jordan_flow(es, d[idx], alphas))
+
+
+def test_flow_of_a_seed_stack_at_one_alpha():
+    # a lone seed at a 0-d alpha takes numpy's scalar arithmetic, a stack its
+    # array loops: equal up to the last bit
+    rng = np.random.default_rng(5)
+    d = rng.standard_normal((3, TRIPLE.n))
+    alpha = float(rng.uniform(0.0, 3.0))
+    got = lti.jordan_flow(TRIPLE, d, alpha)
+    assert got.shape == d.shape
+    for row, seed in zip(got, d):
+        each = lti.jordan_flow(TRIPLE, seed, alpha)
+        assert np.max(np.abs(row - each)) <= 4 * np.spacing(np.max(np.abs(each)))
+
+
 def test_flow_at_zero_is_identity():
     d = np.arange(1.0, TRIPLE.n + 1)
     assert np.array_equal(lti.jordan_flow(TRIPLE, d, 0.0), d)

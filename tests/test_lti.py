@@ -288,7 +288,7 @@ def test_jordan_rotation_block():
 def test_jordan_distinct_real_roots():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 1.0])
     ob = ns.observability_canonical(spec)
-    jf = ns.real_jordan(spec, ob)
+    jf = ns.real_jordan(spec)
     J = reference.jordan_matrix(spec.eigen)
     assert np.allclose(J, np.diag([0.0, -1.0]), atol=1e-12)
     assert np.allclose(jf.B @ J @ jf.B_inv, ob.A, atol=1e-12)
@@ -316,12 +316,39 @@ def test_jordan_controllability_normalization():
         assert jf.y0 == pytest.approx(spec.real_mode_vector, rel=1e-8, abs=1e-10)
 
 
+def test_wronskian_is_the_scaled_vandermonde_basis():
+    # W = B diag(D) bit for bit: W's cell k holds i!/(i-k)! lambda^{i-k}, B's
+    # the conjugate of C(i, k) lambda^{i-k}, and D's k! is 1 or 2 at the
+    # multiplicities (at most 3) drawn here, so the product rounds as W does
+    rng = np.random.default_rng(44)
+    for n in range(1, 11):
+        for _ in range(4):
+            es = random_minimal_spec(rng, n).eigen
+            B = lti.confluent_vandermonde_real(es)
+            assert np.array_equal(lti.wronskian_at_zero(es), B * es._wronskian_scale)
+
+
+def test_y0_is_the_scaled_mode_vector():
+    # y0 = B^{-1} W d = D d; the inverse route it replaces agrees to a few
+    # ulps of cond(B)
+    rng = np.random.default_rng(45)
+    for n in range(1, 11):
+        for _ in range(4):
+            spec = random_minimal_spec(rng, n)
+            real = ns.observability_canonical(spec)
+            jf = real.jordan
+            assert np.array_equal(jf.y0, spec.eigen._wronskian_scale * spec.real_mode_vector)
+            by_inverse = jf.B_inv @ real.b
+            tol = 8 * n * np.finfo(float).eps * jf.condition_number
+            assert np.max(np.abs(jf.y0 - by_inverse)) <= tol * np.max(np.abs(jf.y0))
+
+
 def test_jordan_observability_row():
     rng = np.random.default_rng(43)
     for n in (2, 3, 4, 5):
         spec = random_minimal_spec(rng, n)
         ob = ns.observability_canonical(spec)
-        jf = ns.real_jordan(spec, ob)
+        jf = ns.real_jordan(spec)
         row = ob.c @ jf.B
         expected = np.zeros(n)
         for blk in spec.eigen.blocks:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import nusample as ns
-from nusample.errors import RankDeficientError
-from conftest import random_admissible_case, random_minimal_spec
+from nusample.errors import DegenerateSamplingError, RankDeficientError
+from conftest import random_admissible_case, random_minimal_spec, random_sequence
+import reference
 from reference import impulse_response
 
 
@@ -116,6 +117,35 @@ def test_impulse_from_rest_reproduces_impulse_response():
             y = real.c @ ns.state_transition(real, x_post, t)
             assert y == pytest.approx(impulse_response(spec, t),
                                       rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_jordan_frame_train_matches_the_state_frame_loop(n):
+    # the state-frame loop rounds through B^{-1} and B at every step, so the
+    # two agree to a few ulps of the largest state times cond(B)
+    rng = np.random.default_rng(300 + n)
+    for _ in range(6):
+        spec = random_minimal_spec(rng, n)
+        real = ns.observability_canonical(spec)
+        seq = random_sequence(rng, n, with_final=True)
+        x0 = rng.standard_normal(n)
+        plan = ns.ImpulsePlan(tuple(rng.standard_normal(n)), seq)
+        got = ns.simulate_impulse_train(real, x0, plan).checkpoints
+        old = reference.simulate_impulse_train(real, x0, plan)
+        assert [(cp.time, cp.side) for cp in got] == [(t, side) for t, side, _ in old]
+        scale = max([np.linalg.norm(x0)] + [np.max(np.abs(x)) for _, _, x in old])
+        tol = 4 * (n + 1) * np.finfo(float).eps * real.jordan.condition_number * scale
+        for cp, (_, _, x) in zip(got, old):
+            assert np.max(np.abs(cp.state - x)) <= tol
+
+
+def test_overflowing_state_raises():
+    # exp(J dt) is finite, the state it carries is not
+    spec = ns.system_from_modes([(1.0, 1)], [1.0])
+    real = ns.observability_canonical(spec)
+    plan = ns.ImpulsePlan((0.0,), ns.SamplingSequence((0.0,), final_instant=10.0))
+    with pytest.raises(DegenerateSamplingError, match="t = 10"):
+        ns.simulate_impulse_train(real, [1e306], plan)
 
 
 def test_checkpoint_structure():
