@@ -3,8 +3,12 @@
 Builds the alpha vector (a tuple) and the basis matrix Phi (an array), decides
 joint n-reachability / n-observability from its determinant, quantifies the
 degree of orthogonality of the sampled mode vectors, verifies the determinant
-factorization identities, and provides brute-force state-space matrices as
-independent rank oracles; each matrix is one Jordan-flow call, built once.
+factorization identities, and builds the state-space matrices O and G as rank
+oracles.  Each matrix is one Jordan-flow call, built once.  O and the
+observability side of the factorization are Phi times constants of the
+system, so ``analyze`` makes two flow calls: Phi and the mode vectors.  The
+independent routes (per-alpha matrix exponentials, the swap-reversal
+permutation, numeric Hankel determinants) live in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -237,16 +241,14 @@ def bruteforce_controllability_matrix(real: Realization,
 
 
 def bruteforce_observability_matrix(real: Realization, av: tuple[float, ...]) -> np.ndarray:
-    """Rows c exp(A alpha_m) = (c B) exp(J alpha_m) B^{-1}."""
+    """Rows c exp(A alpha_m) = (c B) exp(J alpha_m) B^{-1} = Phi D^{-1} B^{-1},
+    with D the Wronskian scale.  The second equality needs the
+    observability-canonical form, the only one the package builds: c = e_1,
+    so c B is a one in each block's first cell, whose flow is phi(alpha)
+    D^{-1}.  R / D is a signed permutation, entries +-1 exactly."""
     jf = real.jordan
-    return _output_rows(jf.es, real.c @ jf.B, av, jf.B_inv)
-
-
-def _output_rows(es: EigenStructure, r: np.ndarray, alphas, right: np.ndarray) -> np.ndarray:
-    """Rows r exp(J alpha) right, by the flow of J' = S J S:
-    r exp(J alpha) = (exp(J alpha) S r)' S."""
-    S = es._swap_reversal
-    return checked_flow(es, S @ r, alphas, S @ right)
+    d, R = jf.es._basis_seed
+    return checked_flow(jf.es, d, av, (R / jf.es._wronskian_scale) @ jf.B_inv)
 
 
 def numerical_rank(M: np.ndarray) -> int:
@@ -267,51 +269,41 @@ def _factorial_factor(es: EigenStructure) -> float:
     return f
 
 
-def _block_hankel_det(coeffs) -> complex:
-    """Determinant of the anti-triangular Hankel matrix with first row
-    (C_1, ..., C_m) and zeros below the anti-diagonal."""
-    m = len(coeffs)
-    H = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for k in range(m):
-            if i + k < m:
-                H[i, k] = coeffs[i + k]
-    return complex(np.linalg.det(H))
-
-
 def verify_factorizations(spec: SystemSpec, av: tuple[float, ...]) -> FactorizationCheck:
     """Check the two determinant factorizations in the real Jordan frame.
 
     Because the artifact works in the real fundamental basis, each identity
     holds up to a fixed nonzero constant depending only on the system;
     ratio_ctrl and ratio_obs report those constants, and they must be
-    independent of the alpha vector.
+    independent of the alpha vector.  With p the sum of the pair
+    multiplicities, ratio_obs is (-1)^p: the output rows are Phi D^{-1}, and
+    N1 prod(D) = (-1)^p.  ratio_ctrl is 4^p.
     """
     report = check_minimality(spec)
     if not report.minimal:
         raise NonMinimalError("factorization identities are vacuous for "
                               f"non-minimal systems (blocks {report.offending_blocks})")
-    det_phi = float(np.linalg.det(fundamental_matrix(spec.eigen, av)))
-    return _factorizations(spec, av, det_phi, sampled_mode_vectors(spec, av))
+    phi = fundamental_matrix(spec.eigen, av)
+    return _factorizations(spec, phi, float(np.linalg.det(phi)), sampled_mode_vectors(spec, av))
 
 
-def _factorizations(spec: SystemSpec, av: tuple[float, ...], det_phi: float,
+def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
                     Y: np.ndarray) -> FactorizationCheck:
-    """verify_factorizations from det(Phi) and the mode vectors Y of ``av``."""
+    """verify_factorizations from the basis matrix Phi, its determinant and
+    the mode vectors Y of the same alphas."""
     es = spec.eigen
     lhs_ctrl = float(np.linalg.det(Y))
-
-    leading = np.zeros(es.n)  # output row in the Jordan frame: 1 in each block's first cell
-    for blk in es.blocks:
-        blk.cells(leading)[0] = 1.0
-    lhs_obs = float(np.linalg.det(_output_rows(es, leading, av, np.eye(es.n))))
+    # the Jordan-frame output rows, a one in each block's first cell, flow
+    # to Phi D^{-1} (see bruteforce_observability_matrix)
+    lhs_obs = float(np.linalg.det(phi / es._wronskian_scale))
 
     N1 = _factorial_factor(es)
+    # each root's anti-triangular Hankel block of (C_1, ..., C_m) has
+    # determinant (-1)^{m(m-1)/2} C_m^m
     n2 = 1.0 + 0j
-    c = np.asarray(spec.coeffs)
-    for i in range(es.r):
-        sl = es.root_slices[i]
-        n2 *= _block_hankel_det(c[sl])
+    for rt, sl in zip(es.roots, es.root_slices):
+        m = rt.multiplicity
+        n2 *= (-1) ** (m * (m - 1) // 2) * spec.coeffs[sl.stop - 1] ** m
     if abs(n2.imag) > 1e-9 * max(1.0, abs(n2)):
         raise ArithmeticError("N2 is not real (broken conjugate structure)")
     N2 = float(n2.real)
@@ -334,13 +326,14 @@ def analyze(spec: SystemSpec, seq: SamplingSequence,
     """Joint test, plus degree metrics for a minimal system and factorization
     factors for a minimal system with an admissible sequence."""
     av = alphas(seq)
-    base = joint_test(fundamental_matrix(spec.eigen, av), tol_factor)
+    phi = fundamental_matrix(spec.eigen, av)
+    base = joint_test(phi, tol_factor)
     degree = None
     factors = None
     if check_minimality(spec).minimal:
         Y = sampled_mode_vectors(spec, av)
         degree = degree_metrics_from_vectors(Y)
         if base.is_admissible:
-            factors = _factorizations(spec, av, base.determinant, Y)
+            factors = _factorizations(spec, phi, base.determinant, Y)
     return AnalysisReport(base.determinant, base.is_admissible, base.sigma_min,
                           base.condition_number, base.threshold, degree, factors)

@@ -178,8 +178,7 @@ def _auto_method(spec) -> str:
     if _single_pair(spec):
         return "closed"
     if spec.n == 3 and sorted(b.kind for b in blocks) == ["pair", "real"]:
-        pair = next(b for b in blocks if b.kind == "pair")
-        if pair.value.real != 0.0:
+        if design._geometric_obstacle(*design._third_order_blocks(spec)) is None:
             return "geometric"
     return "generic"
 

@@ -34,7 +34,7 @@ from nusample.analysis import (
     unit_vectors,
 )
 from nusample.errors import DesignError, InadmissibleDesignError
-from nusample.lti import SystemSpec, check_minimality, jordan_flow, system_from_modes
+from nusample.lti import Block, SystemSpec, check_minimality, jordan_flow, system_from_modes
 
 DEFAULT_M_MAX = 8
 MIN_GRAM_DET = 1e-12  # a design at or below this Gram determinant is inadmissible
@@ -96,6 +96,19 @@ def _third_order_blocks(spec: SystemSpec):
     return blocks[kinds.index("real")], blocks[kinds.index("pair")]
 
 
+def _geometric_obstacle(real: Block, pair: Block) -> str | None:
+    """Why the spiral-and-surface step cannot run on these blocks, or None
+    when it can: the surface exponent lambda/2a needs a != 0, and the
+    scaling relation needs lambda != a."""
+    lam, a = real.value.real, pair.value.real
+    if a == 0.0:
+        return ("surface exponent lambda/2a is undefined for a = 0; "
+                "use the generic search instead")
+    if abs(lam - a) < 1e-12 * (1.0 + abs(a)):
+        return "the surface scaling relation degenerates for lambda = a"
+    return None
+
+
 def _spiral(spec: SystemSpec, alphas) -> np.ndarray:
     """(x, y, z) of the normalized mode vector at every alpha of an array of
     any shape: the flow of d = (1, 0) in the pair's cell and 1 in the real
@@ -139,12 +152,10 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     below MIN_GRAM_DET raises InadmissibleDesignError with it as ``best``.
     """
     real, pair = _third_order_blocks(spec)
+    obstacle = _geometric_obstacle(real, pair)
+    if obstacle is not None:
+        raise DesignError(obstacle)
     lam, a, b = real.value.real, pair.value.real, pair.value.imag
-    if a == 0.0:
-        raise DesignError("surface exponent lambda/2a is undefined for a = 0; "
-                          "use the generic search instead")
-    if abs(lam - a) < 1e-12 * (1.0 + abs(a)):
-        raise DesignError("the surface scaling relation degenerates for lambda = a")
     if not t1 > t0:
         raise DesignError("need t1 > t0")
     report = check_minimality(spec)

@@ -45,6 +45,11 @@ def _number(path, field, value):
     return float(value)
 
 
+def _positive_int(value) -> bool:
+    # JSON true and false load as bool, which is an int
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def load_system(path) -> SystemSpec:
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -53,7 +58,7 @@ def load_system(path) -> SystemSpec:
         if field not in doc:
             raise InputError(f"{path}: missing field '{field}'")
     order = doc["order"]
-    if not isinstance(order, int) or order < 1:
+    if not _positive_int(order):
         raise InputError(f"{path}: 'order' must be a positive integer")
     roots = []
     if not isinstance(doc["roots"], list) or not doc["roots"]:
@@ -62,7 +67,7 @@ def load_system(path) -> SystemSpec:
         if not isinstance(r, dict) or not {"re", "im", "mult"} <= set(r):
             raise InputError(f"{path}: roots[{i}] needs fields re, im, mult")
         mult = r["mult"]
-        if not isinstance(mult, int) or mult < 1:
+        if not _positive_int(mult):
             raise InputError(f"{path}: roots[{i}].mult must be a positive integer")
         roots.append((complex(_number(path, "re", r["re"]),
                               _number(path, "im", r["im"])), mult))

@@ -19,13 +19,16 @@ acts as multiplication by lambda.
 
 The one realization the package builds is the observability-canonical
 (companion) form; its real Jordan basis B is the confluent Vandermonde
-matrix, built analytically once per ``Realization``.  The Wronskian at zero
-is B times a diagonal of signed factorials, so the input vector in the
-Jordan frame, y0 = B^{-1} b, is that diagonal times the real mode vector,
-in closed form.  The companion matrix A, the Markov vector b and cond(B) are
-built only when read; no subcommand reads them.  Every exponential comes
-from one batched kernel, ``jordan_flow``: the flow exp(J alpha) d for a
-whole array of alphas and a stack of seeds d, with no n x n exponential.
+matrix, built analytically once per ``Realization``.  Three constants of
+the eigenstructure carry the rest: the basis seed (d, R), the Wronskian
+scale D and B itself.  The Wronskian at zero is B diag(D), so the input
+vector in the Jordan frame, y0 = B^{-1} b, is D times the real mode vector,
+in closed form; and the output row c = e_1 flows as c B exp(J t) =
+phi(t) D^{-1}, so the observability matrix is Phi D^{-1} B^{-1}.  The
+companion matrix A, the Markov vector b and cond(B) are built only when
+read; no subcommand reads them.  Every exponential comes from one batched
+kernel, ``jordan_flow``: the flow exp(J alpha) d for a whole array of
+alphas and a stack of seeds d, with no n x n exponential.
 The basis, the mode vectors, O, G, the state transitions, the steps of an
 impulse train, the design grid and the third-order spiral (the flow of the
 normalized mode vector) all go through it; ``checked_flow`` raises
@@ -176,26 +179,13 @@ class EigenStructure:
         return d, R
 
     @cached_property
-    def _swap_reversal(self) -> np.ndarray:
-        """Read-only symmetric permutation S with S J' S = J: it reverses each
-        block's cells and maps a pair cell z to i conj(z), swapping x and y;
-        that map is not complex-linear, so S is not the real form of a
-        complex matrix."""
-        eye = np.eye(self.n)
-        S = np.zeros((self.n, self.n))
-        for blk in self.blocks:
-            z = blk.cells(eye)[:, ::-1]
-            blk.cells(S)[:] = z if blk.kind == "real" else 1j * np.conj(z)
-        S.setflags(write=False)
-        return S
-
-    @cached_property
     def _wronskian_scale(self) -> np.ndarray:
-        """Read-only D with ``wronskian_at_zero(es) == B @ diag(D)`` for the
-        confluent Vandermonde basis B: the Wronskian's cell k carries the
-        falling factorial i!/(i-k)! where B's carries C(i, k), and B's pair
-        cells are conjugated, so D is k! in a real slot and in a pair's x
-        slot, and -k! in its y slot."""
+        """Read-only D with W = B diag(D) for the Wronskian at zero W and the
+        confluent Vandermonde basis B: W's cell k carries the falling
+        factorial i!/(i-k)! where B's carries C(i, k), and B's pair cells are
+        conjugated, so D is k! in a real slot and in a pair's x slot, and -k!
+        in its y slot.  It also scales the basis to the flow of the output
+        row: e_1 B exp(J t) = phi(t) D^{-1}."""
         D = np.empty(self.n)
         for blk in self.blocks:
             factorials = [math.factorial(k) for k in range(blk.multiplicity)]
@@ -317,24 +307,10 @@ def evaluate_fundamental_basis(es: EigenStructure, t) -> np.ndarray:
     return checked_flow(es, d, t, reverse)
 
 
-def _confluent(es: EigenStructure, weight, conjugate: bool) -> np.ndarray:
-    """M[i, k] = weight(i, k) lambda^{i-k} (0 for i < k) in cell k of each
-    block, or its conjugate: a real block takes the real value, a pair
-    block the complex one."""
-    n = es.n
-    M = np.zeros((n, n))
-    for blk in es.blocks:
-        cells = blk.cells(M)
-        zero = 0.0 if blk.kind == "real" else 0j  # conj(0j) is -0j in V's pairs
-        for k in range(blk.multiplicity):
-            col = [weight(i, k) * blk.value ** (i - k) if i >= k else zero for i in range(n)]
-            cells[:, k] = [z.conjugate() for z in col] if conjugate else col
-    return M
-
-
 def wronskian_at_zero(es: EigenStructure) -> np.ndarray:
-    """W[i, j] = i-th derivative of phi_j at t = 0 (analytic, no differences)."""
-    return _confluent(es, math.perm, False)
+    """W[i, j] = i-th derivative of phi_j at t = 0: the confluent Vandermonde
+    basis B times the Wronskian scale D (see ``EigenStructure._wronskian_scale``)."""
+    return confluent_vandermonde_real(es) * es._wronskian_scale
 
 
 def markov_from_modes(spec: SystemSpec) -> np.ndarray:
@@ -470,7 +446,15 @@ def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
     Complex columns are w_k(lambda)[i] = C(i, k) lambda^{i-k}; cell k of a
     conjugate pair holds conj(w_k).
     """
-    return _confluent(es, math.comb, True)
+    n = es.n
+    V = np.zeros((n, n))
+    for blk in es.blocks:
+        cells = blk.cells(V)
+        zero = 0.0 if blk.kind == "real" else 0j  # conj(0j) is -0j in the pairs
+        for k in range(blk.multiplicity):
+            col = (math.comb(i, k) * blk.value ** (i - k) if i >= k else zero for i in range(n))
+            cells[:, k] = [z.conjugate() for z in col]
+    return V
 
 
 @dataclass(frozen=True, eq=False)

@@ -259,6 +259,19 @@ def impulse_response(spec: SystemSpec, t: float) -> float:
                for k, ck in enumerate(c[sl])).real
 
 
+def hankel_factor(spec: SystemSpec) -> complex:
+    """N2 of the controllability factorization: the product over roots of
+    the numeric determinant of the anti-triangular Hankel matrix with first
+    row (C_1, ..., C_m) and zeros below the anti-diagonal."""
+    n2 = 1.0 + 0j
+    for sl in spec.eigen.root_slices:
+        c = spec.coeffs[sl]
+        m = len(c)
+        H = np.array([[c[i + k] if i + k < m else 0j for k in range(m)] for i in range(m)])
+        n2 *= complex(np.linalg.det(H))
+    return n2
+
+
 # ---------------------------------------------------------------------------
 # the controllability-canonical realization (A', c, b) of the observability form
 

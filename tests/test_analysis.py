@@ -7,6 +7,7 @@ import nusample as ns
 from nusample import analysis, simulate
 from nusample.errors import DegenerateSamplingError, NonMinimalError, RankDeficientError
 from conftest import pathological_sequence, random_minimal_spec, random_sequence
+import reference
 from reference import expA
 
 
@@ -286,10 +287,13 @@ def test_factorization_simple_roots_N2():
 
 
 def test_factorization_ratios_alpha_independent():
+    # the ratios are the exact constants (-1)^p and 4^p, p the sum of the
+    # pair multiplicities: the output rows are Phi D^{-1}, N1 prod(D) = (-1)^p
     rng = np.random.default_rng(23)
     for _ in range(10):
         n = int(rng.integers(2, 6))
         spec = random_minimal_spec(rng, n)
+        p = sum(blk.multiplicity for blk in spec.eigen.blocks if blk.kind == "pair")
         ratios_c, ratios_o = [], []
         for _ in range(4):
             seq = random_sequence(rng, n)
@@ -298,6 +302,24 @@ def test_factorization_ratios_alpha_independent():
             ratios_o.append(fc.ratio_obs)
         assert np.ptp(ratios_c) < 1e-8 * max(1.0, abs(ratios_c[0]))
         assert np.ptp(ratios_o) < 1e-8 * max(1.0, abs(ratios_o[0]))
+        assert ratios_o == pytest.approx([(-1) ** p] * 4, rel=0.0, abs=1e-12)
+        assert ratios_c == pytest.approx([4 ** p] * 4, rel=1e-6)
+
+
+def test_factorization_N2_is_the_hankel_determinant():
+    # the closed form (-1)^{m(m-1)/2} C_m^m per root against numeric
+    # determinants of the Hankel blocks, multiplicities up to 5 included
+    rng = np.random.default_rng(24)
+    specs = [random_minimal_spec(rng, int(rng.integers(1, 11))) for _ in range(30)]
+    specs += [ns.system_from_modes([(-0.7, 4), (1.3, 1)], [0.3, -1.2, 0.8, 1.7, 0.9]),
+              ns.system_from_modes([(0.4 + 1.9j, 5), (0.4 - 1.9j, 5)],
+                                   [0.2 + 1j, -0.5, 0.3j, 1.1, 0.6 - 0.8j,
+                                    0.2 - 1j, -0.5, -0.3j, 1.1, 0.6 + 0.8j])]
+    for spec in specs:
+        fc = ns.verify_factorizations(spec, ns.alphas(random_sequence(rng, spec.n)))
+        ref = reference.hankel_factor(spec)
+        assert fc.N2 == pytest.approx(ref.real, rel=1e-12)
+        assert abs(ref.imag) <= 1e-12 * abs(ref)
 
 
 def test_factorization_requires_minimal():

@@ -412,3 +412,38 @@ def test_unallocatable_count_is_an_error(capsys, argv):
     assert code == 1
     assert err.startswith("error: out of memory (Unable to allocate ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_auto_design_skips_the_degenerate_geometric_step(capsys, tmp_path):
+    # roots -1, -1 +- 2j: lambda = a, where the surface scaling relation of
+    # the geometric step degenerates; auto takes the generic search instead
+    system = _write_spiral_system(tmp_path, lam=-1.0, a=-1.0, b=2.0)
+    code, _, err = run(capsys, "design", "--system", system, "--t0", "0",
+                       "--method", "geometric")
+    assert (code, err) == (1, "error: the surface scaling relation degenerates "
+                              "for lambda = a\n")
+    code, out, err = run(capsys, "design", "--system", system, "--t0", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "method = generic-search"
+    assert out == run(capsys, "design", "--system", system, "--t0", "0",
+                      "--method", "generic")[1]
+
+
+@pytest.mark.parametrize("field, message", [
+    ("order", "'order' must be a positive integer"),
+    ("mult", "roots[0].mult must be a positive integer"),
+])
+def test_boolean_counts_are_rejected(capsys, tmp_path, field, message):
+    # JSON true loads as a bool, which Python counts as the int 1
+    doc = {"order": 1, "roots": [{"re": -1.0, "im": 0.0, "mult": 1}], "markov": [1.0]}
+    if field == "order":
+        doc["order"] = True
+    else:
+        doc["roots"][0]["mult"] = True
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0]}))
+    code, out, err = run(capsys, "analyze", "--system", str(path), "--instants", str(seq))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {message}\n"

@@ -1,7 +1,7 @@
 """The batched Jordan-flow kernel against the per-alpha matrix routes, the
-basis, O, G and the state transitions it builds against the same routes,
-the batched design grid against the scalar score, and how often each command
-builds the Jordan form and each matrix."""
+basis, O, G, the Jordan-frame output rows and the state transitions it
+builds against the same routes, the batched design grid against the scalar
+score, and how often each command builds the Jordan form and each matrix."""
 import ast
 import math
 from pathlib import Path
@@ -127,27 +127,31 @@ def _close(got, ref):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_state_space_matrices_match_per_alpha_routes(n):
-    # O, G and the Jordan-frame O against exp_jordan (through expA) and expm
+    # O, G and the Jordan-frame output rows against exp_jordan (through expA)
+    # and expm.  O = Phi D^{-1} B^{-1} needs c B = a one in each block's first
+    # cell, which holds for the observability form, the one the runtime
+    # builds; G is checked on the controllability form too.
     rng = np.random.default_rng(60 + n)
     for _ in range(3):
         spec = random_minimal_spec(rng, n)
         seq = random_sequence(rng, n, with_final=True, max_step=0.6)
         av = ns.alphas(seq)
-        for real in (ns.observability_canonical(spec), controllability_canonical(spec)):
+        es = spec.eigen
+        leading = np.zeros(n)
+        leading[[blk.offset for blk in es.blocks]] = 1.0
+        ob = ns.observability_canonical(spec)
+        assert np.array_equal(ob.c @ ob.jordan.B, leading)
+        O = ns.bruteforce_observability_matrix(ob, av)
+        assert _close(O, np.array([ob.c @ expA(ob.jordan, a) for a in av]))
+        assert _close(O, np.array([ob.c @ scipy.linalg.expm(ob.A * a) for a in av]))
+        for real in (ob, controllability_canonical(spec)):
             jf = real.jordan
-            O = ns.bruteforce_observability_matrix(real, av)
-            assert _close(O, np.array([real.c @ expA(jf, a) for a in av]))
-            assert _close(O, np.array([real.c @ scipy.linalg.expm(real.A * a)
-                                       for a in av]))
             G = ns.bruteforce_controllability_matrix(real, seq)
             dts = [seq.final_instant - t for t in reversed(seq.instants)]
             assert _close(G, np.column_stack([expA(jf, dt) @ real.b for dt in dts]))
             assert _close(G, np.column_stack([scipy.linalg.expm(real.A * dt) @ real.b
                                               for dt in dts]))
-        es = spec.eigen
-        leading = np.zeros(n)
-        leading[[blk.offset for blk in es.blocks]] = 1.0
-        OJ = analysis._output_rows(es, leading, av, np.eye(n))
+        OJ = ns.fundamental_matrix(es, av) / es._wronskian_scale
         J = jordan_matrix(es)
         assert _close(OJ, np.array([leading @ exp_jordan(es, a) for a in av]))
         assert _close(OJ, np.array([leading @ scipy.linalg.expm(J * a) for a in av]))
@@ -323,11 +327,15 @@ def test_analyze_builds_each_matrix_once(monkeypatch, capsys):
     phi = count_calls(monkeypatch, analysis.fundamental_matrix, (analysis, ns))
     modes = count_calls(monkeypatch, analysis.sampled_mode_vectors, (analysis, ns))
     minimality = count_calls(monkeypatch, lti.check_minimality, (lti, analysis, cli, ns))
+    flows = count_calls(monkeypatch, lti.jordan_flow, (lti, analysis, simulate, ns))
     assert main(["analyze", "--system", str(DATA / "third_order.json"),
                  "--instants", str(DATA / "third_sequence.json")]) == 0
     out = capsys.readouterr().out
     assert "basis_ratio_obs = " in out
     assert (len(phi), len(modes), len(minimality)) == (1, 1, 1)
+    # one flow for Phi, one for the mode vectors; the observability side of
+    # the factorization check is read off Phi
+    assert len(flows) == 2
 
 
 def test_sweep_builds_one_observability_matrix_per_block(monkeypatch, capsys):

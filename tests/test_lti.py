@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import nusample as ns
-from nusample import lti
+from nusample import analysis, lti
 from nusample.errors import NonMinimalError
 from conftest import random_minimal_spec
 import reference
@@ -113,8 +113,9 @@ def _same_bits(a, b):
 
 
 def test_confluent_matrices_match_separate_loops():
-    # the Wronskian and the Vandermonde basis share one loop; each must keep
-    # the bits of its own former loop, signed zeros included
+    # the Wronskian is the scaled Vandermonde basis, whose loop it shares; at
+    # multiplicities up to 3 each must keep the bits of its own former loop,
+    # signed zeros included
     rng = np.random.default_rng(17)
     structures = [random_minimal_spec(rng, int(rng.integers(1, 11))).eigen
                   for _ in range(50)]
@@ -151,7 +152,6 @@ def test_layout_builders_match_slot_loops():
         t = np.linspace(0.0, 3.0, 2 * es.n).reshape(2, es.n)
         assert _same_bits(lti.evaluate_fundamental_basis(es, t),
                           lti.checked_flow(es, ref_d, t, ref_R))
-        assert _same_bits(es._swap_reversal, reference.swap_reversal_permutation(es))
         h = ns.markov_from_modes(spec)
         assert _same_bits(np.array(lti.modes_from_markov(es, h)),
                           np.array(reference.modes_from_markov(es, h)))
@@ -193,7 +193,7 @@ def _count_builds(monkeypatch, name):
 
 def test_layout_constants_are_built_once_and_read_only(monkeypatch):
     seeds = _count_builds(monkeypatch, "_basis_seed")
-    swaps = _count_builds(monkeypatch, "_swap_reversal")
+    scales = _count_builds(monkeypatch, "_wronskian_scale")
     spec = random_minimal_spec(np.random.default_rng(31), 5)
     av = ns.alphas(ns.SamplingSequence((0.0, 0.3, 0.9, 1.4, 2.2)))
     ns.fundamental_matrix(spec.eigen, av)
@@ -201,8 +201,8 @@ def test_layout_constants_are_built_once_and_read_only(monkeypatch):
     real = ns.observability_canonical(spec)
     ns.bruteforce_observability_matrix(real, av)
     ns.bruteforce_observability_matrix(real, av)
-    assert (len(seeds), len(swaps)) == (1, 1)
-    for const in (*spec.eigen._basis_seed, spec.eigen._swap_reversal):
+    assert (len(seeds), len(scales)) == (1, 1)
+    for const in (*spec.eigen._basis_seed, spec.eigen._wronskian_scale):
         assert not const.flags.writeable
         with pytest.raises(ValueError):
             const[0] = 1.0
@@ -317,15 +317,22 @@ def test_jordan_controllability_normalization():
 
 
 def test_wronskian_is_the_scaled_vandermonde_basis():
-    # W = B diag(D) bit for bit: W's cell k holds i!/(i-k)! lambda^{i-k}, B's
-    # the conjugate of C(i, k) lambda^{i-k}, and D's k! is 1 or 2 at the
-    # multiplicities (at most 3) drawn here, so the product rounds as W does
+    # W = B diag(D), by the two independent loops of tests/reference.py: W's
+    # cell k holds i!/(i-k)! lambda^{i-k}, B's the conjugate of
+    # C(i, k) lambda^{i-k}.  D's k! is 1 or 2 at multiplicities up to 3, so
+    # the product rounds as W does; 6 and 24 may move it by an ulp
     rng = np.random.default_rng(44)
     for n in range(1, 11):
         for _ in range(4):
             es = random_minimal_spec(rng, n).eigen
-            B = lti.confluent_vandermonde_real(es)
-            assert np.array_equal(lti.wronskian_at_zero(es), B * es._wronskian_scale)
+            B = reference.confluent_vandermonde_real(es)
+            assert np.array_equal(reference.wronskian_at_zero(es), B * es._wronskian_scale)
+    for m in (4, 5):
+        for es in (ns.eigenstructure([(-0.7, m), (1.3, 1)]),
+                   ns.eigenstructure([(0.4 + 1.9j, m), (0.4 - 1.9j, m), (-2.2, 1)])):
+            W = reference.wronskian_at_zero(es)
+            BD = reference.confluent_vandermonde_real(es) * es._wronskian_scale
+            assert np.all(np.abs(BD - W) <= 2 * np.spacing(np.abs(W)))
 
 
 def test_y0_is_the_scaled_mode_vector():
@@ -409,10 +416,15 @@ def test_minimality_multiple_root_highest_coefficient():
     (ns.SamplingSequence, "shifted"),
     (ns.Realization, "tag"),
     (ns.RealJordanForm, "J"),
+    (lti.EigenStructure, "_swap_reversal"),
+    (analysis, "_output_rows"),
+    (analysis, "_block_hankel_det"),
+    (lti, "_confluent"),
 ])
 def test_removed_api_is_gone(owner, name):
     # the package builds one realization and the CLI reaches no root finder,
-    # Jordan-matrix builder or trajectory export
+    # Jordan-matrix builder or trajectory export; O, the Wronskian and N2
+    # have no second builder
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
         assert name not in {f.name for f in dataclasses.fields(owner)}
