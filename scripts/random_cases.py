@@ -113,9 +113,8 @@ def random_admissible_case(rng, n, max_cond=1e6):
         report = ns.joint_test(ns.fundamental_matrix(spec.eigen, av))
         if not report.is_admissible:
             continue
-        real = ns.observability_canonical(spec)
-        G = ns.bruteforce_controllability_matrix(real, seq)
-        O = ns.bruteforce_observability_matrix(real, av)
+        G = ns.bruteforce_controllability_matrix(spec, seq)
+        O = ns.bruteforce_observability_matrix(spec, av)
         sg = np.linalg.svd(G, compute_uv=False)
         so = np.linalg.svd(O, compute_uv=False)
         if sg[0] / sg[-1] < max_cond and so[0] / so[-1] < max_cond:

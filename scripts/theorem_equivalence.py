@@ -41,9 +41,8 @@ def main():
         av = ns.alphas(seq)
         M = ns.fundamental_matrix(spec.eigen, av)
         verdict = ns.numerical_rank(M) == n
-        real = ns.observability_canonical(spec)
-        G = ns.bruteforce_controllability_matrix(real, seq)
-        O = ns.bruteforce_observability_matrix(real, av)
+        G = ns.bruteforce_controllability_matrix(spec, seq)
+        O = ns.bruteforce_observability_matrix(spec, av)
         oracle = (ns.numerical_rank(G) == n) and (ns.numerical_rank(O) == n)
         ratios = [float(s[-1] / s[0]) for s in
                   (np.linalg.svd(X, compute_uv=False) for X in (M, G, O))]

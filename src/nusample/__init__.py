@@ -9,11 +9,9 @@ from nusample.analysis import (
     analyze,
     bruteforce_controllability_matrix,
     bruteforce_observability_matrix,
-    degree_metrics,
     fundamental_matrix,
     joint_test,
     numerical_rank,
-    verify_factorizations,
 )
 from nusample.design import (
     DesignResult,
@@ -25,17 +23,11 @@ from nusample.design import (
 )
 from nusample.lti import (
     EigenStructure,
-    Realization,
-    RealJordanForm,
     SystemSpec,
     check_minimality,
-    coefficients_from_roots,
     eigenstructure,
     evaluate_fundamental_basis,
-    markov_from_modes,
     modes_from_markov,
-    observability_canonical,
-    real_jordan,
     system_from_markov,
     system_from_modes,
 )

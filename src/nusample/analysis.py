@@ -4,9 +4,11 @@ Builds the alpha vector (a tuple) and the basis matrix Phi (an array), decides
 joint n-reachability / n-observability from its determinant, quantifies the
 degree of orthogonality of the sampled mode vectors, verifies the determinant
 factorization identities, and builds the state-space matrices O and G as rank
-oracles.  Each matrix is one Jordan-flow call, built once.  O and the
-observability side of the factorization are Phi times constants of the
-system, so ``analyze`` makes two flow calls: Phi and the mode vectors.  The
+oracles.  Each matrix is one Jordan-flow call, built once.  O and G take the
+Jordan frame of the system's observability-canonical realization from its
+own constants: B and B^{-1} of the eigenstructure, y0 of the spec.  O and the
+observability side of the factorization are Phi times such constants, so
+``analyze`` makes two flow calls: Phi and the mode vectors.  The
 independent routes (per-alpha matrix exponentials, the swap-reversal
 permutation, numeric Hankel determinants) live in ``tests/reference.py``.
 """
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nusample.errors import DegenerateSamplingError, NonMinimalError
+from nusample.errors import DegenerateSamplingError
 from nusample.lti import (
     EigenStructure,
-    Realization,
     SystemSpec,
     check_minimality,
     checked_flow,
@@ -216,39 +217,29 @@ def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
     return DegreeMetrics(float(gram), min_angle, cond)
 
 
-def degree_metrics(spec: SystemSpec, av: tuple[float, ...]) -> DegreeMetrics:
-    report = check_minimality(spec)
-    if not report.minimal:
-        raise NonMinimalError(f"degree metrics need a minimal system; "
-                              f"offending blocks {report.offending_blocks}")
-    return degree_metrics_from_vectors(sampled_mode_vectors(spec, av))
-
-
 # ---------------------------------------------------------------------------
 # brute-force state-space oracles
 
-def bruteforce_controllability_matrix(real: Realization,
+def bruteforce_controllability_matrix(spec: SystemSpec,
                                       seq: SamplingSequence) -> np.ndarray:
     """[G_{n-1}, ..., G_0] with G_i = exp(A (t_n - t_i)) b = B exp(J (t_n - t_i)) y0."""
     if seq.final_instant is None:
         raise ValueError("the controllability matrix needs the final instant t_n")
-    n = real.n
-    if len(seq.instants) != n:
-        raise ValueError(f"need {n} sampling instants, got {len(seq.instants)}")
-    jf = real.jordan
+    if len(seq.instants) != spec.n:
+        raise ValueError(f"need {spec.n} sampling instants, got {len(seq.instants)}")
     dts = seq.final_instant - np.asarray(seq.instants[::-1])
-    return checked_flow(jf.es, jf.y0, dts, jf.B.T).T
+    return checked_flow(spec.eigen, spec.y0, dts, spec.eigen.B.T).T
 
 
-def bruteforce_observability_matrix(real: Realization, av: tuple[float, ...]) -> np.ndarray:
+def bruteforce_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> np.ndarray:
     """Rows c exp(A alpha_m) = (c B) exp(J alpha_m) B^{-1} = Phi D^{-1} B^{-1},
     with D the Wronskian scale.  The second equality needs the
-    observability-canonical form, the only one the package builds: c = e_1,
+    observability-canonical form, the only one the package works in: c = e_1,
     so c B is a one in each block's first cell, whose flow is phi(alpha)
     D^{-1}.  R / D is a signed permutation, entries +-1 exactly."""
-    jf = real.jordan
-    d, R = jf.es._basis_seed
-    return checked_flow(jf.es, d, av, (R / jf.es._wronskian_scale) @ jf.B_inv)
+    es = spec.eigen
+    d, R = es._basis_seed
+    return checked_flow(es, d, av, (R / es._wronskian_scale) @ es.B_inv)
 
 
 def numerical_rank(M: np.ndarray) -> int:
@@ -269,8 +260,11 @@ def _factorial_factor(es: EigenStructure) -> float:
     return f
 
 
-def verify_factorizations(spec: SystemSpec, av: tuple[float, ...]) -> FactorizationCheck:
-    """Check the two determinant factorizations in the real Jordan frame.
+def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
+                    Y: np.ndarray) -> FactorizationCheck:
+    """The two determinant factorizations in the real Jordan frame, from the
+    basis matrix Phi, its determinant and the mode vectors Y of the same
+    alphas, for a minimal system.
 
     Because the artifact works in the real fundamental basis, each identity
     holds up to a fixed nonzero constant depending only on the system;
@@ -279,18 +273,6 @@ def verify_factorizations(spec: SystemSpec, av: tuple[float, ...]) -> Factorizat
     multiplicities, ratio_obs is (-1)^p: the output rows are Phi D^{-1}, and
     N1 prod(D) = (-1)^p.  ratio_ctrl is 4^p.
     """
-    report = check_minimality(spec)
-    if not report.minimal:
-        raise NonMinimalError("factorization identities are vacuous for "
-                              f"non-minimal systems (blocks {report.offending_blocks})")
-    phi = fundamental_matrix(spec.eigen, av)
-    return _factorizations(spec, phi, float(np.linalg.det(phi)), sampled_mode_vectors(spec, av))
-
-
-def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
-                    Y: np.ndarray) -> FactorizationCheck:
-    """verify_factorizations from the basis matrix Phi, its determinant and
-    the mode vectors Y of the same alphas."""
     es = spec.eigen
     lhs_ctrl = float(np.linalg.det(Y))
     # the Jordan-frame output rows, a one in each block's first cell, flow

@@ -17,7 +17,7 @@ import numpy as np
 
 from nusample import analysis, design, fileio, simulate
 from nusample.errors import InputError, NuSampleError, RankDeficientError
-from nusample.lti import check_minimality, observability_canonical
+from nusample.lti import check_minimality
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -221,16 +221,15 @@ def run_verify(args) -> int:
     spec, seq = _load_case(args)
     if seq.final_instant is None:
         raise InputError("verify needs 'final_instant' for the controllability leg")
-    real = observability_canonical(spec)
     rng = np.random.default_rng(args.seed)
     x0 = rng.standard_normal(spec.n)
     try:
-        plan = simulate.deadbeat_inputs(real, x0, seq)
-        traj = simulate.simulate_impulse_train(real, x0, plan)
+        plan = simulate.deadbeat_inputs(spec, x0, seq)
+        traj = simulate.simulate_impulse_train(spec, x0, plan)
         residual_ctrl = float(np.linalg.norm(traj.final_state) / np.linalg.norm(x0))
         av = analysis.alphas(seq)
-        jf_outputs = simulate.state_transition(real, x0, av) @ real.c
-        x0_hat = simulate.reconstruct_initial_state(real, jf_outputs, av)
+        outputs = simulate.state_transition(spec, x0, av)[:, 0]  # y = c x, c = e_1
+        x0_hat = simulate.reconstruct_initial_state(spec, outputs, av)
         residual_rec = float(np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0))
     except RankDeficientError as exc:
         print("inadmissible_sequence = yes")
@@ -279,7 +278,7 @@ def _noise_amplification(O, eps, trials, seeds) -> np.ndarray:
     return np.where(deficient, math.inf, amp)
 
 
-def _sweep_columns(spec, real, minimal, tol, args, lo: int, hi: int):
+def _sweep_columns(spec, minimal, tol, args, lo: int, hi: int):
     """The five CSV columns of scales lo..hi-1, each matrix built by one
     call for all of them; raises the error of a failing scale."""
     n = spec.n
@@ -298,23 +297,23 @@ def _sweep_columns(spec, real, minimal, tol, args, lo: int, hi: int):
     gram = np.full(len(s), math.nan)
     if minimal:
         gram = analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
-    O = analysis.bruteforce_observability_matrix(real, av)
+    O = analysis.bruteforce_observability_matrix(spec, av)
     seeds = [args.seed * 1000003 + idx for idx in range(lo, hi)]
     return s, det, gram, cond, _noise_amplification(O, args.noise, args.trials, seeds)
 
 
-def _sweep_rows(spec, real, minimal, tol, args, lo: int, hi: int):
+def _sweep_rows(spec, minimal, tol, args, lo: int, hi: int):
     """The CSV rows of scales lo..hi-1.  A block with a failing scale is
     halved until that scale stands alone: the rows before it come out, then
     the error of its first failing stage."""
     try:
-        columns = _sweep_columns(spec, real, minimal, tol, args, lo, hi)
+        columns = _sweep_columns(spec, minimal, tol, args, lo, hi)
     except NuSampleError:
         if hi - lo == 1:
             raise
         mid = (lo + hi) // 2
-        yield from _sweep_rows(spec, real, minimal, tol, args, lo, mid)
-        yield from _sweep_rows(spec, real, minimal, tol, args, mid, hi)
+        yield from _sweep_rows(spec, minimal, tol, args, lo, mid)
+        yield from _sweep_rows(spec, minimal, tol, args, mid, hi)
         return
     for row in zip(*columns):
         yield [fmt(x) for x in row]
@@ -328,7 +327,6 @@ def run_sweep(args) -> int:
         raise InputError("noise magnitude must be positive")
     if args.trials < 1:
         raise InputError("need at least one noise trial")
-    real = observability_canonical(spec)
     tol = _tolerance(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(["scale", "determinant", "gram_det",
@@ -337,7 +335,7 @@ def run_sweep(args) -> int:
     # a scale holds an n x n matrix and 2n noise draws per trial
     block = max(1, SWEEP_BLOCK_FLOATS // (spec.n * (spec.n + 2 * args.trials)))
     for lo in range(0, args.points, block):
-        writer.writerows(_sweep_rows(spec, real, minimal, tol, args, lo,
+        writer.writerows(_sweep_rows(spec, minimal, tol, args, lo,
                                      min(lo + block, args.points)))
     return EXIT_OK
 

@@ -10,7 +10,8 @@ class InputError(NuSampleError):
 
 
 class RootFindingError(NuSampleError):
-    """The roots break conjugate symmetry, or their Wronskian is singular."""
+    """The Vandermonde basis of the roots overflows a float, or their
+    Wronskian at zero is singular."""
 
 
 class NonMinimalError(NuSampleError):

@@ -1,5 +1,5 @@
-"""Modal representation of SISO LTI systems and their observability-canonical
-realization.
+"""Modal representation of SISO LTI systems and the real Jordan frame of
+their observability-canonical realization.
 
 A system is described by its eigenstructure (the distinct characteristic
 roots with multiplicities) together with modal coefficients of the impulse
@@ -17,18 +17,18 @@ slots (x, y) = (Re, Im), which is numpy's complex128 layout; ``Block.cells``
 views them as complex numbers x + iy, on which the pair's rotation-scaling
 acts as multiplication by lambda.
 
-The one realization the package builds is the observability-canonical
-(companion) form; its real Jordan basis B is the confluent Vandermonde
-matrix, built analytically once per ``Realization``.  Three constants of
-the eigenstructure carry the rest: the basis seed (d, R), the Wronskian
-scale D and B itself.  The Wronskian at zero is B diag(D), so the input
-vector in the Jordan frame, y0 = B^{-1} b, is D times the real mode vector,
-in closed form; and the output row c = e_1 flows as c B exp(J t) =
-phi(t) D^{-1}, so the observability matrix is Phi D^{-1} B^{-1}.  The
-companion matrix A, the Markov vector b and cond(B) are built only when
-read; no subcommand reads them.  Every exponential comes from one batched
-kernel, ``jordan_flow``: the flow exp(J alpha) d for a whole array of
-alphas and a stack of seeds d, with no n x n exponential.
+The one realization the package works in is the observability-canonical
+(companion) form (A, b, c = e_1), and only through its real Jordan frame,
+whose constants are read-only properties built once, on first read:
+``EigenStructure`` holds the basis seed (d, R), the Wronskian scale D, the
+confluent Vandermonde basis B with A B = B J, and B^{-1}; ``SystemSpec``
+holds y0 = B^{-1} b, the input vector in the Jordan frame.  The Wronskian at
+zero is B diag(D), so y0 is D times the real mode vector, in closed form;
+and the output row c flows as c B exp(J t) = phi(t) D^{-1}, so the
+observability matrix is Phi D^{-1} B^{-1}.  A and b themselves are never
+built.  Every exponential comes from one batched kernel, ``jordan_flow``:
+the flow exp(J alpha) d for a whole array of alphas and a stack of seeds d,
+with no n x n exponential.
 The basis, the mode vectors, O, G, the state transitions, the steps of an
 impulse train, the design grid and the third-order spiral (the flow of the
 normalized mode vector) all go through it; ``checked_flow`` raises
@@ -46,7 +46,6 @@ from nusample.errors import DegenerateSamplingError, RootFindingError
 
 CLUSTER_TOL = 1e-7        # relative distance below which two roots count as one
 MINIMALITY_TOL = 1e-9     # relative tolerance on the last modal coefficient of a block
-B_CONDITION_WARN = 1e12   # condition number above which real_jordan attaches a warning
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +194,42 @@ class EigenStructure:
         return D
 
     @cached_property
+    def B(self) -> np.ndarray:
+        """Read-only real confluent Vandermonde basis B, with A B = B J for the
+        companion matrix A of the roots.  Its complex columns are
+        w_k(lambda)[i] = C(i, k) lambda^{i-k}; cell k of a conjugate pair
+        holds conj(w_k).  Raises RootFindingError when an entry overflows a
+        float."""
+        n = self.n
+        B = np.zeros((n, n))
+        try:
+            for blk in self.blocks:
+                cells = blk.cells(B)
+                zero = 0.0 if blk.kind == "real" else 0j  # conj(0j) is -0j in the pairs
+                for k in range(blk.multiplicity):
+                    col = (math.comb(i, k) * blk.value ** (i - k) if i >= k else zero
+                           for i in range(n))
+                    cells[:, k] = [z.conjugate() for z in col]
+            finite = np.isfinite(B).all()
+        except OverflowError:  # from float or complex ** in Python
+            finite = False
+        if not finite:
+            r = max(abs(blk.value) for blk in self.blocks)
+            raise RootFindingError(
+                f"the Vandermonde basis of the roots overflows a float at "
+                f"|lambda|^(n-1) = {r:.6g}^{n - 1}; rescale time so that the "
+                "roots are smaller")
+        B.setflags(write=False)
+        return B
+
+    @cached_property
+    def B_inv(self) -> np.ndarray:
+        """Read-only B^{-1}, built on first read."""
+        B_inv = np.linalg.inv(self.B)
+        B_inv.setflags(write=False)
+        return B_inv
+
+    @cached_property
     def root_slices(self) -> tuple[slice, ...]:
         """Slice of the modal coefficient vector belonging to each root entry."""
         slices = []
@@ -262,6 +297,15 @@ class SystemSpec:
         d.setflags(write=False)
         return d
 
+    @cached_property
+    def y0(self) -> np.ndarray:
+        """Read-only input vector in the Jordan frame, y0 = B^{-1} b: the
+        Markov vector is b = W d for the Wronskian at zero W = B diag(D) and
+        the real mode vector d, so y0 = D d, in closed form."""
+        y0 = self.eigen._wronskian_scale * self.real_mode_vector
+        y0.setflags(write=False)
+        return y0
+
 
 def system_from_modes(roots, coeffs) -> SystemSpec:
     return SystemSpec(eigenstructure(roots), coeffs)
@@ -270,22 +314,6 @@ def system_from_modes(roots, coeffs) -> SystemSpec:
 def system_from_markov(roots, markov) -> SystemSpec:
     es = eigenstructure(roots)
     return SystemSpec(es, modes_from_markov(es, np.asarray(markov, dtype=float)))
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomial
-
-def coefficients_from_roots(es: EigenStructure) -> np.ndarray:
-    """Monic characteristic polynomial coefficients (a_1 ... a_n)."""
-    expanded = []
-    for rt in es.roots:
-        expanded.extend([rt.value] * rt.multiplicity)
-    coeffs = np.poly(np.asarray(expanded))
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(np.abs(coeffs.imag)) > 1e-12 * scale:
-        raise RootFindingError("characteristic polynomial is not real "
-                               "(broken conjugate symmetry)")
-    return coeffs.real[1:].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +335,11 @@ def evaluate_fundamental_basis(es: EigenStructure, t) -> np.ndarray:
     return checked_flow(es, d, t, reverse)
 
 
-def wronskian_at_zero(es: EigenStructure) -> np.ndarray:
-    """W[i, j] = i-th derivative of phi_j at t = 0: the confluent Vandermonde
-    basis B times the Wronskian scale D (see ``EigenStructure._wronskian_scale``)."""
-    return confluent_vandermonde_real(es) * es._wronskian_scale
-
-
-def markov_from_modes(spec: SystemSpec) -> np.ndarray:
-    """First n Markov parameters h_{i+1} = d^i h / dt^i at 0."""
-    return wronskian_at_zero(spec.eigen) @ spec.real_mode_vector
-
-
 def modes_from_markov(es: EigenStructure, h) -> tuple[complex, ...]:
     h = np.asarray(h, dtype=float)
     if h.shape != (es.n,):
         raise ValueError(f"expected {es.n} Markov parameters, got {h.shape}")
-    W = wronskian_at_zero(es)
+    W = es.B * es._wronskian_scale  # the Wronskian at zero
     try:
         d = np.linalg.solve(W, h)
     except np.linalg.LinAlgError as exc:  # cannot happen for a fundamental system
@@ -338,56 +355,7 @@ def modes_from_markov(es: EigenStructure, h) -> tuple[complex, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the observability-canonical realization
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Realization:
-    """The observability-canonical realization (A, b, c) of ``spec``: A the
-    companion matrix of the characteristic polynomial, b the first n Markov
-    parameters and c = e_1.  Every matrix is read-only and built on first
-    use; the runtime reads only c and the Jordan form, so A and b are built
-    only for a caller that asks."""
-
-    spec: SystemSpec
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @cached_property
-    def A(self) -> np.ndarray:
-        n = self.n
-        A = np.eye(n, k=1)
-        A[n - 1, :] = -coefficients_from_roots(self.spec.eigen)[::-1]
-        return _read_only(A)
-
-    @cached_property
-    def b(self) -> np.ndarray:
-        return _read_only(markov_from_modes(self.spec))
-
-    @cached_property
-    def c(self) -> np.ndarray:
-        c = np.zeros(self.n)
-        c[0] = 1.0
-        return _read_only(c)
-
-    @cached_property
-    def jordan(self) -> RealJordanForm:
-        """Real Jordan form of this realization, built on first use."""
-        return real_jordan(self.spec)
-
-
-def observability_canonical(spec: SystemSpec) -> Realization:
-    return Realization(spec)
-
-
-# ---------------------------------------------------------------------------
-# real Jordan form
+# the Jordan flow
 
 def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
     """exp(J alpha) d for every alpha of an array of any shape and every seed
@@ -440,56 +408,6 @@ def checked_flow(es: EigenStructure, d, alphas, right: np.ndarray | None = None)
     return out
 
 
-def confluent_vandermonde_real(es: EigenStructure) -> np.ndarray:
-    """Real confluent Vandermonde basis V with A_ob V = V J.
-
-    Complex columns are w_k(lambda)[i] = C(i, k) lambda^{i-k}; cell k of a
-    conjugate pair holds conj(w_k).
-    """
-    n = es.n
-    V = np.zeros((n, n))
-    for blk in es.blocks:
-        cells = blk.cells(V)
-        zero = 0.0 if blk.kind == "real" else 0j  # conj(0j) is -0j in the pairs
-        for k in range(blk.multiplicity):
-            col = (math.comb(i, k) * blk.value ** (i - k) if i >= k else zero for i in range(n))
-            cells[:, k] = [z.conjugate() for z in col]
-    return V
-
-
-@dataclass(frozen=True, eq=False)
-class RealJordanForm:
-    """A = B J B^{-1}, with y0 = B^{-1} b the input vector in the Jordan frame.
-    cond(B) and its warning are computed on first read."""
-
-    es: EigenStructure
-    B: np.ndarray
-    B_inv: np.ndarray
-    y0: np.ndarray
-
-    @cached_property
-    def condition_number(self) -> float:
-        return float(np.linalg.cond(self.B))
-
-    @cached_property
-    def warning(self) -> str | None:
-        cond = self.condition_number
-        if not np.isfinite(cond) or cond > B_CONDITION_WARN:
-            return f"ill-conditioned change of basis (cond = {cond:.3e})"
-        return None
-
-
-def real_jordan(spec: SystemSpec) -> RealJordanForm:
-    """Real Jordan form of the observability-canonical realization of
-    ``spec``: B is the confluent Vandermonde basis, built analytically from
-    the eigenstructure (never by numerical eigendecomposition of A).  As
-    b = W d for the Wronskian at zero W = B diag(D) and the real mode vector
-    d, y0 = B^{-1} b is D d in closed form."""
-    es = spec.eigen
-    B = confluent_vandermonde_real(es)
-    return RealJordanForm(es, B, np.linalg.inv(B), es._wronskian_scale * spec.real_mode_vector)
-
-
 # ---------------------------------------------------------------------------
 # minimality
 
@@ -514,7 +432,7 @@ def __getattr__(name):
     # perfbench/spans.py still reads ``lti.scipy.linalg.block_diag`` when it
     # installs a trace, so ``scipy`` is imported here only when asked for and
     # never by the runtime.  Delete this once the benchmark drops that
-    # binding (ROADMAP item 7).
+    # binding (ROADMAP item 8).
     if name == "scipy":
         import scipy.linalg
         return scipy

@@ -4,15 +4,16 @@ Deadbeat impulse plans drive an initial state to the origin in n steps;
 initial states are reconstructed from n output samples.  An impulse u_i
 applied at t_i produces the instantaneous state jump b * u_i at t_i+, and
 the state flows freely by exp(A dt) = B exp(J dt) B^{-1} between instants.
-All propagation is the Jordan-flow kernel in the frame of the
-observability-canonical realization's Jordan form, built once per
-realization.  An impulse train runs in that frame: the state z = B^{-1} x
-flows by exp(J dt), one kernel call for every step of the train, and jumps
-by y0 u_i, where y0 = B^{-1} b is known in closed form; only the
-checkpoints go back to x = B z.  The controllability and observability
-matrices the solves use are the ``analysis.bruteforce_*`` builders; a
-reconstruction takes k output vectors as one (n, k) array and solves them
-against a single observability matrix.
+Every function takes the system's ``SystemSpec``: all propagation is the
+Jordan-flow kernel in the real Jordan frame of its observability-canonical
+realization, whose constants the system owns and builds once: B and B^{-1}
+(``EigenStructure``) and y0 = B^{-1} b (``SystemSpec``).  An impulse train
+runs in that frame: the state z = B^{-1} x flows by exp(J dt), one kernel
+call for every step of the train, and jumps by y0 u_i, where y0 is known in
+closed form; only the checkpoints go back to x = B z.  The controllability
+and observability matrices the solves use are the ``analysis.bruteforce_*``
+builders; a reconstruction takes k output vectors as one (n, k) array and
+solves them against a single observability matrix.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from nusample.analysis import (
     bruteforce_observability_matrix,
 )
 from nusample.errors import DegenerateSamplingError, RankDeficientError
-from nusample.lti import Realization, checked_flow
+from nusample.lti import SystemSpec, checked_flow
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,11 @@ class Trajectory:
         return self.checkpoints[-1].state
 
 
-def state_transition(real: Realization, x, dt) -> np.ndarray:
+def state_transition(spec: SystemSpec, x, dt) -> np.ndarray:
     """exp(A dt) x = B exp(J dt) B^{-1} x for every dt of an array of any
     shape; returns shape ``dt.shape + (n,)``."""
-    jf = real.jordan
-    return checked_flow(jf.es, jf.B_inv @ np.asarray(x, dtype=float), dt, jf.B.T)
+    es = spec.eigen
+    return checked_flow(es, es.B_inv @ np.asarray(x, dtype=float), dt, es.B.T)
 
 
 def rank_deficient(M: np.ndarray):
@@ -89,41 +90,41 @@ def solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(M, rhs)
 
 
-def deadbeat_inputs(real: Realization, x0, seq: SamplingSequence) -> ImpulsePlan:
+def deadbeat_inputs(spec: SystemSpec, x0, seq: SamplingSequence) -> ImpulsePlan:
     """Impulse inputs u_0 .. u_{n-1} at the sampling instants that drive x0
     (the state just before t_0) to the origin at t_n."""
     if seq.final_instant is None:
         raise ValueError("deadbeat plan needs the final instant t_n")
     x0 = np.asarray(x0, dtype=float)
-    G = bruteforce_controllability_matrix(real, seq)  # [G_{n-1}, ..., G_0]
-    rhs = -state_transition(real, x0, seq.final_instant - seq.instants[0])
+    G = bruteforce_controllability_matrix(spec, seq)  # [G_{n-1}, ..., G_0]
+    rhs = -state_transition(spec, x0, seq.final_instant - seq.instants[0])
     u_rev = solve_checked(G, rhs, "controllability matrix [G_{n-1},...,G_0]")
     return ImpulsePlan(tuple(u_rev[::-1]), seq)
 
 
-def simulate_impulse_train(real: Realization, x0, plan: ImpulsePlan) -> Trajectory:
+def simulate_impulse_train(spec: SystemSpec, x0, plan: ImpulsePlan) -> Trajectory:
     """Piecewise evolution: free flow between instants, jump b u_i at t_i.
 
     Runs in the Jordan frame: z = B^{-1} x0, then for each instant z flows by
     exp(J dt) and jumps by y0 u_i, ending with the flow to the final instant
     if there is one; every checkpoint is x = B z."""
-    jf = real.jordan
+    es = spec.eigen
     seq = plan.sequence
     times = seq.instants if seq.final_instant is None else seq.instants + (seq.final_instant,)
     # steps[k] = exp(J dt_k)', so z exp(J dt_k)' = exp(J dt_k) z
-    steps = checked_flow(jf.es, np.eye(real.n), np.subtract(times, times[:1] + times[:-1]))
-    z = jf.B_inv @ np.asarray(x0, dtype=float)
+    steps = checked_flow(es, np.eye(spec.n), np.subtract(times, times[:1] + times[:-1]))
+    z = es.B_inv @ np.asarray(x0, dtype=float)
     labels, states = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for ti, step, ui in zip(times, steps, plan.inputs):
             z = z @ step
             labels += [(ti, "pre"), (ti, "post")]
-            states += [z, z + jf.y0 * ui]
+            states += [z, z + spec.y0 * ui]
             z = states[-1]
         if seq.final_instant is not None:
             labels.append((seq.final_instant, "pre"))
             states.append(z @ steps[-1])
-        xs = np.array(states) @ jf.B.T
+        xs = np.array(states) @ es.B.T
     bad = ~np.isfinite(xs).all(axis=-1)
     if bad.any():
         raise DegenerateSamplingError(f"the simulated state overflows a float at "
@@ -133,7 +134,7 @@ def simulate_impulse_train(real: Realization, x0, plan: ImpulsePlan) -> Trajecto
     return Trajectory(checkpoints)
 
 
-def reconstruct_initial_state(real: Realization, outputs,
+def reconstruct_initial_state(spec: SystemSpec, outputs,
                               av: tuple[float, ...]) -> np.ndarray:
     """Solve y(alpha_m) = c exp(A alpha_m) X0 for X0.
 
@@ -142,9 +143,9 @@ def reconstruct_initial_state(real: Realization, outputs,
     solving for column j.  All columns share one observability matrix and
     one rank check."""
     outputs = np.asarray(outputs, dtype=float)
-    if outputs.ndim not in (1, 2) or outputs.shape[0] != real.n:
-        raise ValueError(f"need {real.n} output samples (shape ({real.n},) or "
-                         f"({real.n}, k)), got {outputs.shape}")
-    O = bruteforce_observability_matrix(real, av)
+    if outputs.ndim not in (1, 2) or outputs.shape[0] != spec.n:
+        raise ValueError(f"need {spec.n} output samples (shape ({spec.n},) or "
+                         f"({spec.n}, k)), got {outputs.shape}")
+    O = bruteforce_observability_matrix(spec, av)
     return solve_checked(O, outputs, "observability matrix [c exp(A alpha_m)]")
 

@@ -1,14 +1,17 @@
 """Per-alpha matrix exponentials, a block-by-block Jordan matrix, the
 math.exp spiral, the per-root impulse response, the separate confluent loops,
-slot-by-slot builders of the real-basis layout and the controllability-
-canonical realization, the impulse train carried in the state frame, the
-sweep one scale at a time, and the generic design
-search with a bounded Brent refinement per instant: the independent routes
-the tests compare the runtime against.  The runtime never calls these."""
+slot-by-slot builders of the real-basis layout, the companion route (the
+characteristic polynomial, the Markov parameters and the observability- and
+controllability-canonical realizations (A, b, c) with their Jordan frames),
+the impulse train carried in the state frame, the sweep one scale at a time,
+and the generic design search with a bounded Brent refinement per instant:
+the independent routes the tests compare the runtime against.  The runtime
+never calls these."""
 import cmath
 import csv
 import io
 import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,16 +23,9 @@ from nusample.errors import (
     InputError,
     NonMinimalError,
     NuSampleError,
+    RootFindingError,
 )
-from nusample.lti import (
-    EigenStructure,
-    RealJordanForm,
-    Realization,
-    SystemSpec,
-    _overflow,
-    check_minimality,
-    observability_canonical,
-)
+from nusample.lti import EigenStructure, SystemSpec, _overflow, check_minimality
 
 
 def jordan_matrix(es: EigenStructure) -> np.ndarray:
@@ -273,9 +269,79 @@ def hankel_factor(spec: SystemSpec) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the controllability-canonical realization (A', c, b) of the observability form
+# the companion route: the observability-canonical realization (A, b, c) and
+# its dual, the controllability-canonical realization (A', c', b')
 
-def controllability_jordan(spec: SystemSpec) -> RealJordanForm:
+def coefficients_from_roots(es: EigenStructure) -> np.ndarray:
+    """Monic characteristic polynomial coefficients (a_1 ... a_n), by np.poly."""
+    expanded = []
+    for rt in es.roots:
+        expanded.extend([rt.value] * rt.multiplicity)
+    coeffs = np.poly(np.asarray(expanded))
+    scale = max(1.0, float(np.max(np.abs(coeffs))))
+    if np.max(np.abs(coeffs.imag)) > 1e-12 * scale:
+        raise RootFindingError("characteristic polynomial is not real "
+                               "(broken conjugate symmetry)")
+    return coeffs.real[1:].copy()
+
+
+def markov_from_modes(spec: SystemSpec) -> np.ndarray:
+    """First n Markov parameters h_{i+1} = d^i h / dt^i at 0."""
+    return wronskian_at_zero(spec.eigen) @ spec.real_mode_vector
+
+
+@dataclass(frozen=True, eq=False)
+class JordanFrame:
+    """A = B J B^{-1}, with y0 = B^{-1} b the input vector in the Jordan frame."""
+
+    es: EigenStructure
+    B: np.ndarray
+    B_inv: np.ndarray
+    y0: np.ndarray
+
+    @cached_property
+    def condition_number(self) -> float:
+        return float(np.linalg.cond(self.B))
+
+
+class ObservabilityForm:
+    """The observability-canonical realization (A, b, c) of ``spec``: A the
+    companion matrix of ``coefficients_from_roots``, b the Markov parameters
+    and c = e_1.  Its Jordan frame is the runtime's: B and B^{-1} of the
+    eigenstructure, y0 of the spec."""
+
+    def __init__(self, spec: SystemSpec):
+        self.spec = spec
+
+    @property
+    def n(self) -> int:
+        return self.spec.n
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        A = np.eye(self.n, k=1)
+        A[-1, :] = -coefficients_from_roots(self.spec.eigen)[::-1]
+        return A
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return markov_from_modes(self.spec)
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return np.eye(self.n)[0]
+
+    @cached_property
+    def jordan(self) -> JordanFrame:
+        es = self.spec.eigen
+        return JordanFrame(es, es.B, es.B_inv, self.spec.y0)
+
+
+def observability_canonical(spec: SystemSpec) -> ObservabilityForm:
+    return ObservabilityForm(spec)
+
+
+def controllability_jordan(spec: SystemSpec) -> JordanFrame:
     """Real Jordan form of the controllability-canonical realization: the
     basis B = solve(V', S) K, with K normalizing B^{-1} b_co to the real
     mode vector.  Needs a minimal system."""
@@ -285,16 +351,16 @@ def controllability_jordan(spec: SystemSpec) -> RealJordanForm:
     B_inv = np.linalg.inv(B)
     b_co = np.zeros(es.n)
     b_co[0] = 1.0
-    return RealJordanForm(es, B, B_inv, B_inv @ b_co)
+    return JordanFrame(es, B, B_inv, B_inv @ b_co)
 
 
-class ControllabilityForm(Realization):
+class ControllabilityForm(ObservabilityForm):
     """The dual (A', c', b') of the observability-canonical realization, with
-    ``controllability_jordan`` as its Jordan form; the runtime's
-    ``real_jordan`` knows the observability form only."""
+    ``controllability_jordan`` as its Jordan frame; the runtime knows the
+    observability form's frame only."""
 
     @cached_property
-    def _dual(self) -> Realization:
+    def _dual(self) -> ObservabilityForm:
         return observability_canonical(self.spec)
 
     @cached_property
@@ -310,7 +376,7 @@ class ControllabilityForm(Realization):
         return self._dual.b.copy()
 
     @cached_property
-    def jordan(self) -> RealJordanForm:
+    def jordan(self) -> JordanFrame:
         return controllability_jordan(self.spec)
 
 
@@ -321,7 +387,7 @@ def controllability_canonical(spec: SystemSpec) -> ControllabilityForm:
 # ---------------------------------------------------------------------------
 # the impulse train in the state frame
 
-def simulate_impulse_train(real: Realization, x0, plan) -> list:
+def simulate_impulse_train(real: ObservabilityForm, x0, plan) -> list:
     """(time, side, state) of every checkpoint, the state carried as x:
     each free flow is ``simulate.state_transition`` and each jump adds
     b u_i, with b the realization's Markov vector."""
@@ -330,13 +396,13 @@ def simulate_impulse_train(real: Realization, x0, plan) -> list:
     checkpoints = []
     t_prev = seq.instants[0]
     for ti, ui in zip(seq.instants, plan.inputs):
-        x = simulate.state_transition(real, x, ti - t_prev)
+        x = simulate.state_transition(real.spec, x, ti - t_prev)
         checkpoints.append((ti, "pre", x.copy()))
         x = x + real.b * ui
         checkpoints.append((ti, "post", x.copy()))
         t_prev = ti
     if seq.final_instant is not None:
-        x = simulate.state_transition(real, x, seq.final_instant - t_prev)
+        x = simulate.state_transition(real.spec, x, seq.final_instant - t_prev)
         checkpoints.append((seq.final_instant, "pre", x.copy()))
     return checkpoints
 
@@ -351,7 +417,7 @@ def _pow2_norms(M: np.ndarray, axis: int) -> np.ndarray:
     return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
 
 
-def _sweep_row(spec, real, minimal, tol, noise, trials, seed, idx, s):
+def _sweep_row(spec, minimal, tol, noise, trials, seed, idx, s):
     """One CSV row: each matrix built for this scale alone, each check in the
     order the CLI's stages run."""
     if s <= 0:
@@ -389,7 +455,7 @@ def _sweep_row(spec, real, minimal, tol, noise, trials, seed, idx, s):
     e = math.frexp(noise)[1] if noise > 1 else 0
     eps = math.ldexp(noise, -e)
     x0 = np.ldexp(z[:, 0].T, -e)
-    O = analysis.bruteforce_observability_matrix(real, av)
+    O = analysis.bruteforce_observability_matrix(spec, av)
     noisy = O @ x0 + eps * z[:, 1].T
     so = np.linalg.svd(O, compute_uv=False)
     if so[0] == 0.0 or so[-1] / so[0] <= analysis.RANK_REL_TOL:
@@ -409,14 +475,13 @@ def sweep(system, start, stop, points, noise=1e-4, trials=50, seed=0,
     writer = csv.writer(out)
     try:
         spec = fileio.load_system(system)
-        real = observability_canonical(spec)
         minimal = check_minimality(spec).minimal
         writer.writerow(["scale", "determinant", "gram_det",
                          "condition_number", "noise_amplification"])
         with np.errstate(over="ignore", invalid="ignore"):
             scales = np.linspace(start, stop, points)
         for idx, s in enumerate(scales):
-            row = _sweep_row(spec, real, minimal, tol, noise, trials, seed, idx, s)
+            row = _sweep_row(spec, minimal, tol, noise, trials, seed, idx, s)
             writer.writerow([f"{float(x):.12g}" for x in row])
     except NuSampleError as exc:
         return 1, out.getvalue(), f"error: {exc}\n"

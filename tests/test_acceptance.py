@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nusample as ns
-from nusample.analysis import sampled_mode_vectors
+from nusample.analysis import _factorizations, sampled_mode_vectors
 from nusample.cli import main
 from nusample.design import spiral_point
 from conftest import (
@@ -19,7 +19,7 @@ from conftest import (
     random_minimal_spec,
     random_sequence,
 )
-from reference import controllability_jordan
+from reference import controllability_jordan, observability_canonical
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,8 +39,7 @@ def _angle_diff(x, y):
 def _well_conditioned_spec(rng, n):
     for _ in range(200):
         spec = random_minimal_spec(rng, n)
-        ob = ns.observability_canonical(spec)
-        cb = max(ns.real_jordan(spec).condition_number,
+        cb = max(observability_canonical(spec).jordan.condition_number,
                  controllability_jordan(spec).condition_number)
         if cb < MAX_BASIS_COND:
             return spec
@@ -50,9 +49,8 @@ def _well_conditioned_spec(rng, n):
 def _ratios(spec, seq):
     av = ns.alphas(seq)
     M = ns.fundamental_matrix(spec.eigen, av)
-    real = ns.observability_canonical(spec)
-    G = ns.bruteforce_controllability_matrix(real, seq)
-    O = ns.bruteforce_observability_matrix(real, av)
+    G = ns.bruteforce_controllability_matrix(spec, seq)
+    O = ns.bruteforce_observability_matrix(spec, av)
     rs = [float(s[-1] / s[0]) for s in
           (np.linalg.svd(X, compute_uv=False) for X in (M, G, O))]
     return rs, (M, G, O)
@@ -135,9 +133,8 @@ def test_acceptance_3_pathological_sampling():
         report = ns.joint_test(ns.fundamental_matrix(spec.eigen, av))
         assert abs(report.determinant) <= report.threshold
         assert not report.is_admissible
-        real = ns.observability_canonical(spec)
-        assert ns.numerical_rank(ns.bruteforce_controllability_matrix(real, seq)) < n
-        assert ns.numerical_rank(ns.bruteforce_observability_matrix(real, av)) < n
+        assert ns.numerical_rank(ns.bruteforce_controllability_matrix(spec, seq)) < n
+        assert ns.numerical_rank(ns.bruteforce_observability_matrix(spec, av)) < n
     print("ACCEPTANCE 3 pathological sampling (b in {0.5, 1, 2}): PASS")
 
 
@@ -149,7 +146,10 @@ def test_acceptance_4_factorization_identities():
         rc, ro = [], []
         for _ in range(5):
             seq = random_sequence(rng, n)
-            fc = ns.verify_factorizations(spec, ns.alphas(seq))
+            av = ns.alphas(seq)
+            phi = ns.fundamental_matrix(spec.eigen, av)
+            fc = _factorizations(spec, phi, float(np.linalg.det(phi)),
+                                 sampled_mode_vectors(spec, av))
             assert fc.M2 == 1.0  # exact by construction
             rc.append(fc.ratio_ctrl)
             ro.append(fc.ratio_obs)
@@ -163,15 +163,15 @@ def test_acceptance_5_deadbeat_and_reconstruction():
     for _ in range(100):
         n = int(rng.integers(1, 6))
         spec, seq = random_admissible_case(rng, n)
-        real = ns.observability_canonical(spec)
+        real = observability_canonical(spec)
         x0 = rng.standard_normal(n)
-        plan = ns.deadbeat_inputs(real, x0, seq)
-        traj = ns.simulate_impulse_train(real, x0, plan)
+        plan = ns.deadbeat_inputs(spec, x0, seq)
+        traj = ns.simulate_impulse_train(spec, x0, plan)
         assert np.linalg.norm(traj.final_state) <= 1e-8 * np.linalg.norm(x0)
         av = ns.alphas(seq)
-        y = np.array([float(real.c @ ns.state_transition(real, x0, a))
+        y = np.array([float(real.c @ ns.state_transition(spec, x0, a))
                       for a in av])
-        xr = ns.reconstruct_initial_state(real, y, av)
+        xr = ns.reconstruct_initial_state(spec, y, av)
         assert np.linalg.norm(xr - x0) <= 1e-8 * np.linalg.norm(x0)
     print("ACCEPTANCE 5 deadbeat & reconstruction round trips (100 cases): PASS")
 
@@ -218,7 +218,7 @@ def test_acceptance_6_geometric_design():
 
 def test_acceptance_7_sensitivity_ordering():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    real = ns.observability_canonical(spec)
+    real = observability_canonical(spec)
     av_opt = ns.alphas(ns.SamplingSequence((0.0, math.pi / 2)))
     av_bad = ns.alphas(ns.SamplingSequence((0.0, 0.99 * math.pi)))
     eps = 1e-4
@@ -229,9 +229,9 @@ def test_acceptance_7_sensitivity_ordering():
         noise = rng.normal(0.0, eps, 2)  # shared between the paired sequences
         errs = []
         for av in (av_opt, av_bad):
-            y = np.array([float(real.c @ ns.state_transition(real, x0, a))
+            y = np.array([float(real.c @ ns.state_transition(spec, x0, a))
                           for a in av])
-            xh = ns.reconstruct_initial_state(real, y + noise, av)
+            xh = ns.reconstruct_initial_state(spec, y + noise, av)
             errs.append(np.linalg.norm(xh - x0))
         wins += errs[0] < errs[1]
     assert wins >= 190  # >= 95% of 200

@@ -5,10 +5,23 @@ import pytest
 
 import nusample as ns
 from nusample import analysis, simulate
-from nusample.errors import DegenerateSamplingError, NonMinimalError, RankDeficientError
+from nusample.errors import DegenerateSamplingError, RankDeficientError
 from conftest import pathological_sequence, random_minimal_spec, random_sequence
 import reference
-from reference import expA
+from reference import expA, observability_canonical
+
+
+def _degree(spec, av):
+    """The degree metrics at the alphas av, as analyze computes them."""
+    return analysis.degree_metrics_from_vectors(analysis.sampled_mode_vectors(spec, av))
+
+
+def _factors(spec, av):
+    """The factorization check at the alphas av, as analyze computes it for
+    an admissible sequence, here whether or not the sequence is admissible."""
+    phi = ns.fundamental_matrix(spec.eigen, av)
+    return analysis._factorizations(spec, phi, float(np.linalg.det(phi)),
+                                    analysis.sampled_mode_vectors(spec, av))
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +71,7 @@ def test_alpha_phi_and_coefficients_are_plain_values():
     spec = ns.SystemSpec(es, [2, 0.5 - 1j, 0.5 + 1j])
     assert spec.coeffs == (2 + 0j, 0.5 - 1j, 0.5 + 1j)
     assert all(type(c) is complex for c in spec.coeffs)
-    h = ns.markov_from_modes(spec)
+    h = reference.markov_from_modes(spec)
     mc = ns.modes_from_markov(es, h)
     assert type(mc) is tuple and all(type(c) is complex for c in mc)
 
@@ -103,9 +116,8 @@ def test_joint_test_matches_bruteforce_rank():
         seq = random_sequence(rng, n, with_final=True)
         av = ns.alphas(seq)
         report = ns.joint_test(ns.fundamental_matrix(spec.eigen, av))
-        real = ns.observability_canonical(spec)
-        G = ns.bruteforce_controllability_matrix(real, seq)
-        O = ns.bruteforce_observability_matrix(real, av)
+        G = ns.bruteforce_controllability_matrix(spec, seq)
+        O = ns.bruteforce_observability_matrix(spec, av)
         sg = np.linalg.svd(G, compute_uv=False)
         so = np.linalg.svd(O, compute_uv=False)
         det_ratio = abs(report.determinant) / report.threshold
@@ -124,9 +136,8 @@ def test_joint_test_matches_bruteforce_rank():
 def test_bruteforce_rank_drop_oscillator():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
     seq = ns.SamplingSequence((0.0, math.pi), final_instant=2 * math.pi)
-    real = ns.observability_canonical(spec)
-    G = ns.bruteforce_controllability_matrix(real, seq)
-    O = ns.bruteforce_observability_matrix(real, ns.alphas(seq))
+    G = ns.bruteforce_controllability_matrix(spec, seq)
+    O = ns.bruteforce_observability_matrix(spec, ns.alphas(seq))
     assert ns.numerical_rank(G) == 1
     assert ns.numerical_rank(O) == 1
 
@@ -135,19 +146,18 @@ def test_bruteforce_controllability_columns():
     # integrator chain roots {0, -1}: G_i = exp(A (t2 - t_i)) b, columns in
     # reverse time order
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 1.0])
-    real = ns.observability_canonical(spec)
+    real = observability_canonical(spec)
     seq = ns.SamplingSequence((0.0, 1.0), final_instant=2.0)
-    G = ns.bruteforce_controllability_matrix(real, seq)
-    jf = ns.real_jordan(spec)
+    G = ns.bruteforce_controllability_matrix(spec, seq)
+    jf = real.jordan
     assert np.allclose(G[:, 0], expA(jf, 1.0) @ real.b)
     assert np.allclose(G[:, 1], expA(jf, 2.0) @ real.b)
 
 
 def test_bruteforce_needs_final_instant():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 1.0])
-    real = ns.observability_canonical(spec)
     with pytest.raises(ValueError):
-        ns.bruteforce_controllability_matrix(real, ns.SamplingSequence((0.0, 1.0)))
+        ns.bruteforce_controllability_matrix(spec, ns.SamplingSequence((0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +166,7 @@ def test_bruteforce_needs_final_instant():
 def test_degree_orthogonal_pair():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
     av = ns.alphas(ns.SamplingSequence((0.0, math.pi / 2)))
-    deg = ns.degree_metrics(spec, av)
+    deg = _degree(spec, av)
     assert deg.normalized_gram_det == pytest.approx(1.0)
     assert deg.min_principal_angle == pytest.approx(math.pi / 2)
     assert deg.condition_number == pytest.approx(1.0)
@@ -164,7 +174,7 @@ def test_degree_orthogonal_pair():
 
 def test_degree_degrades_near_parallel():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    near = ns.degree_metrics(spec, ns.alphas(ns.SamplingSequence((0.0, math.pi - 1e-4))))
+    near = _degree(spec, ns.alphas(ns.SamplingSequence((0.0, math.pi - 1e-4))))
     assert near.normalized_gram_det < 1e-7
     assert near.min_principal_angle < 1e-3
 
@@ -207,7 +217,6 @@ def test_stacked_helpers_give_each_matrix_its_own_bits():
     seen = set()
     for n in (2, 5, 8, 10):
         spec = random_minimal_spec(rng, n)
-        real = ns.observability_canonical(spec)
         seqs = [random_sequence(rng, n) for _ in range(5)]
         if pathological_sequence(spec) is not None:
             seqs.append(pathological_sequence(spec))
@@ -215,7 +224,7 @@ def test_stacked_helpers_give_each_matrix_its_own_bits():
         det, threshold, smin, cond = analysis.joint_arrays(
             ns.fundamental_matrix(spec.eigen, av), 1e-9)
         gram = analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
-        deficient = simulate.rank_deficient(ns.bruteforce_observability_matrix(real, av))[0]
+        deficient = simulate.rank_deficient(ns.bruteforce_observability_matrix(spec, av))[0]
         seen.update(deficient.tolist())
         for p, seq in enumerate(seqs):
             a = ns.alphas(seq)
@@ -223,8 +232,8 @@ def test_stacked_helpers_give_each_matrix_its_own_bits():
             assert (det[p], threshold[p], smin[p], cond[p]) == (
                 single.determinant, single.threshold, single.sigma_min,
                 single.condition_number)
-            assert gram[p] == ns.degree_metrics(spec, a).normalized_gram_det
-            O = ns.bruteforce_observability_matrix(real, a)
+            assert gram[p] == _degree(spec, a).normalized_gram_det
+            O = ns.bruteforce_observability_matrix(spec, a)
             try:
                 simulate.solve_checked(O, np.ones(n), "O")
             except RankDeficientError:
@@ -245,9 +254,14 @@ def test_degree_vectors_subnormal_column():
 
 
 def test_degree_requires_minimal():
-    spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 0.0])
-    with pytest.raises(NonMinimalError):
-        ns.degree_metrics(spec, ns.alphas(ns.SamplingSequence((0.0, 1.0))))
+    # analyze reports degree metrics only for a system whose highest-order
+    # coefficient of each block clears MINIMALITY_TOL relative to the largest
+    seq = ns.SamplingSequence((0.0, 1.0))
+    for last, minimal in ((1e-10, False), (1e-8, True)):
+        spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, last])
+        report = ns.analyze(spec, seq)
+        assert report.is_admissible
+        assert (report.degree is not None) == minimal
 
 
 def test_degree_bounds():
@@ -256,7 +270,7 @@ def test_degree_bounds():
         n = int(rng.integers(2, 6))
         spec = random_minimal_spec(rng, n)
         seq = random_sequence(rng, n)
-        deg = ns.degree_metrics(spec, ns.alphas(seq))
+        deg = _degree(spec, ns.alphas(seq))
         assert 0.0 <= deg.normalized_gram_det <= 1.0
         assert 0.0 <= deg.min_principal_angle <= math.pi / 2 + 1e-12
         assert deg.condition_number >= 1.0
@@ -268,7 +282,7 @@ def test_degree_bounds():
 def test_factorization_triple_root_N1():
     spec = ns.system_from_modes([(-1, 3)], [1.0, 0.5, 1.0])
     av = ns.alphas(ns.SamplingSequence((0.0, 0.7, 1.9)))
-    fc = ns.verify_factorizations(spec, av)
+    fc = _factors(spec, av)
     assert fc.N1 == pytest.approx(0.5)  # 1/(0! 1! 2!)
     assert fc.M1 == pytest.approx(0.5)
     assert fc.M2 == 1.0
@@ -279,7 +293,7 @@ def test_factorization_simple_roots_N2():
     # of the modal coefficients
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [2.0, 3.0])
     av = ns.alphas(ns.SamplingSequence((0.0, 1.0)))
-    fc = ns.verify_factorizations(spec, av)
+    fc = _factors(spec, av)
     assert fc.N1 == 1.0
     assert fc.N2 == pytest.approx(6.0)
     assert fc.lhs_ctrl == pytest.approx(fc.rhs_ctrl, rel=1e-12)
@@ -297,7 +311,7 @@ def test_factorization_ratios_alpha_independent():
         ratios_c, ratios_o = [], []
         for _ in range(4):
             seq = random_sequence(rng, n)
-            fc = ns.verify_factorizations(spec, ns.alphas(seq))
+            fc = _factors(spec, ns.alphas(seq))
             ratios_c.append(fc.ratio_ctrl)
             ratios_o.append(fc.ratio_obs)
         assert np.ptp(ratios_c) < 1e-8 * max(1.0, abs(ratios_c[0]))
@@ -316,16 +330,19 @@ def test_factorization_N2_is_the_hankel_determinant():
                                    [0.2 + 1j, -0.5, 0.3j, 1.1, 0.6 - 0.8j,
                                     0.2 - 1j, -0.5, -0.3j, 1.1, 0.6 + 0.8j])]
     for spec in specs:
-        fc = ns.verify_factorizations(spec, ns.alphas(random_sequence(rng, spec.n)))
+        fc = _factors(spec, ns.alphas(random_sequence(rng, spec.n)))
         ref = reference.hankel_factor(spec)
         assert fc.N2 == pytest.approx(ref.real, rel=1e-12)
         assert abs(ref.imag) <= 1e-12 * abs(ref)
 
 
 def test_factorization_requires_minimal():
-    spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 0.0])
-    with pytest.raises(NonMinimalError):
-        ns.verify_factorizations(spec, ns.alphas(ns.SamplingSequence((0.0, 1.0))))
+    # a double root without its highest-order coefficient: the sequence is
+    # admissible, yet analyze reports no factorization check
+    spec = ns.system_from_modes([(-1, 2)], [5.0, 0.0])
+    report = ns.analyze(spec, ns.SamplingSequence((0.0, 1.0)))
+    assert report.is_admissible
+    assert report.factors is None
 
 
 # ---------------------------------------------------------------------------

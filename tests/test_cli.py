@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nusample import lti
 from nusample.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -189,14 +188,12 @@ def test_verify_carries_the_impulse_train_in_the_jordan_frame(capsys, tmp_path):
 
 
 def test_verify_and_sweep_build_no_companion_form_and_no_cond(capsys, monkeypatch):
-    # the runtime reads c and the Jordan form of the realization: the
-    # companion matrix A, the Markov vector b and cond(B) are built only for
-    # a caller that reads them
+    # the runtime works in the realization's Jordan frame: the companion
+    # matrix A and the Markov vector b have no runtime builder, and cond(B)
+    # has no runtime reader
     def refuse(*args, **kwargs):
         raise AssertionError("built although nothing reads it")
 
-    monkeypatch.setattr(lti, "coefficients_from_roots", refuse)
-    monkeypatch.setattr(lti, "markov_from_modes", refuse)
     monkeypatch.setattr(np.linalg, "cond", refuse)
     for system, sequence in (("oscillator.json", "quarter_turn.json"),
                              ("third_order.json", "third_sequence.json")):

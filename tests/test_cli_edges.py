@@ -135,6 +135,36 @@ def test_analyze_overflowing_determinant_is_an_error(capsys, tmp_path):
     assert out == ""
 
 
+# the Vandermonde basis B of the roots overflows Python's ** past 1.8e308: on
+# loading Markov parameters, whose Wronskian is B D, and in verify's
+# controllability leg
+BIG_REAL = [{"re": 1e200, "im": 0.0, "mult": 1}, {"re": -1.0, "im": 0.0, "mult": 1},
+            {"re": -2.0, "im": 0.0, "mult": 1}]
+BIG_PAIR = [{"re": 0.1, "im": 1e200, "mult": 1}, {"re": 0.1, "im": -1e200, "mult": 1},
+            {"re": -1.0, "im": 0.0, "mult": 1}]
+
+
+@pytest.mark.parametrize("roots, fields, argv, sequence", [
+    (BIG_REAL, {"markov": [1, 1, 1]}, ["analyze"], {"instants": [0.0, 1.0, 2.0]}),
+    (BIG_PAIR, {"markov": [1, 1, 1]}, ["design", "--t0", "0"], None),
+    (BIG_REAL, {"mode_coefficients": [{"re": 1.0, "im": 0.0}] * 3}, ["verify", "--seed", "1"],
+     {"instants": [0.0, 1e-300, 2e-300], "final_instant": 3e-300}),
+], ids=["analyze", "design", "verify"])
+def test_overflowing_vandermonde_basis_is_an_error(capsys, tmp_path, roots, fields, argv,
+                                                   sequence):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({"order": 3, "roots": roots, **fields}))
+    argv = argv + ["--system", str(system)]
+    if sequence is not None:
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps(sequence))
+        argv += ["--instants", str(seq)]
+    code, out, err = run(capsys, *argv)
+    _clean_error(code, err)
+    assert "|lambda|^(n-1) = 1e+200^2" in err
+    assert out == ""
+
+
 def test_sweep_overflowing_mode_is_an_error(capsys, tmp_path):
     system = _write_system(tmp_path, [1.0, -0.5], [1.0, 1.0])
     code, _, err = run(capsys, "sweep", "--system", system, "--from", "700",

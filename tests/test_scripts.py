@@ -29,3 +29,16 @@ def test_optimal_interval_scan_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"wrote {out}: 50 rows x 9 curves")
     assert out.read_text().startswith("dt,a=-0.5_b=0.5,")
+
+
+def test_output_digest_runs():
+    # one cycle per workload; the temporary directory differs between runs,
+    # and the digests must not
+    runs = [_run("output_digest.py", "--seed", "77", "--cycles", "1") for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = [line.split() for line in runs[0].stdout.splitlines()]
+    assert [(w[0], w[3]) for w in lines] == [("check", "18"), ("design", "3"),
+                                             ("sweep", "9"), ("fixtures", "15")]
+    assert all(len(w[-1]) == 64 for w in lines)

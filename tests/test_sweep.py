@@ -19,6 +19,7 @@ from nusample.cli import main
 from nusample.errors import RankDeficientError
 import reference
 from conftest import count_calls, random_minimal_spec, random_sequence
+from reference import observability_canonical
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,21 +33,20 @@ def run(capsys, *argv):
 def _case(seed, n):
     rng = np.random.default_rng(seed)
     spec = random_minimal_spec(rng, n)
-    real = ns.observability_canonical(spec)
-    return rng, real, ns.alphas(random_sequence(rng, n))
+    return rng, spec, ns.alphas(random_sequence(rng, n))
 
 
 # ---------------------------------------------------------------------------
 # reconstruct_initial_state with (n, k) outputs
 
 def test_batched_reconstruction_matches_single_calls():
-    rng, real, av = _case(12, 5)
+    rng, spec, av = _case(12, 5)
     X0 = rng.standard_normal((5, 7))
-    Y = ns.bruteforce_observability_matrix(real, av) @ X0
-    batch = simulate.reconstruct_initial_state(real, Y, av)
+    Y = ns.bruteforce_observability_matrix(spec, av) @ X0
+    batch = simulate.reconstruct_initial_state(spec, Y, av)
     assert batch.shape == (5, 7)
     for j in range(7):
-        single = simulate.reconstruct_initial_state(real, Y[:, j], av)
+        single = simulate.reconstruct_initial_state(spec, Y[:, j], av)
         assert single.shape == (5,)
         assert np.allclose(batch[:, j], single, rtol=1e-12, atol=1e-12)
     assert np.allclose(batch, X0, rtol=1e-8, atol=1e-8)
@@ -54,18 +54,17 @@ def test_batched_reconstruction_matches_single_calls():
 
 @pytest.mark.parametrize("shape", [(), (4,), (6,), (4, 3), (6, 2), (5, 2, 2)])
 def test_reconstruction_rejects_wrong_shapes(shape):
-    _, real, av = _case(12, 5)
+    _, spec, av = _case(12, 5)
     with pytest.raises(ValueError):
-        simulate.reconstruct_initial_state(real, np.zeros(shape), av)
+        simulate.reconstruct_initial_state(spec, np.zeros(shape), av)
 
 
 def test_batched_reconstruction_singular_raises():
     # the oscillator sampled half a period apart sees only +-x: O has rank 1
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    real = ns.observability_canonical(spec)
     av = ns.alphas(ns.SamplingSequence((0.0, math.pi)))
     with pytest.raises(RankDeficientError):
-        simulate.reconstruct_initial_state(real, np.ones((2, 4)), av)
+        simulate.reconstruct_initial_state(spec, np.ones((2, 4)), av)
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +74,12 @@ def _per_trial_amplification(spec, real, av, eps, trials, rng):
     """Reference: each trial propagates its own x0 one alpha at a time and
     solves its own system, with an O built column by column from the flow."""
     n = spec.n
-    O = np.array([[real.c @ simulate.state_transition(real, e, a) for e in np.eye(n)]
+    O = np.array([[real.c @ simulate.state_transition(spec, e, a) for e in np.eye(n)]
                   for a in av])
     errors = []
     for _ in range(trials):
         x0 = rng.standard_normal(n)
-        outputs = np.array([float(real.c @ simulate.state_transition(real, x0, a))
+        outputs = np.array([float(real.c @ simulate.state_transition(spec, x0, a))
                             for a in av])
         noisy = outputs + rng.normal(0.0, eps, n)
         errors.append(float(np.linalg.norm(np.linalg.solve(O, noisy) - x0)))
@@ -115,7 +114,7 @@ def test_sweep_amplification_matches_per_trial_loop(capsys, tmp_path, source):
         spec = random_minimal_spec(np.random.default_rng(21), 6)
         system = _write_system(tmp_path / "random6.json", spec)
     spec = fileio.load_system(system)
-    real = ns.observability_canonical(spec)
+    real = observability_canonical(spec)
     seed, trials, eps = 4, 9, 1e-3
     scales, amps = _sweep_amplification(capsys, system, seed, trials, eps,
                                         0.3, 1.2, 5)
