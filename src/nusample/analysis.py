@@ -8,9 +8,12 @@ oracles.  Each matrix is one Jordan-flow call, built once.  O and G take the
 Jordan frame of the system's observability-canonical realization from its
 own constants: B and B^{-1} of the eigenstructure, y0 of the spec.  O and the
 observability side of the factorization are Phi times such constants, so
-``analyze`` makes two flow calls: Phi and the mode vectors.  The
-independent routes (per-alpha matrix exponentials, the swap-reversal
-permutation, numeric Hankel determinants) live in ``tests/reference.py``.
+``analyze`` makes two flow calls: Phi and the mode vectors.  Every vector
+norm and unit vector, the verdict's Hadamard row norms and the degree
+metrics' unit mode vectors among them, comes from ``unit_vectors``, the one
+code that scales vectors.  The independent routes (per-alpha matrix
+exponentials, the swap-reversal permutation, numeric Hankel determinants)
+live in ``tests/reference.py``.
 """
 from __future__ import annotations
 
@@ -135,7 +138,7 @@ def joint_arrays(M: np.ndarray, tol_factor: float):
     threshold overflows a float."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = np.linalg.det(M)
-        threshold = tol_factor * np.prod(_norms(M, axis=-1), axis=-1)
+        threshold = tol_factor * np.prod(unit_vectors(M, axis=-1)[2], axis=-1)
         finite = np.isfinite(det) & np.isfinite(threshold)
         if not finite.all():
             raise DegenerateSamplingError(
@@ -155,8 +158,7 @@ def sampled_mode_vectors(spec: SystemSpec, av) -> np.ndarray:
     the real-basis modal coefficient vector; a stack of such matrices for
     alpha vectors stacked as (..., n).  An overflowing mode gives inf or nan
     entries, which ``unit_gram`` rejects."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.swapaxes(jordan_flow(spec.eigen, spec.real_mode_vector, av), -1, -2)
+    return np.swapaxes(jordan_flow(spec.eigen, spec.real_mode_vector, av), -1, -2)
 
 
 def _pow2_scale(peak: np.ndarray) -> np.ndarray:
@@ -167,35 +169,41 @@ def _pow2_scale(peak: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(peak)[1] - 1)
 
 
-def _norms(M: np.ndarray, axis: int) -> np.ndarray:
-    """2-norms along ``axis`` that overflow only where the norm itself does."""
-    scale = _pow2_scale(np.max(np.abs(M), axis=axis, keepdims=True))
-    return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
-
-
 _TINY = np.finfo(float).tiny
+# Within these plain 2-norms no square of an entry overflows, and any that
+# underflows lies far below the last place of the sum, so Y / norm is the
+# quotient of first dividing by a power of two, and the norm is the scaled
+# norm times that power; only outside them does a call pay for the scaling.
+_PLAIN_NORMS = (2.0 ** -460, 2.0 ** 460)
 
 
 def unit_vectors(Y: np.ndarray, axis: int):
-    """(Yn, usable): each vector of Y along ``axis`` divided by its
-    power-of-two scale, then by the norm of the scaled vector, and whether it
-    is usable (keeping that axis).  A vector with an entry that is not a
-    finite float is not, nor is one whose largest |entry| is zero or below
-    the smallest normal float: it carries too few bits for any metric.  An
-    unusable vector is zero in Yn."""
-    peak = np.abs(Y).max(axis=axis, keepdims=True)
+    """(Yn, usable, norms): each vector of Y along ``axis`` divided by its
+    power-of-two scale, then by the norm of the scaled vector; whether it is
+    usable (keeping that axis); and its 2-norm (dropping that axis), which
+    overflows only where the norm itself does.  A vector with an entry that
+    is not a finite float is not usable, nor is one whose largest |entry| is
+    zero or below the smallest normal float: it carries too few bits for any
+    metric.  An unusable vector is zero in Yn."""
     with np.errstate(over="ignore", invalid="ignore"):
-        Ys = Y / _pow2_scale(peak)
-        norms = np.linalg.norm(Ys, axis=axis, keepdims=True)
-    usable = np.isfinite(norms) & (peak >= _TINY)
-    return np.divide(Ys, norms, out=np.zeros_like(Ys), where=usable), usable
+        norms = np.linalg.norm(Y, axis=axis, keepdims=True)
+        lo, hi = _PLAIN_NORMS
+        if ((norms >= lo) & (norms <= hi)).all():
+            return Y / norms, np.ones(norms.shape, bool), np.squeeze(norms, axis)
+        peak = np.abs(Y).max(axis=axis, keepdims=True)
+        scale = _pow2_scale(peak)
+        Ys = Y / scale
+        scaled = np.linalg.norm(Ys, axis=axis, keepdims=True)
+        usable = np.isfinite(scaled) & (peak >= _TINY)
+        Yn = np.divide(Ys, scaled, out=np.zeros_like(Ys), where=usable)
+        return Yn, usable, np.squeeze(scaled * scale, axis)
 
 
 def unit_gram(Y: np.ndarray):
     """(Yn, G, det G clipped to [0, 1]) for each matrix of the stack Y, shape
     (..., n, k): its columns normalized by ``unit_vectors`` and their Gram
     matrix.  An unusable column raises DegenerateSamplingError."""
-    Yn, usable = unit_vectors(Y, axis=-2)
+    Yn, usable, _ = unit_vectors(Y, axis=-2)
     if not usable.all():
         raise DegenerateSamplingError("a sampled mode vector overflows a float or "
                                       "vanishes; shorten the sampling intervals")
@@ -271,30 +279,44 @@ def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
     ratio_ctrl and ratio_obs report those constants, and they must be
     independent of the alpha vector.  With p the sum of the pair
     multiplicities, ratio_obs is (-1)^p: the output rows are Phi D^{-1}, and
-    N1 prod(D) = (-1)^p.  ratio_ctrl is 4^p.
+    N1 prod(D) = (-1)^p.  ratio_ctrl is 4^p.  det Y and N2 are inf where they
+    exceed a float; ratio_ctrl, free of their common scale, is then the
+    quotient of both divided by the same power of two.
     """
     es = spec.eigen
-    lhs_ctrl = float(np.linalg.det(Y))
+    with np.errstate(over="ignore"):
+        lhs_ctrl = float(np.linalg.det(Y))
     # the Jordan-frame output rows, a one in each block's first cell, flow
     # to Phi D^{-1} (see bruteforce_observability_matrix)
     lhs_obs = float(np.linalg.det(phi / es._wronskian_scale))
 
     N1 = _factorial_factor(es)
     # each root's anti-triangular Hankel block of (C_1, ..., C_m) has
-    # determinant (-1)^{m(m-1)/2} C_m^m
+    # determinant (-1)^{m(m-1)/2} C_m^m; n2 is N2 / sigma^n, sigma the power
+    # of two of the largest coefficient, so for a minimal system it stays
+    # within the float range
+    sigma = float(_pow2_scale(max(map(abs, spec.coeffs))))
     n2 = 1.0 + 0j
     for rt, sl in zip(es.roots, es.root_slices):
         m = rt.multiplicity
-        n2 *= (-1) ** (m * (m - 1) // 2) * spec.coeffs[sl.stop - 1] ** m
+        n2 *= (-1) ** (m * (m - 1) // 2) * (spec.coeffs[sl.stop - 1] / sigma) ** m
     if abs(n2.imag) > 1e-9 * max(1.0, abs(n2)):
         raise ArithmeticError("N2 is not real (broken conjugate structure)")
-    N2 = float(n2.real)
+    N2 = n2.real
+    for _ in range(es.n):  # a float product: inf only where N2 itself overflows
+        N2 *= sigma
     M1 = N1
     M2 = 1.0  # product of identity blocks
 
     rhs_ctrl = N1 * N2 * det_phi
     rhs_obs = M1 * M2 * det_phi
-    ratio_ctrl = lhs_ctrl / rhs_ctrl if rhs_ctrl != 0.0 else math.inf
+    if math.isfinite(lhs_ctrl) and 0.0 < abs(rhs_ctrl) < math.inf:
+        ratio_ctrl = lhs_ctrl / rhs_ctrl
+    else:  # Y / (sigma 2^k) and det Phi / 2^{nk} keep both sides near 1
+        k = math.frexp(det_phi)[1] // es.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = float(np.linalg.det(np.ldexp(Y / sigma, -k)))
+        ratio_ctrl = lhs / (N1 * n2.real * math.ldexp(det_phi, -es.n * k))
     ratio_obs = lhs_obs / rhs_obs if rhs_obs != 0.0 else math.inf
     return FactorizationCheck(lhs_ctrl, rhs_ctrl, lhs_obs, rhs_obs,
                               N1, N2, M1, M2, det_phi, ratio_ctrl, ratio_obs)

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from nusample import analysis, design, fileio, simulate
-from nusample.errors import InputError, NuSampleError, RankDeficientError
+from nusample.errors import DegenerateSamplingError, InputError, NuSampleError, RankDeficientError
 from nusample.lti import check_minimality
 
 EXIT_OK = 0
@@ -226,15 +226,17 @@ def run_verify(args) -> int:
     try:
         plan = simulate.deadbeat_inputs(spec, x0, seq)
         traj = simulate.simulate_impulse_train(spec, x0, plan)
-        residual_ctrl = float(np.linalg.norm(traj.final_state) / np.linalg.norm(x0))
         av = analysis.alphas(seq)
         outputs = simulate.state_transition(spec, x0, av)[:, 0]  # y = c x, c = e_1
         x0_hat = simulate.reconstruct_initial_state(spec, outputs, av)
-        residual_rec = float(np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0))
     except RankDeficientError as exc:
         print("inadmissible_sequence = yes")
         print(f"condition_number = {fmt(exc.condition_number)}")
         return EXIT_INADMISSIBLE
+    # a residual far above 1 is a finite number whose square may overflow
+    final, error, size = analysis.unit_vectors(
+        np.stack([traj.final_state, x0_hat - x0, x0]), axis=-1)[2]
+    residual_ctrl, residual_rec = float(final / size), float(error / size)
     print(f"deadbeat_residual = {fmt(residual_ctrl)}")
     print(f"reconstruction_residual = {fmt(residual_rec)}")
     ok = residual_ctrl <= RESIDUAL_TOL and residual_rec <= RESIDUAL_TOL
@@ -262,7 +264,8 @@ def _noise_amplification(O, eps, trials, seeds) -> np.ndarray:
     where O is numerically singular.  Matrix p draws each trial's initial
     state, then its noise / eps, from default_rng(seeds[p]).  Noise above 1
     is divided, with the states, by the power of two 2**e >= eps: the ratio
-    keeps its bits and O x0 + eps z cannot overflow."""
+    keeps its bits and eps z cannot overflow; O x0 that overflows is a
+    DegenerateSamplingError."""
     n = O.shape[-1]
     z = np.empty((len(seeds), trials, 2, n))
     for zp, seed in zip(z, seeds):
@@ -272,7 +275,11 @@ def _noise_amplification(O, eps, trials, seeds) -> np.ndarray:
     x0 = np.ldexp(z[:, :, 0], -e).swapaxes(-1, -2)  # one initial state per column
     deficient = simulate.rank_deficient(O)[0]
     solvable = ~deficient[:, None, None]  # the others solve I x = x0 exactly
-    noisy = np.where(solvable, O @ x0 + eps * z[:, :, 1].swapaxes(-1, -2), x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = np.where(solvable, O @ x0 + eps * z[:, :, 1].swapaxes(-1, -2), x0)
+    if not np.isfinite(noisy).all():
+        raise DegenerateSamplingError("the simulated outputs O x0 overflow a float; "
+                                      "shorten the sampling intervals")
     x0_hat = np.linalg.solve(np.where(solvable, O, np.eye(n)), noisy)
     amp = np.median(np.linalg.norm(x0_hat - x0, axis=-2), axis=-1) / eps
     return np.where(deficient, math.inf, amp)

@@ -7,6 +7,9 @@ Three routes:
 * a greedy grid search for arbitrary order: each greedy step scores its
   whole candidate grid in one batched call, and each instant is then refined
   by two ever finer grids and one parabolic step, each one batched call.
+  Every candidate's mode vectors are normalized by ``analysis.unit_vectors``,
+  as the designed sequence's metric is, so the search scores what the metric
+  reports.
 
 The 3rd-order geometry works in a normalized frame where the initial mode
 vector is (1, 0, 1)', so the sampled vectors trace the spiral
@@ -27,7 +30,6 @@ import numpy as np
 from nusample.analysis import (
     DegreeMetrics,
     SamplingSequence,
-    _norms,
     alphas,
     degree_metrics_from_vectors,
     sampled_mode_vectors,
@@ -117,8 +119,7 @@ def _spiral(spec: SystemSpec, alphas) -> np.ndarray:
     real, pair = _third_order_blocks(spec)
     d = np.zeros(3)
     pair.cells(d)[0] = real.cells(d)[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        flow = jordan_flow(spec.eigen, d, alphas)
+    flow = jordan_flow(spec.eigen, d, alphas)
     xy = pair.cells(flow)[..., 0]
     return np.stack([xy.real, xy.imag, real.cells(flow)[..., 0]], axis=-1)
 
@@ -166,7 +167,7 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     Y0, Y1 = spiral_point(spec, [0.0, a1])
     with np.errstate(over="ignore", invalid="ignore"):
         cross = np.cross(Y0, Y1)
-        nrm, nrm0, nrm1 = _norms(np.stack([cross, Y0, Y1]), axis=1)
+    nrm, nrm0, nrm1 = unit_vectors(np.stack([cross, Y0, Y1]), axis=1)[2]
     if not (np.isfinite(cross).all() and np.isfinite(nrm) and np.isfinite(nrm1)):
         raise _spiral_overflow(a1)
     if nrm <= 1e-12 * nrm0 * nrm1:
@@ -247,27 +248,14 @@ def export_geometry_csv(trace: GeometryTrace, path) -> None:
 # ---------------------------------------------------------------------------
 # generic greedy search
 
-# Within these plain 2-norms no square of an entry overflows, and any that
-# underflows lies far below the last place of the sum, so Y / norm is the
-# quotient ``unit_vectors`` gets by first dividing by a power of two; only
-# outside them does a call pay for that scaling.
-_PLAIN_NORMS = (2.0 ** -460, 2.0 ** 460)
-
-
 def _gram_dets(spec: SystemSpec, alpha_rows: np.ndarray) -> np.ndarray:
     """Normalized Gram determinant of the sampled mode vectors of every row
     of ``alpha_rows`` (shape (..., k)), in one kernel call, each vector
     normalized as ``unit_gram`` does.  A candidate with a vector that
     ``unit_gram`` rejects (overflowing, zero or subnormal) scores 0, so it
     never wins and the search never picks a sequence its metric refuses."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        Y = jordan_flow(spec.eigen, spec.real_mode_vector, alpha_rows)
-        norms = np.linalg.norm(Y, axis=-1, keepdims=True)
-    lo, hi = _PLAIN_NORMS
-    if ((norms >= lo) & (norms <= hi)).all():
-        Yn = Y / norms
-    else:
-        Yn = unit_vectors(Y, axis=-1)[0]  # an unusable vector is a zero row: det 0
+    Y = jordan_flow(spec.eigen, spec.real_mode_vector, alpha_rows)
+    Yn = unit_vectors(Y, axis=-1)[0]  # an unusable vector is a zero row: det 0
     return np.clip(np.linalg.det(Yn @ np.swapaxes(Yn, -1, -2)), 0.0, 1.0)
 
 

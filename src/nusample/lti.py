@@ -224,8 +224,13 @@ class EigenStructure:
 
     @cached_property
     def B_inv(self) -> np.ndarray:
-        """Read-only B^{-1}, built on first read."""
-        B_inv = np.linalg.inv(self.B)
+        """Read-only B^{-1}, built on first read.  Raises RootFindingError
+        when B is singular to working precision."""
+        try:
+            B_inv = np.linalg.inv(self.B)
+        except np.linalg.LinAlgError as exc:  # distinct roots too close to tell apart
+            raise RootFindingError("the Vandermonde basis of the roots is singular to "
+                                   "working precision; separate the roots") from exc
         B_inv.setflags(write=False)
         return B_inv
 
@@ -365,10 +370,11 @@ def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
     nilpotent series e^{lambda alpha} sum_k alpha^k/k! N^k; a pair block does
     the same on its cells read as complex numbers x + iy, on which the
     rotation-scaling cell acts as multiplication by e^{lambda alpha}.
-    Overflow gives inf or nan entries, never an exception.  For an array of
-    alphas each seed's flow is, bit for bit, the flow of that seed alone; for
-    a single alpha numpy's scalar arithmetic serves a single seed, its array
-    loops a stack, and the two may differ in the last bit.
+    Overflow gives inf or nan entries, never an exception or a warning, so
+    no caller sets numpy's error state for it.  For an array of alphas each
+    seed's flow is, bit for bit, the flow of that seed alone; for a single
+    alpha numpy's scalar arithmetic serves a single seed, its array loops a
+    stack, and the two may differ in the last bit.
     """
     al = np.asarray(alphas, dtype=float)
     d = np.ascontiguousarray(d, dtype=float)
@@ -376,20 +382,21 @@ def jordan_flow(es: EigenStructure, d, alphas) -> np.ndarray:
     spread = al.shape + (1,) * (d.ndim - 1)  # one alpha for a whole seed of a stack
     al_spread = al.reshape(spread)
     cell_axis_first = (d.ndim - 1, *range(d.ndim - 1))
-    for blk in es.blocks:
-        m = blk.multiplicity
-        z = blk.cells(d).transpose(cell_axis_first)  # z[k]: cell k of every seed
-        cells = blk.cells(out)
-        # a real block's exponential stays a float array, like its cells
-        e = np.exp(blk.value.real * al) if blk.kind == "real" else np.exp(blk.value * al)
-        if d.ndim > 1:  # a lone seed keeps a single alpha's e a numpy scalar
-            e = np.reshape(e, spread)
-        for p in range(m):
-            # Horner form of sum_{k < m - p} alpha^k / k! z[p + k]
-            s = z[m - 1]
-            for k in range(m - 1 - p, 0, -1):
-                s = z[p + k - 1] + (al_spread / k) * s
-            cells[..., p] = e * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blk in es.blocks:
+            m = blk.multiplicity
+            z = blk.cells(d).transpose(cell_axis_first)  # z[k]: cell k of every seed
+            cells = blk.cells(out)
+            # a real block's exponential stays a float array, like its cells
+            e = np.exp(blk.value.real * al) if blk.kind == "real" else np.exp(blk.value * al)
+            if d.ndim > 1:  # a lone seed keeps a single alpha's e a numpy scalar
+                e = np.reshape(e, spread)
+            for p in range(m):
+                # Horner form of sum_{k < m - p} alpha^k / k! z[p + k]
+                s = z[m - 1]
+                for k in range(m - 1 - p, 0, -1):
+                    s = z[p + k - 1] + (al_spread / k) * s
+                cells[..., p] = e * s
     return out
 
 
@@ -398,9 +405,9 @@ def checked_flow(es: EigenStructure, d, alphas, right: np.ndarray | None = None)
     ``right``, raising DegenerateSamplingError for the first alpha whose
     result has an entry that is not a finite float."""
     al = np.asarray(alphas, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = jordan_flow(es, d, al)
-        if right is not None:
+    out = jordan_flow(es, d, al)
+    if right is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
             out = out @ right
     bad = ~np.isfinite(out.reshape(al.shape + (-1,))).all(axis=-1)
     if bad.any():

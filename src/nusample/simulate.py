@@ -79,15 +79,21 @@ def rank_deficient(M: np.ndarray):
 
 def solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """np.linalg.solve(M, rhs), raising RankDeficientError (naming ``what``)
-    when ``rank_deficient(M)``."""
+    when ``rank_deficient(M)``, and DegenerateSamplingError when the solution
+    overflows a float."""
     deficient, smin, smax = rank_deficient(M)
     if deficient:
         smin = float(smin)
-        cond = np.inf if smin == 0.0 else float(smax / smin)
+        # a float quotient overflows to inf without a warning
+        cond = np.inf if smin == 0.0 else float(smax) / smin
         raise RankDeficientError(f"{what} is numerically singular "
                                  f"(sigma_min = {smin:.3e}, cond = {cond:.3e})",
                                  sigma_min=smin, condition_number=cond)
-    return np.linalg.solve(M, rhs)
+    x = np.linalg.solve(M, rhs)
+    if not np.isfinite(x).all():
+        raise DegenerateSamplingError(f"the solution against the {what} overflows a "
+                                      "float")
+    return x
 
 
 def deadbeat_inputs(spec: SystemSpec, x0, seq: SamplingSequence) -> ImpulsePlan:

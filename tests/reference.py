@@ -456,7 +456,11 @@ def _sweep_row(spec, minimal, tol, noise, trials, seed, idx, s):
     eps = math.ldexp(noise, -e)
     x0 = np.ldexp(z[:, 0].T, -e)
     O = analysis.bruteforce_observability_matrix(spec, av)
-    noisy = O @ x0 + eps * z[:, 1].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = O @ x0 + eps * z[:, 1].T
+    if not np.isfinite(noisy).all():
+        raise DegenerateSamplingError("the simulated outputs O x0 overflow a float; "
+                                      "shorten the sampling intervals")
     so = np.linalg.svd(O, compute_uv=False)
     if so[0] == 0.0 or so[-1] / so[0] <= analysis.RANK_REL_TOL:
         amp = math.inf

@@ -320,6 +320,24 @@ def test_factorization_ratios_alpha_independent():
         assert ratios_c == pytest.approx([4 ** p] * 4, rel=1e-6)
 
 
+def test_factorization_ratio_is_free_of_the_coefficient_scale():
+    # at 1e+-200 the coefficients' n-th powers, det Y and N2, leave the
+    # float range; ratio_ctrl stays 4^p
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        spec = random_minimal_spec(rng, n)
+        p = sum(blk.multiplicity for blk in spec.eigen.blocks if blk.kind == "pair")
+        av = ns.alphas(random_sequence(rng, n))
+        for scale in (1e200, 1e-200):
+            scaled = ns.system_from_modes([(rt.value, rt.multiplicity)
+                                           for rt in spec.eigen.roots],
+                                          [c * scale for c in spec.coeffs])
+            fc = _factors(scaled, av)
+            assert not 0.0 < abs(fc.N2) < math.inf
+            assert fc.ratio_ctrl == pytest.approx(4 ** p, rel=1e-9)
+
+
 def test_factorization_N2_is_the_hankel_determinant():
     # the closed form (-1)^{m(m-1)/2} C_m^m per root against numeric
     # determinants of the Hankel blocks, multiplicities up to 5 included

@@ -1,15 +1,19 @@
-"""CLI inputs at the edges: overflowing design searches, spirals and
-exponential modes, the design's minimum spacing, zero counts, negative seeds
-and branch bounds, non-finite floats, and the parser shared by successive
-main() calls."""
+"""CLI inputs at the edges: overflowing design searches, spirals,
+exponential modes and modal coefficients, the design's minimum spacing, zero
+counts, negative seeds and branch bounds, non-finite floats, the parser
+shared by successive main() calls, and the exit contract on generated
+system and sequence files."""
 import contextlib
 import io
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nusample import cli, fileio
@@ -477,3 +481,138 @@ def test_boolean_counts_are_rejected(capsys, tmp_path, field, message):
     code, out, err = run(capsys, "analyze", "--system", str(path), "--instants", str(seq))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: {message}\n"
+
+
+# a huge modal coefficient: det Y and N2 grow as the n-th power of the
+# coefficients and leave the float range, while their ratio does not
+HUGE_COEFFICIENT = (
+    {"order": 2, "roots": [{"re": -1.0, "im": 0.0, "mult": 2}],
+     "mode_coefficients": [{"re": 1.0, "im": 0.0}, {"re": 1e200, "im": 0.0}]},
+    {"instants": [0.0, 1.0]})
+HUGE_COEFFICIENTS = (
+    {"order": 3, "roots": [{"re": -k, "im": 0.0, "mult": 1} for k in (1.0, 2.0, 3.0)],
+     "mode_coefficients": [{"re": 1e120, "im": 0.0}] * 3},
+    {"instants": [0.0, 1.0, 2.0]})
+
+
+@pytest.mark.parametrize("case, n2", [(HUGE_COEFFICIENT, "-inf"), (HUGE_COEFFICIENTS, "inf")],
+                         ids=["double-root", "three-roots"])
+def test_analyze_huge_modal_coefficients(capsys, tmp_path, case, n2):
+    # N2 = -1e400 and 1e360 exceed a float; basis_ratio_ctrl is 4^p = 1
+    system, sequence = tmp_path / "system.json", tmp_path / "seq.json"
+    system.write_text(json.dumps(case[0]))
+    sequence.write_text(json.dumps(case[1]))
+    code, out, err = run(capsys, "analyze", "--system", str(system),
+                         "--instants", str(sequence))
+    assert (code, err) == (0, "")
+    printed = dict(line.split(" = ") for line in out.splitlines())
+    assert printed["admissible"] == "yes"
+    assert printed["factor_N2"] == n2
+    assert float(printed["basis_ratio_ctrl"]) == pytest.approx(1.0, rel=0.0, abs=1e-6)
+
+
+# root magnitudes log-uniform in [1e-6, 316], one draw in twenty at an edge
+EDGE_MAGNITUDES = (0.0, 1e-300, 1e300, 5e-324, 709.0, 710.0)
+
+
+@st.composite
+def _magnitudes(draw):
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(EDGE_MAGNITUDES))
+    return 10.0 ** draw(st.floats(-6.0, 2.5))
+
+
+@st.composite
+def _cases(draw):
+    """(system document, sequence document): 1-3 real or pair blocks of
+    multiplicity 1-3, coefficients (modal, or Markov two times in five) at
+    scales up to 1e+-200, and one instant per state."""
+    scale = draw(st.floats(-200.0, 200.0))
+
+    def coefficient():
+        return draw(st.floats(-1.0, 1.0)) * 10.0 ** (scale + draw(st.floats(-3.0, 3.0)))
+
+    roots, coeffs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 3))
+        re = draw(st.sampled_from([-1.0, 1.0])) * draw(_magnitudes())
+        if draw(st.booleans()):
+            im = draw(_magnitudes())
+            c = [complex(coefficient(), coefficient()) for _ in range(m)]
+            roots += [{"re": re, "im": im, "mult": m}, {"re": re, "im": -im, "mult": m}]
+            coeffs += c + [z.conjugate() for z in c]
+        else:
+            roots.append({"re": re, "im": 0.0, "mult": m})
+            coeffs += [complex(coefficient()) for _ in range(m)]
+    n = sum(r["mult"] for r in roots)
+    system = {"order": n, "roots": roots}
+    if draw(st.integers(0, 4)) < 2:
+        system["markov"] = [coefficient() for _ in range(n)]
+    else:
+        system["mode_coefficients"] = [{"re": z.real, "im": z.imag} for z in coeffs]
+    gaps = [10.0 ** draw(st.floats(-4.0, 1.5)) for _ in range(n)]
+    instants = (draw(st.floats(-10.0, 10.0)) + np.cumsum([0.0] + gaps[:-1])).tolist()
+    return system, {"instants": instants, "final_instant": instants[-1] + gaps[-1]}
+
+
+def _real(*roots):
+    return [{"re": r, "im": 0.0, "mult": m} for r, m in roots]
+
+
+# cases a wider run of _cases() found, each a warning or an exception before
+# its site was mended
+TINY_MARKOV = ({"order": 1, "roots": _real((-9.370988311721396, 1)),
+                "markov": [2.22507385850696e-310]},
+               {"instants": [0.0], "final_instant": 1.0})  # deadbeat inputs overflow
+CLUSTERED_ROOTS = ({"order": 5, "roots": [
+    {"re": 9.99976974414163, "im": 2.074800064090657e-06, "mult": 2},
+    {"re": 9.99976974414163, "im": -2.074800064090657e-06, "mult": 2},
+    *_real((9.99976974414163, 1))], "mode_coefficients": [
+    {"re": 1.0, "im": 1.0}, {"re": 1.0, "im": 0.0}, {"re": 1.0, "im": -1.0},
+    {"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]},
+                   {"instants": [0.0, 1.0, 2.0, 3.0, 4.0], "final_instant": 5.0})  # B singular
+LARGE_RESIDUAL = ({"order": 1, "roots": _real((20.72144713807011, 1)),
+                   "mode_coefficients": [{"re": -5.964841965361769e-124, "im": 0.0}]},
+                  {"instants": [-1.2152921663001077e-122], "final_instant": 20.72144713807011})
+SUBNORMAL_SIGMA = ({"order": 2, "roots": _real((-709.0, 2)),
+                    "markov": [0.14192359374171565, 1.1301500156901153e-63]},
+                   {"instants": [0.05, 1.05], "final_instant": 1.0537128748005793})
+LOUD_OUTPUTS = ({"order": 2, "roots": [{"re": 709.0, "im": 709.0, "mult": 1},
+                                       {"re": 709.0, "im": -709.0, "mult": 1}],
+                 "markov": [0.0, 0.0]},
+                {"instants": [0.0, 1.0], "final_instant": 1.0270469469495167})  # O x0 overflows
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_cases())
+@example(case=HUGE_COEFFICIENT)
+@example(case=HUGE_COEFFICIENTS)
+@example(case=TINY_MARKOV)
+@example(case=CLUSTERED_ROOTS)
+@example(case=LARGE_RESIDUAL)
+@example(case=SUBNORMAL_SIGMA)
+@example(case=LOUD_OUTPUTS)
+def test_every_subcommand_keeps_the_exit_contract(case):
+    # exit 0, 1 or 2, an error message for 1, and no exception or warning
+    with tempfile.TemporaryDirectory() as tmp:
+        system, sequence, trace = (str(Path(tmp) / name)
+                                   for name in ("system.json", "seq.json", "trace.csv"))
+        Path(system).write_text(json.dumps(case[0]))
+        Path(sequence).write_text(json.dumps(case[1]))
+        gaps = np.diff(case[1]["instants"] + [case[1].get("final_instant", math.inf)])
+        span = [repr(float(gaps.min())), repr(float(min(gaps.max(), 1e3)))]
+        for argv in (["analyze", "--instants", sequence],
+                     ["verify", "--instants", sequence, "--seed", "1"],
+                     ["design", "--t0", "0", "--steps", "20"],
+                     ["sweep", "--from", span[0], "--to", span[1], "--points", "3",
+                      "--trials", "3"],
+                     ["geometry", "--instants", sequence, "--out", trace]):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv + ["--system", system])
+            assert code in (0, 1, 2), argv
+            assert not caught, (argv, [str(w.message) for w in caught])
+            assert code != 1 or err.getvalue().startswith("error:"), argv

@@ -4,6 +4,7 @@ builds against the same routes, the batched design grid against the scalar
 score, and how often each command builds the Jordan form and each matrix."""
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,6 +87,20 @@ def test_flow_of_a_seed_stack_at_one_alpha():
 def test_flow_at_zero_is_identity():
     d = np.arange(1.0, TRIPLE.n + 1)
     assert np.array_equal(lti.jordan_flow(TRIPLE, d, 0.0), d)
+
+
+@pytest.mark.parametrize("alpha", [3000.0, -3000.0, [0.0, 3000.0, -3000.0, 1e308]])
+def test_overflowing_flow_is_inf_or_nan_without_a_warning(alpha):
+    # e^{0.3 alpha} of the pair and e^{-0.4 alpha} of the real block leave
+    # the float range; the flow sets its own error state, so no caller does
+    d = np.arange(1.0, TRIPLE.n + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lti.jordan_flow(TRIPLE, d, alpha)
+    assert not np.isfinite(got).all()
+    if np.ndim(alpha):
+        assert np.array_equal(got[0], d)
+        assert not np.isfinite(got[1:]).all(axis=-1).any()
 
 
 @settings(max_examples=30, deadline=None)
@@ -256,18 +271,51 @@ def test_batched_grid_scores_match_scalar(n):
                                       rel=1e-9, abs=1e-12)
 
 
+def _unit_vector_readers(spec, alpha_rows):
+    """The bytes of every result read from ``unit_vectors``: the design
+    scores, the Hadamard threshold of the verdict (on the rows whose
+    determinant and row norms stay far from overflow), and ``unit_gram``
+    with the degree metrics."""
+    phi = analysis.fundamental_matrix(spec.eigen, alpha_rows)
+    finite = np.isfinite(np.linalg.det(phi)) & (np.abs(phi).max(axis=(-2, -1)) < 1e30)
+    Y = analysis.sampled_mode_vectors(spec, alpha_rows)
+    arrays = [design._gram_dets(spec, alpha_rows),
+              *analysis.joint_arrays(phi[finite], 1e-9), *analysis.unit_gram(Y)]
+    metrics = [analysis.degree_metrics_from_vectors(y) for y in Y[::20]]
+    return [a.tobytes() for a in arrays], metrics
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 7])
 def test_plain_scores_are_the_scaled_ones(monkeypatch, n):
     # intervals up to 150 spread the mode vectors' norms over 70 to 215
-    # binary orders, all inside the range where _gram_dets skips the scaling
+    # binary orders, all inside the range where unit_vectors skips the scaling
     rng = np.random.default_rng(60 + n)
     spec = random_minimal_spec(rng, n)
     instants = np.cumsum(np.r_[0.0, rng.uniform(0.05, 5.0, n - 2)])
     grid = instants[-1] + np.linspace(0.05, 150.0, 200)
     cand = np.column_stack([np.zeros(grid.size), grid[:, None] - instants[::-1]])
-    plain = design._gram_dets(spec, cand)
-    monkeypatch.setattr(design, "_PLAIN_NORMS", (math.inf, 0.0))  # always scale
-    assert design._gram_dets(spec, cand).tobytes() == plain.tobytes()
+    plain = _unit_vector_readers(spec, cand)
+    monkeypatch.setattr(analysis, "_PLAIN_NORMS", (math.inf, 0.0))  # always scale
+    assert _unit_vector_readers(spec, cand) == plain
+
+
+@pytest.mark.parametrize("lam, a, b, t1", [(-1.0, -0.3, 1.2, 1.0), (-0.5, 0.4, 0.7, 2.5),
+                                           (0.2, -0.1, 3.0, 0.3), (-2.0, -0.3, 0.05, 40.0)])
+def test_plain_third_order_norms_are_the_scaled_ones(monkeypatch, lam, a, b, t1):
+    # the norms of Y0 x Y1, Y0 and Y1 that the geometric step's checks read
+    spec = ns.system_from_modes([(lam, 1), (complex(a, b), 1), (complex(a, -b), 1)],
+                                [1.0, 0.5 - 0.25j, 0.5 + 0.25j])
+    Y0, Y1 = design.spiral_point(spec, [0.0, t1])
+    stack = np.stack([np.cross(Y0, Y1), Y0, Y1])
+
+    def readers():
+        result, trace = design.next_instant_third_order(spec, 0.0, t1)
+        return (analysis.unit_vectors(stack, axis=1)[2].tobytes(), result.sequence,
+                result.metric, trace.mu, trace.q2.tobytes())
+
+    plain = readers()
+    monkeypatch.setattr(analysis, "_PLAIN_NORMS", (math.inf, 0.0))  # always scale
+    assert readers() == plain
 
 
 def test_nonfinite_scores_are_zero():
