@@ -9,6 +9,7 @@ case is reproducible from its index.
 import numpy as np
 
 import nusample as ns
+from nusample.analysis import spectrum
 
 MIN_ROOT_SEPARATION = 0.08
 MIN_LAST_COEFF = 0.3
@@ -113,10 +114,8 @@ def random_admissible_case(rng, n, max_cond=1e6):
         report = ns.joint_test(ns.fundamental_matrix(spec.eigen, av))
         if not report.is_admissible:
             continue
-        G = ns.bruteforce_controllability_matrix(spec, seq)
-        O = ns.bruteforce_observability_matrix(spec, av)
-        sg = np.linalg.svd(G, compute_uv=False)
-        so = np.linalg.svd(O, compute_uv=False)
-        if sg[0] / sg[-1] < max_cond and so[0] / so[-1] < max_cond:
+        cond = spectrum(np.stack([ns.bruteforce_controllability_matrix(spec, seq),
+                                  ns.bruteforce_observability_matrix(spec, av)]))[2]
+        if (cond < max_cond).all():
             return spec, seq
     raise RuntimeError("could not find an admissible, well-conditioned case")

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 import nusample as ns
+from nusample.analysis import spectrum
 from random_cases import pathological_sequence, random_minimal_spec, random_sequence
 
 
@@ -39,13 +40,13 @@ def main():
         else:
             seq = random_sequence(rng, n, with_final=True)
         av = ns.alphas(seq)
-        M = ns.fundamental_matrix(spec.eigen, av)
-        verdict = ns.numerical_rank(M) == n
-        G = ns.bruteforce_controllability_matrix(spec, seq)
-        O = ns.bruteforce_observability_matrix(spec, av)
-        oracle = (ns.numerical_rank(G) == n) and (ns.numerical_rank(O) == n)
-        ratios = [float(s[-1] / s[0]) for s in
-                  (np.linalg.svd(X, compute_uv=False) for X in (M, G, O))]
+        smin, smax, _, deficient = spectrum(np.stack([
+            ns.fundamental_matrix(spec.eigen, av),
+            ns.bruteforce_controllability_matrix(spec, seq),
+            ns.bruteforce_observability_matrix(spec, av)]))  # M, G, O
+        verdict = not deficient[0]
+        oracle = not (deficient[1] or deficient[2])
+        ratios = (smin / smax).tolist()
         near = any(1e-11 < r < 1e-5 for r in ratios)
         if verdict == oracle:
             agree += 1

@@ -11,7 +11,6 @@ from nusample.analysis import (
     bruteforce_observability_matrix,
     fundamental_matrix,
     joint_test,
-    numerical_rank,
 )
 from nusample.design import (
     DesignResult,

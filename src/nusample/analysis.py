@@ -11,7 +11,11 @@ observability side of the factorization are Phi times such constants, so
 ``analyze`` makes two flow calls: Phi and the mode vectors.  Every vector
 norm and unit vector, the verdict's Hadamard row norms and the degree
 metrics' unit mode vectors among them, comes from ``unit_vectors``, the one
-code that scales vectors.  The independent routes (per-alpha matrix
+code that scales vectors.  Every singular value, condition number and
+numerical-rank decision (of Phi, the unit mode vectors, and the O and G
+that ``simulate`` solves against) comes from ``spectrum``, the one rank
+rule.  The factorization ratios take one path, free of the scale of the
+modal coefficients.  The independent routes (per-alpha matrix
 exponentials, the swap-reversal permutation, numeric Hankel determinants)
 live in ``tests/reference.py``.
 """
@@ -94,15 +98,10 @@ class DegreeMetrics:
 
 @dataclass(frozen=True, eq=False)
 class FactorizationCheck:
-    lhs_ctrl: float
-    rhs_ctrl: float
-    lhs_obs: float
-    rhs_obs: float
     N1: float
     N2: float
     M1: float
     M2: float
-    det_phi: float
     ratio_ctrl: float
     ratio_obs: float
 
@@ -139,15 +138,27 @@ def joint_arrays(M: np.ndarray, tol_factor: float):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         det = np.linalg.det(M)
         threshold = tol_factor * np.prod(unit_vectors(M, axis=-1)[2], axis=-1)
-        finite = np.isfinite(det) & np.isfinite(threshold)
-        if not finite.all():
-            raise DegenerateSamplingError(
-                "the determinant of the basis matrix or its threshold overflows a "
-                f"float (largest |entry| = {np.max(np.abs(M[~finite][0])):.6g}); "
-                "shorten the sampling intervals")
+    finite = np.isfinite(det) & np.isfinite(threshold)
+    if not finite.all():
+        raise DegenerateSamplingError(
+            "the determinant of the basis matrix or its threshold overflows a "
+            f"float (largest |entry| = {np.max(np.abs(M[~finite][0])):.6g}); "
+            "shorten the sampling intervals")
+    smin, _, cond, _ = spectrum(M)
+    return det, threshold, smin, cond
+
+
+def spectrum(M: np.ndarray):
+    """(sigma_min, sigma_max, condition number, deficient) of each matrix of
+    the stack M, shape (..., n, k), as arrays of shape (...): the condition
+    number is inf where sigma_min is zero, and a matrix is deficient where
+    sigma_max is zero or sigma_min / sigma_max is at most RANK_REL_TOL.  The
+    one rank rule of the package."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         svals = np.linalg.svd(M, compute_uv=False)
         smin, smax = svals[..., -1], svals[..., 0]
-        return det, threshold, smin, np.where(smin == 0.0, math.inf, smax / smin)
+        cond = np.where(smin == 0.0, math.inf, smax / smin)
+        return smin, smax, cond, (smax == 0.0) | (smin / smax <= RANK_REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +231,7 @@ def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
     else:
         min_angle = min(math.acos(min(1.0, abs(G[i, j])))
                         for i in range(k) for j in range(i + 1, k))
-    svals = np.linalg.svd(Yn, compute_uv=False)
-    cond = math.inf if svals[-1] == 0.0 else float(svals[0] / svals[-1])
-    return DegreeMetrics(float(gram), min_angle, cond)
+    return DegreeMetrics(float(gram), min_angle, float(spectrum(Yn)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +259,6 @@ def bruteforce_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> 
     return checked_flow(es, d, av, (R / es._wronskian_scale) @ es.B_inv)
 
 
-def numerical_rank(M: np.ndarray) -> int:
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > RANK_REL_TOL * svals[0]))
-
-
 # ---------------------------------------------------------------------------
 # factorization identities
 
@@ -279,17 +281,12 @@ def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
     ratio_ctrl and ratio_obs report those constants, and they must be
     independent of the alpha vector.  With p the sum of the pair
     multiplicities, ratio_obs is (-1)^p: the output rows are Phi D^{-1}, and
-    N1 prod(D) = (-1)^p.  ratio_ctrl is 4^p.  det Y and N2 are inf where they
-    exceed a float; ratio_ctrl, free of their common scale, is then the
-    quotient of both divided by the same power of two.
+    N1 prod(D) = (-1)^p.  ratio_ctrl is 4^p, the quotient of det Y and
+    N1 N2 det Phi each divided by the same power of two, so it is free of
+    their common scale: N2 is inf where it exceeds a float, and subnormal
+    where it falls below the normal range, yet ratio_ctrl keeps its bits.
     """
     es = spec.eigen
-    with np.errstate(over="ignore"):
-        lhs_ctrl = float(np.linalg.det(Y))
-    # the Jordan-frame output rows, a one in each block's first cell, flow
-    # to Phi D^{-1} (see bruteforce_observability_matrix)
-    lhs_obs = float(np.linalg.det(phi / es._wronskian_scale))
-
     N1 = _factorial_factor(es)
     # each root's anti-triangular Hankel block of (C_1, ..., C_m) has
     # determinant (-1)^{m(m-1)/2} C_m^m; n2 is N2 / sigma^n, sigma the power
@@ -308,18 +305,18 @@ def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
     M1 = N1
     M2 = 1.0  # product of identity blocks
 
-    rhs_ctrl = N1 * N2 * det_phi
+    # Y / (sigma 2^k) and det Phi / 2^{nk}, exact powers of two, keep both
+    # sides near 1
+    k = math.frexp(det_phi)[1] // es.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = float(np.linalg.det(np.ldexp(Y / sigma, -k)))
+    ratio_ctrl = lhs / (N1 * n2.real * math.ldexp(det_phi, -es.n * k))
+    # the Jordan-frame output rows, a one in each block's first cell, flow
+    # to Phi D^{-1} (see bruteforce_observability_matrix)
     rhs_obs = M1 * M2 * det_phi
-    if math.isfinite(lhs_ctrl) and 0.0 < abs(rhs_ctrl) < math.inf:
-        ratio_ctrl = lhs_ctrl / rhs_ctrl
-    else:  # Y / (sigma 2^k) and det Phi / 2^{nk} keep both sides near 1
-        k = math.frexp(det_phi)[1] // es.n
-        with np.errstate(over="ignore", invalid="ignore"):
-            lhs = float(np.linalg.det(np.ldexp(Y / sigma, -k)))
-        ratio_ctrl = lhs / (N1 * n2.real * math.ldexp(det_phi, -es.n * k))
-    ratio_obs = lhs_obs / rhs_obs if rhs_obs != 0.0 else math.inf
-    return FactorizationCheck(lhs_ctrl, rhs_ctrl, lhs_obs, rhs_obs,
-                              N1, N2, M1, M2, det_phi, ratio_ctrl, ratio_obs)
+    ratio_obs = (float(np.linalg.det(phi / es._wronskian_scale)) / rhs_obs
+                 if rhs_obs != 0.0 else math.inf)
+    return FactorizationCheck(N1, N2, M1, M2, ratio_ctrl, ratio_obs)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def _noise_amplification(O, eps, trials, seeds) -> np.ndarray:
     e = math.frexp(eps)[1] if eps > 1 else 0
     eps = math.ldexp(eps, -e)
     x0 = np.ldexp(z[:, :, 0], -e).swapaxes(-1, -2)  # one initial state per column
-    deficient = simulate.rank_deficient(O)[0]
+    deficient = analysis.spectrum(O)[3]
     solvable = ~deficient[:, None, None]  # the others solve I x = x0 exactly
     with np.errstate(over="ignore", invalid="ignore"):
         noisy = np.where(solvable, O @ x0 + eps * z[:, :, 1].swapaxes(-1, -2), x0)

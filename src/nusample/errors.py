@@ -11,19 +11,16 @@ class InputError(NuSampleError):
 
 class RootFindingError(NuSampleError):
     """The Vandermonde basis of the roots overflows a float, or their
-    Wronskian at zero is singular."""
-
-
-class NonMinimalError(NuSampleError):
-    """The modal data violates the minimality condition (a highest-order
-    block coefficient is numerically zero)."""
+    Wronskian at zero is singular, or the modal coefficients solved against
+    it overflow."""
 
 
 class DegenerateSamplingError(NuSampleError):
     """The sampling instants cannot be evaluated: they are not strictly
     increasing, or an interval is so long that a growing mode e^{Re lambda
     alpha} overflows a float (or the basis determinant does), or that a
-    decaying mode vector vanishes."""
+    decaying mode vector vanishes; or a vector the simulation needs (the
+    input vector y0, a solution, the simulated outputs) overflows a float."""
 
 
 class RankDeficientError(NuSampleError):

@@ -133,10 +133,6 @@ class EigenStructure:
         return sum(rt.multiplicity for rt in self.roots)
 
     @cached_property
-    def r(self) -> int:
-        return len(self.roots)
-
-    @cached_property
     def blocks(self) -> tuple[Block, ...]:
         """The blocks in first-appearance order; the one place conjugate
         roots are paired."""
@@ -267,8 +263,11 @@ class SystemSpec:
         if len(coeffs) != self.eigen.n:
             raise ValueError(f"expected {self.eigen.n} modal coefficients, "
                              f"got {len(coeffs)}")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in coeffs):
-            raise ValueError("modal coefficients must be finite")
+        # a complex coefficient with finite parts may still have a modulus
+        # past the float range, which no scale or norm of them survives
+        if not all(math.isfinite(math.hypot(c.real, c.imag)) for c in coeffs):
+            raise ValueError("modal coefficients must be finite, and so must "
+                             "their moduli")
         scale = max(map(abs, coeffs)) or 1.0
         # h(t) must be real: real-root blocks carry real coefficients and
         # conjugate-pair blocks carry conjugate coefficients.
@@ -306,8 +305,13 @@ class SystemSpec:
     def y0(self) -> np.ndarray:
         """Read-only input vector in the Jordan frame, y0 = B^{-1} b: the
         Markov vector is b = W d for the Wronskian at zero W = B diag(D) and
-        the real mode vector d, so y0 = D d, in closed form."""
-        y0 = self.eigen._wronskian_scale * self.real_mode_vector
+        the real mode vector d, so y0 = D d, in closed form.  Raises
+        DegenerateSamplingError when an entry of y0 overflows a float."""
+        with np.errstate(over="ignore"):
+            y0 = self.eigen._wronskian_scale * self.real_mode_vector
+        if not np.isfinite(y0).all():
+            raise DegenerateSamplingError("the input vector y0 = D d overflows a float; "
+                                          "rescale the modal coefficients")
         y0.setflags(write=False)
         return y0
 
@@ -349,6 +353,9 @@ def modes_from_markov(es: EigenStructure, h) -> tuple[complex, ...]:
         d = np.linalg.solve(W, h)
     except np.linalg.LinAlgError as exc:  # cannot happen for a fundamental system
         raise RootFindingError("singular Wronskian-at-zero matrix") from exc
+    if not np.isfinite(d).all():
+        raise RootFindingError("the modal coefficients solved from the Markov "
+                               "parameters overflow a float")
     coeffs = np.zeros(es.n, dtype=complex)
     for blk in es.blocks:
         block_c = blk.cells(d)

@@ -12,8 +12,8 @@ runs in that frame: the state z = B^{-1} x flows by exp(J dt), one kernel
 call for every step of the train, and jumps by y0 u_i, where y0 is known in
 closed form; only the checkpoints go back to x = B z.  The controllability
 and observability matrices the solves use are the ``analysis.bruteforce_*``
-builders; a reconstruction takes k output vectors as one (n, k) array and
-solves them against a single observability matrix.
+builders, and every solve passes the one rank rule, ``analysis.spectrum``,
+first.
 """
 from __future__ import annotations
 
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from nusample.analysis import (
-    RANK_REL_TOL,
     SamplingSequence,
     bruteforce_controllability_matrix,
     bruteforce_observability_matrix,
+    spectrum,
 )
 from nusample.errors import DegenerateSamplingError, RankDeficientError
 from nusample.lti import SystemSpec, checked_flow
@@ -67,25 +67,13 @@ def state_transition(spec: SystemSpec, x, dt) -> np.ndarray:
     return checked_flow(es, es.B_inv @ np.asarray(x, dtype=float), dt, es.B.T)
 
 
-def rank_deficient(M: np.ndarray):
-    """(deficient, sigma_min, sigma_max) for each matrix of the stack M, shape
-    (..., n, n), as arrays of shape (...): deficient where sigma_min /
-    sigma_max is at most RANK_REL_TOL or M is zero."""
-    svals = np.linalg.svd(M, compute_uv=False)
-    smin, smax = svals[..., -1], svals[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (smax == 0.0) | (smin / smax <= RANK_REL_TOL), smin, smax
-
-
 def solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     """np.linalg.solve(M, rhs), raising RankDeficientError (naming ``what``)
-    when ``rank_deficient(M)``, and DegenerateSamplingError when the solution
-    overflows a float."""
-    deficient, smin, smax = rank_deficient(M)
+    when ``analysis.spectrum`` finds M deficient, and DegenerateSamplingError
+    when the solution overflows a float."""
+    smin, _, cond, deficient = spectrum(M)
     if deficient:
-        smin = float(smin)
-        # a float quotient overflows to inf without a warning
-        cond = np.inf if smin == 0.0 else float(smax) / smin
+        smin, cond = float(smin), float(cond)
         raise RankDeficientError(f"{what} is numerically singular "
                                  f"(sigma_min = {smin:.3e}, cond = {cond:.3e})",
                                  sigma_min=smin, condition_number=cond)
@@ -142,16 +130,11 @@ def simulate_impulse_train(spec: SystemSpec, x0, plan: ImpulsePlan) -> Trajector
 
 def reconstruct_initial_state(spec: SystemSpec, outputs,
                               av: tuple[float, ...]) -> np.ndarray:
-    """Solve y(alpha_m) = c exp(A alpha_m) X0 for X0.
-
-    ``outputs`` is one output vector, shape (n,), or k of them as the
-    columns of an (n, k) array; the result has the same shape, column j
-    solving for column j.  All columns share one observability matrix and
-    one rank check."""
+    """Solve y(alpha_m) = c exp(A alpha_m) x0 for x0, given the n output
+    samples y(alpha_m)."""
     outputs = np.asarray(outputs, dtype=float)
-    if outputs.ndim not in (1, 2) or outputs.shape[0] != spec.n:
-        raise ValueError(f"need {spec.n} output samples (shape ({spec.n},) or "
-                         f"({spec.n}, k)), got {outputs.shape}")
+    if outputs.shape != (spec.n,):
+        raise ValueError(f"need {spec.n} output samples, got shape {outputs.shape}")
     O = bruteforce_observability_matrix(spec, av)
     return solve_checked(O, outputs, "observability matrix [c exp(A alpha_m)]")
 

@@ -21,7 +21,6 @@ from nusample import analysis, design, fileio, simulate
 from nusample.errors import (
     DegenerateSamplingError,
     InputError,
-    NonMinimalError,
     NuSampleError,
     RootFindingError,
 )
@@ -225,8 +224,8 @@ def commuting_normalizer(es: EigenStructure, d: np.ndarray) -> np.ndarray:
                      for k in range(m)]
             target = 1j
         if abs(delta[-1]) == 0.0:
-            raise NonMinimalError(f"block at offset {blk.offset} has zero "
-                                  "highest-order coefficient")
+            raise ValueError(f"block at offset {blk.offset} has zero "
+                             "highest-order coefficient: the system is not minimal")
         c = [0j] * m
         for off in range(m):
             i = m - 1 - off

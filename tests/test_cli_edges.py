@@ -2,7 +2,7 @@
 exponential modes and modal coefficients, the design's minimum spacing, zero
 counts, negative seeds and branch bounds, non-finite floats, the parser
 shared by successive main() calls, and the exit contract on generated
-system and sequence files."""
+system and sequence files and flags."""
 import contextlib
 import io
 import json
@@ -511,6 +511,59 @@ def test_analyze_huge_modal_coefficients(capsys, tmp_path, case, n2):
     assert float(printed["basis_ratio_ctrl"]) == pytest.approx(1.0, rel=0.0, abs=1e-6)
 
 
+def test_analyze_subnormal_N2_keeps_the_factorization_ratio(capsys, tmp_path):
+    # N2 = 5.5e-316 is subnormal, so N1 N2 det Phi carries few bits; the one
+    # factorization path divides det Y and N2 by the same power of two
+    # instead, and ratio_ctrl is 4^p = 4
+    pair = {"order": 2, "roots": [{"re": 0.374, "im": 1.786, "mult": 1},
+                                  {"re": 0.374, "im": -1.786, "mult": 1}],
+            "mode_coefficients": [{"re": -1.4e-158, "im": -1.87e-158},
+                                  {"re": -1.4e-158, "im": 1.87e-158}]}
+    system, sequence = tmp_path / "system.json", tmp_path / "seq.json"
+    system.write_text(json.dumps(pair))
+    sequence.write_text(json.dumps({"instants": [0.0, 0.3564]}))
+    code, out, err = run(capsys, "analyze", "--system", str(system),
+                         "--instants", str(sequence))
+    assert (code, err) == (0, "")
+    printed = dict(line.split(" = ") for line in out.splitlines())
+    assert printed["factor_N2"] == "5.4569000194e-316"
+    assert printed["basis_ratio_ctrl"] == "4"
+
+
+# a complex coefficient whose modulus passes the float maximum, and Markov
+# parameters whose modal coefficients overflow in the Wronskian solve
+HUGE_MODULUS = (
+    {"order": 2, "roots": [{"re": -1.0, "im": 1.0, "mult": 1},
+                           {"re": -1.0, "im": -1.0, "mult": 1}],
+     "mode_coefficients": [{"re": 1.5e308, "im": 1.5e308}, {"re": 1.5e308, "im": -1.5e308}]},
+    {"instants": [0.0, 1.0], "final_instant": 2.0})
+OVERFLOWING_MARKOV = (
+    {"order": 2, "roots": [{"re": 0.001, "im": 0.001, "mult": 1},
+                           {"re": 0.001, "im": -0.001, "mult": 1}],
+     "markov": [1e305, 1e306]},
+    {"instants": [0.0, 1.0], "final_instant": 2.0})
+
+
+@pytest.mark.parametrize("case, message", [
+    (HUGE_MODULUS, "modal coefficients must be finite, and so must their moduli"),
+    (OVERFLOWING_MARKOV, "the modal coefficients solved from the Markov parameters "
+                         "overflow a float")], ids=["modulus", "markov"])
+@pytest.mark.parametrize("argv", [["analyze"], ["design", "--t0", "0"],
+                                  ["sweep", "--from", "0.1", "--to", "1", "--points", "2"]],
+                         ids=["analyze", "design", "sweep"])
+def test_overflowing_modal_coefficients_are_an_error(capsys, tmp_path, case, message, argv):
+    system, sequence = tmp_path / "system.json", tmp_path / "seq.json"
+    system.write_text(json.dumps(case[0]))
+    sequence.write_text(json.dumps(case[1]))
+    if argv == ["analyze"]:
+        argv = argv + ["--instants", str(sequence)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--system", str(system))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
 # root magnitudes log-uniform in [1e-6, 316], one draw in twenty at an edge
 EDGE_MAGNITUDES = (0.0, 1e-300, 1e300, 5e-324, 709.0, 710.0)
 
@@ -523,18 +576,39 @@ def _magnitudes(draw):
 
 
 @st.composite
+def _flags(draw):
+    """The flags that shape a verdict or a design: --tol (analyze and sweep;
+    absent one time in three), --method, and the generic search's
+    --dmin/--dmax (the second possibly below the first)."""
+    dmin = 10.0 ** draw(st.floats(-6.0, 1.5))
+    tol = draw(st.one_of(st.none(), st.floats(-300.0, 300.0), st.floats(-15.0, 0.0)))
+    return {"tol": [] if tol is None else ["--tol", repr(10.0 ** tol)],
+            "design": ["--method", draw(st.sampled_from(["auto", "closed", "geometric",
+                                                         "generic"])),
+                       "--dmin", repr(dmin),
+                       "--dmax", repr(dmin * 10.0 ** draw(st.floats(-0.5, 3.0)))]}
+
+
+# the flags' defaults, for the cases below
+NO_FLAGS = {"tol": [], "design": []}
+
+
+@st.composite
 def _cases(draw):
-    """(system document, sequence document): 1-3 real or pair blocks of
-    multiplicity 1-3, coefficients (modal, or Markov two times in five) at
-    scales up to 1e+-200, and one instant per state."""
-    scale = draw(st.floats(-200.0, 200.0))
+    """(system document, sequence document): 1-4 real or pair blocks of
+    multiplicity 1-4, coefficients (modal, or Markov two times in five) at
+    scales up to 1e+-308, where the parts of a complex one may be large
+    enough for its modulus to overflow, and one instant per state."""
+    scale = draw(st.floats(-308.0, 308.0))
 
     def coefficient():
-        return draw(st.floats(-1.0, 1.0)) * 10.0 ** (scale + draw(st.floats(-3.0, 3.0)))
+        # 10 ** 308.25 is just below the largest float
+        exponent = min(scale + draw(st.floats(-3.0, 3.0)), 308.25)
+        return draw(st.floats(-1.0, 1.0)) * 10.0 ** exponent
 
     roots, coeffs = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        m = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, 4))
         re = draw(st.sampled_from([-1.0, 1.0])) * draw(_magnitudes())
         if draw(st.booleans()):
             im = draw(_magnitudes())
@@ -581,19 +655,33 @@ LOUD_OUTPUTS = ({"order": 2, "roots": [{"re": 709.0, "im": 709.0, "mult": 1},
                                        {"re": 709.0, "im": -709.0, "mult": 1}],
                  "markov": [0.0, 0.0]},
                 {"instants": [0.0, 1.0], "final_instant": 1.0270469469495167})  # O x0 overflows
+# y0 = D d: the last cell of a triple root carries 2! C_3 = 2e308
+LOUD_INPUT = ({"order": 3, "roots": _real((-1.0, 3)), "mode_coefficients": [
+    {"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}, {"re": 1e308, "im": 0.0}]},
+              {"instants": [0.0, 1.0, 2.0], "final_instant": 3.0})
+# Phi's determinant is 0 through a zero pivot, where numpy's det divides by
+# zero; the verdict reads it under its own error state
+ZERO_PIVOT = ({"order": 9, "roots": _real((-10.0, 1), (-64.93816315762113, 4), (-0.0, 4)),
+               "mode_coefficients": [{"re": 0.0, "im": 0.0}] * 9},
+              {"instants": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 17.0],
+               "final_instant": 18.0})
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=_cases())
-@example(case=HUGE_COEFFICIENT)
-@example(case=HUGE_COEFFICIENTS)
-@example(case=TINY_MARKOV)
-@example(case=CLUSTERED_ROOTS)
-@example(case=LARGE_RESIDUAL)
-@example(case=SUBNORMAL_SIGMA)
-@example(case=LOUD_OUTPUTS)
-def test_every_subcommand_keeps_the_exit_contract(case):
+@given(case=_cases(), flags=_flags())
+@example(case=HUGE_COEFFICIENT, flags=NO_FLAGS)
+@example(case=HUGE_COEFFICIENTS, flags=NO_FLAGS)
+@example(case=TINY_MARKOV, flags=NO_FLAGS)
+@example(case=CLUSTERED_ROOTS, flags=NO_FLAGS)
+@example(case=LARGE_RESIDUAL, flags=NO_FLAGS)
+@example(case=SUBNORMAL_SIGMA, flags=NO_FLAGS)
+@example(case=LOUD_OUTPUTS, flags=NO_FLAGS)
+@example(case=HUGE_MODULUS, flags=NO_FLAGS)
+@example(case=OVERFLOWING_MARKOV, flags=NO_FLAGS)
+@example(case=LOUD_INPUT, flags=NO_FLAGS)
+@example(case=ZERO_PIVOT, flags=NO_FLAGS)
+def test_every_subcommand_keeps_the_exit_contract(case, flags):
     # exit 0, 1 or 2, an error message for 1, and no exception or warning
     with tempfile.TemporaryDirectory() as tmp:
         system, sequence, trace = (str(Path(tmp) / name)
@@ -602,11 +690,11 @@ def test_every_subcommand_keeps_the_exit_contract(case):
         Path(sequence).write_text(json.dumps(case[1]))
         gaps = np.diff(case[1]["instants"] + [case[1].get("final_instant", math.inf)])
         span = [repr(float(gaps.min())), repr(float(min(gaps.max(), 1e3)))]
-        for argv in (["analyze", "--instants", sequence],
+        for argv in (["analyze", "--instants", sequence, *flags["tol"]],
                      ["verify", "--instants", sequence, "--seed", "1"],
-                     ["design", "--t0", "0", "--steps", "20"],
+                     ["design", "--t0", "0", "--steps", "20", *flags["design"]],
                      ["sweep", "--from", span[0], "--to", span[1], "--points", "3",
-                      "--trials", "3"],
+                      "--trials", "3", *flags["tol"]],
                      ["geometry", "--instants", sequence, "--out", trace]):
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \

@@ -8,7 +8,8 @@ import scipy.linalg
 
 import nusample as ns
 from nusample import analysis, lti
-from nusample.errors import NonMinimalError, RootFindingError
+from nusample import errors
+from nusample.errors import RootFindingError
 from conftest import count_builds, random_minimal_spec
 import reference
 from reference import (
@@ -364,7 +365,7 @@ def test_overflowing_vandermonde_basis_raises(roots):
 
 def test_jordan_controllability_needs_minimality():
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 0.0])
-    with pytest.raises(NonMinimalError):
+    with pytest.raises(ValueError, match="not minimal"):
         controllability_jordan(spec)
 
 
@@ -437,6 +438,16 @@ def test_minimality_multiple_root_highest_coefficient():
     (analysis, "_output_rows"),
     (analysis, "_block_hankel_det"),
     (lti, "_confluent"),
+    (ns, "numerical_rank"),
+    (analysis, "numerical_rank"),
+    (ns.simulate, "rank_deficient"),
+    (lti.EigenStructure, "r"),
+    (errors, "NonMinimalError"),
+    (analysis.FactorizationCheck, "lhs_ctrl"),
+    (analysis.FactorizationCheck, "rhs_ctrl"),
+    (analysis.FactorizationCheck, "lhs_obs"),
+    (analysis.FactorizationCheck, "rhs_obs"),
+    (analysis.FactorizationCheck, "det_phi"),
 ])
 def test_removed_api_is_gone(owner, name):
     # the package works in one realization's Jordan frame, which the system

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import code_lines
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -42,3 +44,19 @@ def test_output_digest_runs():
     assert [(w[0], w[3]) for w in lines] == [("check", "18"), ("design", "3"),
                                              ("sweep", "9"), ("fixtures", "15")]
     assert all(len(w[-1]) == 64 for w in lines)
+
+
+def test_code_lines_runs():
+    # one row per module and a total; code lines exclude blanks, comments
+    # and docstrings, but not other strings
+    proc = _run("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    modules = sorted(p.name for p in (ROOT / "src" / "nusample").glob("*.py"))
+    assert [r[0] for r in rows] == modules + ["total"]
+    counts = [(int(r[1]), int(r[2])) for r in rows]
+    assert counts[-1] == tuple(map(sum, zip(*counts[:-1])))
+    assert all(0 < code < lines for lines, code in counts)
+    source = ('"""Module\n\ndocstring."""\n\n# a comment\nx = """not a\ndocstring"""\n\n'
+              'def f(a,\n      b):\n    """Doc."""\n    return a  # trailing\n')
+    assert code_lines.count(source) == (12, 5)

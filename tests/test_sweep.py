@@ -1,7 +1,7 @@
-"""Batched reconstruction and the batched sweep: k output vectors solve
-against one observability matrix, the noise column matches the per-trial
-loop, the whole output matches the per-scale loop byte for byte, and the
-cost of a sweep grows with neither its points nor its trials."""
+"""The batched sweep and the shape of a reconstruction: the noise column
+matches the per-trial loop, the whole output matches the per-scale loop
+byte for byte, the cost of a sweep grows with neither its points nor its
+trials, and a reconstruction takes one output vector."""
 import argparse
 import contextlib
 import json
@@ -16,7 +16,6 @@ import pytest
 import nusample as ns
 from nusample import analysis, cli, fileio, lti, simulate
 from nusample.cli import main
-from nusample.errors import RankDeficientError
 import reference
 from conftest import count_calls, random_minimal_spec, random_sequence
 from reference import observability_canonical
@@ -37,34 +36,14 @@ def _case(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# reconstruct_initial_state with (n, k) outputs
+# reconstruct_initial_state takes one output vector; the sweep solves its own
+# stack
 
-def test_batched_reconstruction_matches_single_calls():
-    rng, spec, av = _case(12, 5)
-    X0 = rng.standard_normal((5, 7))
-    Y = ns.bruteforce_observability_matrix(spec, av) @ X0
-    batch = simulate.reconstruct_initial_state(spec, Y, av)
-    assert batch.shape == (5, 7)
-    for j in range(7):
-        single = simulate.reconstruct_initial_state(spec, Y[:, j], av)
-        assert single.shape == (5,)
-        assert np.allclose(batch[:, j], single, rtol=1e-12, atol=1e-12)
-    assert np.allclose(batch, X0, rtol=1e-8, atol=1e-8)
-
-
-@pytest.mark.parametrize("shape", [(), (4,), (6,), (4, 3), (6, 2), (5, 2, 2)])
+@pytest.mark.parametrize("shape", [(), (4,), (6,), (4, 3), (6, 2), (5, 2, 2), (5, 7)])
 def test_reconstruction_rejects_wrong_shapes(shape):
     _, spec, av = _case(12, 5)
     with pytest.raises(ValueError):
         simulate.reconstruct_initial_state(spec, np.zeros(shape), av)
-
-
-def test_batched_reconstruction_singular_raises():
-    # the oscillator sampled half a period apart sees only +-x: O has rank 1
-    spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
-    av = ns.alphas(ns.SamplingSequence((0.0, math.pi)))
-    with pytest.raises(RankDeficientError):
-        simulate.reconstruct_initial_state(spec, np.ones((2, 4)), av)
 
 
 # ---------------------------------------------------------------------------
