@@ -31,8 +31,6 @@ from nusample.lti import (
     system_from_modes,
 )
 from nusample.simulate import (
-    ImpulsePlan,
-    Trajectory,
     deadbeat_inputs,
     reconstruct_initial_state,
     simulate_impulse_train,

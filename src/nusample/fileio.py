@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 
 from nusample.analysis import SamplingSequence
-from nusample.errors import DegenerateSamplingError, InputError
+from nusample.errors import DegenerateSamplingError, InputError, RootFindingError
 from nusample.lti import SystemSpec, system_from_markov, system_from_modes
 
 
@@ -96,7 +96,7 @@ def load_system(path) -> SystemSpec:
             coeffs.append(complex(_number(path, "re", c["re"]),
                                   _number(path, "im", c["im"])))
         return system_from_modes(roots, coeffs)
-    except ValueError as exc:
+    except (ValueError, RootFindingError) as exc:  # modes_from_markov raises the latter
         raise InputError(f"{path}: {exc}") from exc
 
 

@@ -279,6 +279,11 @@ class SystemSpec:
                     raise ValueError(f"real-root block {i} has complex coefficients")
             else:
                 i, j = sorted((blk.root_index, blk.partner_index))
+                # the pair's cells in real_mode_vector are 2 conj(C)
+                half = np.finfo(float).max / 2
+                if max(max(abs(c.real), abs(c.imag)) for c in coeffs[slices[i]]) > half:
+                    raise ValueError(f"blocks {i} and {j}: a pair's modal coefficients need "
+                                     f"|Re| and |Im| at most {half:.6g}, half the float maximum")
                 if max(abs(ci - cj.conjugate())
                        for ci, cj in zip(coeffs[slices[i]], coeffs[slices[j]])) > 1e-9 * scale:
                     raise ValueError(f"blocks {i} and {j} do not carry conjugate coefficients")

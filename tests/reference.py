@@ -386,15 +386,14 @@ def controllability_canonical(spec: SystemSpec) -> ControllabilityForm:
 # ---------------------------------------------------------------------------
 # the impulse train in the state frame
 
-def simulate_impulse_train(real: ObservabilityForm, x0, plan) -> list:
+def simulate_impulse_train(real: ObservabilityForm, x0, seq, inputs) -> list:
     """(time, side, state) of every checkpoint, the state carried as x:
     each free flow is ``simulate.state_transition`` and each jump adds
     b u_i, with b the realization's Markov vector."""
     x = np.asarray(x0, dtype=float)
-    seq = plan.sequence
     checkpoints = []
     t_prev = seq.instants[0]
-    for ti, ui in zip(seq.instants, plan.inputs):
+    for ti, ui in zip(seq.instants, inputs):
         x = simulate.state_transition(real.spec, x, ti - t_prev)
         checkpoints.append((ti, "pre", x.copy()))
         x = x + real.b * ui

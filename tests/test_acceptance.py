@@ -166,9 +166,9 @@ def test_acceptance_5_deadbeat_and_reconstruction():
         spec, seq = random_admissible_case(rng, n)
         real = observability_canonical(spec)
         x0 = rng.standard_normal(n)
-        plan = ns.deadbeat_inputs(spec, x0, seq)
-        traj = ns.simulate_impulse_train(spec, x0, plan)
-        assert np.linalg.norm(traj.final_state) <= 1e-8 * np.linalg.norm(x0)
+        inputs = ns.deadbeat_inputs(spec, x0, seq)
+        states = ns.simulate_impulse_train(spec, x0, seq, inputs)
+        assert np.linalg.norm(states[-1]) <= 1e-8 * np.linalg.norm(x0)
         av = ns.alphas(seq)
         y = np.array([float(real.c @ ns.state_transition(spec, x0, a))
                       for a in av])

@@ -530,12 +530,19 @@ def test_analyze_subnormal_N2_keeps_the_factorization_ratio(capsys, tmp_path):
     assert printed["basis_ratio_ctrl"] == "4"
 
 
-# a complex coefficient whose modulus passes the float maximum, and Markov
-# parameters whose modal coefficients overflow in the Wronskian solve
+# a complex coefficient whose modulus passes the float maximum, a pair
+# coefficient whose parts pass half of it (the real mode vector holds
+# 2 conj(C)), and Markov parameters whose modal coefficients overflow in the
+# Wronskian solve
 HUGE_MODULUS = (
     {"order": 2, "roots": [{"re": -1.0, "im": 1.0, "mult": 1},
                            {"re": -1.0, "im": -1.0, "mult": 1}],
      "mode_coefficients": [{"re": 1.5e308, "im": 1.5e308}, {"re": 1.5e308, "im": -1.5e308}]},
+    {"instants": [0.0, 1.0], "final_instant": 2.0})
+HUGE_PAIR_PART = (
+    {"order": 2, "roots": [{"re": -1.0, "im": 1.0, "mult": 1},
+                           {"re": -1.0, "im": -1.0, "mult": 1}],
+     "mode_coefficients": [{"re": 1e308, "im": 1e308}, {"re": 1e308, "im": -1e308}]},
     {"instants": [0.0, 1.0], "final_instant": 2.0})
 OVERFLOWING_MARKOV = (
     {"order": 2, "roots": [{"re": 0.001, "im": 0.001, "mult": 1},
@@ -546,22 +553,41 @@ OVERFLOWING_MARKOV = (
 
 @pytest.mark.parametrize("case, message", [
     (HUGE_MODULUS, "modal coefficients must be finite, and so must their moduli"),
+    (HUGE_PAIR_PART, "blocks 0 and 1: a pair's modal coefficients need |Re| and |Im| at "
+                     "most 8.98847e+307, half the float maximum"),
     (OVERFLOWING_MARKOV, "the modal coefficients solved from the Markov parameters "
-                         "overflow a float")], ids=["modulus", "markov"])
-@pytest.mark.parametrize("argv", [["analyze"], ["design", "--t0", "0"],
+                         "overflow a float")], ids=["modulus", "pair_part", "markov"])
+@pytest.mark.parametrize("argv", [["analyze"], ["verify", "--seed", "1"], ["design", "--t0", "0"],
                                   ["sweep", "--from", "0.1", "--to", "1", "--points", "2"]],
-                         ids=["analyze", "design", "sweep"])
+                         ids=["analyze", "verify", "design", "sweep"])
 def test_overflowing_modal_coefficients_are_an_error(capsys, tmp_path, case, message, argv):
     system, sequence = tmp_path / "system.json", tmp_path / "seq.json"
     system.write_text(json.dumps(case[0]))
     sequence.write_text(json.dumps(case[1]))
-    if argv == ["analyze"]:
+    if argv[0] in ("analyze", "verify"):
         argv = argv + ["--instants", str(sequence)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv, "--system", str(system))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("case", [
+    HUGE_PAIR_PART, OVERFLOWING_MARKOV,
+    ({"order": 3, "roots": BIG_REAL, "markov": [1, 1, 1]}, {"instants": [0.0, 1.0, 2.0]}),
+], ids=["pair_part", "markov", "vandermonde"])
+def test_load_errors_name_the_system_file(capsys, tmp_path, case):
+    # the last two raise RootFindingError while the file loads
+    system, sequence = tmp_path / "system.json", tmp_path / "seq.json"
+    system.write_text(json.dumps(case[0]))
+    sequence.write_text(json.dumps(case[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", "--system", str(system),
+                             "--instants", str(sequence))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {system}: ") and err.count("\n") == 1
 
 
 # root magnitudes log-uniform in [1e-6, 316], one draw in twenty at an edge

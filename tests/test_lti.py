@@ -218,6 +218,18 @@ def test_conjugate_pairing_errors(roots, coeffs, message):
             ns.system_from_modes(roots, coeffs)
 
 
+def test_pair_coefficient_parts_stop_at_half_the_float_maximum():
+    # the real mode vector holds 2 conj(C) for a pair coefficient C
+    half = np.finfo(float).max / 2
+    roots = [(-1 + 1j, 1), (-1 - 1j, 1)]
+    spec = ns.system_from_modes(roots, [complex(half, -half), complex(half, half)])
+    assert np.isfinite(spec.real_mode_vector).all()
+    over = np.nextafter(half, np.inf)
+    for c in (complex(over, 0.0), complex(0.0, -over)):
+        with pytest.raises(ValueError, match="blocks 0 and 1: .* half the float maximum"):
+            ns.system_from_modes(roots, [c, c.conjugate()])
+
+
 def test_pair_blocks_carry_partner_index():
     es = ns.eigenstructure([(0.5 - 1j, 2), (-1, 1), (0.5 + 1j, 2)])
     pair, real = es.blocks
@@ -448,12 +460,16 @@ def test_minimality_multiple_root_highest_coefficient():
     (analysis.FactorizationCheck, "lhs_obs"),
     (analysis.FactorizationCheck, "rhs_obs"),
     (analysis.FactorizationCheck, "det_phi"),
+    (ns, "ImpulsePlan"),
+    (ns, "Trajectory"),
+    (ns.simulate, "Checkpoint"),
 ])
 def test_removed_api_is_gone(owner, name):
     # the package works in one realization's Jordan frame, which the system
     # owns, and the CLI reaches no root finder, companion form, Jordan-matrix
     # builder or trajectory export; O, the Wronskian and N2 have no second
-    # builder, and the degree and factorization checks no public wrapper
+    # builder, the degree and factorization checks no public wrapper, and an
+    # impulse train takes and returns plain arrays
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
         assert name not in {f.name for f in dataclasses.fields(owner)}

@@ -1,4 +1,5 @@
-"""The experiment scripts run end to end on small inputs."""
+"""The experiment scripts run end to end on small inputs, and the benchmark
+pair summary on synthetic runs."""
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import bench_pairs
 import code_lines
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,3 +62,53 @@ def test_code_lines_runs():
     source = ('"""Module\n\ndocstring."""\n\n# a comment\nx = """not a\ndocstring"""\n\n'
               'def f(a,\n      b):\n    """Doc."""\n    return a  # trailing\n')
     assert code_lines.count(source) == (12, 5)
+
+
+E2E = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+       {"name": "latency_p50_ms", "better": "lower", "bound": 0.25}]
+
+
+def _pairs(parent, change, latency=(2.0, 2.0)):
+    return [{"parent": {"ops_per_s": p, "latency_p50_ms": latency[0]},
+             "change": {"ops_per_s": c, "latency_p50_ms": latency[1]}}
+            for p, c in zip(parent, change)]
+
+
+def test_bench_pairs_alternates_the_first_side():
+    plan = bench_pairs.pair_plan(4, 7)
+    assert [seed for seed, _ in plan] == [7, 20, 33, 46]
+    assert [order[0] for _, order in plan] == ["parent", "change", "parent", "change"]
+    assert all(sorted(order) == ["change", "parent"] for _, order in plan)
+
+
+def test_bench_pairs_gain_needs_nine_tenths_and_the_spread():
+    parent = [100.0 + i for i in range(10)]  # quartiles 102.25 and 106.75
+    ops, lat = bench_pairs.summarize(_pairs(parent, [p + 10.0 for p in parent]), E2E)
+    assert (ops["parent_median"], ops["change_median"]) == (104.5, 114.5)
+    assert ops["parent_spread"] == pytest.approx(4.5)
+    assert (ops["wins"], ops["gain_holds"], ops["verdict"]) == (10, True, "ok")
+    # equal latencies are ties, which count for neither side
+    assert (lat["wins"], lat["gain_holds"], lat["verdict"]) == (0, False, "ok")
+    # eight wins of ten do not carry a claim
+    change = [p + 10.0 for p in parent[:8]] + parent[8:]
+    ops = bench_pairs.summarize(_pairs(parent, change), E2E)[0]
+    assert (ops["wins"], ops["gain_holds"]) == (8, False)
+    # nor does a median gap inside the parent's spread
+    ops = bench_pairs.summarize(_pairs(parent, [p + 1.0 for p in parent]), E2E)[0]
+    assert (ops["wins"], ops["gain_holds"]) == (10, False)
+
+
+def test_bench_pairs_flags_regressions_and_unresolved_metrics():
+    parent = [100.0] * 10
+    # latency 30% higher is worse than its 25% bound; 20% is within it
+    rows = bench_pairs.summarize(_pairs(parent, parent, latency=(2.0, 2.6)), E2E)
+    assert [r["verdict"] for r in rows] == ["ok", "regression"]
+    rows = bench_pairs.summarize(_pairs(parent, parent, latency=(2.0, 2.4)), E2E)
+    assert rows[1]["verdict"] == "ok"
+    # a parent spread wider than the bound leaves a metric unresolved, unless
+    # every change run beats every parent run
+    wide = [50.0, 60.0, 70.0, 80.0, 90.0, 110.0, 120.0, 130.0, 140.0, 150.0]
+    ops = bench_pairs.summarize(_pairs(wide, wide), E2E)[0]
+    assert (ops["parent_spread"] > 25.0, ops["verdict"]) == (True, "unresolved")
+    ops = bench_pairs.summarize(_pairs(wide, [151.0 + i for i in range(10)]), E2E)[0]
+    assert ops["verdict"] == "ok"

@@ -45,15 +45,16 @@ def test_deadbeat_integrator_single_step():
     # first-order integrator: u_0 must cancel the (constant) state
     spec = ns.system_from_modes([(0, 1)], [1.0])
     seq = ns.SamplingSequence((0.0,), final_instant=1.0)
-    plan = ns.deadbeat_inputs(spec, [1.0], seq)
-    assert plan.inputs == pytest.approx((-1.0,))
+    inputs = ns.deadbeat_inputs(spec, [1.0], seq)
+    assert inputs == pytest.approx([-1.0])
 
 
 def test_deadbeat_zero_state_needs_no_input():
     rng = np.random.default_rng(6)
     spec, seq = random_admissible_case(rng, 3)
-    plan = ns.deadbeat_inputs(spec, np.zeros(3), seq)
-    assert np.allclose(plan.inputs, 0.0, atol=1e-12)
+    inputs = ns.deadbeat_inputs(spec, np.zeros(3), seq)
+    assert inputs.shape == (3,)
+    assert np.allclose(inputs, 0.0, atol=1e-12)
 
 
 def test_deadbeat_reaches_origin():
@@ -61,9 +62,9 @@ def test_deadbeat_reaches_origin():
     for n in (1, 2, 3, 4, 5):
         spec, seq = random_admissible_case(rng, n)
         x0 = rng.standard_normal(n)
-        plan = ns.deadbeat_inputs(spec, x0, seq)
-        traj = ns.simulate_impulse_train(spec, x0, plan)
-        assert np.linalg.norm(traj.final_state) < 1e-8 * max(1.0, np.linalg.norm(x0))
+        inputs = ns.deadbeat_inputs(spec, x0, seq)
+        states = ns.simulate_impulse_train(spec, x0, seq, inputs)
+        assert np.linalg.norm(states[-1]) < 1e-8 * max(1.0, np.linalg.norm(x0))
 
 
 def test_deadbeat_rejects_missing_final_instant():
@@ -88,11 +89,11 @@ def test_free_response_matches_closed_form():
     spec = _oscillator()
     x0 = np.array([1.0, 0.0])
     seq = ns.SamplingSequence((0.0, 0.7), final_instant=1.5)
-    plan = ns.ImpulsePlan((0.0, 0.0), seq)
-    traj = ns.simulate_impulse_train(spec, x0, plan)
-    for cp in traj.checkpoints:
-        assert np.allclose(cp.state, ns.state_transition(spec, x0, cp.time),
-                           atol=1e-12)
+    states = ns.simulate_impulse_train(spec, x0, seq, [0.0, 0.0])
+    times = (0.0, 0.0, 0.7, 0.7, 1.5)  # row 2k, 2k+1: instant k; last row: t_n
+    assert len(states) == len(times)
+    for x, t in zip(states, times):
+        assert np.allclose(x, ns.state_transition(spec, x0, t), atol=1e-12)
 
 
 def test_impulse_from_rest_reproduces_impulse_response():
@@ -101,9 +102,7 @@ def test_impulse_from_rest_reproduces_impulse_response():
         spec = random_minimal_spec(rng, n)
         real = observability_canonical(spec)
         seq = ns.SamplingSequence((0.0,) , final_instant=None)
-        plan = ns.ImpulsePlan((1.0,), seq)
-        traj = ns.simulate_impulse_train(spec, np.zeros(n), plan)
-        x_post = traj.final_state
+        x_post = ns.simulate_impulse_train(spec, np.zeros(n), seq, [1.0])[-1]
         for t in (0.3, 1.1, 2.4):
             y = real.c @ ns.state_transition(spec, x_post, t)
             assert y == pytest.approx(impulse_response(spec, t),
@@ -120,34 +119,45 @@ def test_jordan_frame_train_matches_the_state_frame_loop(n):
         real = observability_canonical(spec)
         seq = random_sequence(rng, n, with_final=True)
         x0 = rng.standard_normal(n)
-        plan = ns.ImpulsePlan(tuple(rng.standard_normal(n)), seq)
-        got = ns.simulate_impulse_train(spec, x0, plan).checkpoints
-        old = reference.simulate_impulse_train(real, x0, plan)
-        assert [(cp.time, cp.side) for cp in got] == [(t, side) for t, side, _ in old]
+        inputs = rng.standard_normal(n)
+        got = ns.simulate_impulse_train(spec, x0, seq, inputs)
+        old = reference.simulate_impulse_train(real, x0, seq, inputs)
+        assert got.shape == (len(old), n)
         scale = max([np.linalg.norm(x0)] + [np.max(np.abs(x)) for _, _, x in old])
         tol = 4 * (n + 1) * np.finfo(float).eps * real.jordan.condition_number * scale
-        for cp, (_, _, x) in zip(got, old):
-            assert np.max(np.abs(cp.state - x)) <= tol
+        for state, (_, _, x) in zip(got, old):
+            assert np.max(np.abs(state - x)) <= tol
 
 
 def test_overflowing_state_raises():
     # exp(J dt) is finite, the state it carries is not
     spec = ns.system_from_modes([(1.0, 1)], [1.0])
-    plan = ns.ImpulsePlan((0.0,), ns.SamplingSequence((0.0,), final_instant=10.0))
+    seq = ns.SamplingSequence((0.0,), final_instant=10.0)
     with pytest.raises(DegenerateSamplingError, match="t = 10"):
-        ns.simulate_impulse_train(spec, [1e306], plan)
+        ns.simulate_impulse_train(spec, [1e306], seq, [0.0])
 
 
 def test_checkpoint_structure():
     spec = _oscillator()
     seq = ns.SamplingSequence((0.0, 1.0), final_instant=2.0)
-    plan = ns.ImpulsePlan((0.5, -0.5), seq)
-    traj = ns.simulate_impulse_train(spec, np.zeros(2), plan)
-    sides = [cp.side for cp in traj.checkpoints]
-    assert sides == ["pre", "post", "pre", "post", "pre"]
+    states = ns.simulate_impulse_train(spec, np.zeros(2), seq, [0.5, -0.5])
+    # rows: pre and post at t_0, pre and post at t_1, pre at the final instant
+    assert states.shape == (5, 2)
+    b = observability_canonical(spec).b
     # the impulse jump is exactly b * u
-    pre, post = traj.checkpoints[0], traj.checkpoints[1]
-    assert np.allclose(post.state - pre.state, observability_canonical(spec).b * 0.5)
+    assert np.allclose(states[1] - states[0], b * 0.5)
+    assert np.allclose(states[2], ns.state_transition(spec, states[1], 1.0))
+    assert np.allclose(states[3] - states[2], b * -0.5)
+    assert np.allclose(states[4], ns.state_transition(spec, states[3], 1.0))
+
+
+@pytest.mark.parametrize("inputs", [[0.5, np.nan], [0.5, np.inf], [0.5], [0.5, -0.5, 0.0],
+                                    [[0.5, -0.5]]],
+                         ids=["nan", "inf", "short", "long", "2d"])
+def test_train_rejects_bad_inputs(inputs):
+    seq = ns.SamplingSequence((0.0, 1.0), final_instant=2.0)
+    with pytest.raises(ValueError, match="finite, one per sampling instant"):
+        ns.simulate_impulse_train(_oscillator(), np.zeros(2), seq, inputs)
 
 
 # ---------------------------------------------------------------------------
