@@ -7,8 +7,9 @@ as ``perfbench/gen.py`` generates them for ``--seed``, and a fixed set of
 commands on the ``tests/data`` fixtures, through ``nusample.cli.main`` in
 this process.  Prints one line per workload: the number of commands and the
 SHA-256 of the exit code, standard output and standard error of every
-command, in order.  A warning counts as standard error, without the file
-and line that raised it.
+command and the bytes of the file it writes (the ``--out`` or ``--trace``
+path), in order.  A warning counts as standard error, without the file and
+line that raised it.
 
 The inputs are written to a temporary directory and named by relative paths,
 so the digests do not depend on where the files live.  ``nusample`` is
@@ -40,7 +41,7 @@ WORKLOADS = ("check", "design", "sweep")
 
 def fixture_commands():
     """Every subcommand on the fixtures, copied to ``data/``, covering each
-    design method and exit codes 0, 1 and 2."""
+    design method, both geometry CSV writers and exit codes 0, 1 and 2."""
     third = ["--system", "data/third_order.json"]
     osc = ["--system", "data/oscillator.json"]
     return [
@@ -52,6 +53,8 @@ def fixture_commands():
         ["verify", *osc, "--instants", "data/half_turn.json", "--seed", "3"],
         ["design", *third, "--t0", "0.25"],
         ["design", *third, "--t0", "0", "--method", "geometric", "--t1", "1.0"],
+        ["design", *third, "--t0", "0", "--method", "geometric", "--t1", "1.0",
+         "--trace", "trace.csv"],
         ["design", *third, "--t0", "0", "--method", "generic"],
         ["design", *osc, "--t0", "0", "--method", "closed", "--m", "1"],
         ["design", *osc, "--t0", "0", "--method", "generic", "--steps", "50"],
@@ -74,13 +77,28 @@ def run(argv):
     return code, out.getvalue(), notes + err.getvalue()
 
 
+def written_path(argv):
+    """The path of the file ``argv`` asks the command to write (the value of
+    ``--out`` or ``--trace``), or None."""
+    return next((path for flag, path in zip(argv, argv[1:])
+                 if flag in ("--out", "--trace")), None)
+
+
 def digest(commands):
-    """(number of commands, SHA-256 hex of all their outputs)."""
+    """(number of commands, SHA-256 hex of all their outputs).  A command
+    that names a file to write adds the file's bytes, or a marker if it
+    wrote none."""
     h = hashlib.sha256()
     count = 0
     for argv in commands:
+        path = written_path(argv)
+        if path is not None and os.path.exists(path):
+            os.remove(path)
         h.update(json.dumps(run(argv)).encode())
         h.update(b"\n")
+        if path is not None:
+            h.update(Path(path).read_bytes() if os.path.exists(path) else b"<not written>")
+            h.update(b"\n")
         count += 1
     return count, h.hexdigest()
 

@@ -2,8 +2,10 @@
 
 Subcommands: analyze, design, verify, sweep, geometry.  Exit codes follow a
 fixed contract: 0 = success/admissible, 2 = inadmissible sequence,
-1 = usage or input error.  All numbers print with 12 significant digits so
-outputs are reproducible byte-for-byte for fixed seeds and inputs.
+1 = usage or input error.  This module writes every output (standard output,
+the sweep CSV and the geometry CSV), and every number in them with 12
+significant digits (``fmt``), so outputs are reproducible byte-for-byte for
+fixed seeds and inputs.
 """
 from __future__ import annotations
 
@@ -167,30 +169,27 @@ def run_analyze(args) -> int:
     return EXIT_OK if report.is_admissible else EXIT_INADMISSIBLE
 
 
-def _single_pair(spec) -> bool:
-    """A 2nd-order system with one complex pair: the closed form's case."""
-    blocks = spec.eigen.blocks
-    return spec.n == 2 and len(blocks) == 1 and blocks[0].kind == "pair"
-
-
-def _auto_method(spec) -> str:
-    blocks = spec.eigen.blocks
-    if _single_pair(spec):
-        return "closed"
-    if spec.n == 3 and sorted(b.kind for b in blocks) == ["pair", "real"]:
-        if design._geometric_obstacle(*design._third_order_blocks(spec)) is None:
-            return "geometric"
-    return "generic"
+def export_geometry_csv(trace: design.GeometryTrace, path) -> None:
+    """Columns (alpha, x, y, z, kind); enough to replot the construction."""
+    points = [*trace.vectors.items(),
+              *((name, (*p, 0)) for name, p in trace.projections.items()),
+              ("Q2", trace.q2)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["alpha", "x", "y", "z", "kind"])
+        w.writerows([*map(fmt, row), "spiral"] for row in trace.spiral)
+        w.writerows(["", *map(fmt, v), name] for name, v in points)
 
 
 def run_design(args) -> int:
     if args.steps < 1:
         raise InputError("need at least one grid step")
     spec = fileio.load_system(args.system)
-    method = args.method if args.method != "auto" else _auto_method(spec)
+    route = design.route(spec)
+    method = route if args.method == "auto" else args.method
     trace = None
     if method == "closed":
-        if not _single_pair(spec):
+        if route != "closed":
             raise InputError("closed-form design needs a 2nd-order complex pair")
         lam = spec.eigen.blocks[0].value
         result = design.optimal_interval_second_order(lam.real, lam.imag, args.t0, args.m)
@@ -212,7 +211,7 @@ def run_design(args) -> int:
     print(f"gram_determinant = {fmt(result.metric.normalized_gram_det)}")
     print(f"min_principal_angle = {fmt(result.metric.min_principal_angle)}")
     if trace is not None and args.trace is not None:
-        design.export_geometry_csv(trace, args.trace)
+        export_geometry_csv(trace, args.trace)
         print(f"trace_written = {args.trace}")
     return EXIT_OK
 
@@ -354,7 +353,7 @@ def run_geometry(args) -> int:
         raise InputError("geometry needs at least two instants (t0, t1)")
     t0, t1 = seq.instants[0], seq.instants[1]
     result, trace = design.next_instant_third_order(spec, t0, t1)
-    design.export_geometry_csv(trace, args.out)
+    export_geometry_csv(trace, args.out)
     print("instants = " + " ".join(fmt(t) for t in result.sequence.instants))
     print(f"branch_m = {result.branch_m}")
     print(f"rotation_angle = {fmt(trace.rotation_angle)}")

@@ -1,6 +1,6 @@
 """Synthesis of sampling sequences maximizing mode-vector orthogonality.
 
-Three routes:
+Three routes, of which ``route`` picks the one ``--method auto`` takes:
 
 * closed form for a 2nd-order complex pair (quarter-turn rule),
 * the spiral-geometry step for the 3rd-order {real pole, complex pair} case,
@@ -21,7 +21,6 @@ frame commutes with the flow, so the chosen instants are unaffected.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -58,7 +57,6 @@ def _designed_metric(spec: SystemSpec, seq: SamplingSequence) -> DegreeMetrics:
 class GeometryTrace:
     """Normalized-frame geometry of the 3rd-order design step."""
 
-    surface_exponent: float          # lambda / (2 a)
     spiral: np.ndarray               # rows (alpha, x, y, z)
     vectors: dict                    # "Y0", "Y1", "Y2" -> 3-vectors
     projections: dict                # "P0", "P1", "P2" -> 2-vectors
@@ -109,6 +107,20 @@ def _geometric_obstacle(real: Block, pair: Block) -> str | None:
     if abs(lam - a) < 1e-12 * (1.0 + abs(a)):
         return "the surface scaling relation degenerates for lambda = a"
     return None
+
+
+def route(spec: SystemSpec) -> str:
+    """The route ``--method auto`` takes: "closed" for a lone complex pair at
+    n = 2, "geometric" for a 3rd-order real pole plus pair with no
+    ``_geometric_obstacle``, "generic" otherwise."""
+    blocks = spec.eigen.blocks
+    if spec.n == 2 and len(blocks) == 1 and blocks[0].kind == "pair":
+        return "closed"
+    try:
+        obstacle = _geometric_obstacle(*_third_order_blocks(spec))
+    except DesignError:  # not a real pole plus pair
+        return "generic"
+    return "geometric" if obstacle is None else "generic"
 
 
 def _spiral(spec: SystemSpec, alphas) -> np.ndarray:
@@ -213,7 +225,6 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
 
     grid = np.linspace(0.0, 1.05 * alpha2, 400)
     trace = GeometryTrace(
-        surface_exponent=lam / (2.0 * a),
         spiral=np.column_stack([grid, spiral_point(spec, grid)]),
         vectors={"Y0": Y0, "Y1": Y1, "Y2": spiral_point(spec, alpha2)},
         projections={"P0": P0, "P1": P1, "P2": P2},
@@ -227,22 +238,6 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
             "the geometric step's sequence is inadmissible "
             f"(gram_determinant = {gram:.6g} <= {MIN_GRAM_DET:g})", best=result)
     return result, trace
-
-
-def export_geometry_csv(trace: GeometryTrace, path) -> None:
-    """Columns (alpha, x, y, z, kind); enough to replot the construction."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "x", "y", "z", "kind"])
-        for row in trace.spiral:
-            w.writerow([f"{row[0]:.12g}", f"{row[1]:.12g}", f"{row[2]:.12g}",
-                        f"{row[3]:.12g}", "spiral"])
-        for name, v in trace.vectors.items():
-            w.writerow(["", f"{v[0]:.12g}", f"{v[1]:.12g}", f"{v[2]:.12g}", name])
-        for name, p in trace.projections.items():
-            w.writerow(["", f"{p[0]:.12g}", f"{p[1]:.12g}", "0", name])
-        q = trace.q2
-        w.writerow(["", f"{q[0]:.12g}", f"{q[1]:.12g}", f"{q[2]:.12g}", "Q2"])
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,8 @@ class DegenerateSamplingError(NuSampleError):
 class RankDeficientError(NuSampleError):
     """A linear solve hit a numerically rank-deficient matrix."""
 
-    def __init__(self, message, sigma_min=None, condition_number=None):
+    def __init__(self, message, condition_number=None):
         super().__init__(message)
-        self.sigma_min = sigma_min
         self.condition_number = condition_number
 
 

@@ -46,7 +46,7 @@ def solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         smin, cond = float(smin), float(cond)
         raise RankDeficientError(f"{what} is numerically singular "
                                  f"(sigma_min = {smin:.3e}, cond = {cond:.3e})",
-                                 sigma_min=smin, condition_number=cond)
+                                 condition_number=cond)
     x = np.linalg.solve(M, rhs)
     if not np.isfinite(x).all():
         raise DegenerateSamplingError(f"the solution against the {what} overflows a "

@@ -4,9 +4,10 @@ slot-by-slot builders of the real-basis layout, the companion route (the
 characteristic polynomial, the Markov parameters and the observability- and
 controllability-canonical realizations (A, b, c) with their Jordan frames),
 the impulse train carried in the state frame, the sweep one scale at a time,
-and the generic design search with a bounded Brent refinement per instant:
-the independent routes the tests compare the runtime against.  The runtime
-never calls these."""
+the generic design search with a bounded Brent refinement per instant, and
+a 60-digit mpmath route to the singular values of the row-normalized basis
+matrix: the independent routes the tests compare the runtime against.  The
+runtime never calls these."""
 import cmath
 import csv
 import io
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -94,6 +96,31 @@ def fundamental_basis(es: EigenStructure, t: float) -> np.ndarray:
                 out[blk.offset + 2 * k] = tk * e * co
                 out[blk.offset + 2 * k + 1] = tk * e * si
     return out
+
+
+def row_normalized_ratio(es: EigenStructure, av, dps: int = 60):
+    """sigma_min / sigma_max, as an mpf, of Phi = [phi_i(alpha_m)] with each
+    row divided by its 2-norm, at ``dps`` decimal digits: the closed-form
+    basis t^k e^{lambda t} (t^k e^{a t} cos(b t), t^k e^{a t} sin(b t) for a
+    pair) in ``fundamental_basis``'s layout, and mpmath's svd_r."""
+    with mpmath.workdps(dps):
+        rows = []
+        for alpha in av:
+            t = mpmath.mpf(alpha)
+            row = [mpmath.mpf(0)] * es.n
+            for blk in es.blocks:
+                e = mpmath.exp(mpmath.mpf(blk.value.real) * t)
+                for k in range(blk.multiplicity):
+                    if blk.kind == "real":
+                        row[blk.offset + k] = t ** k * e
+                    else:
+                        bt = mpmath.mpf(blk.value.imag) * t
+                        row[blk.offset + 2 * k] = t ** k * e * mpmath.cos(bt)
+                        row[blk.offset + 2 * k + 1] = t ** k * e * mpmath.sin(bt)
+            norm = mpmath.norm(row, 2)
+            rows.append([x / norm for x in row])
+        sigma = mpmath.svd_r(mpmath.matrix(rows), compute_uv=False)
+        return min(sigma) / max(sigma)
 
 
 def spiral_point(lam: float, a: float, b: float, alpha: float) -> np.ndarray:

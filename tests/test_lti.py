@@ -463,13 +463,16 @@ def test_minimality_multiple_root_highest_coefficient():
     (ns, "ImpulsePlan"),
     (ns, "Trajectory"),
     (ns.simulate, "Checkpoint"),
+    (ns.design, "export_geometry_csv"),
+    (ns.design.GeometryTrace, "surface_exponent"),
 ])
 def test_removed_api_is_gone(owner, name):
     # the package works in one realization's Jordan frame, which the system
     # owns, and the CLI reaches no root finder, companion form, Jordan-matrix
     # builder or trajectory export; O, the Wronskian and N2 have no second
-    # builder, the degree and factorization checks no public wrapper, and an
-    # impulse train takes and returns plain arrays
+    # builder, the degree and factorization checks no public wrapper, an
+    # impulse train takes and returns plain arrays, the CLI writes the
+    # geometry CSV, and the trace carries no field that nothing reads
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
         assert name not in {f.name for f in dataclasses.fields(owner)}

@@ -1,0 +1,73 @@
+"""Module boundaries, read from the source: the CLI reaches the package only
+through public names, and the design module computes without writing a
+file (the CLI writes every output)."""
+import ast
+from pathlib import Path
+
+from nusample import cli, design
+
+
+def _tree(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def _private_reads(tree):
+    """(name, line) of every underscore-prefixed, non-dunder name that
+    ``tree`` imports from a nusample module or reads as an attribute of one."""
+    modules = {"nusample"}  # local names bound to a nusample module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nusample":
+            for a in node.names:
+                if node.module == "nusample":
+                    modules.add(a.asname or a.name)
+                if a.name.startswith("_"):
+                    found.append((a.name, node.lineno))
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names
+                        if a.name.split(".")[0] == "nusample"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                found.append((node.attr, node.lineno))
+    return found
+
+
+def _file_writes(tree):
+    """(what, line) of every import of csv and every call to open."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(a.name, node.lineno) for a in node.names if a.name == "csv"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.append(("csv", node.lineno))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "open":
+                found.append(("open", node.lineno))
+    return found
+
+
+def test_cli_reads_no_private_name_of_the_package():
+    assert _private_reads(_tree(cli)) == []
+
+
+def test_design_writes_no_file():
+    assert _file_writes(_tree(design)) == []
+
+
+def test_the_scans_see_what_they_forbid():
+    tree = ast.parse("import csv\n"
+                     "from nusample import design as d\n"
+                     "from nusample.lti import _overflow\n"
+                     "import nusample.analysis\n"
+                     "d._geometric_obstacle(nusample.analysis._x, d.__name__)\n"
+                     "open('f')\n")
+    assert sorted(_private_reads(tree)) == [("_geometric_obstacle", 5),
+                                            ("_overflow", 3), ("_x", 5)]
+    assert _file_writes(tree) == [("csv", 1), ("open", 6)]

@@ -44,8 +44,33 @@ def test_output_digest_runs():
     assert runs[0].stdout == runs[1].stdout
     lines = [line.split() for line in runs[0].stdout.splitlines()]
     assert [(w[0], w[3]) for w in lines] == [("check", "18"), ("design", "3"),
-                                             ("sweep", "9"), ("fixtures", "15")]
+                                             ("sweep", "9"), ("fixtures", "16")]
     assert all(len(w[-1]) == 64 for w in lines)
+
+
+def test_output_digest_hashes_written_files(tmp_path, monkeypatch):
+    # the bytes at the --out/--trace path enter the digest, and a stale file
+    # from an earlier command does not
+    import output_digest
+
+    def writer(content):
+        def run(argv):
+            if content is not None:
+                Path(output_digest.written_path(argv)).write_text(content)
+            return 0, "", ""
+        return run
+
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for content in ("a", "b", None, "stale"):
+        monkeypatch.setattr(output_digest, "run", writer(content))
+        digests[content] = output_digest.digest([["design", "--trace", "t.csv"]])
+    assert digests["a"] != digests["b"]
+    assert (tmp_path / "t.csv").read_text() == "stale"
+    monkeypatch.setattr(output_digest, "run", writer(None))
+    assert output_digest.digest([["design", "--trace", "t.csv"]]) == digests[None]
+    assert output_digest.written_path(["geometry", "--out", "g.csv"]) == "g.csv"
+    assert output_digest.written_path(["analyze", "--system", "s.json"]) is None
 
 
 def test_code_lines_runs():
