@@ -41,7 +41,9 @@ WORKLOADS = ("check", "design", "sweep")
 
 def fixture_commands():
     """Every subcommand on the fixtures, copied to ``data/``, covering each
-    design method, both geometry CSV writers and exit codes 0, 1 and 2."""
+    design method, both geometry CSV writers, a double pair whose partner
+    coefficients sit just off the exact conjugates, an output path in a
+    missing directory, and exit codes 0, 1 and 2."""
     third = ["--system", "data/third_order.json"]
     osc = ["--system", "data/oscillator.json"]
     return [
@@ -63,6 +65,10 @@ def fixture_commands():
         ["sweep", *osc, "--from", "0.5", "--to", "3.5", "--points", "3"],
         ["geometry", *third, "--instants", "data/third_sequence.json",
          "--out", "geometry.csv"],
+        ["analyze", "--system", "data/near_conjugate.json",
+         "--instants", "data/near_conjugate_sequence.json"],
+        ["geometry", *third, "--instants", "data/third_sequence.json",
+         "--out", "missing/geometry.csv"],
     ]
 
 

@@ -15,7 +15,9 @@ code that scales vectors.  Every singular value, condition number and
 numerical-rank decision (of Phi, the unit mode vectors, and the O and G
 that ``simulate`` solves against) comes from ``spectrum``, the one rank
 rule.  The factorization ratios take one path, free of the scale of the
-modal coefficients.  The independent routes (per-alpha matrix
+modal coefficients: N1 is read from the Wronskian scale D, and N2 is carried
+as a mantissa and a power of two, so neither side of the identity leaves the
+float range on the way to the ratio.  The independent routes (per-alpha matrix
 exponentials, the swap-reversal permutation, numeric Hankel determinants)
 live in ``tests/reference.py``.
 """
@@ -262,14 +264,6 @@ def bruteforce_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> 
 # ---------------------------------------------------------------------------
 # factorization identities
 
-def _factorial_factor(es: EigenStructure) -> float:
-    f = 1.0
-    for rt in es.roots:
-        for k in range(rt.multiplicity):
-            f /= math.factorial(k)
-    return f
-
-
 def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
                     Y: np.ndarray) -> FactorizationCheck:
     """The two determinant factorizations in the real Jordan frame, from the
@@ -281,36 +275,43 @@ def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
     ratio_ctrl and ratio_obs report those constants, and they must be
     independent of the alpha vector.  With p the sum of the pair
     multiplicities, ratio_obs is (-1)^p: the output rows are Phi D^{-1}, and
-    N1 prod(D) = (-1)^p.  ratio_ctrl is 4^p, the quotient of det Y and
-    N1 N2 det Phi each divided by the same power of two, so it is free of
-    their common scale: N2 is inf where it exceeds a float, and subnormal
-    where it falls below the normal range, yet ratio_ctrl keeps its bits.
+    N1 prod(D) = (-1)^p, so N1 is 1 / prod|D|.  ratio_ctrl is 4^p, the
+    quotient of det Y and N1 N2 det Phi each divided by the same power of
+    two, so it is free of their common scale: N2 is carried as a mantissa
+    near 1 and a power of two, so ratio_ctrl keeps full precision where the
+    printed N2 is inf (past a float) or subnormal or 0 (below the normal
+    range).  N2 is the real part of a product whose imaginary part is only
+    the residue of partner coefficients that ``SystemSpec`` accepts as
+    conjugates (up to 1e-9 of the largest coefficient apart).
     """
     es = spec.eigen
-    N1 = _factorial_factor(es)
+    n = es.n
+    N1 = 1.0 / float(np.prod(np.abs(es._wronskian_scale)))
     # each root's anti-triangular Hankel block of (C_1, ..., C_m) has
-    # determinant (-1)^{m(m-1)/2} C_m^m; n2 is N2 / sigma^n, sigma the power
-    # of two of the largest coefficient, so for a minimal system it stays
-    # within the float range
-    sigma = float(_pow2_scale(max(map(abs, spec.coeffs))))
-    n2 = 1.0 + 0j
+    # determinant (-1)^{m(m-1)/2} C_m^m.  N2 = n2 2^e2: each C_m is divided
+    # by sigma, the power of two of the largest coefficient, and n2 by its
+    # own power of two after each root, so n2 stays within the float range
+    s = math.frexp(max(map(abs, spec.coeffs)))[1] - 1
+    sigma = math.ldexp(1.0, s)
+    n2, e2 = 1.0 + 0j, n * s
     for rt, sl in zip(es.roots, es.root_slices):
         m = rt.multiplicity
         n2 *= (-1) ** (m * (m - 1) // 2) * (spec.coeffs[sl.stop - 1] / sigma) ** m
-    if abs(n2.imag) > 1e-9 * max(1.0, abs(n2)):
-        raise ArithmeticError("N2 is not real (broken conjugate structure)")
-    N2 = n2.real
-    for _ in range(es.n):  # a float product: inf only where N2 itself overflows
-        N2 *= sigma
+        e = math.frexp(abs(n2))[1]
+        n2 = complex(math.ldexp(n2.real, -e), math.ldexp(n2.imag, -e))
+        e2 += e
+    n2 = n2.real
+    with np.errstate(over="ignore"):
+        N2 = float(np.ldexp(n2, e2))
     M1 = N1
     M2 = 1.0  # product of identity blocks
 
-    # Y / (sigma 2^k) and det Phi / 2^{nk}, exact powers of two, keep both
+    # Y / 2^k and 2^e2 det Phi / 2^{nk}, exact powers of two, keep both
     # sides near 1
-    k = math.frexp(det_phi)[1] // es.n
+    k = (math.frexp(det_phi)[1] + e2) // n
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = float(np.linalg.det(np.ldexp(Y / sigma, -k)))
-    ratio_ctrl = lhs / (N1 * n2.real * math.ldexp(det_phi, -es.n * k))
+        lhs = float(np.linalg.det(np.ldexp(Y, -k)))
+    ratio_ctrl = lhs / (N1 * n2 * math.ldexp(det_phi, e2 - n * k))
     # the Jordan-frame output rows, a one in each block's first cell, flow
     # to Phi D^{-1} (see bruteforce_observability_matrix)
     rhs_obs = M1 * M2 * det_phi

@@ -2,10 +2,11 @@
 
 Subcommands: analyze, design, verify, sweep, geometry.  Exit codes follow a
 fixed contract: 0 = success/admissible, 2 = inadmissible sequence,
-1 = usage or input error.  This module writes every output (standard output,
-the sweep CSV and the geometry CSV), and every number in them with 12
-significant digits (``fmt``), so outputs are reproducible byte-for-byte for
-fixed seeds and inputs.
+1 = usage or input error, an input file that cannot be read or an output
+file that cannot be written among them.  This module writes every output
+(standard output, the sweep CSV and the geometry CSV), and every number in
+them with 12 significant digits (``fmt``), so outputs are reproducible
+byte-for-byte for fixed seeds and inputs.
 """
 from __future__ import annotations
 
@@ -170,15 +171,19 @@ def run_analyze(args) -> int:
 
 
 def export_geometry_csv(trace: design.GeometryTrace, path) -> None:
-    """Columns (alpha, x, y, z, kind); enough to replot the construction."""
+    """Columns (alpha, x, y, z, kind); enough to replot the construction.
+    A path that cannot be written is an InputError."""
     points = [*trace.vectors.items(),
               *((name, (*p, 0)) for name, p in trace.projections.items()),
               ("Q2", trace.q2)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["alpha", "x", "y", "z", "kind"])
-        w.writerows([*map(fmt, row), "spiral"] for row in trace.spiral)
-        w.writerows(["", *map(fmt, v), name] for name, v in points)
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["alpha", "x", "y", "z", "kind"])
+            w.writerows([*map(fmt, row), "spiral"] for row in trace.spiral)
+            w.writerows(["", *map(fmt, v), name] for name, v in points)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def run_design(args) -> int:
@@ -204,14 +209,16 @@ def run_design(args) -> int:
         result = design.design_sequence_generic(spec, args.t0,
                                                 bounds=(args.dmin, args.dmax),
                                                 steps=args.steps)
+    written = trace is not None and args.trace is not None
+    if written:  # before any output, so a path that cannot be written prints none
+        export_geometry_csv(trace, args.trace)
     print(f"method = {result.method}")
     print("instants = " + " ".join(fmt(t) for t in result.sequence.instants))
     if result.branch_m is not None:
         print(f"branch_m = {result.branch_m}")
     print(f"gram_determinant = {fmt(result.metric.normalized_gram_det)}")
     print(f"min_principal_angle = {fmt(result.metric.min_principal_angle)}")
-    if trace is not None and args.trace is not None:
-        export_geometry_csv(trace, args.trace)
+    if written:
         print(f"trace_written = {args.trace}")
     return EXIT_OK
 

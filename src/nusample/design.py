@@ -16,8 +16,11 @@ vector is (1, 0, 1)', so the sampled vectors trace the spiral
 Y(alpha) = (e^{a alpha} cos(b alpha), e^{a alpha} sin(b alpha), e^{lambda alpha})'
 on the surface z = (x^2 + y^2)^{lambda/2a}.  That spiral is the Jordan flow
 exp(J alpha) of the normalized mode vector, so every point of it, the branch
-heights included, comes from ``lti.jordan_flow``.  Scaling/rotating to that
-frame commutes with the flow, so the chosen instants are unaffected.
+heights included, comes from ``lti.jordan_flow``, through ``spiral_point``.
+Like the kernel, ``spiral_point`` gives inf or nan where the spiral leaves
+the float range; the step checks Y1 (through Y0 x Y1) and the trace grid, and
+skips a branch whose height is not finite.  Scaling/rotating to that frame
+commutes with the flow, so the chosen instants are unaffected.
 """
 from __future__ import annotations
 
@@ -123,15 +126,17 @@ def route(spec: SystemSpec) -> str:
     return "geometric" if obstacle is None else "generic"
 
 
-def _spiral(spec: SystemSpec, alphas) -> np.ndarray:
-    """(x, y, z) of the normalized mode vector at every alpha of an array of
-    any shape: the flow of d = (1, 0) in the pair's cell and 1 in the real
-    slot, read as (Re, Im) of the pair and the real slot.  Overflow gives inf
-    or nan entries, never a warning."""
+def spiral_point(spec: SystemSpec, alpha) -> np.ndarray:
+    """Point (x, y, z) of the parametric spiral traced by the normalized mode
+    vector, one row per alpha when ``alpha`` is an array of any shape: the
+    flow of d = (1, 0) in the pair's cell and 1 in the real slot, read as
+    (Re, Im) of the pair and the real slot.  Like ``lti.jordan_flow``, it
+    gives inf or nan entries where the spiral leaves the float range, never
+    a warning."""
     real, pair = _third_order_blocks(spec)
     d = np.zeros(3)
     pair.cells(d)[0] = real.cells(d)[0] = 1.0
-    flow = jordan_flow(spec.eigen, d, alphas)
+    flow = jordan_flow(spec.eigen, d, alpha)
     xy = pair.cells(flow)[..., 0]
     return np.stack([xy.real, xy.imag, real.cells(flow)[..., 0]], axis=-1)
 
@@ -139,18 +144,6 @@ def _spiral(spec: SystemSpec, alphas) -> np.ndarray:
 def _spiral_overflow(alpha: float) -> DesignError:
     return DesignError(f"the spiral overflows a float at alpha = {alpha:.6g}; "
                        "shorten the sampling intervals")
-
-
-def spiral_point(spec: SystemSpec, alpha) -> np.ndarray:
-    """Point of the parametric spiral traced by the normalized mode vector
-    (one row per alpha when ``alpha`` is an array); DesignError where it
-    leaves the float range."""
-    al = np.asarray(alpha, dtype=float)
-    points = _spiral(spec, al)
-    bad = ~np.isfinite(points).all(axis=-1)
-    if bad.any():
-        raise _spiral_overflow(float(al[bad][0]))
-    return points
 
 
 def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
@@ -180,6 +173,8 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     with np.errstate(over="ignore", invalid="ignore"):
         cross = np.cross(Y0, Y1)
     nrm, nrm0, nrm1 = unit_vectors(np.stack([cross, Y0, Y1]), axis=1)[2]
+    # Y1 past the float range shows as inf or nan in the cross product or in
+    # Y1's norm
     if not (np.isfinite(cross).all() and np.isfinite(nrm) and np.isfinite(nrm1)):
         raise _spiral_overflow(a1)
     if nrm <= 1e-12 * nrm0 * nrm1:
@@ -189,10 +184,10 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     if cross[2] <= 1e-12 * nrm:
         raise DesignError("Y0 x Y1 lies in the XY-plane: no point of the surface "
                           "is orthogonal to both")
+    # Y0 = (1, 0, 1), so Y0 x Y1 = (-y, x - z, y) and r2 >= |Y0 x Y1| / sqrt 2:
+    # the cross product is never vertical once it is not zero
     P0, P1, P2 = Y0[:2], Y1[:2], cross[:2]
     r2 = float(np.hypot(P2[0], P2[1]))
-    if r2 <= 1e-12 * nrm:
-        raise DesignError("Y0 x Y1 is vertical: rotation target undefined")
 
     # counterclockwise angle from P0 = (1, 0) to P2, in [0, 2 pi)
     M = math.atan2(P2[1], P2[0]) % (2.0 * math.pi)
@@ -212,7 +207,7 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     if m_max < 0:
         raise DesignError("branch bound m_max must be nonnegative")
     branch_alphas = (M + 2.0 * math.pi * np.arange(m_max + 1)) / b
-    scores = np.abs(q2_height - _spiral(spec, branch_alphas)[:, 2])
+    scores = np.abs(q2_height - spiral_point(spec, branch_alphas)[:, 2])
     # a branch before t1, or whose height overflows, never wins
     scores[~((t0 + branch_alphas > t1) & np.isfinite(scores))] = math.inf
     best_m = int(np.argmin(scores))  # the first, so ties go to the smallest m
@@ -224,8 +219,14 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     result = DesignResult(seq, _designed_metric(spec, seq), "geometric-3rd", best_m)
 
     grid = np.linspace(0.0, 1.05 * alpha2, 400)
+    spiral = spiral_point(spec, grid)
+    bad = ~np.isfinite(spiral).all(axis=-1)
+    if bad.any():
+        raise _spiral_overflow(float(grid[bad][0]))
     trace = GeometryTrace(
-        spiral=np.column_stack([grid, spiral_point(spec, grid)]),
+        spiral=np.column_stack([grid, spiral]),
+        # alpha2 lies inside the grid's span, between two finite points of
+        # the spiral's exponentials, so Y2 is finite too
         vectors={"Y0": Y0, "Y1": Y1, "Y2": spiral_point(spec, alpha2)},
         projections={"P0": P0, "P1": P1, "P2": P2},
         q2=q2,

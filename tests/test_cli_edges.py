@@ -256,6 +256,21 @@ def test_geometry_overflowing_spiral_is_an_error(capsys, tmp_path):
     _clean_error(code, err)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["geometry", "--system", str(DATA / "third_order.json"),
+      "--instants", str(DATA / "third_sequence.json")], "--out"),
+    (["design", "--system", str(DATA / "third_order.json"), "--t0", "0",
+      "--method", "geometric", "--t1", "1.0"], "--trace"),
+], ids=["geometry", "design"])
+def test_unwritable_output_path_is_an_error(capsys, tmp_path, argv, flag):
+    # the directory does not exist, so open() raises FileNotFoundError
+    path = tmp_path / "missing" / "g.csv"
+    code, out, err = run(capsys, *argv, flag, str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot write {path}: [Errno 2] No such file or "
+                   f"directory: '{path}'\n")
+
+
 # the growing real mode e^{5.094 alpha} swamps the pair in the second and third
 # mode vectors, so they are parallel: the geometric step's sequence has a zero
 # Gram determinant, which used to exit 0
@@ -483,6 +498,76 @@ def test_boolean_counts_are_rejected(capsys, tmp_path, field, message):
     assert err == f"error: {path}: {message}\n"
 
 
+ONE_ROOT = {"order": 1, "roots": [{"re": -1.0, "im": 0.0, "mult": 1}], "markov": [1.0]}
+ONE_INSTANT = {"instants": [0.0]}
+ANALYZE = ["analyze", "--system", "{system}", "--instants", "{sequence}"]
+SWEEP = ["sweep", "--system", "{system}", "--from", "0.2", "--to", "1.0"]
+
+
+def _without(doc, field):
+    return {k: v for k, v in doc.items() if k != field}
+
+
+# (system file, sequence file, argv, NUSAMPLE_TOL, the file the error names,
+# message): every input error of fileio and of the flags that no other test
+# reaches; a JSON document is written as is when it is a string
+INPUT_ERRORS = [
+    ("{", ONE_INSTANT, ANALYZE, None, "system", "invalid JSON at line 1, column 2"),
+    ({**ONE_ROOT, "markov": ["1"]}, ONE_INSTANT, ANALYZE, None, "system",
+     "field 'markov' must be a number, got '1'"),
+    ([ONE_ROOT], ONE_INSTANT, ANALYZE, None, "system", "system file must be a JSON object"),
+    ({**ONE_ROOT, "roots": []}, ONE_INSTANT, ANALYZE, None, "system",
+     "'roots' must be a non-empty list"),
+    ({**ONE_ROOT, "roots": [{"re": -1.0, "im": 0.0}]}, ONE_INSTANT, ANALYZE, None, "system",
+     "roots[0] needs fields re, im, mult"),
+    ({**ONE_ROOT, "order": 2}, ONE_INSTANT, ANALYZE, None, "system",
+     "multiplicities sum to 1, but order is 2"),
+    ({**ONE_ROOT, "markov": [1.0, 2.0]}, ONE_INSTANT, ANALYZE, None, "system",
+     "'markov' must list 1 numbers"),
+    ({**_without(ONE_ROOT, "markov"), "mode_coefficients": []}, ONE_INSTANT, ANALYZE, None,
+     "system", "'mode_coefficients' must list 1 entries"),
+    ({**_without(ONE_ROOT, "markov"), "mode_coefficients": [{"re": 1.0}]}, ONE_INSTANT,
+     ANALYZE, None, "system", "mode_coefficients[0] needs fields re, im"),
+    (ONE_ROOT, [0.0], ANALYZE, None, "sequence",
+     "sequence file must be a JSON object with field 'instants'"),
+    (ONE_ROOT, {"instants": []}, ANALYZE, None, "sequence",
+     "'instants' must be a non-empty list of numbers"),
+    ({**ONE_ROOT, "order": 2, "roots": [{"re": -1.0, "im": 0.0, "mult": 2}],
+      "markov": [1.0, 1.0]}, {"instants": [1.0, 0.5]}, ANALYZE, None, "sequence",
+     "instants must be strictly increasing (1.0 !< 0.5)"),
+    (ONE_ROOT, ONE_INSTANT, [*ANALYZE, "--tol", "abc"], None, None,
+     "argument --tol: invalid float value: 'abc'"),
+    (ONE_ROOT, ONE_INSTANT, [*ANALYZE, "--tol", "0"], None, None,
+     "tolerance must be positive"),
+    (ONE_ROOT, ONE_INSTANT, ANALYZE, "0", None, "NUSAMPLE_TOL must be positive"),
+    (ONE_ROOT, ONE_INSTANT, [*SWEEP, "--points", "0"], None, None,
+     "need at least one sweep point"),
+    (ONE_ROOT, ONE_INSTANT, [*SWEEP, "--points", "2", "--noise", "0"], None, None,
+     "noise magnitude must be positive"),
+]
+
+
+@pytest.mark.parametrize("system, sequence, argv, env, named, message", INPUT_ERRORS,
+                         ids=[case[-1] for case in INPUT_ERRORS])
+def test_input_error_is_one_error_line(capsys, monkeypatch, tmp_path, system, sequence,
+                                       argv, env, named, message):
+    paths = {}
+    for name, doc in (("system", system), ("sequence", sequence)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if env is None:
+        monkeypatch.delenv("NUSAMPLE_TOL", raising=False)
+    else:
+        monkeypatch.setenv("NUSAMPLE_TOL", env)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (1, "")
+    line = "error: " + (f"{paths[named]}: " if named else "") + message + "\n"
+    if message.startswith("argument "):  # argparse prints its usage line first
+        assert err.startswith(f"usage: nusample {argv[0]} ") and err.endswith("\n" + line)
+    else:
+        assert err == line
+
+
 # a huge modal coefficient: det Y and N2 grow as the n-th power of the
 # coefficients and leave the float range, while their ratio does not
 HUGE_COEFFICIENT = (
@@ -528,6 +613,53 @@ def test_analyze_subnormal_N2_keeps_the_factorization_ratio(capsys, tmp_path):
     printed = dict(line.split(" = ") for line in out.splitlines())
     assert printed["factor_N2"] == "5.4569000194e-316"
     assert printed["basis_ratio_ctrl"] == "4"
+
+
+def _analyze_printed(capsys, tmp_path, case):
+    system, sequence = tmp_path / "system.json", tmp_path / "seq.json"
+    system.write_text(json.dumps(case[0]))
+    sequence.write_text(json.dumps(case[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "analyze", "--system", str(system),
+                             "--instants", str(sequence))
+    assert (code, err) == (0, "")
+    return dict(line.split(" = ") for line in out.splitlines())
+
+
+# partner coefficients 1 and 1 + 0.99e-9j of a double pair: SystemSpec
+# accepts them as conjugates (1e-9 of the largest coefficient), so N2 carries
+# an imaginary residue of 1.98e-9
+NEAR_CONJUGATE = (json.loads((DATA / "near_conjugate.json").read_text()),
+                  json.loads((DATA / "near_conjugate_sequence.json").read_text()))
+
+
+def test_analyze_near_conjugate_pair_keeps_the_factorization(capsys, tmp_path):
+    printed = _analyze_printed(capsys, tmp_path, NEAR_CONJUGATE)
+    assert (printed["factor_N2"], printed["basis_ratio_ctrl"]) == ("1", "16")
+
+
+def _high_order_case():
+    """n = 45: 22 pairs -0.01 +- kj with coefficients 1e-8 and a real root 0
+    with coefficient 1, so N2 = 1e-352 underflows a float."""
+    roots = [{"re": 0.0, "im": 0.0, "mult": 1}]
+    for k in range(1, 23):
+        roots += [{"re": -0.01, "im": float(k), "mult": 1},
+                  {"re": -0.01, "im": -float(k), "mult": 1}]
+    coefficients = [{"re": 1.0, "im": 0.0}] + [{"re": 1e-8, "im": 0.0}] * 44
+    instants = [i * 2.0 * math.pi / 47.0 for i in range(45)]
+    return ({"order": 45, "roots": roots, "mode_coefficients": coefficients},
+            {"instants": instants, "final_instant": 45 * 2.0 * math.pi / 47.0})
+
+
+HIGH_ORDER = _high_order_case()
+
+
+def test_analyze_underflowing_N2_keeps_the_factorization(capsys, tmp_path):
+    printed = _analyze_printed(capsys, tmp_path, HIGH_ORDER)
+    assert printed["admissible"] == "yes"
+    assert printed["factor_N2"] == "0"
+    assert printed["basis_ratio_ctrl"] == cli.fmt(4.0 ** 22)
 
 
 # a complex coefficient whose modulus passes the float maximum, a pair
@@ -624,7 +756,9 @@ def _cases(draw):
     """(system document, sequence document): 1-4 real or pair blocks of
     multiplicity 1-4, coefficients (modal, or Markov two times in five) at
     scales up to 1e+-308, where the parts of a complex one may be large
-    enough for its modulus to overflow, and one instant per state."""
+    enough for its modulus to overflow, and a pair's partner coefficients
+    may sit off the exact conjugates by up to the 1e-9 of the largest
+    coefficient that ``SystemSpec`` accepts; and one instant per state."""
     scale = draw(st.floats(-308.0, 308.0))
 
     def coefficient():
@@ -632,7 +766,7 @@ def _cases(draw):
         exponent = min(scale + draw(st.floats(-3.0, 3.0)), 308.25)
         return draw(st.floats(-1.0, 1.0)) * 10.0 ** exponent
 
-    roots, coeffs = [], []
+    roots, coeffs, partners = [], [], []
     for _ in range(draw(st.integers(1, 4))):
         m = draw(st.integers(1, 4))
         re = draw(st.sampled_from([-1.0, 1.0])) * draw(_magnitudes())
@@ -640,10 +774,16 @@ def _cases(draw):
             im = draw(_magnitudes())
             c = [complex(coefficient(), coefficient()) for _ in range(m)]
             roots += [{"re": re, "im": im, "mult": m}, {"re": re, "im": -im, "mult": m}]
+            partners += range(len(coeffs) + m, len(coeffs) + 2 * m)
             coeffs += c + [z.conjugate() for z in c]
         else:
             roots.append({"re": re, "im": 0.0, "mult": m})
             coeffs += [complex(coefficient()) for _ in range(m)]
+    # |0.7 + 0.7j| = 0.99, and a part bounds the modulus from below (a
+    # modulus itself may overflow)
+    tilt = 1e-9 * max(max(abs(z.real), abs(z.imag)) for z in coeffs)
+    for i in partners:
+        coeffs[i] += tilt * complex(draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7)))
     n = sum(r["mult"] for r in roots)
     system = {"order": n, "roots": roots}
     if draw(st.integers(0, 4)) < 2:
@@ -707,6 +847,8 @@ ZERO_PIVOT = ({"order": 9, "roots": _real((-10.0, 1), (-64.93816315762113, 4), (
 @example(case=OVERFLOWING_MARKOV, flags=NO_FLAGS)
 @example(case=LOUD_INPUT, flags=NO_FLAGS)
 @example(case=ZERO_PIVOT, flags=NO_FLAGS)
+@example(case=NEAR_CONJUGATE, flags=NO_FLAGS)
+@example(case=HIGH_ORDER, flags=NO_FLAGS)
 def test_every_subcommand_keeps_the_exit_contract(case, flags):
     # exit 0, 1 or 2, an error message for 1, and no exception or warning
     with tempfile.TemporaryDirectory() as tmp:
