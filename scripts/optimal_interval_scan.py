@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 import nusample as ns
-from nusample.design import _gram_dets
+from nusample import analysis
 
 
 def gram_curve(a, b, grid):
@@ -22,7 +22,8 @@ def gram_curve(a, b, grid):
     ``grid``, whose alphas are (0, dt), in one batched call."""
     lam = complex(a, b)
     spec = ns.system_from_modes([(lam, 1), (lam.conjugate(), 1)], [0.5, 0.5])
-    return _gram_dets(spec, np.column_stack([np.zeros(grid.size), grid]))
+    av = np.column_stack([np.zeros(grid.size), grid])
+    return analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
 
 
 def main():

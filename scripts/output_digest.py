@@ -43,7 +43,8 @@ def fixture_commands():
     """Every subcommand on the fixtures, copied to ``data/``, covering each
     design method, both geometry CSV writers, a double pair whose partner
     coefficients sit just off the exact conjugates, an output path in a
-    missing directory, and exit codes 0, 1 and 2."""
+    missing directory, a trace asked of a method without one, and exit codes
+    0, 1 and 2."""
     third = ["--system", "data/third_order.json"]
     osc = ["--system", "data/oscillator.json"]
     return [
@@ -69,6 +70,7 @@ def fixture_commands():
          "--instants", "data/near_conjugate_sequence.json"],
         ["geometry", *third, "--instants", "data/third_sequence.json",
          "--out", "missing/geometry.csv"],
+        ["design", *osc, "--t0", "0", "--trace", "trace.csv"],
     ]
 
 

@@ -2,24 +2,24 @@
 
 Builds the alpha vector (a tuple) and the basis matrix Phi (an array), decides
 joint n-reachability / n-observability from its determinant, quantifies the
-degree of orthogonality of the sampled mode vectors, verifies the determinant
-factorization identities, and builds the state-space matrices O and G as rank
-oracles.  Each matrix is one Jordan-flow call, built once.  O and G take the
-Jordan frame of the system's observability-canonical realization from its
-own constants: B and B^{-1} of the eigenstructure, y0 of the spec.  O and the
-observability side of the factorization are Phi times such constants, so
-``analyze`` makes two flow calls: Phi and the mode vectors.  Every vector
-norm and unit vector, the verdict's Hadamard row norms and the degree
+degree of orthogonality of the sampled mode vectors, checks the
+controllability-side determinant factorization, and builds the state-space
+matrices O and G as rank oracles.  Each matrix is one Jordan-flow call, built
+once.  O and G take the Jordan frame of the system's observability-canonical
+realization from its own constants: B and B^{-1} of the eigenstructure, y0 of
+the spec.  ``analyze`` makes two flow calls: Phi and the mode vectors.  Every
+vector norm and unit vector, the verdict's Hadamard row norms and the degree
 metrics' unit mode vectors among them, comes from ``unit_vectors``, the one
 code that scales vectors.  Every singular value, condition number and
 numerical-rank decision (of Phi, the unit mode vectors, and the O and G
 that ``simulate`` solves against) comes from ``spectrum``, the one rank
-rule.  The factorization ratios take one path, free of the scale of the
+rule.  The factorization ratio takes one path, free of the scale of the
 modal coefficients: N1 is read from the Wronskian scale D, and N2 is carried
 as a mantissa and a power of two, so neither side of the identity leaves the
 float range on the way to the ratio.  The independent routes (per-alpha matrix
-exponentials, the swap-reversal permutation, numeric Hankel determinants)
-live in ``tests/reference.py``.
+exponentials, the swap-reversal permutation, numeric Hankel determinants,
+the observability identity on the companion form's expm rows) live in
+``tests/reference.py`` and the tests.
 """
 from __future__ import annotations
 
@@ -102,10 +102,7 @@ class DegreeMetrics:
 class FactorizationCheck:
     N1: float
     N2: float
-    M1: float
-    M2: float
     ratio_ctrl: float
-    ratio_obs: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,27 +259,27 @@ def bruteforce_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> 
 
 
 # ---------------------------------------------------------------------------
-# factorization identities
+# factorization identity
 
-def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
+def _factorizations(spec: SystemSpec, det_phi: float,
                     Y: np.ndarray) -> FactorizationCheck:
-    """The two determinant factorizations in the real Jordan frame, from the
-    basis matrix Phi, its determinant and the mode vectors Y of the same
-    alphas, for a minimal system.
+    """The controllability-side determinant factorization in the real Jordan
+    frame, from the determinant of the basis matrix Phi and the mode vectors
+    Y of the same alphas, for a minimal system.
 
-    Because the artifact works in the real fundamental basis, each identity
-    holds up to a fixed nonzero constant depending only on the system;
-    ratio_ctrl and ratio_obs report those constants, and they must be
-    independent of the alpha vector.  With p the sum of the pair
-    multiplicities, ratio_obs is (-1)^p: the output rows are Phi D^{-1}, and
-    N1 prod(D) = (-1)^p, so N1 is 1 / prod|D|.  ratio_ctrl is 4^p, the
-    quotient of det Y and N1 N2 det Phi each divided by the same power of
-    two, so it is free of their common scale: N2 is carried as a mantissa
-    near 1 and a power of two, so ratio_ctrl keeps full precision where the
-    printed N2 is inf (past a float) or subnormal or 0 (below the normal
-    range).  N2 is the real part of a product whose imaginary part is only
-    the residue of partner coefficients that ``SystemSpec`` accepts as
-    conjugates (up to 1e-9 of the largest coefficient apart).
+    Because the artifact works in the real fundamental basis, det Y =
+    N1 N2 det Phi holds up to a fixed nonzero constant depending only on the
+    system; ratio_ctrl reports it, and it must be independent of the alpha
+    vector.  With p the sum of the pair multiplicities, N1 is 1 / prod|D|
+    (N1 prod(D) = (-1)^p) and ratio_ctrl is 4^p, the quotient of det Y and
+    N1 N2 det Phi each divided by the same power of two, so it is free of
+    their common scale: N2 is carried as a mantissa near 1 and a power of
+    two, so ratio_ctrl keeps full precision where the printed N2 is inf
+    (past a float) or subnormal or 0 (below the normal range).  N2 is the
+    real part of a product whose imaginary part is only the residue of
+    partner coefficients that ``SystemSpec`` accepts as conjugates (up to
+    1e-9 of the largest coefficient apart).  The observability side holds by
+    construction, as the output rows are Phi D^{-1}.
     """
     es = spec.eigen
     n = es.n
@@ -303,8 +300,6 @@ def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
     n2 = n2.real
     with np.errstate(over="ignore"):
         N2 = float(np.ldexp(n2, e2))
-    M1 = N1
-    M2 = 1.0  # product of identity blocks
 
     # Y / 2^k and 2^e2 det Phi / 2^{nk}, exact powers of two, keep both
     # sides near 1
@@ -312,12 +307,7 @@ def _factorizations(spec: SystemSpec, phi: np.ndarray, det_phi: float,
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = float(np.linalg.det(np.ldexp(Y, -k)))
     ratio_ctrl = lhs / (N1 * n2 * math.ldexp(det_phi, e2 - n * k))
-    # the Jordan-frame output rows, a one in each block's first cell, flow
-    # to Phi D^{-1} (see bruteforce_observability_matrix)
-    rhs_obs = M1 * M2 * det_phi
-    ratio_obs = (float(np.linalg.det(phi / es._wronskian_scale)) / rhs_obs
-                 if rhs_obs != 0.0 else math.inf)
-    return FactorizationCheck(N1, N2, M1, M2, ratio_ctrl, ratio_obs)
+    return FactorizationCheck(N1, N2, ratio_ctrl)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +326,6 @@ def analyze(spec: SystemSpec, seq: SamplingSequence,
         Y = sampled_mode_vectors(spec, av)
         degree = degree_metrics_from_vectors(Y)
         if base.is_admissible:
-            factors = _factorizations(spec, phi, base.determinant, Y)
+            factors = _factorizations(spec, base.determinant, Y)
     return AnalysisReport(base.determinant, base.is_admissible, base.sigma_min,
                           base.condition_number, base.threshold, degree, factors)

@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--dmax", type=_finite_float, default=5.0,
                     help="longest sampling interval of the generic search")
     pd.add_argument("--steps", type=int, default=200)
-    pd.add_argument("--trace", default=None, help="write the geometry trace CSV here")
+    pd.add_argument("--trace", default=None,
+                    help="write the geometry trace CSV here (geometric method only)")
 
     pv = sub.add_parser("verify", help="deadbeat and reconstruction round trips")
     pv.add_argument("--system", required=True)
@@ -163,10 +164,7 @@ def run_analyze(args) -> int:
         f = report.factors
         print(f"factor_N1 = {fmt(f.N1)}")
         print(f"factor_N2 = {fmt(f.N2)}")
-        print(f"factor_M1 = {fmt(f.M1)}")
-        print(f"factor_M2 = {fmt(f.M2)}")
         print(f"basis_ratio_ctrl = {fmt(f.ratio_ctrl)}")
-        print(f"basis_ratio_obs = {fmt(f.ratio_obs)}")
     return EXIT_OK if report.is_admissible else EXIT_INADMISSIBLE
 
 
@@ -192,7 +190,9 @@ def run_design(args) -> int:
     spec = fileio.load_system(args.system)
     route = design.route(spec)
     method = route if args.method == "auto" else args.method
-    trace = None
+    if args.trace is not None and method != "geometric":
+        raise InputError(f"--trace applies to the geometric method only; this design "
+                         f"takes the {method} method")
     if method == "closed":
         if route != "closed":
             raise InputError("closed-form design needs a 2nd-order complex pair")
@@ -209,8 +209,8 @@ def run_design(args) -> int:
         result = design.design_sequence_generic(spec, args.t0,
                                                 bounds=(args.dmin, args.dmax),
                                                 steps=args.steps)
-    written = trace is not None and args.trace is not None
-    if written:  # before any output, so a path that cannot be written prints none
+    if args.trace is not None:
+        # before any output, so a path that cannot be written prints none
         export_geometry_csv(trace, args.trace)
     print(f"method = {result.method}")
     print("instants = " + " ".join(fmt(t) for t in result.sequence.instants))
@@ -218,7 +218,7 @@ def run_design(args) -> int:
         print(f"branch_m = {result.branch_m}")
     print(f"gram_determinant = {fmt(result.metric.normalized_gram_det)}")
     print(f"min_principal_angle = {fmt(result.metric.min_principal_angle)}")
-    if written:
+    if args.trace is not None:
         print(f"trace_written = {args.trace}")
     return EXIT_OK
 
@@ -235,9 +235,8 @@ def run_verify(args) -> int:
         av = analysis.alphas(seq)
         outputs = simulate.state_transition(spec, x0, av)[:, 0]  # y = c x, c = e_1
         x0_hat = simulate.reconstruct_initial_state(spec, outputs, av)
-    except RankDeficientError as exc:
+    except RankDeficientError:
         print("inadmissible_sequence = yes")
-        print(f"condition_number = {fmt(exc.condition_number)}")
         return EXIT_INADMISSIBLE
     # a residual far above 1 is a finite number whose square may overflow
     final, error, size = analysis.unit_vectors(

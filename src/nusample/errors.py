@@ -26,10 +26,6 @@ class DegenerateSamplingError(NuSampleError):
 class RankDeficientError(NuSampleError):
     """A linear solve hit a numerically rank-deficient matrix."""
 
-    def __init__(self, message, condition_number=None):
-        super().__init__(message)
-        self.condition_number = condition_number
-
 
 class DesignError(NuSampleError):
     """A sampling-design method cannot be applied to the given system."""

@@ -43,10 +43,8 @@ def solve_checked(M: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     when the solution overflows a float."""
     smin, _, cond, deficient = spectrum(M)
     if deficient:
-        smin, cond = float(smin), float(cond)
-        raise RankDeficientError(f"{what} is numerically singular "
-                                 f"(sigma_min = {smin:.3e}, cond = {cond:.3e})",
-                                 condition_number=cond)
+        raise RankDeficientError(f"{what} is numerically singular (sigma_min = "
+                                 f"{float(smin):.3e}, cond = {float(cond):.3e})")
     x = np.linalg.solve(M, rhs)
     if not np.isfinite(x).all():
         raise DegenerateSamplingError(f"the solution against the {what} overflows a "

@@ -4,9 +4,11 @@ slot-by-slot builders of the real-basis layout, the companion route (the
 characteristic polynomial, the Markov parameters and the observability- and
 controllability-canonical realizations (A, b, c) with their Jordan frames),
 the impulse train carried in the state frame, the sweep one scale at a time,
-the generic design search with a bounded Brent refinement per instant, and
-a 60-digit mpmath route to the singular values of the row-normalized basis
-matrix: the independent routes the tests compare the runtime against.  The
+the generic design search with a bounded Brent refinement per instant, the
+observability matrix from scipy's expm of the companion matrix, and 60-digit
+mpmath routes to the singular values of the row-normalized basis matrix and
+to the Gram determinant of the unit mode vectors: the independent routes the
+tests compare the runtime against.  The
 runtime never calls these."""
 import cmath
 import csv
@@ -121,6 +123,38 @@ def row_normalized_ratio(es: EigenStructure, av, dps: int = 60):
             rows.append([x / norm for x in row])
         sigma = mpmath.svd_r(mpmath.matrix(rows), compute_uv=False)
         return min(sigma) / max(sigma)
+
+
+def unit_gram_determinant(spec: SystemSpec, av, dps: int = 60):
+    """det(Yn' Yn), as an mpf, of the unit mode vectors Yn at ``dps``
+    decimal digits: each column Y_i = exp(J alpha_i) d, with d the real mode
+    vector of ``real_mode_vector``, built cell by cell as ``exp_jordan``
+    lays out exp(J t) (e^{lambda t} t^k / k! on the k-th superdiagonal, a
+    rotation by b t for a pair), then divided by its 2-norm."""
+    d = real_mode_vector(spec)
+    with mpmath.workdps(dps):
+        cols = []
+        for alpha in av:
+            t = mpmath.mpf(alpha)
+            y = [mpmath.mpf(0)] * spec.n
+            for blk in spec.eigen.blocks:
+                m, o = blk.multiplicity, blk.offset
+                e = mpmath.exp(mpmath.mpf(blk.value.real) * t)
+                for k in range(m):
+                    f = e * t ** k / mpmath.factorial(k)
+                    for p in range(m - k):
+                        if blk.kind == "real":
+                            y[o + p] += f * d[o + p + k]
+                        else:
+                            bt = mpmath.mpf(blk.value.imag) * t
+                            co, si = mpmath.cos(bt), mpmath.sin(bt)
+                            x1, x2 = d[o + 2 * (p + k)], d[o + 2 * (p + k) + 1]
+                            y[o + 2 * p] += f * (co * x1 - si * x2)
+                            y[o + 2 * p + 1] += f * (si * x1 + co * x2)
+            norm = mpmath.norm(y, 2)
+            cols.append([v / norm for v in y])
+        Yn = mpmath.matrix(cols).T
+        return mpmath.det(Yn.T * Yn)
 
 
 def spiral_point(lam: float, a: float, b: float, alpha: float) -> np.ndarray:
@@ -365,6 +399,13 @@ class ObservabilityForm:
 
 def observability_canonical(spec: SystemSpec) -> ObservabilityForm:
     return ObservabilityForm(spec)
+
+
+def observability_matrix(spec: SystemSpec, av) -> np.ndarray:
+    """Rows c expm(A alpha_m) of the observability-canonical realization,
+    one scipy ``expm`` of the companion matrix per alpha."""
+    real = observability_canonical(spec)
+    return np.array([real.c @ scipy.linalg.expm(real.A * a) for a in av])
 
 
 def controllability_jordan(spec: SystemSpec) -> JordanFrame:

@@ -19,7 +19,13 @@ from conftest import (
     random_minimal_spec,
     random_sequence,
 )
-from reference import controllability_jordan, observability_canonical
+from reference import (
+    confluent_vandermonde_real,
+    controllability_jordan,
+    fundamental_basis,
+    observability_canonical,
+    observability_matrix,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,22 +146,30 @@ def test_acceptance_3_pathological_sampling():
 
 
 def test_acceptance_4_factorization_identities():
+    # controllability: the runtime's ratio det Y / (N1 N2 det Phi) does not
+    # depend on alpha.  Observability: det O = det Phi / (prod(D) det B) on
+    # the companion form's expm rows, with B the confluent Vandermonde basis
+    # and D the signed factorials (k! in a real cell, -(k!)^2 in a pair's)
     rng = np.random.default_rng(4)
     for _ in range(50):
         n = int(rng.integers(2, 6))
         spec = random_minimal_spec(rng, n)
-        rc, ro = [], []
+        es = spec.eigen
+        prod_d = math.prod(math.factorial(k) * (1 if blk.kind == "real" else -math.factorial(k))
+                           for blk in es.blocks for k in range(blk.multiplicity))
+        det_b = np.linalg.det(confluent_vandermonde_real(es))
+        rc = []
         for _ in range(5):
             seq = random_sequence(rng, n)
             av = ns.alphas(seq)
-            phi = ns.fundamental_matrix(spec.eigen, av)
-            fc = _factorizations(spec, phi, float(np.linalg.det(phi)),
+            phi = ns.fundamental_matrix(es, av)
+            fc = _factorizations(spec, float(np.linalg.det(phi)),
                                  sampled_mode_vectors(spec, av))
-            assert fc.M2 == 1.0  # exact by construction
             rc.append(fc.ratio_ctrl)
-            ro.append(fc.ratio_obs)
+            det_phi = np.linalg.det([fundamental_basis(es, a) for a in av])
+            assert np.linalg.det(observability_matrix(spec, av)) == pytest.approx(
+                det_phi / (prod_d * det_b), rel=1e-8)
         assert np.ptp(rc) <= 1e-8 * max(1.0, abs(np.mean(rc)))
-        assert np.ptp(ro) <= 1e-8 * max(1.0, abs(np.mean(ro)))
     print("ACCEPTANCE 4 factorization identities (50 systems x 5 alpha-vectors): PASS")
 
 

@@ -20,7 +20,7 @@ def _factors(spec, av):
     """The factorization check at the alphas av, as analyze computes it for
     an admissible sequence, here whether or not the sequence is admissible."""
     phi = ns.fundamental_matrix(spec.eigen, av)
-    return analysis._factorizations(spec, phi, float(np.linalg.det(phi)),
+    return analysis._factorizations(spec, float(np.linalg.det(phi)),
                                     analysis.sampled_mode_vectors(spec, av))
 
 
@@ -277,6 +277,39 @@ def test_degree_bounds():
         assert deg.condition_number >= 1.0
 
 
+def test_gram_determinant_matches_sixty_digits():
+    # det G of the unit Gram matrix G has entries and cofactors of at most 1
+    # in size, so a few roundings per entry move it by O(n eps) absolutely
+    rng = np.random.default_rng(26)
+    eps = np.finfo(float).eps
+    for i in range(40):
+        n = 2 + i % 4
+        spec = random_minimal_spec(rng, n)
+        seq = random_sequence(rng, n)
+        gram = ns.analyze(spec, seq).degree.normalized_gram_det
+        exact = reference.unit_gram_determinant(spec, ns.alphas(seq))
+        assert abs(gram - float(exact)) <= 4 * n * eps
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="det(Yn' Yn) squares the conditioning of Yn: 2.2e-3 "
+                          "relative error at a Gram determinant of 5.3e-40")
+def test_gram_determinant_keeps_its_relative_precision_at_order_nine():
+    # a generic design at n = 9 (five real blocks, multiplicities up to 3)
+    spec = ns.system_from_modes(
+        [(-0.9803437502501748, 1), (-1.2829972425502163, 1), (0.5889881635954564, 3),
+         (0.23622165722709854, 2), (-1.092343547751211, 2)],
+        [1.2898331092936894, -0.7986129883032902, 0.5426198884343916,
+         -0.5753885690052054, -1.1433476546774282, -1.2975649448687538,
+         -1.7161987570223696, -1.7022457744213657, -1.7236391570696714])
+    seq = ns.SamplingSequence((0.0, 2.0664516429805273, 4.193305281897885,
+                               5.674857590829043, 6.704529992963918, 7.418207939324656,
+                               7.961306532663316, 8.415053539180274, 8.631826000117774))
+    gram = ns.analyze(spec, seq).degree.normalized_gram_det
+    exact = reference.unit_gram_determinant(spec, ns.alphas(seq))
+    assert abs(gram / float(exact) - 1.0) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # factorization identities
 
@@ -285,8 +318,6 @@ def test_factorization_triple_root_N1():
     av = ns.alphas(ns.SamplingSequence((0.0, 0.7, 1.9)))
     fc = _factors(spec, av)
     assert fc.N1 == pytest.approx(0.5)  # 1/(0! 1! 2!)
-    assert fc.M1 == pytest.approx(0.5)
-    assert fc.M2 == 1.0
 
 
 def test_factorization_simple_roots_N2():
@@ -298,27 +329,19 @@ def test_factorization_simple_roots_N2():
     assert fc.N1 == 1.0
     assert fc.N2 == pytest.approx(6.0)
     assert fc.ratio_ctrl == pytest.approx(1.0, rel=1e-12)  # 4^p, p = 0
-    assert fc.ratio_obs == pytest.approx(1.0, rel=1e-12)  # (-1)^p
 
 
 def test_factorization_ratios_alpha_independent():
-    # the ratios are the exact constants (-1)^p and 4^p, p the sum of the
-    # pair multiplicities: the output rows are Phi D^{-1}, N1 prod(D) = (-1)^p
+    # the ratio is the exact constant 4^p, p the sum of the pair multiplicities
     rng = np.random.default_rng(23)
     for _ in range(10):
         n = int(rng.integers(2, 6))
         spec = random_minimal_spec(rng, n)
         p = sum(blk.multiplicity for blk in spec.eigen.blocks if blk.kind == "pair")
-        ratios_c, ratios_o = [], []
-        for _ in range(4):
-            seq = random_sequence(rng, n)
-            fc = _factors(spec, ns.alphas(seq))
-            ratios_c.append(fc.ratio_ctrl)
-            ratios_o.append(fc.ratio_obs)
-        assert np.ptp(ratios_c) < 1e-8 * max(1.0, abs(ratios_c[0]))
-        assert np.ptp(ratios_o) < 1e-8 * max(1.0, abs(ratios_o[0]))
-        assert ratios_o == pytest.approx([(-1) ** p] * 4, rel=0.0, abs=1e-12)
-        assert ratios_c == pytest.approx([4 ** p] * 4, rel=1e-6)
+        ratios = [_factors(spec, ns.alphas(random_sequence(rng, n))).ratio_ctrl
+                  for _ in range(4)]
+        assert np.ptp(ratios) < 1e-8 * max(1.0, abs(ratios[0]))
+        assert ratios == pytest.approx([4 ** p] * 4, rel=1e-6)
 
 
 def test_factorization_ratio_is_free_of_the_coefficient_scale():

@@ -41,9 +41,12 @@ def test_analyze_reports_factors(capsys):
                        "--system", str(DATA / "third_order.json"),
                        "--instants", str(DATA / "third_sequence.json"))
     assert code == 0
-    for key in ("factor_N1", "factor_N2", "factor_M1", "factor_M2",
-                "basis_ratio_ctrl", "basis_ratio_obs", "gram_determinant"):
-        assert key in out
+    keys = [line.split(" = ")[0] for line in out.splitlines()]
+    for key in ("factor_N1", "factor_N2", "basis_ratio_ctrl", "gram_determinant"):
+        assert key in keys
+    # the observability side holds by construction, so it is not printed
+    for key in ("factor_M1", "factor_M2", "basis_ratio_obs"):
+        assert key not in keys
 
 
 def test_analyze_order_mismatch(capsys):
@@ -144,7 +147,8 @@ def test_verify_pathological_exit_two(capsys):
                        "--instants", str(DATA / "half_turn.json"),
                        "--seed", "7")
     assert code == 2
-    assert "inadmissible_sequence = yes" in out
+    # the condition number of a singular matrix is rounding noise: not printed
+    assert out == "inadmissible_sequence = yes\n"
 
 
 def test_verify_needs_final_instant(capsys, tmp_path):

@@ -271,6 +271,26 @@ def test_unwritable_output_path_is_an_error(capsys, tmp_path, argv, flag):
                    f"directory: '{path}'\n")
 
 
+@pytest.mark.parametrize("system, flags, method, path", [
+    ("third_order.json", ["--method", "generic"], "generic", "t.csv"),
+    ("oscillator.json", ["--method", "closed"], "closed", "t.csv"),
+    ("oscillator.json", [], "closed", "t.csv"),  # auto on a lone pair
+    ("oscillator.json", [], "closed", "missing/t.csv"),
+], ids=["generic", "closed", "auto", "auto_missing_dir"])
+def test_trace_off_the_geometric_step_is_a_usage_error(capsys, tmp_path, system, flags,
+                                                       method, path):
+    # only the geometric step has a trace; the method is decided before the
+    # search, so nothing is printed or written, whether or not the path could
+    # be written
+    path = tmp_path / path
+    code, out, err = run(capsys, "design", "--system", str(DATA / system), "--t0", "0",
+                         *flags, "--trace", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: --trace applies to the geometric method only; this "
+                   f"design takes the {method} method\n")
+    assert not path.exists()
+
+
 # the growing real mode e^{5.094 alpha} swamps the pair in the second and third
 # mode vectors, so they are parallel: the geometric step's sequence has a zero
 # Gram determinant, which used to exit 0
@@ -733,18 +753,23 @@ def _magnitudes(draw):
     return 10.0 ** draw(st.floats(-6.0, 2.5))
 
 
+TRACE = "<trace>"  # replaced by the trace path in the test's directory
+
+
 @st.composite
 def _flags(draw):
     """The flags that shape a verdict or a design: --tol (analyze and sweep;
-    absent one time in three), --method, and the generic search's
-    --dmin/--dmax (the second possibly below the first)."""
+    absent one time in three), --method, the generic search's --dmin/--dmax
+    (the second possibly below the first), and --trace (half the time; TRACE
+    stands for a path in the test's directory)."""
     dmin = 10.0 ** draw(st.floats(-6.0, 1.5))
     tol = draw(st.one_of(st.none(), st.floats(-300.0, 300.0), st.floats(-15.0, 0.0)))
     return {"tol": [] if tol is None else ["--tol", repr(10.0 ** tol)],
             "design": ["--method", draw(st.sampled_from(["auto", "closed", "geometric",
                                                          "generic"])),
                        "--dmin", repr(dmin),
-                       "--dmax", repr(dmin * 10.0 ** draw(st.floats(-0.5, 3.0)))]}
+                       "--dmax", repr(dmin * 10.0 ** draw(st.floats(-0.5, 3.0))),
+                       *draw(st.sampled_from([[], ["--trace", TRACE]]))]}
 
 
 # the flags' defaults, for the cases below
@@ -860,7 +885,8 @@ def test_every_subcommand_keeps_the_exit_contract(case, flags):
         span = [repr(float(gaps.min())), repr(float(min(gaps.max(), 1e3)))]
         for argv in (["analyze", "--instants", sequence, *flags["tol"]],
                      ["verify", "--instants", sequence, "--seed", "1"],
-                     ["design", "--t0", "0", "--steps", "20", *flags["design"]],
+                     ["design", "--t0", "0", "--steps", "20",
+                      *(trace if flag == TRACE else flag for flag in flags["design"])],
                      ["sweep", "--from", span[0], "--to", span[1], "--points", "3",
                       "--trials", "3", *flags["tol"]],
                      ["geometry", "--instants", sequence, "--out", trace]):

@@ -391,10 +391,9 @@ def test_analyze_builds_each_matrix_once(monkeypatch, capsys):
     assert main(["analyze", "--system", str(DATA / "third_order.json"),
                  "--instants", str(DATA / "third_sequence.json")]) == 0
     out = capsys.readouterr().out
-    assert "basis_ratio_obs = " in out
+    assert "basis_ratio_ctrl = " in out
     assert (len(phi), len(modes), len(minimality)) == (1, 1, 1)
-    # one flow for Phi, one for the mode vectors; the observability side of
-    # the factorization check is read off Phi
+    # one flow for Phi, one for the mode vectors
     assert len(flows) == 2
 
 

@@ -1,10 +1,12 @@
-"""Module boundaries, read from the source: the CLI reaches the package only
-through public names, and the design module computes without writing a
-file (the CLI writes every output)."""
+"""Module boundaries, read from the source: the CLI and the scripts reach the
+package only through public names, and the design module computes without
+writing a file (the CLI writes every output)."""
 import ast
 from pathlib import Path
 
 from nusample import cli, design
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _tree(module):
@@ -55,6 +57,12 @@ def _file_writes(tree):
 
 def test_cli_reads_no_private_name_of_the_package():
     assert _private_reads(_tree(cli)) == []
+
+
+def test_scripts_read_no_private_name_of_the_package():
+    found = [(script.name, *hit) for script in sorted(SCRIPTS.glob("*.py"))
+             for hit in _private_reads(ast.parse(script.read_text()))]
+    assert found == []
 
 
 def test_design_writes_no_file():

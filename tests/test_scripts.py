@@ -44,7 +44,7 @@ def test_output_digest_runs():
     assert runs[0].stdout == runs[1].stdout
     lines = [line.split() for line in runs[0].stdout.splitlines()]
     assert [(w[0], w[3]) for w in lines] == [("check", "18"), ("design", "3"),
-                                             ("sweep", "9"), ("fixtures", "18")]
+                                             ("sweep", "9"), ("fixtures", "19")]
     assert all(len(w[-1]) == 64 for w in lines)
 
 
