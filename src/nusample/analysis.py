@@ -10,9 +10,12 @@ realization from its own constants: B and B^{-1} of the eigenstructure, y0 of
 the spec.  ``analyze`` makes two flow calls: Phi and the mode vectors.  Every
 vector norm and unit vector, the verdict's Hadamard row norms and the degree
 metrics' unit mode vectors among them, comes from ``unit_vectors``, the one
-code that scales vectors.  Every singular value, condition number and
-numerical-rank decision (of Phi, the unit mode vectors, and the O and G
-that ``simulate`` solves against) comes from ``spectrum``, the one rank
+code that scales vectors.  Every normalized Gram determinant (``analyze``'s,
+``sweep``'s and every score of the design search) comes from ``unit_gram``,
+which reads it from a factor of the unit mode vectors.  Every singular
+value, condition number and numerical-rank decision (of Phi, the unit mode
+vectors, and the O and G that ``simulate`` solves against) comes from
+``spectrum``, the one rank
 rule.  The factorization ratio takes one path, free of the scale of the
 modal coefficients: N1 is read from the Wronskian scale D, and N2 is carried
 as a mantissa and a power of two, so neither side of the identity leaves the
@@ -122,29 +125,37 @@ def joint_test(M: np.ndarray,
     given the basis matrix M that ``fundamental_matrix`` builds.
 
     The admissibility threshold is Hadamard-scaled: |det| must exceed
-    tol_factor times the product of the row norms.
+    tol_factor times the product of the row norms.  A threshold that
+    overflows a float raises DegenerateSamplingError.
     """
-    det, threshold, smin, cond = joint_arrays(M, tol_factor)
+    det, smin, cond = joint_arrays(M)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf norm times a zero one
+        threshold = _finite(tol_factor * np.prod(unit_vectors(M, axis=-1)[2]), M)
     return AnalysisReport(float(det), bool(abs(det) > threshold), float(smin), float(cond),
                           float(threshold))
 
 
-def joint_arrays(M: np.ndarray, tol_factor: float):
-    """(det, Hadamard threshold, sigma_min, condition number) of each n x n
-    matrix of the stack M, shape (..., n, n), as arrays of shape (...);
-    raises DegenerateSamplingError for the first matrix whose determinant or
-    threshold overflows a float."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det = np.linalg.det(M)
-        threshold = tol_factor * np.prod(unit_vectors(M, axis=-1)[2], axis=-1)
-    finite = np.isfinite(det) & np.isfinite(threshold)
+def _finite(value: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``value``, the determinant or threshold of each matrix of the stack M;
+    raises DegenerateSamplingError for the first matrix where it overflows."""
+    finite = np.isfinite(value)
     if not finite.all():
         raise DegenerateSamplingError(
-            "the determinant of the basis matrix or its threshold overflows a "
-            f"float (largest |entry| = {np.max(np.abs(M[~finite][0])):.6g}); "
-            "shorten the sampling intervals")
+            "the determinant of the basis matrix or its threshold overflows a float "
+            f"(largest |entry| = {np.max(np.abs(M[~finite][0])):.6g}); shorten the "
+            "sampling intervals")
+    return value
+
+
+def joint_arrays(M: np.ndarray):
+    """(det, sigma_min, condition number) of each n x n matrix of the stack
+    M, shape (..., n, n), as arrays of shape (...); raises
+    DegenerateSamplingError for the first matrix whose determinant overflows
+    a float."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = _finite(np.linalg.det(M), M)
     smin, _, cond, _ = spectrum(M)
-    return det, threshold, smin, cond
+    return det, smin, cond
 
 
 def spectrum(M: np.ndarray):
@@ -167,7 +178,7 @@ def sampled_mode_vectors(spec: SystemSpec, av) -> np.ndarray:
     """Columns Y_i = exp(J alpha_i) y0 in the real Jordan frame, where y0 is
     the real-basis modal coefficient vector; a stack of such matrices for
     alpha vectors stacked as (..., n).  An overflowing mode gives inf or nan
-    entries, which ``unit_gram`` rejects."""
+    entries, which ``unit_gram`` marks unusable."""
     return np.swapaxes(jordan_flow(spec.eigen, spec.real_mode_vector, av), -1, -2)
 
 
@@ -210,26 +221,40 @@ def unit_vectors(Y: np.ndarray, axis: int):
 
 
 def unit_gram(Y: np.ndarray):
-    """(Yn, G, det G clipped to [0, 1]) for each matrix of the stack Y, shape
-    (..., n, k): its columns normalized by ``unit_vectors`` and their Gram
-    matrix.  An unusable column raises DegenerateSamplingError."""
+    """(Yn, usable, gram) for each matrix of the stack Y, shape (..., n, k):
+    its columns normalized by ``unit_vectors``, whether all of them are
+    usable, and their normalized Gram determinant det(Yn' Yn), at most 1.
+    The one Gram determinant of the package.  It is read from a factor of
+    Yn, never from Yn' Yn, whose condition number is that of Yn squared:
+    det(Yn)^2 where Yn is square, else the product of the squared diagonal
+    of R, where Yn = QR.  An unusable column is zero in Yn, so its gram is
+    0."""
     Yn, usable, _ = unit_vectors(Y, axis=-2)
+    if Y.shape[-2] == Y.shape[-1]:
+        gram = np.linalg.det(Yn) ** 2
+    else:
+        gram = np.prod(np.diagonal(np.linalg.qr(Yn, mode="r"), 0, -2, -1) ** 2, axis=-1)
+    return Yn, usable.all(axis=(-2, -1)), np.minimum(gram, 1.0)
+
+
+def checked_gram(Y: np.ndarray):
+    """(Yn, gram) of ``unit_gram``; an unusable column raises
+    DegenerateSamplingError."""
+    Yn, usable, gram = unit_gram(Y)
     if not usable.all():
         raise DegenerateSamplingError("a sampled mode vector overflows a float or "
                                       "vanishes; shorten the sampling intervals")
-    G = np.swapaxes(Yn, -1, -2) @ Yn
-    return Yn, G, np.clip(np.linalg.det(G), 0.0, 1.0)
+    return Yn, gram
 
 
 def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
-    """Degree metrics of the columns of Y, normalized by ``unit_gram``."""
-    Yn, G, gram = unit_gram(Y)
+    """Degree metrics of the columns of Y, normalized by ``checked_gram``."""
+    Yn, gram = checked_gram(Y)
+    G = Yn.T @ Yn
     k = Y.shape[1]
-    if k < 2:
-        min_angle = math.pi / 2  # single vector: orthogonality is vacuous
-    else:
-        min_angle = min(math.acos(min(1.0, abs(G[i, j])))
-                        for i in range(k) for j in range(i + 1, k))
+    # a single vector's orthogonality is vacuous
+    min_angle = min((math.acos(min(1.0, abs(G[i, j]))) for i in range(k)
+                     for j in range(i + 1, k)), default=math.pi / 2)
     return DegreeMetrics(float(gram), min_angle, float(spectrum(Yn)[2]))
 
 

@@ -46,7 +46,7 @@ def _finite_float(text: str) -> float:
 
 
 def _tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         if args.tol <= 0:
             raise InputError("tolerance must be positive")
         return args.tol
@@ -114,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--noise", type=_finite_float, default=1e-4)
     ps.add_argument("--trials", type=int, default=50)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--tol", type=_finite_float, default=None)
 
     pg = sub.add_parser("geometry", help="third-order spiral construction trace")
     pg.add_argument("--system", required=True)
@@ -290,7 +289,7 @@ def _noise_amplification(O, eps, trials, seeds) -> np.ndarray:
     return np.where(deficient, math.inf, amp)
 
 
-def _sweep_columns(spec, minimal, tol, args, lo: int, hi: int):
+def _sweep_columns(spec, minimal, args, lo: int, hi: int):
     """The five CSV columns of scales lo..hi-1, each matrix built by one
     call for all of them; raises the error of a failing scale."""
     n = spec.n
@@ -305,27 +304,27 @@ def _sweep_columns(spec, minimal, tol, args, lo: int, hi: int):
             raise InputError("interval scale must stay positive over the sweep")
         analysis.SamplingSequence(tuple(t[bad][0]), final_instant=n * s[bad][0])  # raises
     av = t[:, -1:] - t[:, ::-1]  # analysis.alphas, row by row
-    det, _, _, cond = analysis.joint_arrays(analysis.fundamental_matrix(spec.eigen, av), tol)
+    det, _, cond = analysis.joint_arrays(analysis.fundamental_matrix(spec.eigen, av))
     gram = np.full(len(s), math.nan)
     if minimal:
-        gram = analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
+        gram = analysis.checked_gram(analysis.sampled_mode_vectors(spec, av))[1]
     O = analysis.bruteforce_observability_matrix(spec, av)
     seeds = [args.seed * 1000003 + idx for idx in range(lo, hi)]
     return s, det, gram, cond, _noise_amplification(O, args.noise, args.trials, seeds)
 
 
-def _sweep_rows(spec, minimal, tol, args, lo: int, hi: int):
+def _sweep_rows(spec, minimal, args, lo: int, hi: int):
     """The CSV rows of scales lo..hi-1.  A block with a failing scale is
     halved until that scale stands alone: the rows before it come out, then
     the error of its first failing stage."""
     try:
-        columns = _sweep_columns(spec, minimal, tol, args, lo, hi)
+        columns = _sweep_columns(spec, minimal, args, lo, hi)
     except NuSampleError:
         if hi - lo == 1:
             raise
         mid = (lo + hi) // 2
-        yield from _sweep_rows(spec, minimal, tol, args, lo, mid)
-        yield from _sweep_rows(spec, minimal, tol, args, mid, hi)
+        yield from _sweep_rows(spec, minimal, args, lo, mid)
+        yield from _sweep_rows(spec, minimal, args, mid, hi)
         return
     for row in zip(*columns):
         yield [fmt(x) for x in row]
@@ -339,7 +338,6 @@ def run_sweep(args) -> int:
         raise InputError("noise magnitude must be positive")
     if args.trials < 1:
         raise InputError("need at least one noise trial")
-    tol = _tolerance(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(["scale", "determinant", "gram_det",
                      "condition_number", "noise_amplification"])
@@ -347,7 +345,7 @@ def run_sweep(args) -> int:
     # a scale holds an n x n matrix and 2n noise draws per trial
     block = max(1, SWEEP_BLOCK_FLOATS // (spec.n * (spec.n + 2 * args.trials)))
     for lo in range(0, args.points, block):
-        writer.writerows(_sweep_rows(spec, minimal, tol, args, lo,
+        writer.writerows(_sweep_rows(spec, minimal, args, lo,
                                      min(lo + block, args.points)))
     return EXIT_OK
 

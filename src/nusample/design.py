@@ -7,9 +7,11 @@ Three routes, of which ``route`` picks the one ``--method auto`` takes:
 * a greedy grid search for arbitrary order: each greedy step scores its
   whole candidate grid in one batched call, and each instant is then refined
   by two ever finer grids and one parabolic step, each one batched call.
-  Every candidate's mode vectors are normalized by ``analysis.unit_vectors``,
-  as the designed sequence's metric is, so the search scores what the metric
-  reports.
+  Every candidate is scored by ``analysis.unit_gram``, the function that
+  gives the designed sequence's metric, so the search scores what the metric
+  reports; a candidate with a mode vector that is not usable (overflowing,
+  zero or subnormal) scores 0.  This module computes no determinant or
+  factorization of its own.
 
 The 3rd-order geometry works in a normalized frame where the initial mode
 vector is (1, 0, 1)', so the sampled vectors trace the spiral
@@ -35,6 +37,7 @@ from nusample.analysis import (
     alphas,
     degree_metrics_from_vectors,
     sampled_mode_vectors,
+    unit_gram,
     unit_vectors,
 )
 from nusample.errors import DesignError, InadmissibleDesignError
@@ -244,17 +247,6 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
 # ---------------------------------------------------------------------------
 # generic greedy search
 
-def _gram_dets(spec: SystemSpec, alpha_rows: np.ndarray) -> np.ndarray:
-    """Normalized Gram determinant of the sampled mode vectors of every row
-    of ``alpha_rows`` (shape (..., k)), in one kernel call, each vector
-    normalized as ``unit_gram`` does.  A candidate with a vector that
-    ``unit_gram`` rejects (overflowing, zero or subnormal) scores 0, so it
-    never wins and the search never picks a sequence its metric refuses."""
-    Y = jordan_flow(spec.eigen, spec.real_mode_vector, alpha_rows)
-    Yn = unit_vectors(Y, axis=-1)[0]  # an unusable vector is a zero row: det 0
-    return np.clip(np.linalg.det(Yn @ np.swapaxes(Yn, -1, -2)), 0.0, 1.0)
-
-
 REFINE_POINTS = 65  # candidates per refinement grid
 REFINE_ROUNDS = 2   # grids per instant, each one spacing either side of the last's best
 
@@ -267,7 +259,7 @@ def _refine_instant(spec: SystemSpec, instants: list, i: int, lo: float,
     grid spans [lo, hi]; each later one spans one spacing either side of the
     previous grid's best, clipped to [lo, hi]; last comes the vertex of the
     parabola through the final grid's best and its two neighbours.  Each is
-    one ``_gram_dets`` call.  A candidate replaces t_i only if it scores
+    one ``unit_gram`` call.  A candidate replaces t_i only if it scores
     strictly higher, so a flat objective keeps t_i and ties go to the
     smallest instant."""
     base = np.array(instants)
@@ -276,7 +268,7 @@ def _refine_instant(spec: SystemSpec, instants: list, i: int, lo: float,
     def scores(cands):
         rows = np.repeat(base[None, :], cands.size, axis=0)
         rows[:, i] = cands
-        return _gram_dets(spec, rows[:, -1:] - rows[:, ::-1])
+        return unit_gram(sampled_mode_vectors(spec, rows[:, -1:] - rows[:, ::-1]))[2]
 
     a, b = lo, hi
     for _ in range(REFINE_ROUNDS):
@@ -322,7 +314,7 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
         grid = instants[-1] + np.linspace(dmin, dmax, steps)
         # alphas of each candidate sequence instants + [t]: (0, t - t_{j-1}, ..., t - t_0)
         cand = np.column_stack([np.zeros(steps), grid[:, None] - instants[::-1]])
-        scores = _gram_dets(spec, cand)
+        scores = unit_gram(sampled_mode_vectors(spec, cand))[2]
         best = int(np.argmax(scores))  # argmax takes the first (smallest) instant on ties
         instants.append(float(grid[best]))
         score = scores[best]

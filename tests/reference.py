@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from nusample import analysis, design, fileio, simulate
+from nusample import analysis, fileio, simulate
 from nusample.errors import (
     DegenerateSamplingError,
     InputError,
@@ -476,14 +476,7 @@ def simulate_impulse_train(real: ObservabilityForm, x0, seq, inputs) -> list:
 # ---------------------------------------------------------------------------
 # the sweep, one scale at a time
 
-def _pow2_norms(M: np.ndarray, axis: int) -> np.ndarray:
-    """2-norms along ``axis`` of M divided by the power of two at or just below
-    its largest |entry|, times that power."""
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1] - 1)
-    return np.linalg.norm(M / scale, axis=axis) * np.squeeze(scale, axis)
-
-
-def _sweep_row(spec, minimal, tol, noise, trials, seed, idx, s):
+def _sweep_row(spec, minimal, noise, trials, seed, idx, s):
     """One CSV row: each matrix built for this scale alone, each check in the
     order the CLI's stages run."""
     if s <= 0:
@@ -495,8 +488,7 @@ def _sweep_row(spec, minimal, tol, noise, trials, seed, idx, s):
     M = analysis.fundamental_matrix(spec.eigen, av)
     with np.errstate(over="ignore", invalid="ignore"):
         det = float(np.linalg.det(M))
-        threshold = tol * float(np.prod(_pow2_norms(M, axis=1)))
-    if not (math.isfinite(det) and math.isfinite(threshold)):
+    if not math.isfinite(det):
         raise DegenerateSamplingError(
             "the determinant of the basis matrix or its threshold overflows a "
             f"float (largest |entry| = {np.max(np.abs(M)):.6g}); shorten the "
@@ -514,7 +506,7 @@ def _sweep_row(spec, minimal, tol, noise, trials, seed, idx, s):
             raise DegenerateSamplingError("a sampled mode vector overflows a float or "
                                           "vanishes; shorten the sampling intervals")
         Yn = Ys / norms
-        gram = float(np.clip(np.linalg.det(Yn.T @ Yn), 0.0, 1.0))
+        gram = float(min(np.linalg.det(Yn) ** 2, 1.0))
     # trial t draws its initial state, then its noise / eps; noise above 1 is
     # scaled with the states by the power of two 2**e >= eps
     z = np.random.default_rng(seed * 1000003 + idx).standard_normal((trials, 2, spec.n))
@@ -536,8 +528,8 @@ def _sweep_row(spec, minimal, tol, noise, trials, seed, idx, s):
     return [s, det, gram, cond, amp]
 
 
-def sweep(system, start, stop, points, noise=1e-4, trials=50, seed=0,
-          tol=analysis.DEFAULT_ADMISSIBILITY_FACTOR) -> tuple[int, str, str]:
+def sweep(system, start, stop, points, noise=1e-4, trials=50,
+          seed=0) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of ``nusample sweep`` run one scale at a
     time over np.linspace(start, stop, points): the rows before a failing
     scale, then that scale's error."""
@@ -551,7 +543,7 @@ def sweep(system, start, stop, points, noise=1e-4, trials=50, seed=0,
         with np.errstate(over="ignore", invalid="ignore"):
             scales = np.linspace(start, stop, points)
         for idx, s in enumerate(scales):
-            row = _sweep_row(spec, minimal, tol, noise, trials, seed, idx, s)
+            row = _sweep_row(spec, minimal, noise, trials, seed, idx, s)
             writer.writerow([f"{float(x):.12g}" for x in row])
     except NuSampleError as exc:
         return 1, out.getvalue(), f"error: {exc}\n"
@@ -660,14 +652,15 @@ def minimize_bounded(func, lo: float, hi: float, xatol: float,
 def greedy_instants(spec: SystemSpec, t0: float, bounds, steps: int) -> list[float]:
     """The greedy grid of the generic design search: each instant after t0
     is the first maximizer of the Gram determinant over ``steps`` interval
-    lengths in [dmin, dmax], scored one batched ``design._gram_dets`` call per
-    instant."""
+    lengths in [dmin, dmax], scored one batched ``analysis.unit_gram`` call
+    per instant."""
     dmin, dmax = bounds
     instants = [float(t0)]
     for _ in range(1, spec.n):
         grid = instants[-1] + np.linspace(dmin, dmax, steps)
         cand = np.column_stack([np.zeros(steps), grid[:, None] - instants[::-1]])
-        instants.append(float(grid[int(np.argmax(design._gram_dets(spec, cand)))]))
+        scores = analysis.unit_gram(analysis.sampled_mode_vectors(spec, cand))[2]
+        instants.append(float(grid[int(np.argmax(scores))]))
     return instants
 
 
@@ -675,8 +668,8 @@ def brent_design(spec: SystemSpec, t0: float = 0.0, bounds=(0.05, 5.0),
                  steps: int = 200, minimize=minimize_bounded) -> list[float]:
     """The instants of the generic design search with a scalar refinement:
     the greedy grid, then each instant after t0 refined once, in order, by
-    ``minimize`` on minus the Gram determinant (one ``design._gram_dets``
-    row per evaluation), at least dmin from its neighbors and, for the last,
+    ``minimize`` on minus the Gram determinant (one ``analysis.unit_gram``
+    matrix per evaluation), at least dmin from its neighbors and, for the last,
     at most dmax after its predecessor; kept if no worse."""
     dmin, dmax = bounds
     n = spec.n
@@ -684,7 +677,8 @@ def brent_design(spec: SystemSpec, t0: float = 0.0, bounds=(0.05, 5.0),
 
     def score(inst):
         t = np.asarray(inst, dtype=float)
-        return float(design._gram_dets(spec, t[-1] - t[::-1]))
+        Y = analysis.sampled_mode_vectors(spec, t[-1] - t[::-1])
+        return float(analysis.unit_gram(Y)[2])
 
     for i in range(1, n):
         lo = instants[i - 1] + dmin

@@ -295,8 +295,10 @@ def test_trace_off_the_geometric_step_is_a_usage_error(capsys, tmp_path, system,
 # mode vectors, so they are parallel: the geometric step's sequence has a zero
 # Gram determinant, which used to exit 0
 DEGENERATE_SPIRAL = dict(lam=5.094, a=-0.4729, b=0.36, c=0.1506 + 0.6349j)
+# det(Yn)^2 keeps the Gram determinant's digits far below the threshold
+# (the 60-digit value is 2.25757402617e-46), where det(Yn' Yn) read 0
 DEGENERATE_ERROR = ("error: the geometric step's sequence is inadmissible "
-                    "(gram_determinant = 0 <= 1e-12)\n")
+                    "(gram_determinant = 2.25757e-46 <= 1e-12)\n")
 
 
 @pytest.mark.parametrize("method", ["geometric", "auto"])
@@ -440,10 +442,10 @@ def _sweep(start="0.2", stop="1.0"):
 @pytest.mark.parametrize("argv, env", [
     (["analyze", *THIRD_SEQ, "--tol", "inf"], None),
     (["analyze", *THIRD_SEQ, "--tol", "nan"], None),
-    ([*_sweep(), "--tol", "inf"], None),
+    (["analyze", *THIRD_SEQ, "--tol", "1e999"], None),
     (["analyze", *THIRD_SEQ], "inf"),
     (["analyze", *THIRD_SEQ], "nan"),
-    (_sweep(), "-inf"),
+    (["analyze", *THIRD_SEQ], "-inf"),
     ([*_sweep(), "--noise", "inf"], None),
     (_sweep(stop="inf"), None),
     (_sweep(start="nan"), None),
@@ -461,6 +463,17 @@ def test_non_finite_float_is_an_input_error(capsys, monkeypatch, argv, env):
     assert (code, out) == (1, "")
     assert "error: " in err and "finite" in err
     assert "Traceback" not in err and "Warning" not in err and "overflow" not in err
+
+
+def test_sweep_reads_no_tolerance(capsys, monkeypatch):
+    # no column of the sweep depends on the admissibility tolerance, so it
+    # has no --tol and a malformed NUSAMPLE_TOL does not fail it
+    monkeypatch.setenv("NUSAMPLE_TOL", "not-a-number")
+    code, out, err = run(capsys, *_sweep())
+    assert code == 0 and len(out.splitlines()) == 4 and err == ""
+    code, out, err = run(capsys, *_sweep(), "--tol", "1e-9")
+    assert (code, out) == (1, "")
+    assert err.endswith("error: unrecognized arguments: --tol 1e-9\n")
 
 
 def test_finite_tolerance_flag_outranks_a_non_finite_environment(capsys, monkeypatch):
@@ -758,8 +771,8 @@ TRACE = "<trace>"  # replaced by the trace path in the test's directory
 
 @st.composite
 def _flags(draw):
-    """The flags that shape a verdict or a design: --tol (analyze and sweep;
-    absent one time in three), --method, the generic search's --dmin/--dmax
+    """The flags that shape a verdict or a design: --tol (analyze; absent
+    one time in three), --method, the generic search's --dmin/--dmax
     (the second possibly below the first), and --trace (half the time; TRACE
     stands for a path in the test's directory)."""
     dmin = 10.0 ** draw(st.floats(-6.0, 1.5))
@@ -888,7 +901,7 @@ def test_every_subcommand_keeps_the_exit_contract(case, flags):
                      ["design", "--t0", "0", "--steps", "20",
                       *(trace if flag == TRACE else flag for flag in flags["design"])],
                      ["sweep", "--from", span[0], "--to", span[1], "--points", "3",
-                      "--trials", "3", *flags["tol"]],
+                      "--trials", "3"],
                      ["geometry", "--instants", sequence, "--out", trace]):
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \

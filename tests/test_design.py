@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nusample as ns
-from nusample import design
+from nusample import analysis, design
 from nusample.cli import export_geometry_csv
 from nusample.design import spiral_point
 from nusample.errors import DesignError, InadmissibleDesignError
@@ -291,7 +291,7 @@ def test_generic_search_invariants(seed, n, t0, dmin, span):
     spec = random_minimal_spec(np.random.default_rng(seed), n)
     dmax = dmin + span
     with pytest.MonkeyPatch.context() as mp:
-        calls = count_calls(mp, design._gram_dets, (design,))
+        calls = count_calls(mp, analysis.unit_gram, (design,))
         try:
             res = ns.design_sequence_generic(spec, t0=t0, bounds=(dmin, dmax))
         except InadmissibleDesignError as exc:
@@ -303,8 +303,8 @@ def test_generic_search_invariants(seed, n, t0, dmin, span):
     assert np.all(np.diff(t) >= dmin - slack)
     assert np.all(np.diff(t) <= dmax + slack)
     greedy = np.array(reference.greedy_instants(spec, t0, (dmin, dmax), 200))
-    refined, first = design._gram_dets(spec, np.stack([t[-1] - t[::-1],
-                                                       greedy[-1] - greedy[::-1]]))
+    av = np.stack([t[-1] - t[::-1], greedy[-1] - greedy[::-1]])
+    refined, first = analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
     assert refined >= first
 
 

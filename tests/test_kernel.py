@@ -254,8 +254,15 @@ def test_overflowing_flow_raises_degenerate_sampling(build):
         build(spec, seq)
 
 
+def _scores(spec, alpha_rows):
+    """The design search's score of each row of ``alpha_rows``: the
+    ``unit_gram`` determinant of its sampled mode vectors."""
+    return analysis.unit_gram(analysis.sampled_mode_vectors(spec, alpha_rows))[2]
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_batched_grid_scores_match_scalar(n):
+    # n instants score det(Yn)^2; n - 1 of them (all but t0) R's squared diagonal
     rng = np.random.default_rng(40 + n)
     spec = random_minimal_spec(rng, n)
     instants = [0.3]
@@ -263,24 +270,26 @@ def test_batched_grid_scores_match_scalar(n):
         instants.append(instants[-1] + rng.uniform(0.2, 1.0))
     grid = instants[-1] + np.linspace(0.05, 5.0, 60)
     cand = np.column_stack([np.zeros(grid.size), grid[:, None] - instants[::-1]])
-    batched = design._gram_dets(spec, cand)
-    assert batched.shape == grid.shape
-    for row, t, score in zip(cand, grid, batched):
-        assert score == design._gram_dets(spec, row)
-        assert score == pytest.approx(gram_det(spec, instants + [t]),
-                                      rel=1e-9, abs=1e-12)
+    for rows, earlier in ((cand, instants), (cand[:, :-1], instants[1:])):
+        batched = _scores(spec, rows)
+        assert batched.shape == grid.shape
+        for row, t, score in zip(rows, grid, batched):
+            assert score == _scores(spec, row)
+            assert score == pytest.approx(gram_det(spec, earlier + [t]),
+                                          rel=1e-9, abs=1e-12)
 
 
 def _unit_vector_readers(spec, alpha_rows):
-    """The bytes of every result read from ``unit_vectors``: the design
-    scores, the Hadamard threshold of the verdict (on the rows whose
-    determinant and row norms stay far from overflow), and ``unit_gram``
-    with the degree metrics."""
+    """The bytes of every result read from ``unit_vectors``: the Hadamard
+    threshold of the verdict (on the rows whose determinant and row norms
+    stay far from overflow), ``unit_gram`` of the whole sequences and of all
+    but their last instant (the design scores of both Gram routes), and the
+    degree metrics."""
     phi = analysis.fundamental_matrix(spec.eigen, alpha_rows)
     finite = np.isfinite(np.linalg.det(phi)) & (np.abs(phi).max(axis=(-2, -1)) < 1e30)
     Y = analysis.sampled_mode_vectors(spec, alpha_rows)
-    arrays = [design._gram_dets(spec, alpha_rows),
-              *analysis.joint_arrays(phi[finite], 1e-9), *analysis.unit_gram(Y)]
+    thresholds = np.array([analysis.joint_test(p).threshold for p in phi[finite]])
+    arrays = [thresholds, *analysis.unit_gram(Y), *analysis.unit_gram(Y[..., :-1])]
     metrics = [analysis.degree_metrics_from_vectors(y) for y in Y[::20]]
     return [a.tobytes() for a in arrays], metrics
 
@@ -320,7 +329,9 @@ def test_plain_third_order_norms_are_the_scaled_ones(monkeypatch, lam, a, b, t1)
 
 def test_nonfinite_scores_are_zero():
     spec = ns.system_from_modes([(5.0, 1), (4.0, 1)], [1.0, 1.0])
-    scores = design._gram_dets(spec, np.array([[0.0, 0.5], [0.0, 300.0]]))
+    Y = analysis.sampled_mode_vectors(spec, np.array([[0.0, 0.5], [0.0, 300.0]]))
+    _, usable, scores = analysis.unit_gram(Y)
+    assert usable.tolist() == [True, False]
     assert scores[0] > 0.0
     assert scores[1] == 0.0
 
@@ -332,10 +343,10 @@ def test_scores_hold_until_the_flow_leaves_the_normal_range():
     # turns subnormal near 708.4, where unit_gram would reject the vector
     spec = ns.system_from_modes([(1.0, 1), (-0.5, 1)], [1.0, 1.0])
     alphas = [354.0, 356.0, 600.0, 704.0, 709.0, 710.0]
-    scores = design._gram_dets(spec, np.column_stack([np.zeros(6), alphas]))
+    scores = _scores(spec, np.column_stack([np.zeros(6), alphas]))
     assert scores.tolist() == pytest.approx([0.5] * 5 + [0.0], rel=1e-12, abs=0.0)
     spec = ns.system_from_modes([(-1.0, 1), (-1.1, 1)], [1.0, 1.0])
-    scores = design._gram_dets(spec, np.array([[0.0, 700.0], [0.0, 710.0]]))
+    scores = _scores(spec, np.array([[0.0, 700.0], [0.0, 710.0]]))
     assert scores[0] == pytest.approx(gram_det(spec, [0.0, 700.0]), rel=1e-12)
     assert scores[0] == pytest.approx(0.5, rel=1e-12)
     assert scores[1] == 0.0

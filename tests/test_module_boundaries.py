@@ -1,6 +1,7 @@
 """Module boundaries, read from the source: the CLI and the scripts reach the
 package only through public names, and the design module computes without
-writing a file (the CLI writes every output)."""
+writing a file (the CLI writes every output) and without linear algebra of
+its own (``analysis.unit_gram`` scores every candidate)."""
 import ast
 from pathlib import Path
 
@@ -55,6 +56,25 @@ def _file_writes(tree):
     return found
 
 
+def _linalg_uses(tree):
+    """(name, line) of every call to a function of an attribute named
+    ``linalg`` (np.linalg.det, numpy.linalg.qr) and of every import of
+    numpy.linalg or of a name from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if isinstance(owner, ast.Attribute) and owner.attr == "linalg":
+                found.append((node.func.attr, node.lineno))
+        elif isinstance(node, ast.Import):
+            found += [(a.name, node.lineno) for a in node.names if a.name == "numpy.linalg"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module == "numpy.linalg"
+                or node.module == "numpy" and any(a.name == "linalg" for a in node.names)):
+            found.append((node.module, node.lineno))
+    return found
+
+
 def test_cli_reads_no_private_name_of_the_package():
     assert _private_reads(_tree(cli)) == []
 
@@ -69,6 +89,10 @@ def test_design_writes_no_file():
     assert _file_writes(_tree(design)) == []
 
 
+def test_design_calls_no_linear_algebra():
+    assert _linalg_uses(_tree(design)) == []
+
+
 def test_the_scans_see_what_they_forbid():
     tree = ast.parse("import csv\n"
                      "from nusample import design as d\n"
@@ -79,3 +103,15 @@ def test_the_scans_see_what_they_forbid():
     assert sorted(_private_reads(tree)) == [("_geometric_obstacle", 5),
                                             ("_overflow", 3), ("_x", 5)]
     assert _file_writes(tree) == [("csv", 1), ("open", 6)]
+
+
+def test_the_linalg_scan_sees_what_it_forbids():
+    tree = ast.parse("import numpy as np\n"
+                     "np.linalg.det(m)\n"
+                     "from numpy.linalg import qr\n"
+                     "from numpy import linalg\n"
+                     "import numpy.linalg\n"
+                     "np.linalg.norm\n"
+                     "np.cross(a, b)\n")
+    assert sorted(_linalg_uses(tree)) == [("det", 2), ("numpy", 4), ("numpy.linalg", 3),
+                                          ("numpy.linalg", 5)]

@@ -218,6 +218,9 @@ def _pinned_system(tmp_path, name):
     if name == "non_minimal":  # the second mode is unobservable: gram_det is nan
         return _system_file(tmp_path, name, ns.system_from_modes([(-0.3, 1), (-1.1, 1)],
                                                                  [1.0, 0.0]))
+    if name == "hadamard":  # Phi's row norms overflow from scale 80, det Phi from 110
+        spec = ns.system_from_modes([(1.0, 1), (-1.0, 1), (3.0, 1)], [1.0, 1.0, 1.0])
+        return _system_file(tmp_path, name, spec)
     assert name == "overflowing"  # e^{alpha} overflows past alpha = 709.78
     return _system_file(tmp_path, name, ns.system_from_modes([(1.0, 1), (-0.5, 1)],
                                                              [1.0, 1.0]))
@@ -236,6 +239,7 @@ PINNED = [
     ("non_minimal", 0.2, 2.0, 5, 6, 3, 1e-4),
     ("overflowing", 700.0, 800.0, 2, 50, 0, 1e-4),    # one row, then the error
     ("overflowing", 600.0, 760.0, 9, 4, 7, 1e-4),
+    ("hadamard", 60.0, 120.0, 7, 2, 0, 1e-4),
     *[(f"random{n}", 0.2, 1.5, 6, 5, n, 1e-3) for n in range(2, 9)],
 ]
 
@@ -264,6 +268,22 @@ def test_sweep_output_matches_per_scale_loop(capsys, monkeypatch, tmp_path, case
         assert (code, len(rows)) == (1, 4)
     if case[:3] == ("overflowing", 600.0, 760.0):  # 600 to 700, then 720 overflows
         assert (code, len(rows)) == (1, 6)
+    if case[0] == "hadamard":  # no threshold stops it: 60 to 100, then det Phi overflows
+        assert (code, len(rows)) == (1, 5)
+        assert err.startswith("error: the determinant of the basis matrix")
+
+
+def test_analyze_refuses_an_overflowing_threshold(capsys, tmp_path):
+    # analyze prints the threshold, so where the product of Phi's row norms
+    # overflows (scale 80 of the hadamard sweep) it exits 1, though det Phi
+    # is finite
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"instants": [0.0, 80.0, 160.0]}))
+    code, out, err = run(capsys, "analyze", "--system", _pinned_system(tmp_path, "hadamard"),
+                         "--instants", str(seq))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the determinant of the basis matrix or its threshold "
+                          "overflows a float")
 
 
 def test_sweep_small_blocks_match_per_scale_loop(capsys, monkeypatch, tmp_path):
