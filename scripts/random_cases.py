@@ -114,8 +114,22 @@ def random_admissible_case(rng, n, max_cond=1e6):
         report = ns.joint_test(ns.fundamental_matrix(spec.eigen, av))
         if not report.is_admissible:
             continue
-        cond = spectrum(np.stack([ns.bruteforce_controllability_matrix(spec, seq),
-                                  ns.bruteforce_observability_matrix(spec, av)]))[2]
+        # in the companion frame: G = B G_J and O = O_J B^{-1}
+        es = spec.eigen
+        cond = spectrum(np.stack([es.B @ ns.bruteforce_controllability_matrix(spec, seq),
+                                  ns.jordan_observability_matrix(spec, av) @ es.B_inv]))[2]
         if (cond < max_cond).all():
             return spec, seq
     raise RuntimeError("could not find an admissible, well-conditioned case")
+
+
+def theorem_cases(rng, cases, nmin=2, nmax=5):
+    """(index, spec, sequence-with-final) of ``cases`` draws of the theorem
+    study: an order in nmin..nmax, a minimal system, and a random sequence,
+    or every ninth case the half-turn sequence where the system has a
+    complex pair."""
+    for i in range(cases):
+        n = int(rng.integers(nmin, nmax + 1))
+        spec = random_minimal_spec(rng, n)
+        seq = pathological_sequence(spec, with_final=True) if i % 9 == 8 else None
+        yield i, spec, seq or random_sequence(rng, n, with_final=True)

@@ -11,6 +11,7 @@ from nusample.analysis import (
     bruteforce_observability_matrix,
     fundamental_matrix,
     joint_test,
+    jordan_observability_matrix,
 )
 from nusample.design import (
     DesignResult,
@@ -34,7 +35,6 @@ from nusample.simulate import (
     deadbeat_inputs,
     reconstruct_initial_state,
     simulate_impulse_train,
-    state_transition,
 )
 
 __version__ = "0.1.0"

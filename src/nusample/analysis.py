@@ -4,17 +4,19 @@ Builds the alpha vector (a tuple) and the basis matrix Phi (an array), decides
 joint n-reachability / n-observability from its determinant, quantifies the
 degree of orthogonality of the sampled mode vectors, checks the
 controllability-side determinant factorization, and builds the state-space
-matrices O and G as rank oracles.  Each matrix is one Jordan-flow call, built
-once.  O and G take the Jordan frame of the system's observability-canonical
-realization from its own constants: B and B^{-1} of the eigenstructure, y0 of
-the spec.  ``analyze`` makes two flow calls: Phi and the mode vectors.  Every
+matrices G and O as rank oracles.  Each matrix is one Jordan-flow call, built
+once, from the constants of the system's observability-canonical
+realization: G_J and O_J in its real Jordan frame from y0 of the spec and
+Phi's seed and D of the eigenstructure, and the companion frame's O = O_J
+B^{-1}, the one reader of B^{-1}, for ``sweep``'s noise column.
+``analyze`` makes two flow calls: Phi and the mode vectors.  Every
 vector norm and unit vector, the verdict's Hadamard row norms and the degree
 metrics' unit mode vectors among them, comes from ``unit_vectors``, the one
 code that scales vectors.  Every normalized Gram determinant (``analyze``'s,
 ``sweep``'s and every score of the design search) comes from ``unit_gram``,
 which reads it from a factor of the unit mode vectors.  Every singular
 value, condition number and numerical-rank decision (of Phi, the unit mode
-vectors, and the O and G that ``simulate`` solves against) comes from
+vectors, and the G_J and O_J that ``simulate`` solves against) comes from
 ``spectrum``, the one rank
 rule.  The factorization ratio takes one path, free of the scale of the
 modal coefficients: N1 is read from the Wronskian scale D, and N2 is carried
@@ -261,23 +263,39 @@ def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
 # ---------------------------------------------------------------------------
 # brute-force state-space oracles
 
-def bruteforce_controllability_matrix(spec: SystemSpec,
-                                      seq: SamplingSequence) -> np.ndarray:
-    """[G_{n-1}, ..., G_0] with G_i = exp(A (t_n - t_i)) b = B exp(J (t_n - t_i)) y0."""
+def _reach_intervals(spec: SystemSpec, seq: SamplingSequence) -> np.ndarray:
+    """t_n - t_i for i = n-1 .. 0, the intervals of the controllability
+    matrix's columns; raises ValueError without a final instant or without
+    one instant per state."""
     if seq.final_instant is None:
         raise ValueError("the controllability matrix needs the final instant t_n")
     if len(seq.instants) != spec.n:
         raise ValueError(f"need {spec.n} sampling instants, got {len(seq.instants)}")
-    dts = seq.final_instant - np.asarray(seq.instants[::-1])
-    return checked_flow(spec.eigen, spec.y0, dts, spec.eigen.B.T).T
+    return seq.final_instant - np.asarray(seq.instants[::-1])
+
+
+def bruteforce_controllability_matrix(spec: SystemSpec,
+                                      seq: SamplingSequence) -> np.ndarray:
+    """G_J = [G_{n-1}, ..., G_0] in the Jordan frame, G_i = exp(J (t_n - t_i))
+    y0; the companion frame's G_i = exp(A (t_n - t_i)) b is B G_i."""
+    return checked_flow(spec.eigen, spec.y0, _reach_intervals(spec, seq)).T
+
+
+def jordan_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> np.ndarray:
+    """O_J = [(c B) exp(J alpha_m)] = Phi D^{-1} in the Jordan frame, with D
+    the Wronskian scale.  The equality needs the observability-canonical
+    form, the only one the package works in: c = e_1, so c B is a one in
+    each block's first cell, whose flow is phi(alpha) D^{-1}.  R / D is a
+    signed permutation, entries +-1 exactly."""
+    es = spec.eigen
+    d, R = es._basis_seed
+    return checked_flow(es, d, av, R / es._wronskian_scale)
 
 
 def bruteforce_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> np.ndarray:
-    """Rows c exp(A alpha_m) = (c B) exp(J alpha_m) B^{-1} = Phi D^{-1} B^{-1},
-    with D the Wronskian scale.  The second equality needs the
-    observability-canonical form, the only one the package works in: c = e_1,
-    so c B is a one in each block's first cell, whose flow is phi(alpha)
-    D^{-1}.  R / D is a signed permutation, entries +-1 exactly."""
+    """Rows c exp(A alpha_m) = O_J B^{-1} in the companion frame, the frame of
+    ``sweep``'s noise column: one flow of Phi's seed through
+    (R / D) B^{-1}."""
     es = spec.eigen
     d, R = es._basis_seed
     return checked_flow(es, d, av, (R / es._wronskian_scale) @ es.B_inv)

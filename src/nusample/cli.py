@@ -227,19 +227,20 @@ def run_verify(args) -> int:
     if seq.final_instant is None:
         raise InputError("verify needs 'final_instant' for the controllability leg")
     rng = np.random.default_rng(args.seed)
-    x0 = rng.standard_normal(spec.n)
+    z0 = rng.standard_normal(spec.n)  # the initial state in the Jordan frame
     try:
-        inputs = simulate.deadbeat_inputs(spec, x0, seq)
-        x_end = simulate.simulate_impulse_train(spec, x0, seq, inputs)[-1]
-        av = analysis.alphas(seq)
-        outputs = simulate.state_transition(spec, x0, av)[:, 0]  # y = c x, c = e_1
-        x0_hat = simulate.reconstruct_initial_state(spec, outputs, av)
+        inputs = simulate.deadbeat_inputs(spec, z0, seq)
+        z_end = simulate.simulate_impulse_train(spec, z0, seq, inputs)[-1]
+        O = analysis.jordan_observability_matrix(spec, analysis.alphas(seq))
+        with np.errstate(over="ignore", invalid="ignore"):
+            outputs = O @ z0
+        z0_hat = simulate.reconstruct_initial_state(O, outputs)
     except RankDeficientError:
         print("inadmissible_sequence = yes")
         return EXIT_INADMISSIBLE
     # a residual far above 1 is a finite number whose square may overflow
     final, error, size = analysis.unit_vectors(
-        np.stack([x_end, x0_hat - x0, x0]), axis=-1)[2]
+        np.stack([z_end, z0_hat - z0, z0]), axis=-1)[2]
     residual_ctrl, residual_rec = float(final / size), float(error / size)
     print(f"deadbeat_residual = {fmt(residual_ctrl)}")
     print(f"reconstruction_residual = {fmt(residual_rec)}")

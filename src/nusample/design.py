@@ -341,7 +341,7 @@ def __getattr__(name):
     # perfbench/spans.py still wraps ``design.minimize_scalar`` when it
     # installs a trace, so scipy's optimizer is imported here only when asked
     # for and never by the runtime.  Delete this once the benchmark drops
-    # that binding (ROADMAP item 8).
+    # that binding (ROADMAP item 10).
     if name == "minimize_scalar":
         from scipy.optimize import minimize_scalar
         return minimize_scalar

@@ -25,14 +25,15 @@ confluent Vandermonde basis B with A B = B J, and B^{-1}; ``SystemSpec``
 holds y0 = B^{-1} b, the input vector in the Jordan frame.  The Wronskian at
 zero is B diag(D), so y0 is D times the real mode vector, in closed form;
 and the output row c flows as c B exp(J t) = phi(t) D^{-1}, so the
-observability matrix is Phi D^{-1} B^{-1}.  A and b themselves are never
-built.  Every exponential comes from one batched kernel, ``jordan_flow``:
-the flow exp(J alpha) d for a whole array of alphas and a stack of seeds d,
-with no n x n exponential.
-The basis, the mode vectors, O, G, the state transitions, the steps of an
-impulse train, the design grid and the third-order spiral (the flow of the
-normalized mode vector) all go through it; ``checked_flow`` raises
-DegenerateSamplingError on overflow.
+Jordan-frame observability matrix is O_J = Phi D^{-1}, and the companion
+frame's is O_J B^{-1}.  A and b themselves are never built, and B only for
+Markov parameters and the companion frame's O.  Every exponential comes
+from one batched kernel, ``jordan_flow``: the flow exp(J alpha) d for a
+whole array of alphas and a stack of seeds d, with no n x n exponential.
+The basis, the mode vectors, O_J, O, G_J, the free response of a deadbeat
+plan, the steps of an impulse train, the design grid and the third-order
+spiral (the flow of the normalized mode vector) all go through it;
+``checked_flow`` raises DegenerateSamplingError on overflow.
 """
 from __future__ import annotations
 
@@ -451,7 +452,7 @@ def __getattr__(name):
     # perfbench/spans.py still reads ``lti.scipy.linalg.block_diag`` when it
     # installs a trace, so ``scipy`` is imported here only when asked for and
     # never by the runtime.  Delete this once the benchmark drops that
-    # binding (ROADMAP item 8).
+    # binding (ROADMAP item 10).
     if name == "scipy":
         import scipy.linalg
         return scipy

@@ -21,7 +21,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 
-from nusample import analysis, fileio, simulate
+from nusample import analysis, fileio
 from nusample.errors import (
     DegenerateSamplingError,
     InputError,
@@ -456,19 +456,20 @@ def controllability_canonical(spec: SystemSpec) -> ControllabilityForm:
 
 def simulate_impulse_train(real: ObservabilityForm, x0, seq, inputs) -> list:
     """(time, side, state) of every checkpoint, the state carried as x:
-    each free flow is ``simulate.state_transition`` and each jump adds
-    b u_i, with b the realization's Markov vector."""
+    each free flow is ``expA`` of the realization's Jordan frame, one
+    ``exp_jordan`` matrix per interval, and each jump adds b u_i, with b the
+    realization's Markov vector."""
     x = np.asarray(x0, dtype=float)
     checkpoints = []
     t_prev = seq.instants[0]
     for ti, ui in zip(seq.instants, inputs):
-        x = simulate.state_transition(real.spec, x, ti - t_prev)
+        x = expA(real.jordan, ti - t_prev) @ x
         checkpoints.append((ti, "pre", x.copy()))
         x = x + real.b * ui
         checkpoints.append((ti, "post", x.copy()))
         t_prev = ti
     if seq.final_instant is not None:
-        x = simulate.state_transition(real.spec, x, seq.final_instant - t_prev)
+        x = expA(real.jordan, seq.final_instant - t_prev) @ x
         checkpoints.append((seq.final_instant, "pre", x.copy()))
     return checkpoints
 

@@ -19,9 +19,11 @@ from conftest import (
     random_minimal_spec,
     random_sequence,
 )
+import reference
 from reference import (
     confluent_vandermonde_real,
     controllability_jordan,
+    expA,
     fundamental_basis,
     observability_canonical,
     observability_matrix,
@@ -55,7 +57,8 @@ def _well_conditioned_spec(rng, n):
 def _ratios(spec, seq):
     av = ns.alphas(seq)
     M = ns.fundamental_matrix(spec.eigen, av)
-    G = ns.bruteforce_controllability_matrix(spec, seq)
+    # the companion frame, G = B G_J, whose cond(B) the draws bound
+    G = spec.eigen.B @ ns.bruteforce_controllability_matrix(spec, seq)
     O = ns.bruteforce_observability_matrix(spec, av)
     rs = [float(s[-1] / s[0]) for s in
           (np.linalg.svd(X, compute_uv=False) for X in (M, G, O))]
@@ -142,6 +145,7 @@ def test_acceptance_3_pathological_sampling():
         assert not report.is_admissible
         assert spectrum(ns.bruteforce_controllability_matrix(spec, seq))[3]
         assert spectrum(ns.bruteforce_observability_matrix(spec, av))[3]
+        assert spectrum(ns.jordan_observability_matrix(spec, av))[3]
     print("ACCEPTANCE 3 pathological sampling (b in {0.5, 1, 2}): PASS")
 
 
@@ -179,15 +183,21 @@ def test_acceptance_5_deadbeat_and_reconstruction():
         n = int(rng.integers(1, 6))
         spec, seq = random_admissible_case(rng, n)
         real = observability_canonical(spec)
-        x0 = rng.standard_normal(n)
-        inputs = ns.deadbeat_inputs(spec, x0, seq)
-        states = ns.simulate_impulse_train(spec, x0, seq, inputs)
-        assert np.linalg.norm(states[-1]) <= 1e-8 * np.linalg.norm(x0)
+        jf = real.jordan
+        # the simulation runs in the Jordan frame z; x = B z is the state
+        # of the state-frame route
+        z0 = rng.standard_normal(n)
+        x0 = jf.B @ z0
+        inputs = ns.deadbeat_inputs(spec, z0, seq)
+        states = ns.simulate_impulse_train(spec, z0, seq, inputs)
+        assert np.linalg.norm(states[-1]) <= 1e-8 * np.linalg.norm(z0)
+        x_end = reference.simulate_impulse_train(real, x0, seq, inputs)[-1][2]
+        assert np.linalg.norm(x_end) <= 1e-8 * np.linalg.norm(x0)
         av = ns.alphas(seq)
-        y = np.array([float(real.c @ ns.state_transition(spec, x0, a))
-                      for a in av])
-        xr = ns.reconstruct_initial_state(spec, y, av)
-        assert np.linalg.norm(xr - x0) <= 1e-8 * np.linalg.norm(x0)
+        y = np.array([float(real.c @ expA(jf, a) @ x0) for a in av])
+        zr = ns.reconstruct_initial_state(ns.jordan_observability_matrix(spec, av), y)
+        assert np.linalg.norm(zr - z0) <= 1e-8 * np.linalg.norm(z0)
+        assert np.linalg.norm(jf.B @ zr - x0) <= 1e-8 * np.linalg.norm(x0)
     print("ACCEPTANCE 5 deadbeat & reconstruction round trips (100 cases): PASS")
 
 
@@ -234,6 +244,7 @@ def test_acceptance_6_geometric_design():
 def test_acceptance_7_sensitivity_ordering():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
     real = observability_canonical(spec)
+    jf = real.jordan
     av_opt = ns.alphas(ns.SamplingSequence((0.0, math.pi / 2)))
     av_bad = ns.alphas(ns.SamplingSequence((0.0, 0.99 * math.pi)))
     eps = 1e-4
@@ -244,10 +255,10 @@ def test_acceptance_7_sensitivity_ordering():
         noise = rng.normal(0.0, eps, 2)  # shared between the paired sequences
         errs = []
         for av in (av_opt, av_bad):
-            y = np.array([float(real.c @ ns.state_transition(spec, x0, a))
-                          for a in av])
-            xh = ns.reconstruct_initial_state(spec, y + noise, av)
-            errs.append(np.linalg.norm(xh - x0))
+            y = np.array([float(real.c @ expA(jf, a) @ x0) for a in av])
+            zh = ns.reconstruct_initial_state(ns.jordan_observability_matrix(spec, av),
+                                              y + noise)
+            errs.append(np.linalg.norm(jf.B @ zh - x0))
         wins += errs[0] < errs[1]
     assert wins >= 190  # >= 95% of 200
     print(f"ACCEPTANCE 7 sensitivity ordering ({wins}/200 paired wins): PASS")

@@ -116,8 +116,9 @@ def test_joint_test_matches_bruteforce_rank():
         seq = random_sequence(rng, n, with_final=True)
         av = ns.alphas(seq)
         report = ns.joint_test(ns.fundamental_matrix(spec.eigen, av))
+        # the runtime's oracles, in the Jordan frame
         G = ns.bruteforce_controllability_matrix(spec, seq)
-        O = ns.bruteforce_observability_matrix(spec, av)
+        O = ns.jordan_observability_matrix(spec, av)
         sg = np.linalg.svd(G, compute_uv=False)
         so = np.linalg.svd(O, compute_uv=False)
         det_ratio = abs(report.determinant) / report.threshold
@@ -138,19 +139,20 @@ def test_bruteforce_rank_drop_oscillator():
     seq = ns.SamplingSequence((0.0, math.pi), final_instant=2 * math.pi)
     G = ns.bruteforce_controllability_matrix(spec, seq)
     O = ns.bruteforce_observability_matrix(spec, ns.alphas(seq))
+    O_J = ns.jordan_observability_matrix(spec, ns.alphas(seq))
     # 2 x 2, so deficient and nonzero is rank 1
-    _, smax, _, deficient = analysis.spectrum(np.stack([G, O]))
+    _, smax, _, deficient = analysis.spectrum(np.stack([G, O, O_J]))
     assert deficient.all() and (smax > 0).all()
 
 
 def test_bruteforce_controllability_columns():
-    # integrator chain roots {0, -1}: G_i = exp(A (t2 - t_i)) b, columns in
-    # reverse time order
+    # integrator chain roots {0, -1}: G_i = exp(A (t2 - t_i)) b = B G_J,i,
+    # columns in reverse time order
     spec = ns.system_from_modes([(0, 1), (-1, 1)], [1.0, 1.0])
     real = observability_canonical(spec)
     seq = ns.SamplingSequence((0.0, 1.0), final_instant=2.0)
-    G = ns.bruteforce_controllability_matrix(spec, seq)
     jf = real.jordan
+    G = jf.B @ ns.bruteforce_controllability_matrix(spec, seq)
     assert np.allclose(G[:, 0], expA(jf, 1.0) @ real.b)
     assert np.allclose(G[:, 1], expA(jf, 2.0) @ real.b)
 
@@ -212,8 +214,10 @@ def test_degree_vectors_not_finite_or_zero(column):
 
 
 def test_stacked_helpers_give_each_matrix_its_own_bits():
-    # the sweep runs the helpers of joint_test, degree_metrics_from_vectors
-    # and solve_checked over stacks; analyze and verify run them on one matrix
+    # the sweep runs the helpers of joint_test and degree_metrics_from_vectors
+    # over stacks, and the rank rule of solve_checked (spectrum of the rows
+    # scaled to unit norm) holds over a stack too; analyze and verify run
+    # them on one matrix
     rng = np.random.default_rng(31)
     seen = set()
     for n in (2, 5, 8, 10):
@@ -224,7 +228,8 @@ def test_stacked_helpers_give_each_matrix_its_own_bits():
         av = np.array([ns.alphas(seq) for seq in seqs])
         det, smin, cond = analysis.joint_arrays(ns.fundamental_matrix(spec.eigen, av))
         gram = analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
-        deficient = analysis.spectrum(ns.bruteforce_observability_matrix(spec, av))[3]
+        O = ns.jordan_observability_matrix(spec, av)
+        deficient = analysis.spectrum(analysis.unit_vectors(O, axis=-1)[0])[3]
         seen.update(deficient.tolist())
         for p, seq in enumerate(seqs):
             a = ns.alphas(seq)
@@ -232,9 +237,9 @@ def test_stacked_helpers_give_each_matrix_its_own_bits():
             assert (det[p], smin[p], cond[p]) == (
                 single.determinant, single.sigma_min, single.condition_number)
             assert gram[p] == _degree(spec, a).normalized_gram_det
-            O = ns.bruteforce_observability_matrix(spec, a)
+            O = ns.jordan_observability_matrix(spec, a)
             try:
-                simulate.solve_checked(O, np.ones(n), "O")
+                simulate.solve_checked(O, np.ones(n), "O", axis=-1)
             except RankDeficientError:
                 assert deficient[p]
             else:

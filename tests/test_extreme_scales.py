@@ -2,12 +2,13 @@
 
 On roots 1 and -0.5 at instants [0, 355] or [0, 700], and on roots 1 and 2
 at [0, 200], the row-normalized basis matrix has sigma_min / sigma_max =
-sqrt(2) - 1 to 60 digits, so the right verdict is "admissible".  The
-verdict's readers still apply the scale e^{Re lambda alpha} before they
-measure, and two of them lose the case: ``verify`` calls it inadmissible,
-and ``analyze`` prints a zero sigma_min beside its admissible verdict.  The
-pins below are strict xfails, so the change that mends them must remove
-the marker.
+sqrt(2) - 1 to 60 digits, so the right verdict is "admissible".  ``verify``
+agrees on the first two: it solves in the Jordan frame, against G_J and O_J
+with their columns and rows scaled to unit norm (sigma ratios 0.110 and
+0.414, where the raw matrices read 1e-155 and 1e-305).  ``analyze`` still
+applies the scale e^{Re lambda alpha} before it measures, and prints a zero
+sigma_min beside its admissible verdict on the third; that pin is a strict
+xfail, so the change that mends it must remove the marker.
 """
 import json
 import math
@@ -53,9 +54,6 @@ def test_row_normalized_basis_is_well_conditioned(roots, instants, final):
         assert abs(ratio - (mpmath.sqrt(2) - 1)) <= 1e-15
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="verify solves against the unscaled controllability "
-                          "matrix (cond 8.9e154 and 6.1e304) and calls it singular")
 @pytest.mark.parametrize("roots, instants, final", CASES[:2], ids=IDS[:2])
 def test_analyze_and_verify_agree_on_an_admissible_case(capsys, tmp_path, roots,
                                                          instants, final):

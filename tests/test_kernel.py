@@ -1,7 +1,7 @@
 """The batched Jordan-flow kernel against the per-alpha matrix routes, the
-basis, O, G, the Jordan-frame output rows and the state transitions it
-builds against the same routes, the batched design grid against the scalar
-score, and how often each command builds the Jordan form and each matrix."""
+basis, O, G and the Jordan-frame output rows it builds against the same
+routes, the batched design grid against the scalar score, and how often each
+command builds the Jordan form and each matrix and calls the flow."""
 import ast
 import math
 import warnings
@@ -144,10 +144,11 @@ def _close(got, ref):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_state_space_matrices_match_per_alpha_routes(n):
     # O, G and the Jordan-frame output rows against exp_jordan (through expA)
-    # and expm.  O = Phi D^{-1} B^{-1} needs c B = a one in each block's first
-    # cell, which holds for the observability form, the one the runtime
-    # works in; G's flow, B exp(J dt) y0, is checked in the controllability
-    # form's frame too.
+    # and expm.  O_J = Phi D^{-1} and O = O_J B^{-1} need c B = a one in each
+    # block's first cell, which holds for the observability form, the one the
+    # runtime works in; so do verify's outputs, O_J z0.  G = B G_J, with
+    # G_J's flow exp(J dt) y0, is checked in the controllability form's frame
+    # too.
     rng = np.random.default_rng(60 + n)
     for _ in range(3):
         spec = random_minimal_spec(rng, n)
@@ -163,7 +164,7 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         assert _close(O, np.array([ob.c @ scipy.linalg.expm(ob.A * a) for a in av]))
         dts = [seq.final_instant - t for t in reversed(seq.instants)]
         co = controllability_canonical(spec)
-        for real, G in ((ob, ns.bruteforce_controllability_matrix(spec, seq)),
+        for real, G in ((ob, es.B @ ns.bruteforce_controllability_matrix(spec, seq)),
                         (co, lti.checked_flow(es, co.jordan.y0, dts, co.jordan.B.T).T)):
             jf = real.jordan
             assert _close(G, np.column_stack([expA(jf, dt) @ real.b for dt in dts]))
@@ -173,6 +174,7 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         J = jordan_matrix(es)
         assert _close(OJ, np.array([leading @ exp_jordan(es, a) for a in av]))
         assert _close(OJ, np.array([leading @ scipy.linalg.expm(J * a) for a in av]))
+        assert _close(ns.jordan_observability_matrix(spec, av), OJ)
 
 
 MATH_MODULES = {"math", "cmath", "numpy"}
@@ -231,20 +233,23 @@ def test_runtime_has_no_per_alpha_exponential():
 
 
 def test_batched_state_transition_matches_scalar_calls():
+    # the free response of a Jordan-frame state, as the deadbeat plan flows it
     rng = np.random.default_rng(12)
     spec = random_minimal_spec(rng, 6)
-    x = rng.standard_normal(6)
+    z = rng.standard_normal(6)
     dts = rng.uniform(0.0, 3.0, 7)
-    batched = ns.state_transition(spec, x, dts)
+    batched = lti.checked_flow(spec.eigen, z, dts)
     assert batched.shape == (7, 6)
-    scalar = np.array([ns.state_transition(spec, x, dt) for dt in dts])
+    scalar = np.array([lti.checked_flow(spec.eigen, z, dt) for dt in dts])
     assert np.max(np.abs(batched - scalar)) <= 1e-14 * np.max(np.abs(scalar))
 
 
 @pytest.mark.parametrize("build", [
     lambda spec, seq: ns.bruteforce_observability_matrix(spec, ns.alphas(seq)),
     lambda spec, seq: ns.bruteforce_controllability_matrix(spec, seq),
-    lambda spec, seq: ns.state_transition(spec, np.ones(2), seq.instants),
+    lambda spec, seq: ns.jordan_observability_matrix(spec, ns.alphas(seq)),
+    lambda spec, seq: ns.deadbeat_inputs(spec, np.ones(2), seq),
+    lambda spec, seq: ns.simulate_impulse_train(spec, np.ones(2), seq, [0.0, 0.0]),
     lambda spec, seq: ns.fundamental_matrix(spec.eigen, ns.alphas(seq)),
 ])
 def test_overflowing_flow_raises_degenerate_sampling(build):
@@ -358,12 +363,18 @@ def _count_jordan_frame(monkeypatch):
 
 
 def test_realization_builds_jordan_form_once(monkeypatch):
+    # the Jordan-frame matrices and the simulation never read B; the
+    # companion frame's O builds B and B^{-1} once
     builds = _count_jordan_frame(monkeypatch)
     spec = random_minimal_spec(np.random.default_rng(8), 4)
     seq = ns.SamplingSequence((0.0, 0.4, 1.1, 1.5), final_instant=2.0)
+    av = ns.alphas(seq)
     ns.bruteforce_controllability_matrix(spec, seq)
-    ns.bruteforce_observability_matrix(spec, ns.alphas(seq))
-    ns.state_transition(spec, np.ones(4), 0.3)
+    ns.jordan_observability_matrix(spec, av)
+    ns.simulate_impulse_train(spec, np.ones(4), seq, np.ones(4))
+    assert [len(calls) for calls in builds] == [0, 0]
+    for _ in range(2):
+        ns.bruteforce_observability_matrix(spec, av)
     assert spec.eigen.B is spec.eigen.B
     assert [len(calls) for calls in builds] == [1, 1]
 
@@ -375,11 +386,23 @@ def test_realization_builds_jordan_form_once(monkeypatch):
      "--instants", str(DATA / "third_sequence.json"), "--seed", "1"],
 ])
 def test_commands_build_jordan_form_once(monkeypatch, capsys, argv):
-    # each command loads one system, so it builds B and B^{-1} once
+    # each command loads one system, so the sweep's companion-frame O builds
+    # B and B^{-1} once; verify runs in the Jordan frame of a file of modal
+    # coefficients, so it builds neither
     builds = _count_jordan_frame(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
-    assert [len(calls) for calls in builds] == [1, 1]
+    assert [len(calls) for calls in builds] == ([0, 0] if argv[0] == "verify" else [1, 1])
+
+
+def test_verify_makes_three_flow_calls(monkeypatch, capsys):
+    # one over t_n - t_i for the seeds (y0, z0), one for the train's steps,
+    # one over alpha for O_J, whose product with z0 gives the outputs
+    flows = count_calls(monkeypatch, lti.jordan_flow, (lti, analysis, simulate, ns))
+    assert main(["verify", "--system", str(DATA / "third_order.json"),
+                 "--instants", str(DATA / "third_sequence.json"), "--seed", "1"]) == 0
+    assert "verified = yes" in capsys.readouterr().out
+    assert len(flows) == 3
 
 
 def test_analyze_of_a_markov_file_never_inverts_b(monkeypatch, capsys):

@@ -463,6 +463,8 @@ def test_minimality_multiple_root_highest_coefficient():
     (ns, "ImpulsePlan"),
     (ns, "Trajectory"),
     (ns.simulate, "Checkpoint"),
+    (ns, "state_transition"),
+    (ns.simulate, "state_transition"),
     (ns.design, "export_geometry_csv"),
     (ns.design.GeometryTrace, "surface_exponent"),
 ])
@@ -471,7 +473,8 @@ def test_removed_api_is_gone(owner, name):
     # owns, and the CLI reaches no root finder, companion form, Jordan-matrix
     # builder or trajectory export; O, the Wronskian and N2 have no second
     # builder, the degree and factorization checks no public wrapper, an
-    # impulse train takes and returns plain arrays, the CLI writes the
+    # impulse train takes and returns plain arrays in the Jordan frame, with
+    # no state transition of the companion frame, the CLI writes the
     # geometry CSV, and the trace carries no field that nothing reads
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):

@@ -1,11 +1,12 @@
 """Module boundaries, read from the source: the CLI and the scripts reach the
-package only through public names, and the design module computes without
+package only through public names, the design module computes without
 writing a file (the CLI writes every output) and without linear algebra of
-its own (``analysis.unit_gram`` scores every candidate)."""
+its own (``analysis.unit_gram`` scores every candidate), and the simulation
+runs in the Jordan frame without the companion basis B or its inverse."""
 import ast
 from pathlib import Path
 
-from nusample import cli, design
+from nusample import cli, design, simulate
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -73,6 +74,26 @@ def _linalg_uses(tree):
                 or node.module == "numpy" and any(a.name == "linalg" for a in node.names)):
             found.append((node.module, node.lineno))
     return found
+
+
+def _attribute_reads(tree, names):
+    """(name, line) of every attribute read whose name is in ``names``."""
+    return [(node.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in names]
+
+
+COMPANION_BASIS = {"B", "B_inv"}
+
+
+def test_simulate_reads_no_companion_basis():
+    assert _attribute_reads(_tree(simulate), COMPANION_BASIS) == []
+
+
+def test_the_attribute_scan_sees_what_it_forbids():
+    tree = ast.parse("es.B @ x\n"
+                     "spec.eigen.B_inv.T\n"
+                     "es.Bx + B\n")
+    assert sorted(_attribute_reads(tree, COMPANION_BASIS)) == [("B", 1), ("B_inv", 2)]
 
 
 def test_cli_reads_no_private_name_of_the_package():

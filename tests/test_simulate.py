@@ -8,34 +8,50 @@ import nusample as ns
 from nusample.errors import DegenerateSamplingError, RankDeficientError
 from conftest import random_admissible_case, random_minimal_spec, random_sequence
 import reference
-from reference import impulse_response, observability_canonical
+from reference import expA, impulse_response, observability_canonical
+
+# Every state the simulation takes and returns is in the real Jordan frame z;
+# the checks below carry it to the companion state x = B z and compare it with
+# the state-frame route of tests/reference.py (expA, one exp_jordan matrix per
+# interval, and the Markov vector b).
 
 
 def _oscillator():
     return ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
 
 
+def _free_state(spec, z0, t):
+    """The Jordan-frame state z0 flowed freely for t > 0 by the impulse
+    train: one instant with no input, then the final instant."""
+    seq = ns.SamplingSequence((0.0,), final_instant=t)
+    return ns.simulate_impulse_train(spec, z0, seq, [0.0])[-1]
+
+
 # ---------------------------------------------------------------------------
-# state transition
+# state transition: the free flow of the train
 
 def test_transition_dt_zero_is_identity():
-    x = np.array([0.3, -0.7])
-    assert np.allclose(ns.state_transition(_oscillator(), x, 0.0), x)
+    # the first step of a train flows z0 to t_0 itself
+    z = np.array([0.3, -0.7])
+    seq = ns.SamplingSequence((0.0,), final_instant=1.0)
+    assert np.allclose(ns.simulate_impulse_train(_oscillator(), z, seq, [0.0])[0], z)
 
 
 def test_transition_quarter_rotation():
     # A_ob = [[0,1],[-1,0]] rotates the state clockwise in this convention
-    x = np.array([1.0, 0.0])
-    y = ns.state_transition(_oscillator(), x, math.pi / 2)
-    assert y == pytest.approx([0.0, -1.0], abs=1e-12)
+    spec = _oscillator()
+    jf = observability_canonical(spec).jordan
+    z = _free_state(spec, jf.B_inv @ np.array([1.0, 0.0]), math.pi / 2)
+    assert jf.B @ z == pytest.approx([0.0, -1.0], abs=1e-12)
 
 
 def test_transition_semigroup():
     rng = np.random.default_rng(2)
     spec = random_minimal_spec(rng, 4)
-    x = rng.standard_normal(4)
-    one = ns.state_transition(spec, ns.state_transition(spec, x, 0.4), 0.9)
-    two = ns.state_transition(spec, x, 1.3)
+    z = rng.standard_normal(4)
+    seq = ns.SamplingSequence((0.0, 0.4), final_instant=1.3)
+    one = ns.simulate_impulse_train(spec, z, seq, [0.0, 0.0])[-1]
+    two = _free_state(spec, z, 1.3)
     assert np.allclose(one, two, rtol=1e-10, atol=1e-12)
 
 
@@ -62,10 +78,36 @@ def test_deadbeat_reaches_origin():
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 4, 5):
         spec, seq = random_admissible_case(rng, n)
-        x0 = rng.standard_normal(n)
-        inputs = ns.deadbeat_inputs(spec, x0, seq)
-        states = ns.simulate_impulse_train(spec, x0, seq, inputs)
-        assert np.linalg.norm(states[-1]) < 1e-8 * max(1.0, np.linalg.norm(x0))
+        real = observability_canonical(spec)
+        z0 = rng.standard_normal(n)
+        inputs = ns.deadbeat_inputs(spec, z0, seq)
+        states = ns.simulate_impulse_train(spec, z0, seq, inputs)
+        assert np.linalg.norm(states[-1]) < 1e-8 * max(1.0, np.linalg.norm(z0))
+        # the same inputs drive x0 = B z0 to the origin in the state frame
+        x0 = real.jordan.B @ z0
+        x_end = reference.simulate_impulse_train(real, x0, seq, inputs)[-1][2]
+        assert np.linalg.norm(x_end) < 1e-8 * max(1.0, np.linalg.norm(x0))
+
+
+def test_deadbeat_solves_against_the_controllability_matrix(monkeypatch):
+    # the stacked flow's G_J is the controllability builder's, bit for bit,
+    # and its right-hand side exp(J (t_n - t_0)) z0 is the free response
+    rng = np.random.default_rng(9)
+    spec, seq = random_admissible_case(rng, 4)
+    z0 = rng.standard_normal(4)
+    seen = []
+
+    def solve(M, rhs, what, axis):
+        seen.append((M, rhs, axis))
+        return np.zeros(len(rhs))
+
+    monkeypatch.setattr(ns.simulate, "solve_checked", solve)
+    ns.deadbeat_inputs(spec, z0, seq)
+    (G, rhs, axis), = seen
+    assert np.array_equal(G, ns.bruteforce_controllability_matrix(spec, seq))
+    assert axis == -2  # columns scaled to unit norm
+    free = _free_state(spec, z0, seq.final_instant - seq.instants[0])
+    assert np.allclose(-rhs, free, rtol=1e-13, atol=1e-13)
 
 
 def test_deadbeat_rejects_missing_final_instant():
@@ -89,16 +131,16 @@ def test_deadbeat_pathological_raises_with_diagnostics():
 # simulation details
 
 def test_free_response_matches_closed_form():
-    # zero inputs: trajectory is just exp(A t) x0, and the output history is
-    # the appropriately weighted combination of the basis functions
+    # zero inputs: the trajectory is just exp(A t) x0, with x = B z
     spec = _oscillator()
+    jf = observability_canonical(spec).jordan
     x0 = np.array([1.0, 0.0])
     seq = ns.SamplingSequence((0.0, 0.7), final_instant=1.5)
-    states = ns.simulate_impulse_train(spec, x0, seq, [0.0, 0.0])
+    states = ns.simulate_impulse_train(spec, jf.B_inv @ x0, seq, [0.0, 0.0])
     times = (0.0, 0.0, 0.7, 0.7, 1.5)  # row 2k, 2k+1: instant k; last row: t_n
     assert len(states) == len(times)
-    for x, t in zip(states, times):
-        assert np.allclose(x, ns.state_transition(spec, x0, t), atol=1e-12)
+    for z, t in zip(states, times):
+        assert np.allclose(jf.B @ z, expA(jf, t) @ x0, atol=1e-12)
 
 
 def test_impulse_from_rest_reproduces_impulse_response():
@@ -107,9 +149,9 @@ def test_impulse_from_rest_reproduces_impulse_response():
         spec = random_minimal_spec(rng, n)
         real = observability_canonical(spec)
         seq = ns.SamplingSequence((0.0,) , final_instant=None)
-        x_post = ns.simulate_impulse_train(spec, np.zeros(n), seq, [1.0])[-1]
+        z_post = ns.simulate_impulse_train(spec, np.zeros(n), seq, [1.0])[-1]
         for t in (0.3, 1.1, 2.4):
-            y = real.c @ ns.state_transition(spec, x_post, t)
+            y = real.c @ expA(real.jordan, t) @ real.jordan.B @ z_post
             assert y == pytest.approx(impulse_response(spec, t),
                                       rel=1e-9, abs=1e-12)
 
@@ -125,13 +167,13 @@ def test_jordan_frame_train_matches_the_state_frame_loop(n):
         seq = random_sequence(rng, n, with_final=True)
         x0 = rng.standard_normal(n)
         inputs = rng.standard_normal(n)
-        got = ns.simulate_impulse_train(spec, x0, seq, inputs)
+        got = ns.simulate_impulse_train(spec, real.jordan.B_inv @ x0, seq, inputs)
         old = reference.simulate_impulse_train(real, x0, seq, inputs)
         assert got.shape == (len(old), n)
         scale = max([np.linalg.norm(x0)] + [np.max(np.abs(x)) for _, _, x in old])
         tol = 4 * (n + 1) * np.finfo(float).eps * real.jordan.condition_number * scale
         for state, (_, _, x) in zip(got, old):
-            assert np.max(np.abs(state - x)) <= tol
+            assert np.max(np.abs(real.jordan.B @ state - x)) <= tol
 
 
 def test_overflowing_state_raises():
@@ -144,16 +186,18 @@ def test_overflowing_state_raises():
 
 def test_checkpoint_structure():
     spec = _oscillator()
+    real = observability_canonical(spec)
+    B = real.jordan.B
     seq = ns.SamplingSequence((0.0, 1.0), final_instant=2.0)
     states = ns.simulate_impulse_train(spec, np.zeros(2), seq, [0.5, -0.5])
     # rows: pre and post at t_0, pre and post at t_1, pre at the final instant
     assert states.shape == (5, 2)
-    b = observability_canonical(spec).b
-    # the impulse jump is exactly b * u
-    assert np.allclose(states[1] - states[0], b * 0.5)
-    assert np.allclose(states[2], ns.state_transition(spec, states[1], 1.0))
-    assert np.allclose(states[3] - states[2], b * -0.5)
-    assert np.allclose(states[4], ns.state_transition(spec, states[3], 1.0))
+    # the impulse jump is exactly y0 * u, which is B^{-1} b * u
+    assert np.array_equal(states[1] - states[0], spec.y0 * 0.5)
+    assert np.allclose(B @ (states[1] - states[0]), real.b * 0.5)
+    assert np.allclose(B @ states[2], expA(real.jordan, 1.0) @ B @ states[1])
+    assert np.allclose(B @ (states[3] - states[2]), real.b * -0.5)
+    assert np.allclose(B @ states[4], expA(real.jordan, 1.0) @ B @ states[3])
 
 
 @pytest.mark.parametrize("inputs", [[0.5, np.nan], [0.5, np.inf], [0.5], [0.5, -0.5, 0.0],
@@ -174,15 +218,16 @@ def test_reconstruction_round_trip():
         spec, seq = random_admissible_case(rng, n)
         real = observability_canonical(spec)
         av = ns.alphas(seq)
-        x0 = rng.standard_normal(n)
-        outputs = np.array([real.c @ ns.state_transition(spec, x0, a)
+        z0 = rng.standard_normal(n)
+        # the outputs of x0 = B z0, sampled through the state frame
+        outputs = np.array([real.c @ expA(real.jordan, a) @ real.jordan.B @ z0
                             for a in av])
-        xr = ns.reconstruct_initial_state(spec, outputs, av)
-        assert np.linalg.norm(xr - x0) < 1e-8 * max(1.0, np.linalg.norm(x0))
+        zr = ns.reconstruct_initial_state(ns.jordan_observability_matrix(spec, av), outputs)
+        assert np.linalg.norm(zr - z0) < 1e-8 * max(1.0, np.linalg.norm(z0))
 
 
 def test_reconstruction_pathological_raises():
     av = ns.alphas(ns.SamplingSequence((0.0, math.pi)))
     with pytest.raises(RankDeficientError):
-        ns.reconstruct_initial_state(_oscillator(), [0.0, 0.0], av)
-
+        ns.reconstruct_initial_state(ns.jordan_observability_matrix(_oscillator(), av),
+                                     [0.0, 0.0])

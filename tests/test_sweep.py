@@ -18,7 +18,7 @@ from nusample import analysis, cli, fileio, lti, simulate
 from nusample.cli import main
 import reference
 from conftest import count_calls, random_minimal_spec, random_sequence
-from reference import observability_canonical
+from reference import expA, observability_canonical
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,8 +42,9 @@ def _case(seed, n):
 @pytest.mark.parametrize("shape", [(), (4,), (6,), (4, 3), (6, 2), (5, 2, 2), (5, 7)])
 def test_reconstruction_rejects_wrong_shapes(shape):
     _, spec, av = _case(12, 5)
+    O = ns.jordan_observability_matrix(spec, av)
     with pytest.raises(ValueError):
-        simulate.reconstruct_initial_state(spec, np.zeros(shape), av)
+        simulate.reconstruct_initial_state(O, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -51,15 +52,15 @@ def test_reconstruction_rejects_wrong_shapes(shape):
 
 def _per_trial_amplification(spec, real, av, eps, trials, rng):
     """Reference: each trial propagates its own x0 one alpha at a time and
-    solves its own system, with an O built column by column from the flow."""
+    solves its own system, with an O built column by column from the
+    state-frame flow, ``expA`` of the companion realization's Jordan frame
+    (the frame of the sweep's noise column)."""
     n = spec.n
-    O = np.array([[real.c @ simulate.state_transition(spec, e, a) for e in np.eye(n)]
-                  for a in av])
+    O = np.array([[real.c @ expA(real.jordan, a) @ e for e in np.eye(n)] for a in av])
     errors = []
     for _ in range(trials):
         x0 = rng.standard_normal(n)
-        outputs = np.array([float(real.c @ simulate.state_transition(spec, x0, a))
-                            for a in av])
+        outputs = np.array([float(real.c @ expA(real.jordan, a) @ x0) for a in av])
         noisy = outputs + rng.normal(0.0, eps, n)
         errors.append(float(np.linalg.norm(np.linalg.solve(O, noisy) - x0)))
     return float(np.median(errors)) / eps
@@ -117,7 +118,10 @@ def test_sweep_half_period_oscillator_is_inf(capsys):
 @pytest.mark.parametrize("system", ["third_order.json", "oscillator.json"])
 def test_sweep_cost_does_not_grow_with_trials(monkeypatch, capsys, system):
     flow_calls = count_calls(monkeypatch, lti.jordan_flow, (lti, analysis, simulate, ns))
-    transitions = count_calls(monkeypatch, simulate.state_transition, (simulate, ns))
+    # the sweep solves its own stack: no per-trial simulation or solve
+    simulations = [count_calls(monkeypatch, fn, (simulate, ns)) for fn in (
+        simulate.simulate_impulse_train, simulate.reconstruct_initial_state,
+        simulate.solve_checked)]
     per_command = []
     for trials in (3, 30):
         flow_calls.clear()
@@ -127,7 +131,7 @@ def test_sweep_cost_does_not_grow_with_trials(monkeypatch, capsys, system):
         assert code == 0
         per_command.append(len(flow_calls))
     assert per_command[0] == per_command[1] > 0
-    assert transitions == []
+    assert simulations == [[], [], []]
 
 
 def test_sweep_checks_minimality_once(monkeypatch, capsys):
