@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Empirical agreement study between the determinant-based joint test and the
-brute-force controllability/observability rank oracles over random systems
-and random sampling sequences.
+"""Empirical agreement study between the joint test (``joint_test``'s verdict,
+read from the row-normalized basis matrix Phi) and the brute-force
+controllability/observability rank oracles over random systems and random
+sampling sequences.
 
 The oracles are read in two frames.  The Jordan frame is the runtime's:
 G_J = ``bruteforce_controllability_matrix`` and O_J =
@@ -48,12 +49,12 @@ def main():
         es = spec.eigen
         G_J = ns.bruteforce_controllability_matrix(spec, seq)
         O_J = ns.jordan_observability_matrix(spec, av)
-        smin, smax, _, deficient = spectrum(np.stack([
-            ns.fundamental_matrix(es, av), G_J, O_J, es.B @ G_J, O_J @ es.B_inv]))
-        ratios = (smin / smax).tolist()
-        verdict = not deficient[0]
+        joint = ns.joint_test(ns.fundamental_matrix(es, av))
+        smin, smax, _, deficient = spectrum(np.stack([G_J, O_J, es.B @ G_J, O_J @ es.B_inv]))
+        ratios = [1.0 / joint.condition_number, *(smin / smax).tolist()]
+        verdict = joint.is_admissible
         for k, frame in enumerate(FRAMES):
-            oracle = not (deficient[1 + 2 * k] or deficient[2 + 2 * k])
+            oracle = not (deficient[2 * k] or deficient[2 * k + 1])
             frame_ratios = [ratios[0], *ratios[1 + 2 * k:3 + 2 * k]]
             borderline[frame] += any(1e-11 < r < 1e-5 for r in frame_ratios)
             if verdict == oracle:

@@ -1,24 +1,27 @@
 """Admissibility analysis of sampling sequences.
 
 Builds the alpha vector (a tuple) and the basis matrix Phi (an array), decides
-joint n-reachability / n-observability from its determinant, quantifies the
-degree of orthogonality of the sampled mode vectors, checks the
-controllability-side determinant factorization, and builds the state-space
-matrices G and O as rank oracles.  Each matrix is one Jordan-flow call, built
-once, from the constants of the system's observability-canonical
-realization: G_J and O_J in its real Jordan frame from y0 of the spec and
-Phi's seed and D of the eigenstructure, and the companion frame's O = O_J
-B^{-1}, the one reader of B^{-1}, for ``sweep``'s noise column.
-``analyze`` makes two flow calls: Phi and the mode vectors.  Every
-vector norm and unit vector, the verdict's Hadamard row norms and the degree
-metrics' unit mode vectors among them, comes from ``unit_vectors``, the one
-code that scales vectors.  Every normalized Gram determinant (``analyze``'s,
-``sweep``'s and every score of the design search) comes from ``unit_gram``,
-which reads it from a factor of the unit mode vectors.  Every singular
-value, condition number and numerical-rank decision (of Phi, the unit mode
-vectors, and the G_J and O_J that ``simulate`` solves against) comes from
-``spectrum``, the one rank
-rule.  The factorization ratio takes one path, free of the scale of the
+joint n-reachability / n-observability from Phi with its rows scaled to unit
+norm, quantifies the degree of orthogonality of the sampled mode vectors,
+checks the controllability-side determinant factorization, and builds the
+state-space matrices G and O as rank oracles.  Each matrix is one
+Jordan-flow call, built once, from the constants of the system's
+observability-canonical realization: G_J and O_J in its real Jordan frame
+from y0 of the spec and Phi's seed and D of the eigenstructure, and the
+companion frame's O = O_J B^{-1}, the one reader of B^{-1}, for ``sweep``'s
+noise column.  ``analyze`` makes two flow calls: Phi and the mode vectors.
+Every vector norm and unit vector, the verdict's unit rows of Phi and the
+degree metrics' unit mode vectors among them, comes from ``unit_vectors``,
+the one code that scales vectors.  Every normalized Gram determinant
+(``analyze``'s, ``sweep``'s and every score of the design search) comes from
+``unit_gram``, which reads it from a factor of the unit mode vectors.  Every
+singular value, condition number and numerical-rank decision comes from
+``spectrum``, the one rank rule.  Every verdict is that rule, at one
+tolerance (RANK_REL_TOL unless ``analyze`` is given another), on a matrix
+whose vectors are scaled to unit norm: the rows of Phi (``joint_test``),
+the unit mode vectors (``DegreeMetrics.deficient``, the verdict of
+``design``) and the columns of G_J or rows of O_J that ``simulate`` solves
+against.  The factorization ratio takes one path, free of the scale of the
 modal coefficients: N1 is read from the Wronskian scale D, and N2 is carried
 as a mantissa and a power of two, so neither side of the identity leaves the
 float range on the way to the ratio.  The independent routes (per-alpha matrix
@@ -43,8 +46,7 @@ from nusample.lti import (
     jordan_flow,
 )
 
-DEFAULT_ADMISSIBILITY_FACTOR = 1e-9  # |det| > factor * prod(row norms)
-RANK_REL_TOL = 1e-8                  # sigma_min / sigma_max threshold for numerical rank
+RANK_REL_TOL = 1e-8  # the default sigma_min / sigma_max at or below which a matrix is deficient
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +103,7 @@ class DegreeMetrics:
     normalized_gram_det: float
     min_principal_angle: float
     condition_number: float
+    deficient: bool  # the unit mode vectors fail ``spectrum``'s rank rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,37 +119,33 @@ class AnalysisReport:
     is_admissible: bool
     sigma_min: float
     condition_number: float
-    threshold: float
     degree: DegreeMetrics | None = None
     factors: FactorizationCheck | None = None
 
 
-def joint_test(M: np.ndarray,
-               tol_factor: float = DEFAULT_ADMISSIBILITY_FACTOR) -> AnalysisReport:
-    """Joint n-reachability and n-observability verdict from det[phi_i(alpha_m)],
-    given the basis matrix M that ``fundamental_matrix`` builds.
-
-    The admissibility threshold is Hadamard-scaled: |det| must exceed
-    tol_factor times the product of the row norms.  A threshold that
-    overflows a float raises DegenerateSamplingError.
-    """
-    det, smin, cond = joint_arrays(M)
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf norm times a zero one
-        threshold = _finite(tol_factor * np.prod(unit_vectors(M, axis=-1)[2]), M)
-    return AnalysisReport(float(det), bool(abs(det) > threshold), float(smin), float(cond),
-                          float(threshold))
+def joint_test(M: np.ndarray, tol: float = RANK_REL_TOL) -> AnalysisReport:
+    """Joint n-reachability and n-observability verdict for the basis matrix
+    M that ``fundamental_matrix`` builds: its determinant, and the verdict,
+    sigma_min and condition number that ``spectrum`` reads, at ``tol``, from
+    M with its rows scaled to unit norm by ``unit_vectors``.  A determinant
+    that overflows a float raises DegenerateSamplingError."""
+    det = _checked_det(M)
+    smin, _, cond, deficient = spectrum(unit_vectors(M, axis=-1)[0], tol)
+    return AnalysisReport(float(det), not deficient, float(smin), float(cond))
 
 
-def _finite(value: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``value``, the determinant or threshold of each matrix of the stack M;
-    raises DegenerateSamplingError for the first matrix where it overflows."""
-    finite = np.isfinite(value)
+def _checked_det(M: np.ndarray) -> np.ndarray:
+    """The determinant of each matrix of the stack M; raises
+    DegenerateSamplingError for the first matrix where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det = np.linalg.det(M)
+    finite = np.isfinite(det)
     if not finite.all():
         raise DegenerateSamplingError(
-            "the determinant of the basis matrix or its threshold overflows a float "
+            "the determinant of the basis matrix overflows a float "
             f"(largest |entry| = {np.max(np.abs(M[~finite][0])):.6g}); shorten the "
             "sampling intervals")
-    return value
+    return det
 
 
 def joint_arrays(M: np.ndarray):
@@ -154,23 +153,22 @@ def joint_arrays(M: np.ndarray):
     M, shape (..., n, n), as arrays of shape (...); raises
     DegenerateSamplingError for the first matrix whose determinant overflows
     a float."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det = _finite(np.linalg.det(M), M)
+    det = _checked_det(M)
     smin, _, cond, _ = spectrum(M)
     return det, smin, cond
 
 
-def spectrum(M: np.ndarray):
+def spectrum(M: np.ndarray, tol: float = RANK_REL_TOL):
     """(sigma_min, sigma_max, condition number, deficient) of each matrix of
     the stack M, shape (..., n, k), as arrays of shape (...): the condition
     number is inf where sigma_min is zero, and a matrix is deficient where
-    sigma_max is zero or sigma_min / sigma_max is at most RANK_REL_TOL.  The
-    one rank rule of the package."""
+    sigma_max is zero or sigma_min / sigma_max is at most ``tol``.  The one
+    rank rule of the package."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         svals = np.linalg.svd(M, compute_uv=False)
         smin, smax = svals[..., -1], svals[..., 0]
         cond = np.where(smin == 0.0, math.inf, smax / smin)
-        return smin, smax, cond, (smax == 0.0) | (smin / smax <= RANK_REL_TOL)
+        return smin, smax, cond, (smax == 0.0) | (smin / smax <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,8 @@ def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
     # a single vector's orthogonality is vacuous
     min_angle = min((math.acos(min(1.0, abs(G[i, j]))) for i in range(k)
                      for j in range(i + 1, k)), default=math.pi / 2)
-    return DegreeMetrics(float(gram), min_angle, float(spectrum(Yn)[2]))
+    _, _, cond, deficient = spectrum(Yn)
+    return DegreeMetrics(float(gram), min_angle, float(cond), bool(deficient))
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +356,20 @@ def _factorizations(spec: SystemSpec, det_phi: float,
 # one-call analysis
 
 def analyze(spec: SystemSpec, seq: SamplingSequence,
-            tol_factor: float = DEFAULT_ADMISSIBILITY_FACTOR) -> AnalysisReport:
+            tol: float = RANK_REL_TOL) -> AnalysisReport:
     """Joint test, plus degree metrics for a minimal system and factorization
-    factors for a minimal system with an admissible sequence."""
+    factors for a minimal system with an admissible sequence whose
+    determinant a float holds: a determinant that underflows to zero leaves
+    no ratio to check."""
     av = alphas(seq)
     phi = fundamental_matrix(spec.eigen, av)
-    base = joint_test(phi, tol_factor)
+    base = joint_test(phi, tol)
     degree = None
     factors = None
     if check_minimality(spec).minimal:
         Y = sampled_mode_vectors(spec, av)
         degree = degree_metrics_from_vectors(Y)
-        if base.is_admissible:
+        if base.is_admissible and base.determinant != 0.0:
             factors = _factorizations(spec, base.determinant, Y)
     return AnalysisReport(base.determinant, base.is_admissible, base.sigma_min,
-                          base.condition_number, base.threshold, degree, factors)
+                          base.condition_number, degree, factors)

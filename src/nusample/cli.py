@@ -61,7 +61,7 @@ def _tolerance(args) -> float:
         if value <= 0:
             raise InputError("NUSAMPLE_TOL must be positive")
         return value
-    return analysis.DEFAULT_ADMISSIBILITY_FACTOR
+    return analysis.RANK_REL_TOL
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--system", required=True)
     pa.add_argument("--instants", required=True)
     pa.add_argument("--tol", type=_finite_float, default=None,
-                    help="admissibility tolerance factor (overrides NUSAMPLE_TOL)")
+                    help="largest sigma_min / sigma_max of the row-normalized basis "
+                         "matrix that is inadmissible (overrides NUSAMPLE_TOL)")
 
     pd = sub.add_parser("design", help="synthesize a sampling sequence")
     pd.add_argument("--system", required=True)
@@ -148,11 +149,12 @@ def _load_case(args):
 
 def run_analyze(args) -> int:
     spec, seq = _load_case(args)
-    report = analysis.analyze(spec, seq, tol_factor=_tolerance(args))
+    tol = _tolerance(args)
+    report = analysis.analyze(spec, seq, tol)
     print(f"determinant = {fmt(report.determinant)}")
     print(f"smallest_singular_value = {fmt(report.sigma_min)}")
     print(f"condition_number = {fmt(report.condition_number)}")
-    print(f"threshold = {fmt(report.threshold)}")
+    print(f"threshold = {fmt(tol)}")
     print(f"admissible = {'yes' if report.is_admissible else 'no'}")
     print(f"minimal = {'yes' if report.degree is not None else 'no'}")
     if report.degree is not None:

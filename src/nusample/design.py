@@ -13,6 +13,11 @@ Three routes, of which ``route`` picks the one ``--method auto`` takes:
   zero or subnormal) scores 0.  This module computes no determinant or
   factorization of its own.
 
+The generic and geometric routes judge their sequence by the one rank rule,
+``analysis.spectrum``: a sequence whose unit mode vectors are deficient
+(``DegreeMetrics.deficient``, read from the SVD that gives the designed
+metric) raises InadmissibleDesignError, with the sequence as ``best``.
+
 The 3rd-order geometry works in a normalized frame where the initial mode
 vector is (1, 0, 1)', so the sampled vectors trace the spiral
 Y(alpha) = (e^{a alpha} cos(b alpha), e^{a alpha} sin(b alpha), e^{lambda alpha})'
@@ -44,7 +49,6 @@ from nusample.errors import DesignError, InadmissibleDesignError
 from nusample.lti import Block, SystemSpec, check_minimality, jordan_flow, system_from_modes
 
 DEFAULT_M_MAX = 8
-MIN_GRAM_DET = 1e-12  # a design at or below this Gram determinant is inadmissible
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,9 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     Returns (DesignResult, GeometryTrace).  Candidate branches
     b (t2 - t0) = M + 2 pi m are enumerated for m = 0 .. m_max (keeping only
     those with t2 > t1) and the one minimizing the surface/spiral height
-    mismatch is selected; ties break toward the smallest m.  A sequence at or
-    below MIN_GRAM_DET raises InadmissibleDesignError with it as ``best``.
+    mismatch is selected; ties break toward the smallest m.  A sequence whose
+    unit mode vectors are deficient (``DegreeMetrics.deficient``) raises
+    InadmissibleDesignError with it as ``best``.
     """
     real, pair = _third_order_blocks(spec)
     obstacle = _geometric_obstacle(real, pair)
@@ -236,11 +241,10 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
         mu=float(mu),
         rotation_angle=M,
     )
-    gram = result.metric.normalized_gram_det
-    if gram <= MIN_GRAM_DET:
+    if result.metric.deficient:
         raise InadmissibleDesignError(
             "the geometric step's sequence is inadmissible "
-            f"(gram_determinant = {gram:.6g} <= {MIN_GRAM_DET:g})", best=result)
+            f"(gram_determinant = {result.metric.normalized_gram_det:.6g})", best=result)
     return result, trace
 
 
@@ -298,7 +302,9 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
     instant after t0 once, in order, by ``_refine_instant`` (two finer grids
     and a parabolic step, three batched calls at most), never lowering the
     Gram determinant.  A refined instant stays at least dmin and at most dmax
-    from its neighbors, so every interval lies in [dmin, dmax]."""
+    from its neighbors, so every interval lies in [dmin, dmax].  A sequence
+    whose unit mode vectors are deficient raises InadmissibleDesignError with
+    it as ``best``."""
     dmin, dmax = bounds
     if not (dmin > 0 and dmax > dmin):
         raise DesignError(f"invalid interval bounds {bounds}")
@@ -331,7 +337,7 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
     seq = SamplingSequence(tuple(instants))
     metric = _designed_metric(spec, seq)
     result = DesignResult(seq, metric, "generic-search", None)
-    if n > 1 and metric.normalized_gram_det <= MIN_GRAM_DET:
+    if metric.deficient:
         raise InadmissibleDesignError("every grid candidate is inadmissible",
                                       best=result)
     return result

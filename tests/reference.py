@@ -491,7 +491,7 @@ def _sweep_row(spec, minimal, noise, trials, seed, idx, s):
         det = float(np.linalg.det(M))
     if not math.isfinite(det):
         raise DegenerateSamplingError(
-            "the determinant of the basis matrix or its threshold overflows a "
+            "the determinant of the basis matrix overflows a "
             f"float (largest |entry| = {np.max(np.abs(M)):.6g}); shorten the "
             "sampling intervals")
     svals = np.linalg.svd(M, compute_uv=False)

@@ -95,19 +95,29 @@ def test_joint_test_oscillator_quarter_period():
     assert report.condition_number == pytest.approx(1.0)
 
 
-def test_threshold_scales_with_rows():
+def test_verdict_flips_at_the_tolerance():
+    # the verdict reads sigma_min / sigma_max of Phi with its rows scaled to
+    # unit norm: admissible exactly above the tolerance, and blind to a
+    # positive scale per row
     es = ns.eigenstructure([(0, 1), (-1, 1)])
     av = ns.alphas(ns.SamplingSequence((0.0, 1.0)))
     fm = ns.fundamental_matrix(es, av)
-    expected = 1e-9 * np.prod(np.linalg.norm(fm, axis=1))
-    assert ns.joint_test(fm).threshold == pytest.approx(expected)
-    assert ns.joint_test(fm, tol_factor=1e-3).threshold == pytest.approx(1e6 * expected)
+    sv = np.linalg.svd(fm / np.linalg.norm(fm, axis=1, keepdims=True), compute_uv=False)
+    ratio = sv[-1] / sv[0]
+    report = ns.joint_test(fm)
+    assert (report.sigma_min, report.condition_number) == (sv[-1], sv[0] / sv[-1])
+    assert report.determinant == np.linalg.det(fm)
+    assert ns.joint_test(fm, tol=ratio).is_admissible is False
+    assert ns.joint_test(fm, tol=np.nextafter(ratio, 0.0)).is_admissible is True
+    scaled = ns.joint_test(fm * np.array([[2.0 ** 300], [2.0 ** -300]]))
+    assert (scaled.sigma_min, scaled.condition_number) == (sv[-1], sv[0] / sv[-1])
 
 
 def test_joint_test_matches_bruteforce_rank():
-    # skip numerically borderline cases: the determinant test and the
-    # SVD rank test use different thresholds and may disagree right at
-    # the edge, which says nothing about either implementation
+    # skip numerically borderline cases: the verdict and the rank test read
+    # the sigma ratios of different matrices, which may fall on either side
+    # of the tolerance right at the edge, which says nothing about either
+    # implementation
     rng = np.random.default_rng(17)
     clear = 0
     for _ in range(60):
@@ -121,9 +131,9 @@ def test_joint_test_matches_bruteforce_rank():
         O = ns.jordan_observability_matrix(spec, av)
         sg = np.linalg.svd(G, compute_uv=False)
         so = np.linalg.svd(O, compute_uv=False)
-        det_ratio = abs(report.determinant) / report.threshold
+        phi_ratio = 1.0 / report.condition_number
         rank_ratio = min(sg[-1] / sg[0], so[-1] / so[0])
-        if 1e-2 < det_ratio < 1e2 or 1e-10 < rank_ratio < 1e-6:
+        if 1e-10 < phi_ratio < 1e-6 or 1e-10 < rank_ratio < 1e-6:
             continue
         full = not analysis.spectrum(np.stack([G, O]))[3].any()
         assert report.is_admissible == full
@@ -214,10 +224,10 @@ def test_degree_vectors_not_finite_or_zero(column):
 
 
 def test_stacked_helpers_give_each_matrix_its_own_bits():
-    # the sweep runs the helpers of joint_test and degree_metrics_from_vectors
-    # over stacks, and the rank rule of solve_checked (spectrum of the rows
-    # scaled to unit norm) holds over a stack too; analyze and verify run
-    # them on one matrix
+    # the sweep runs joint_arrays and the helpers of degree_metrics_from_vectors
+    # over stacks, and the rank rule of joint_test and solve_checked (spectrum
+    # of the rows scaled to unit norm) holds over a stack too; analyze and
+    # verify run them on one matrix
     rng = np.random.default_rng(31)
     seen = set()
     for n in (2, 5, 8, 10):
@@ -226,7 +236,9 @@ def test_stacked_helpers_give_each_matrix_its_own_bits():
         if pathological_sequence(spec) is not None:
             seqs.append(pathological_sequence(spec))
         av = np.array([ns.alphas(seq) for seq in seqs])
-        det, smin, cond = analysis.joint_arrays(ns.fundamental_matrix(spec.eigen, av))
+        phi = ns.fundamental_matrix(spec.eigen, av)
+        det = analysis.joint_arrays(phi)[0]
+        smin, _, cond, singular = analysis.spectrum(analysis.unit_vectors(phi, axis=-1)[0])
         gram = analysis.unit_gram(analysis.sampled_mode_vectors(spec, av))[2]
         O = ns.jordan_observability_matrix(spec, av)
         deficient = analysis.spectrum(analysis.unit_vectors(O, axis=-1)[0])[3]
@@ -234,8 +246,9 @@ def test_stacked_helpers_give_each_matrix_its_own_bits():
         for p, seq in enumerate(seqs):
             a = ns.alphas(seq)
             single = ns.joint_test(ns.fundamental_matrix(spec.eigen, a))
-            assert (det[p], smin[p], cond[p]) == (
-                single.determinant, single.sigma_min, single.condition_number)
+            assert (det[p], smin[p], cond[p], not singular[p]) == (
+                single.determinant, single.sigma_min, single.condition_number,
+                single.is_admissible)
             assert gram[p] == _degree(spec, a).normalized_gram_det
             O = ns.jordan_observability_matrix(spec, a)
             try:

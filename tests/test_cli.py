@@ -26,6 +26,8 @@ def test_analyze_admissible_exit_zero(capsys):
     assert code == 0
     assert "admissible = yes" in out
     assert "determinant = 1" in out
+    # the tolerance applied, RANK_REL_TOL unless --tol or NUSAMPLE_TOL sets one
+    assert "threshold = 1e-08" in out.splitlines()
 
 
 def test_analyze_inadmissible_exit_two(capsys):
@@ -58,13 +60,15 @@ def test_analyze_order_mismatch(capsys):
 
 
 def test_analyze_tol_flag_loosens_threshold(capsys):
-    # a huge tolerance factor makes even the clean case inadmissible
+    # sigma_min / sigma_max is at most 1, so a tolerance of 10 makes even the
+    # clean case inadmissible
     code, out, _ = run(capsys, "analyze",
                        "--system", str(DATA / "oscillator.json"),
                        "--instants", str(DATA / "quarter_turn.json"),
                        "--tol", "10.0")
     assert code == 2
     assert "admissible = no" in out
+    assert "threshold = 10" in out.splitlines()
 
 
 def test_analyze_env_tolerance(capsys, monkeypatch):
@@ -73,6 +77,7 @@ def test_analyze_env_tolerance(capsys, monkeypatch):
                        "--system", str(DATA / "oscillator.json"),
                        "--instants", str(DATA / "quarter_turn.json"))
     assert code == 2
+    assert "threshold = 10" in out.splitlines()
     monkeypatch.setenv("NUSAMPLE_TOL", "not-a-number")
     code, _, err = run(capsys, "analyze",
                        "--system", str(DATA / "oscillator.json"),

@@ -285,16 +285,17 @@ def test_batched_grid_scores_match_scalar(n):
 
 
 def _unit_vector_readers(spec, alpha_rows):
-    """The bytes of every result read from ``unit_vectors``: the Hadamard
-    threshold of the verdict (on the rows whose determinant and row norms
-    stay far from overflow), ``unit_gram`` of the whole sequences and of all
-    but their last instant (the design scores of both Gram routes), and the
-    degree metrics."""
+    """The bytes of every result read from ``unit_vectors``: sigma_min and
+    the condition number of the verdict (on the rows whose determinant is
+    finite), ``unit_gram`` of the whole sequences and of all but their last
+    instant (the design scores of both Gram routes), and the degree
+    metrics."""
     phi = analysis.fundamental_matrix(spec.eigen, alpha_rows)
-    finite = np.isfinite(np.linalg.det(phi)) & (np.abs(phi).max(axis=(-2, -1)) < 1e30)
+    finite = np.isfinite(np.linalg.det(phi))
     Y = analysis.sampled_mode_vectors(spec, alpha_rows)
-    thresholds = np.array([analysis.joint_test(p).threshold for p in phi[finite]])
-    arrays = [thresholds, *analysis.unit_gram(Y), *analysis.unit_gram(Y[..., :-1])]
+    verdicts = np.array([(r.sigma_min, r.condition_number)
+                         for r in map(analysis.joint_test, phi[finite])])
+    arrays = [verdicts, *analysis.unit_gram(Y), *analysis.unit_gram(Y[..., :-1])]
     metrics = [analysis.degree_metrics_from_vectors(y) for y in Y[::20]]
     return [a.tobytes() for a in arrays], metrics
 

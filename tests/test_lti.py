@@ -467,6 +467,10 @@ def test_minimality_multiple_root_highest_coefficient():
     (ns.simulate, "state_transition"),
     (ns.design, "export_geometry_csv"),
     (ns.design.GeometryTrace, "surface_exponent"),
+    (analysis, "DEFAULT_ADMISSIBILITY_FACTOR"),
+    (ns, "DEFAULT_ADMISSIBILITY_FACTOR"),
+    (ns.design, "MIN_GRAM_DET"),
+    (analysis.AnalysisReport, "threshold"),
 ])
 def test_removed_api_is_gone(owner, name):
     # the package works in one realization's Jordan frame, which the system
@@ -475,7 +479,8 @@ def test_removed_api_is_gone(owner, name):
     # builder, the degree and factorization checks no public wrapper, an
     # impulse train takes and returns plain arrays in the Jordan frame, with
     # no state transition of the companion frame, the CLI writes the
-    # geometry CSV, and the trace carries no field that nothing reads
+    # geometry CSV, the trace carries no field that nothing reads, and every
+    # verdict is spectrum's one tolerance on a sigma ratio
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
         assert name not in {f.name for f in dataclasses.fields(owner)}

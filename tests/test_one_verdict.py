@@ -4,11 +4,11 @@ The draws are those of ``scripts/theorem_equivalence.py`` (seed 0, 1000
 cases, n = 2..5, final instants as drawn), run through the CLI.  Wherever
 ``analyze`` admits a sequence, ``verify --seed 1`` verifies it: both judge
 the sampled modes, ``verify`` in the Jordan frame with its matrices scaled
-to unit norm.  Three cases still split the other way: ``analyze``'s fixed
-Hadamard threshold of 1e-9 refuses them although the 60-digit sigma_min /
-sigma_max of the row-normalized basis matrix is 2.6e-6, 7.2e-7 and 9.6e-7.
-They are strict xfails, so the change that mends them must remove the
-marker.
+to unit norm.  And ``analyze`` admits wherever ``verify`` verifies on the
+cases 563, 649 and 921: it reads sigma_min / sigma_max of the row-normalized
+basis matrix (60 digits: 2.6e-6, 7.2e-7 and 9.6e-7) with the tolerance
+``verify`` applies to its own matrices, where a fixed threshold of 1e-9 on
+|det| over the product of the row norms refuses all three.
 """
 import contextlib
 import io
@@ -20,7 +20,7 @@ import pytest
 from nusample.cli import main
 from random_cases import theorem_cases
 
-REVERSE_SPLITS = (563, 649, 921)  # all n = 5: analyze exits 2, verify exits 0
+REVERSE_SPLITS = (563, 649, 921)  # all n = 5, where verify exits 0
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +50,6 @@ def test_verify_verifies_wherever_analyze_admits(exit_codes):
     assert refused == []
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="analyze's fixed Hadamard threshold refuses a sequence "
-                          "whose row-normalized basis has sigma ratio near 1e-6")
 @pytest.mark.parametrize("case", REVERSE_SPLITS)
 def test_analyze_admits_what_verify_verifies(exit_codes, case):
     assert exit_codes[case] == (0, 0)

@@ -277,17 +277,20 @@ def test_sweep_output_matches_per_scale_loop(capsys, monkeypatch, tmp_path, case
         assert err.startswith("error: the determinant of the basis matrix")
 
 
-def test_analyze_refuses_an_overflowing_threshold(capsys, tmp_path):
-    # analyze prints the threshold, so where the product of Phi's row norms
-    # overflows (scale 80 of the hadamard sweep) it exits 1, though det Phi
-    # is finite
+def test_analyze_judges_where_the_row_norms_overflow(capsys, tmp_path):
+    # where the product of Phi's row norms overflows (scale 80 of the hadamard
+    # sweep) det Phi is finite, and the verdict reads Phi with unit rows: its
+    # 60-digit sigma_min / sigma_max is 2.48e-62, so analyze refuses it
+    instants = (0.0, 80.0, 160.0)
+    spec = ns.system_from_modes([(1.0, 1), (-1.0, 1), (3.0, 1)], [1.0, 1.0, 1.0])
+    ratio = reference.row_normalized_ratio(spec.eigen, ns.alphas(ns.SamplingSequence(instants)))
+    assert float(ratio) == pytest.approx(2.48e-62, rel=2e-3)
     seq = tmp_path / "seq.json"
-    seq.write_text(json.dumps({"instants": [0.0, 80.0, 160.0]}))
+    seq.write_text(json.dumps({"instants": list(instants)}))
     code, out, err = run(capsys, "analyze", "--system", _pinned_system(tmp_path, "hadamard"),
                          "--instants", str(seq))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: the determinant of the basis matrix or its threshold "
-                          "overflows a float")
+    assert (code, err) == (2, "")
+    assert "admissible = no" in out.splitlines()
 
 
 def test_sweep_small_blocks_match_per_scale_loop(capsys, monkeypatch, tmp_path):
