@@ -7,8 +7,8 @@ as ``perfbench/gen.py`` generates them for ``--seed``, and a fixed set of
 commands on the ``tests/data`` fixtures, through ``nusample.cli.main`` in
 this process.  Prints one line per workload: the number of commands and the
 SHA-256 of the exit code, standard output and standard error of every
-command and the bytes of the file it writes (the ``--out`` or ``--trace``
-path), in order.  A warning counts as standard error, without the file and
+command and the bytes of the file it writes (the ``--trace`` path), in
+order.  A warning counts as standard error, without the file and
 line that raised it.
 
 The inputs are written to a temporary directory and named by relative paths,
@@ -41,10 +41,10 @@ WORKLOADS = ("check", "design", "sweep")
 
 def fixture_commands():
     """Every subcommand on the fixtures, copied to ``data/``, covering each
-    design method, both geometry CSV writers, a double pair whose partner
-    coefficients sit just off the exact conjugates, an output path in a
-    missing directory, a trace asked of a method without one, and exit codes
-    0, 1 and 2."""
+    design method, the geometric design's trace CSV, a double pair whose
+    partner coefficients sit just off the exact conjugates, an output path in
+    a missing directory, a trace asked of a method without one, and exit
+    codes 0, 1 and 2."""
     third = ["--system", "data/third_order.json"]
     osc = ["--system", "data/oscillator.json"]
     return [
@@ -64,12 +64,12 @@ def fixture_commands():
         ["design", *third, "--t0", "0", "--method", "closed"],
         ["sweep", *third, "--from", "0.2", "--to", "1.0", "--points", "4", "--trials", "5"],
         ["sweep", *osc, "--from", "0.5", "--to", "3.5", "--points", "3"],
-        ["geometry", *third, "--instants", "data/third_sequence.json",
-         "--out", "geometry.csv"],
+        ["design", *third, "--t0", "0", "--method", "geometric", "--t1", "0.5",
+         "--trace", "geometry.csv"],
         ["analyze", "--system", "data/near_conjugate.json",
          "--instants", "data/near_conjugate_sequence.json"],
-        ["geometry", *third, "--instants", "data/third_sequence.json",
-         "--out", "missing/geometry.csv"],
+        ["design", *third, "--t0", "0", "--method", "geometric", "--t1", "0.5",
+         "--trace", "missing/geometry.csv"],
         ["design", *osc, "--t0", "0", "--trace", "trace.csv"],
     ]
 
@@ -87,9 +87,8 @@ def run(argv):
 
 def written_path(argv):
     """The path of the file ``argv`` asks the command to write (the value of
-    ``--out`` or ``--trace``), or None."""
-    return next((path for flag, path in zip(argv, argv[1:])
-                 if flag in ("--out", "--trace")), None)
+    ``--trace``), or None."""
+    return next((path for flag, path in zip(argv, argv[1:]) if flag == "--trace"), None)
 
 
 def digest(commands):

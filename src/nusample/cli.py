@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands: analyze, design, verify, sweep, geometry.  Exit codes follow a
-fixed contract: 0 = success/admissible, 2 = inadmissible sequence,
-1 = usage or input error, an input file that cannot be read or an output
-file that cannot be written among them.  This module writes every output
-(standard output, the sweep CSV and the geometry CSV), and every number in
+Subcommands: analyze, design, verify, sweep.  Exit codes follow a fixed
+contract: 0 = success/admissible, 2 = inadmissible sequence, 1 = usage or
+input error, an input file that cannot be read or an output file that cannot
+be written among them.  This module writes every output (standard output,
+the sweep CSV and the geometric design's trace CSV), and every number in
 them with 12 significant digits (``fmt``), so outputs are reproducible
-byte-for-byte for fixed seeds and inputs.
+byte-for-byte for fixed seeds and inputs.  ``design`` hands the system to the
+route it picks; each route checks the system's shape itself.
 """
 from __future__ import annotations
 
@@ -116,11 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--trials", type=int, default=50)
     ps.add_argument("--seed", type=int, default=0)
 
-    pg = sub.add_parser("geometry", help="third-order spiral construction trace")
-    pg.add_argument("--system", required=True)
-    pg.add_argument("--instants", required=True)
-    pg.add_argument("--out", required=True)
-
     return p
 
 
@@ -189,22 +185,15 @@ def run_design(args) -> int:
     if args.steps < 1:
         raise InputError("need at least one grid step")
     spec = fileio.load_system(args.system)
-    route = design.route(spec)
-    method = route if args.method == "auto" else args.method
+    method = design.route(spec) if args.method == "auto" else args.method
     if args.trace is not None and method != "geometric":
         raise InputError(f"--trace applies to the geometric method only; this design "
                          f"takes the {method} method")
+    trace = None
     if method == "closed":
-        if route != "closed":
-            raise InputError("closed-form design needs a 2nd-order complex pair")
-        lam = spec.eigen.blocks[0].value
-        result = design.optimal_interval_second_order(lam.real, lam.imag, args.t0, args.m)
+        result = design.optimal_interval_second_order(spec, args.t0, args.m)
     elif method == "geometric":
-        pair = next((b for b in spec.eigen.blocks if b.kind == "pair"), None)
-        if pair is None:
-            raise InputError("geometric design needs a complex pair")
-        t1 = args.t1 if args.t1 is not None else args.t0 + math.pi / (2.0 * pair.value.imag)
-        result, trace = design.next_instant_third_order(spec, args.t0, t1,
+        result, trace = design.next_instant_third_order(spec, args.t0, args.t1,
                                                         m_max=args.m_max)
     else:
         result = design.design_sequence_generic(spec, args.t0,
@@ -217,6 +206,9 @@ def run_design(args) -> int:
     print("instants = " + " ".join(fmt(t) for t in result.sequence.instants))
     if result.branch_m is not None:
         print(f"branch_m = {result.branch_m}")
+    if trace is not None:
+        print(f"rotation_angle = {fmt(trace.rotation_angle)}")
+        print(f"mu = {fmt(trace.mu)}")
     print(f"gram_determinant = {fmt(result.metric.normalized_gram_det)}")
     print(f"min_principal_angle = {fmt(result.metric.min_principal_angle)}")
     if args.trace is not None:
@@ -353,23 +345,6 @@ def run_sweep(args) -> int:
     return EXIT_OK
 
 
-def run_geometry(args) -> int:
-    spec = fileio.load_system(args.system)
-    seq = fileio.load_sequence(args.instants)
-    if len(seq.instants) < 2:
-        raise InputError("geometry needs at least two instants (t0, t1)")
-    t0, t1 = seq.instants[0], seq.instants[1]
-    result, trace = design.next_instant_third_order(spec, t0, t1)
-    export_geometry_csv(trace, args.out)
-    print("instants = " + " ".join(fmt(t) for t in result.sequence.instants))
-    print(f"branch_m = {result.branch_m}")
-    print(f"rotation_angle = {fmt(trace.rotation_angle)}")
-    print(f"mu = {fmt(trace.mu)}")
-    print(f"gram_determinant = {fmt(result.metric.normalized_gram_det)}")
-    print(f"trace_written = {args.out}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -380,7 +355,6 @@ def main(argv=None) -> int:
             "design": run_design,
             "verify": run_verify,
             "sweep": run_sweep,
-            "geometry": run_geometry,
         }[args.command]
         return runner(args)
     except NuSampleError as exc:

@@ -1,6 +1,9 @@
 """Synthesis of sampling sequences maximizing mode-vector orthogonality.
 
-Three routes, of which ``route`` picks the one ``--method auto`` takes:
+Three routes, of which ``route`` picks the one ``--method auto`` takes.
+Each takes the system and refuses one that is not minimal
+(``_require_minimal``); the closed form and the geometric step also refuse a
+system of another shape and read b from its pair a +- ib themselves:
 
 * closed form for a 2nd-order complex pair (quarter-turn rule),
 * the spiral-geometry step for the 3rd-order {real pole, complex pair} case,
@@ -46,7 +49,7 @@ from nusample.analysis import (
     unit_vectors,
 )
 from nusample.errors import DesignError, InadmissibleDesignError
-from nusample.lti import Block, SystemSpec, check_minimality, jordan_flow, system_from_modes
+from nusample.lti import Block, SystemSpec, check_minimality, jordan_flow
 
 DEFAULT_M_MAX = 8
 
@@ -61,6 +64,13 @@ class DesignResult:
 
 def _designed_metric(spec: SystemSpec, seq: SamplingSequence) -> DegreeMetrics:
     return degree_metrics_from_vectors(sampled_mode_vectors(spec, alphas(seq)))
+
+
+def _require_minimal(spec: SystemSpec) -> None:
+    """Every route's refusal of a system that is not minimal."""
+    report = check_minimality(spec)
+    if not report.minimal:
+        raise DesignError(f"system is not minimal (blocks {report.offending_blocks})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,18 +88,18 @@ class GeometryTrace:
 # ---------------------------------------------------------------------------
 # 2nd order: closed form
 
-def optimal_interval_second_order(a: float, b: float, t0: float = 0.0,
+def optimal_interval_second_order(spec: SystemSpec, t0: float = 0.0,
                                   m: int = 0) -> DesignResult:
-    """b (t1 - t0) = (2m + 1) pi / 2: the second mode vector is rotated a
-    quarter turn (plus m half turns) from the first, hence orthogonal."""
-    if b <= 0:
-        raise DesignError(f"need b > 0, got {b}")
+    """b (t1 - t0) = (2m + 1) pi / 2 for the lone pair a +- ib of ``spec``:
+    the second mode vector is rotated a quarter turn (plus m half turns) from
+    the first, hence orthogonal."""
+    if route(spec) != "closed":
+        raise DesignError("closed-form design needs a 2nd-order complex pair")
     if m < 0:
         raise DesignError("branch integer m must be nonnegative")
-    t1 = t0 + (2 * m + 1) * math.pi / (2.0 * b)
+    _require_minimal(spec)
+    t1 = t0 + (2 * m + 1) * math.pi / (2.0 * spec.eigen.blocks[0].value.imag)
     seq = SamplingSequence((t0, t1))
-    lam = complex(a, b)
-    spec = system_from_modes([(lam, 1), (lam.conjugate(), 1)], [0.5, 0.5])
     return DesignResult(seq, _designed_metric(spec, seq), "closed-form-2nd", m)
 
 
@@ -153,10 +163,11 @@ def _spiral_overflow(alpha: float) -> DesignError:
                        "shorten the sampling intervals")
 
 
-def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
+def next_instant_third_order(spec: SystemSpec, t0: float, t1: float | None = None,
                              m_max: int = DEFAULT_M_MAX):
     """Choose t2 so the third mode vector is as orthogonal as possible to the
-    first two, following the spiral-and-surface construction.
+    first two, following the spiral-and-surface construction.  ``t1``
+    defaults to t0 + pi/(2b), a quarter turn of the pair a +- ib.
 
     Returns (DesignResult, GeometryTrace).  Candidate branches
     b (t2 - t0) = M + 2 pi m are enumerated for m = 0 .. m_max (keeping only
@@ -170,11 +181,11 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float,
     if obstacle is not None:
         raise DesignError(obstacle)
     lam, a, b = real.value.real, pair.value.real, pair.value.imag
+    if t1 is None:
+        t1 = t0 + math.pi / (2.0 * b)
     if not t1 > t0:
         raise DesignError("need t1 > t0")
-    report = check_minimality(spec)
-    if not report.minimal:
-        raise DesignError(f"system is not minimal (blocks {report.offending_blocks})")
+    _require_minimal(spec)
 
     a1 = t1 - t0
     Y0, Y1 = spiral_point(spec, [0.0, a1])
@@ -310,9 +321,7 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
         raise DesignError(f"invalid interval bounds {bounds}")
     if steps < 1:
         raise DesignError(f"need at least one grid step, got {steps}")
-    report = check_minimality(spec)
-    if not report.minimal:
-        raise DesignError(f"system is not minimal (blocks {report.offending_blocks})")
+    _require_minimal(spec)
     n = spec.n
     instants = [float(t0)]
     score = 0.0

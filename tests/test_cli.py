@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nusample import analysis, fileio
 from nusample.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -118,6 +120,21 @@ def test_design_generic(capsys):
     assert "gram_determinant" in out
 
 
+@pytest.mark.parametrize("method", ["auto", "closed"])
+def test_design_refuses_a_nonminimal_lone_pair(capsys, tmp_path, method):
+    # zero modal coefficients: the closed form used to score a stand-in
+    # system with coefficients 0.5 and print gram_determinant = 1
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({
+        "order": 2,
+        "roots": [{"re": -0.5, "im": 1.0, "mult": 1}, {"re": -0.5, "im": -1.0, "mult": 1}],
+        "mode_coefficients": [{"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+    }))
+    code, out, err = run(capsys, "design", "--system", str(path), "--t0", "0",
+                         "--method", method)
+    assert (code, out, err) == (1, "", "error: system is not minimal (blocks (0,))\n")
+
+
 def test_design_closed_on_wrong_order(capsys):
     code, _, err = run(capsys, "design",
                        "--system", str(DATA / "third_order.json"),
@@ -229,22 +246,31 @@ def test_sweep_csv_shape(capsys):
 
 
 def test_sweep_single_point_matches_analyze(capsys, tmp_path):
-    # one sweep point at scale s equals analyze on the uniform sequence
+    # one sweep point at scale s has analyze's determinant and Gram
+    # determinant on the uniform sequence; its condition number is that of
+    # the raw basis matrix, analyze's that of the row-normalized one, and the
+    # two agree only where the rows have unit norm, as for the oscillator
     s = 0.8
-    code, out, _ = run(capsys, "sweep",
-                       "--system", str(DATA / "oscillator.json"),
-                       "--from", str(s), "--to", str(s), "--points", "1",
-                       "--trials", "3")
-    assert code == 0
-    _, det, gram, cond, _ = out.strip().splitlines()[1].split(",")
-    seq = tmp_path / "seq.json"
-    seq.write_text(json.dumps({"instants": [0.0, s]}))
-    code, out, _ = run(capsys, "analyze",
-                       "--system", str(DATA / "oscillator.json"),
-                       "--instants", str(seq))
-    printed = dict(line.split(" = ") for line in out.splitlines())
-    assert (det, gram, cond) == (printed["determinant"], printed["gram_determinant"],
-                                 printed["condition_number"])
+    for system in ("oscillator.json", "third_order.json"):
+        code, out, _ = run(capsys, "sweep",
+                           "--system", str(DATA / system),
+                           "--from", str(s), "--to", str(s), "--points", "1",
+                           "--trials", "3")
+        assert code == 0
+        _, det, gram, cond, _ = out.strip().splitlines()[1].split(",")
+        spec = fileio.load_system(DATA / system)
+        seq = tmp_path / "seq.json"
+        seq.write_text(json.dumps({"instants": [i * s for i in range(spec.n)]}))
+        code, out, _ = run(capsys, "analyze",
+                           "--system", str(DATA / system),
+                           "--instants", str(seq))
+        printed = dict(line.split(" = ") for line in out.splitlines())
+        assert (det, gram) == (printed["determinant"], printed["gram_determinant"])
+        alphas = analysis.alphas(fileio.load_sequence(seq))
+        phi = analysis.fundamental_matrix(spec.eigen, alphas)
+        assert float(cond) == pytest.approx(np.linalg.cond(phi), rel=1e-10)
+        if system == "oscillator.json":
+            assert cond == printed["condition_number"]
 
 
 def test_sweep_rejects_nonpositive_scale(capsys):
@@ -256,27 +282,49 @@ def test_sweep_rejects_nonpositive_scale(capsys):
 
 
 # ---------------------------------------------------------------------------
-# geometry
+# geometric design
+
+# SHA-256 of the trace CSV on third_order.json at t0 = 0, t1 = 0.5, as the
+# removed `geometry` subcommand wrote it for the instants [0, 0.5]
+GEOMETRY_TRACE_SHA256 = "cebea820a7c9d95de181111ad76d4792ec95539a6560b2f02e535cb8fba8661c"
+
 
 def test_geometry_writes_trace(capsys, tmp_path):
+    # rotation_angle and mu are the lines `geometry` printed that design did not
     out_csv = tmp_path / "geom.csv"
-    code, out, _ = run(capsys, "geometry",
+    code, out, _ = run(capsys, "design",
                        "--system", str(DATA / "third_order.json"),
-                       "--instants", str(DATA / "third_sequence.json"),
-                       "--out", str(out_csv))
+                       "--method", "geometric", "--t0", "0", "--t1", "0.5",
+                       "--trace", str(out_csv))
     assert code == 0
-    assert "rotation_angle" in out
-    assert out_csv.read_text().startswith("alpha,x,y,z,kind")
+    lines = out.splitlines()
+    assert lines[2:5] == ["branch_m = 0", "rotation_angle = 2.93108745438",
+                          "mu = 1.9930661574"]
+    digest = hashlib.sha256(out_csv.read_bytes()).hexdigest()
+    assert digest == GEOMETRY_TRACE_SHA256
 
 
 def test_geometry_wrong_structure(capsys, tmp_path):
     out_csv = tmp_path / "geom.csv"
-    code, _, err = run(capsys, "geometry",
-                       "--system", str(DATA / "oscillator.json"),
-                       "--instants", str(DATA / "quarter_turn.json"),
-                       "--out", str(out_csv))
-    assert code == 1
-    assert "error:" in err
+    code, out, err = run(capsys, "design",
+                         "--system", str(DATA / "oscillator.json"),
+                         "--method", "geometric", "--t0", "0", "--t1", "0.5",
+                         "--trace", str(out_csv))
+    assert (code, out) == (1, "")
+    assert err == ("error: geometric design needs a 3rd-order system with one "
+                   "real pole and one complex pair\n")
+    assert not out_csv.exists()
+
+
+def test_geometry_subcommand_is_gone(capsys, tmp_path):
+    out_csv = tmp_path / "geom.csv"
+    code, out, err = run(capsys, "geometry",
+                         "--system", str(DATA / "third_order.json"),
+                         "--instants", str(DATA / "third_sequence.json"),
+                         "--out", str(out_csv))
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'geometry'" in err
+    assert not out_csv.exists()
 
 
 # ---------------------------------------------------------------------------

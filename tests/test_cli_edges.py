@@ -249,24 +249,12 @@ def test_geometric_design_skips_overflowing_branches(capsys, tmp_path):
     assert 0.0 < float(lines["gram_determinant"]) <= 1.0
 
 
-def test_geometry_overflowing_spiral_is_an_error(capsys, tmp_path):
-    seq = tmp_path / "seq.json"
-    seq.write_text(json.dumps({"instants": [0.0, 800.0, 801.0]}))
-    code, _, err = run(capsys, "geometry", "--system", _write_spiral_system(tmp_path),
-                       "--instants", str(seq), "--out", str(tmp_path / "trace.csv"))
-    _clean_error(code, err)
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (["geometry", "--system", str(DATA / "third_order.json"),
-      "--instants", str(DATA / "third_sequence.json")], "--out"),
-    (["design", "--system", str(DATA / "third_order.json"), "--t0", "0",
-      "--method", "geometric", "--t1", "1.0"], "--trace"),
-], ids=["geometry", "design"])
-def test_unwritable_output_path_is_an_error(capsys, tmp_path, argv, flag):
+def test_unwritable_output_path_is_an_error(capsys, tmp_path):
     # the directory does not exist, so open() raises FileNotFoundError
     path = tmp_path / "missing" / "g.csv"
-    code, out, err = run(capsys, *argv, flag, str(path))
+    code, out, err = run(capsys, "design", "--system", str(DATA / "third_order.json"),
+                         "--t0", "0", "--method", "geometric", "--t1", "1.0",
+                         "--trace", str(path))
     assert (code, out) == (1, "")
     assert err == (f"error: cannot write {path}: [Errno 2] No such file or "
                    f"directory: '{path}'\n")
@@ -313,17 +301,6 @@ def test_design_degenerate_geometric_step_is_an_error(capsys, tmp_path, method):
     assert not trace.exists()
 
 
-def test_geometry_degenerate_step_is_an_error(capsys, tmp_path):
-    seq = tmp_path / "seq.json"
-    seq.write_text(json.dumps({"instants": [0.0, 4.019]}))
-    trace = tmp_path / "trace.csv"
-    code, out, err = run(capsys, "geometry", "--system",
-                         _write_spiral_system(tmp_path, **DEGENERATE_SPIRAL),
-                         "--instants", str(seq), "--out", str(trace))
-    assert (code, out, err) == (1, "", DEGENERATE_ERROR)
-    assert not trace.exists()
-
-
 # (lam, a, b, t1) whose geometric step ended in a traceback: the surface
 # scaling mu over- or underflowing (lam / a = 5000), mode vectors of the
 # designed sequence that overflow (LinAlgError from the SVD), and ones that
@@ -336,22 +313,14 @@ GEOMETRIC_TRACEBACKS = [(5.0, 0.001, 1.0, 0.5), (-6.979, 9.005, 0.0032, 1.28),
 @pytest.mark.parametrize("method", ["geometric", "auto"])
 def test_geometric_design_out_of_float_range_is_an_error(capsys, tmp_path,
                                                          lam, a, b, t1, method):
+    trace = tmp_path / "trace.csv"
     code, out, err = run(capsys, "design", "--system",
                          _write_spiral_system(tmp_path, lam, a, b),
-                         "--method", method, "--t0", "0", "--t1", str(t1))
+                         "--method", method, "--t0", "0", "--t1", str(t1),
+                         "--trace", str(trace))
     _clean_error(code, err)
     assert out == ""
-
-
-@pytest.mark.parametrize("lam, a, b, t1", GEOMETRIC_TRACEBACKS)
-def test_geometry_out_of_float_range_is_an_error(capsys, tmp_path, lam, a, b, t1):
-    seq = tmp_path / "seq.json"
-    seq.write_text(json.dumps({"instants": [0.0, t1]}))
-    code, _, err = run(capsys, "geometry", "--system",
-                       _write_spiral_system(tmp_path, lam, a, b),
-                       "--instants", str(seq), "--out", str(tmp_path / "trace.csv"))
-    _clean_error(code, err)
-    assert not (tmp_path / "trace.csv").exists()
+    assert not trace.exists()
 
 
 def test_closed_form_design_overflow_is_an_error(capsys, tmp_path):
@@ -897,13 +866,16 @@ def test_every_subcommand_keeps_the_exit_contract(case, flags):
         Path(sequence).write_text(json.dumps(case[1]))
         gaps = np.diff(case[1]["instants"] + [case[1].get("final_instant", math.inf)])
         span = [repr(float(gaps.min())), repr(float(min(gaps.max(), 1e3)))]
+        # the first two instants, the final one standing in for a second
+        t0, t1 = [*case[1]["instants"], case[1].get("final_instant")][:2]
         for argv in (["analyze", "--instants", sequence, *flags["tol"]],
                      ["verify", "--instants", sequence, "--seed", "1"],
                      ["design", "--t0", "0", "--steps", "20",
                       *(trace if flag == TRACE else flag for flag in flags["design"])],
                      ["sweep", "--from", span[0], "--to", span[1], "--points", "3",
                       "--trials", "3"],
-                     ["geometry", "--instants", sequence, "--out", trace]):
+                     ["design", "--method", "geometric", f"--t0={t0!r}", f"--t1={t1!r}",
+                      "--trace", trace]):
             out, err = io.StringIO(), io.StringIO()
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nusample as ns
-from nusample import analysis, design
+from nusample import analysis, design, fileio
 from nusample.cli import export_geometry_csv
 from nusample.design import spiral_point
 from nusample.errors import DesignError, InadmissibleDesignError
 import reference
+
+DATA = Path(__file__).parent / "data"
 
 
 def _angle_diff(x, y):
@@ -21,28 +24,36 @@ def _angle_diff(x, y):
 # ---------------------------------------------------------------------------
 # 2nd order closed form
 
+def _pair(a, b, c=0.5):
+    """The lone pair a +- ib with modal coefficients c and conj(c)."""
+    return ns.system_from_modes([(complex(a, b), 1), (complex(a, -b), 1)],
+                                [c, np.conj(c)])
+
+
 def test_second_order_quarter_turn():
-    res = ns.optimal_interval_second_order(a=0.0, b=1.0, t0=0.0, m=0)
+    res = ns.optimal_interval_second_order(_pair(0.0, 1.0), t0=0.0, m=0)
     assert res.sequence.instants == pytest.approx((0.0, math.pi / 2))
     assert res.metric.min_principal_angle == pytest.approx(math.pi / 2)
     assert res.metric.normalized_gram_det == pytest.approx(1.0)
 
 
 def test_second_order_branches():
-    res = ns.optimal_interval_second_order(a=0.0, b=2.0, t0=1.0, m=1)
+    res = ns.optimal_interval_second_order(_pair(0.0, 2.0), t0=1.0, m=1)
     assert res.sequence.instants == pytest.approx((1.0, 1.0 + 3 * math.pi / 4))
     assert res.branch_m == 1
 
 
 def test_second_order_damped_still_orthogonal():
-    # damping shrinks the vectors but not the quarter-turn angle
-    res = ns.optimal_interval_second_order(a=-0.5, b=1.0)
+    # damping shrinks the vectors, and the coefficient's phase turns both, but
+    # neither changes the quarter-turn angle
+    res = ns.optimal_interval_second_order(_pair(-0.5, 1.0, 0.3 - 1.7j))
     assert res.metric.min_principal_angle == pytest.approx(math.pi / 2, abs=1e-12)
 
 
-def test_second_order_rejects_bad_b():
-    with pytest.raises(DesignError):
-        ns.optimal_interval_second_order(a=0.0, b=-1.0)
+def test_second_order_rejects_a_system_that_is_not_a_lone_pair():
+    spec = fileio.load_system(DATA / "third_order.json")
+    with pytest.raises(DesignError, match="closed-form design needs a 2nd-order complex pair"):
+        ns.optimal_interval_second_order(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import nusample as ns
-from nusample import analysis, lti
+from nusample import analysis, cli, lti
 from nusample import errors
 from nusample.errors import RootFindingError
 from conftest import count_builds, random_minimal_spec
@@ -471,6 +471,7 @@ def test_minimality_multiple_root_highest_coefficient():
     (ns, "DEFAULT_ADMISSIBILITY_FACTOR"),
     (ns.design, "MIN_GRAM_DET"),
     (analysis.AnalysisReport, "threshold"),
+    (cli, "run_geometry"),
 ])
 def test_removed_api_is_gone(owner, name):
     # the package works in one realization's Jordan frame, which the system
@@ -480,7 +481,8 @@ def test_removed_api_is_gone(owner, name):
     # impulse train takes and returns plain arrays in the Jordan frame, with
     # no state transition of the companion frame, the CLI writes the
     # geometry CSV, the trace carries no field that nothing reads, and every
-    # verdict is spectrum's one tolerance on a sigma ratio
+    # verdict is spectrum's one tolerance on a sigma ratio; the geometric
+    # construction has one command, design --method geometric
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
         assert name not in {f.name for f in dataclasses.fields(owner)}

@@ -1,8 +1,10 @@
 """Module boundaries, read from the source: the CLI and the scripts reach the
-package only through public names, the design module computes without
-writing a file (the CLI writes every output) and without linear algebra of
-its own (``analysis.unit_gram`` scores every candidate), and the simulation
-runs in the Jordan frame without the companion basis B or its inverse."""
+package only through public names, the CLI reads no block of a system (each
+design route checks the system's shape itself), the design module computes
+without writing a file (the CLI writes every output) and without linear
+algebra of its own (``analysis.unit_gram`` scores every candidate), and the
+simulation runs in the Jordan frame without the companion basis B or its
+inverse."""
 import ast
 from pathlib import Path
 
@@ -98,6 +100,10 @@ def test_the_attribute_scan_sees_what_it_forbids():
 
 def test_cli_reads_no_private_name_of_the_package():
     assert _private_reads(_tree(cli)) == []
+
+
+def test_cli_reads_no_block_of_the_system():
+    assert _attribute_reads(_tree(cli), {"blocks"}) == []
 
 
 def test_scripts_read_no_private_name_of_the_package():

@@ -80,8 +80,8 @@ def _commands(tmp_path):
         (["sweep", *third, "--from", "0.2", "--to", "1.0", "--points", "4",
           "--trials", "5"], None),
         (["sweep", *osc, "--from", "0.5", "--to", "3.5", "--points", "3"], None),
-        (["geometry", *third, "--instants", data("third_sequence.json"),
-          "--out", geometry], geometry),
+        (["design", *third, "--t0", "0", "--method", "geometric", "--t1", "0.5",
+          "--trace", geometry], geometry),
     ]
 
 

@@ -69,7 +69,7 @@ def test_output_digest_hashes_written_files(tmp_path, monkeypatch):
     assert (tmp_path / "t.csv").read_text() == "stale"
     monkeypatch.setattr(output_digest, "run", writer(None))
     assert output_digest.digest([["design", "--trace", "t.csv"]]) == digests[None]
-    assert output_digest.written_path(["geometry", "--out", "g.csv"]) == "g.csv"
+    assert output_digest.written_path(["design", "--trace", "g.csv"]) == "g.csv"
     assert output_digest.written_path(["analyze", "--system", "s.json"]) is None
 
 
