@@ -54,8 +54,9 @@ RANK_REL_TOL = 1e-8  # the default sigma_min / sigma_max at or below which a mat
 
 @dataclass(frozen=True)
 class SamplingSequence:
-    """Strictly increasing sampling instants, plus an optional final instant
-    (needed only by the controllability-side simulation)."""
+    """Strictly increasing finite sampling instants, plus an optional finite
+    final instant (needed only by the controllability-side simulation), whose
+    span from the first instant to the last one a float holds."""
 
     instants: tuple[float, ...]
     final_instant: float | None = None
@@ -71,12 +72,18 @@ class SamplingSequence:
             if not b > a:
                 raise DegenerateSamplingError(f"instants must be strictly increasing "
                                               f"({a} !< {b})")
+        last = inst[-1]
         if self.final_instant is not None:
-            tf = float(self.final_instant)
-            object.__setattr__(self, "final_instant", tf)
-            if not tf > inst[-1]:
+            last = float(self.final_instant)
+            object.__setattr__(self, "final_instant", last)
+            if not math.isfinite(last):
+                raise DegenerateSamplingError("final instant must be finite")
+            if not last > inst[-1]:
                 raise DegenerateSamplingError("final instant must exceed the last "
                                               "sampling instant")
+        if not math.isfinite(last - inst[0]):
+            raise DegenerateSamplingError(f"the span from t = {inst[0]:.6g} to t = "
+                                          f"{last:.6g} overflows a float")
 
 
 def alphas(seq: SamplingSequence) -> tuple[float, ...]:
@@ -262,7 +269,7 @@ def degree_metrics_from_vectors(Y: np.ndarray) -> DegreeMetrics:
 # ---------------------------------------------------------------------------
 # brute-force state-space oracles
 
-def _reach_intervals(spec: SystemSpec, seq: SamplingSequence) -> np.ndarray:
+def reach_intervals(spec: SystemSpec, seq: SamplingSequence) -> np.ndarray:
     """t_n - t_i for i = n-1 .. 0, the intervals of the controllability
     matrix's columns; raises ValueError without a final instant or without
     one instant per state."""
@@ -277,7 +284,7 @@ def bruteforce_controllability_matrix(spec: SystemSpec,
                                       seq: SamplingSequence) -> np.ndarray:
     """G_J = [G_{n-1}, ..., G_0] in the Jordan frame, G_i = exp(J (t_n - t_i))
     y0; the companion frame's G_i = exp(A (t_n - t_i)) b is B G_i."""
-    return checked_flow(spec.eigen, spec.y0, _reach_intervals(spec, seq)).T
+    return checked_flow(spec.eigen, spec.y0, reach_intervals(spec, seq)).T
 
 
 def jordan_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> np.ndarray:

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from nusample import analysis, design, fileio, simulate
-from nusample.errors import DegenerateSamplingError, InputError, NuSampleError, RankDeficientError
+from nusample.errors import InputError, NuSampleError, RankDeficientError
 from nusample.lti import check_minimality
 
 EXIT_OK = 0
@@ -43,6 +43,18 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """int(text), refusing a count past the floats one numpy array can hold:
+    the type of every count flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(value) > np.iinfo(np.intp).max // 8:
+        raise argparse.ArgumentTypeError(f"count too large for an array: {text!r}")
     return value
 
 
@@ -90,16 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--t0", type=_finite_float, required=True)
     pd.add_argument("--method", choices=["auto", "closed", "geometric", "generic"],
                     default="auto")
-    pd.add_argument("--m", type=int, default=0, help="branch integer for the closed form")
+    pd.add_argument("--m", type=_count, default=0, help="branch integer for the closed form")
     pd.add_argument("--t1", type=_finite_float, default=None,
                     help="second instant for the geometric method "
                          "(default: t0 + pi/(2 b))")
-    pd.add_argument("--m-max", type=int, default=design.DEFAULT_M_MAX)
+    pd.add_argument("--m-max", type=_count, default=design.DEFAULT_M_MAX)
     pd.add_argument("--dmin", type=_finite_float, default=0.05,
                     help="shortest sampling interval of the generic search")
     pd.add_argument("--dmax", type=_finite_float, default=5.0,
                     help="longest sampling interval of the generic search")
-    pd.add_argument("--steps", type=int, default=200)
+    pd.add_argument("--steps", type=_count, default=200)
     pd.add_argument("--trace", default=None,
                     help="write the geometry trace CSV here (geometric method only)")
 
@@ -112,9 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--system", required=True)
     ps.add_argument("--from", dest="start", type=_finite_float, required=True)
     ps.add_argument("--to", dest="stop", type=_finite_float, required=True)
-    ps.add_argument("--points", type=int, required=True)
-    ps.add_argument("--noise", type=_finite_float, default=1e-4)
-    ps.add_argument("--trials", type=int, default=50)
+    ps.add_argument("--points", type=_count, required=True)
+    ps.add_argument("--trials", type=_count, default=50)
     ps.add_argument("--seed", type=int, default=0)
 
     return p
@@ -257,31 +268,26 @@ def _scales(args, lo: int, hi: int) -> np.ndarray:
     return y
 
 
-def _noise_amplification(O, eps, trials, seeds) -> np.ndarray:
-    """Median reconstruction error per unit output noise over ``trials``
-    random initial states for each observability matrix of the stack O, inf
-    where O is numerically singular.  Matrix p draws each trial's initial
-    state, then its noise / eps, from default_rng(seeds[p]).  Noise above 1
-    is divided, with the states, by the power of two 2**e >= eps: the ratio
-    keeps its bits and eps z cannot overflow; O x0 that overflows is a
-    DegenerateSamplingError."""
+def _noise_amplification(O, trials, seeds) -> np.ndarray:
+    """Median of ||O^{-1} w|| over ``trials`` noise draws w for each
+    observability matrix of the stack O, inf where O is numerically
+    singular: the least-squares reconstruction error per unit output noise,
+    which depends on neither the initial state nor the noise level.  Matrix
+    p draws each trial's w from default_rng(seeds[p])."""
     n = O.shape[-1]
-    z = np.empty((len(seeds), trials, 2, n))
+    try:
+        z = np.empty((len(seeds), trials, 2, n))
+    except ValueError as exc:  # more bytes than numpy can count
+        raise MemoryError(str(exc)) from None
     for zp, seed in zip(z, seeds):
+        # each trial draws an initial state, unused, before its noise: that
+        # keeps the stream the same, and so the replay in perfbench/oracle.py
         np.random.default_rng(seed).standard_normal(out=zp)
-    e = math.frexp(eps)[1] if eps > 1 else 0
-    eps = math.ldexp(eps, -e)
-    x0 = np.ldexp(z[:, :, 0], -e).swapaxes(-1, -2)  # one initial state per column
     deficient = analysis.spectrum(O)[3]
-    solvable = ~deficient[:, None, None]  # the others solve I x = x0 exactly
-    with np.errstate(over="ignore", invalid="ignore"):
-        noisy = np.where(solvable, O @ x0 + eps * z[:, :, 1].swapaxes(-1, -2), x0)
-    if not np.isfinite(noisy).all():
-        raise DegenerateSamplingError("the simulated outputs O x0 overflow a float; "
-                                      "shorten the sampling intervals")
-    x0_hat = np.linalg.solve(np.where(solvable, O, np.eye(n)), noisy)
-    amp = np.median(np.linalg.norm(x0_hat - x0, axis=-2), axis=-1) / eps
-    return np.where(deficient, math.inf, amp)
+    # a deficient O may be exactly singular, so it solves I x = w instead
+    x = np.linalg.solve(np.where(deficient[:, None, None], np.eye(n), O),
+                        z[:, :, 1].swapaxes(-1, -2))
+    return np.where(deficient, math.inf, np.median(np.linalg.norm(x, axis=-2), axis=-1))
 
 
 def _sweep_columns(spec, minimal, args, lo: int, hi: int):
@@ -297,7 +303,7 @@ def _sweep_columns(spec, minimal, args, lo: int, hi: int):
     if bad.any():
         if s[bad][0] <= 0:
             raise InputError("interval scale must stay positive over the sweep")
-        analysis.SamplingSequence(tuple(t[bad][0]), final_instant=n * s[bad][0])  # raises
+        analysis.SamplingSequence(tuple(t[bad][0]))  # raises
     av = t[:, -1:] - t[:, ::-1]  # analysis.alphas, row by row
     det, _, cond = analysis.joint_arrays(analysis.fundamental_matrix(spec.eigen, av))
     gram = np.full(len(s), math.nan)
@@ -305,7 +311,7 @@ def _sweep_columns(spec, minimal, args, lo: int, hi: int):
         gram = analysis.checked_gram(analysis.sampled_mode_vectors(spec, av))[1]
     O = analysis.bruteforce_observability_matrix(spec, av)
     seeds = [args.seed * 1000003 + idx for idx in range(lo, hi)]
-    return s, det, gram, cond, _noise_amplification(O, args.noise, args.trials, seeds)
+    return s, det, gram, cond, _noise_amplification(O, args.trials, seeds)
 
 
 def _sweep_rows(spec, minimal, args, lo: int, hi: int):
@@ -329,8 +335,6 @@ def run_sweep(args) -> int:
     spec = fileio.load_system(args.system)
     if args.points < 1:
         raise InputError("need at least one sweep point")
-    if args.noise <= 0:
-        raise InputError("noise magnitude must be positive")
     if args.trials < 1:
         raise InputError("need at least one noise trial")
     writer = csv.writer(sys.stdout)

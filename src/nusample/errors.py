@@ -16,11 +16,12 @@ class RootFindingError(NuSampleError):
 
 
 class DegenerateSamplingError(NuSampleError):
-    """The sampling instants cannot be evaluated: they are not strictly
-    increasing, or an interval is so long that a growing mode e^{Re lambda
-    alpha} overflows a float (or the basis determinant does), or that a
-    decaying mode vector vanishes; or a vector the simulation needs (the
-    input vector y0, a solution, the simulated outputs) overflows a float."""
+    """The sampling instants cannot be evaluated: they are not finite or not
+    strictly increasing, or their span overflows a float, or an interval is
+    so long that a growing mode e^{Re lambda alpha} overflows a float (or
+    the basis determinant does), or that a decaying mode vector vanishes; or
+    a vector the simulation needs (the input vector y0, a solution)
+    overflows a float."""
 
 
 class RankDeficientError(NuSampleError):

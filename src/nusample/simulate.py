@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nusample.analysis import SamplingSequence, _reach_intervals, spectrum, unit_vectors
+from nusample.analysis import SamplingSequence, reach_intervals, spectrum, unit_vectors
 from nusample.errors import DegenerateSamplingError, RankDeficientError
 from nusample.lti import SystemSpec, checked_flow
 
@@ -50,7 +50,7 @@ def deadbeat_inputs(spec: SystemSpec, z0, seq: SamplingSequence) -> np.ndarray:
     ``analysis.bruteforce_controllability_matrix`` bit for bit, and, at
     t_n - t_0, z0's free response."""
     flows = checked_flow(spec.eigen, np.stack([spec.y0, np.asarray(z0, dtype=float)]),
-                         _reach_intervals(spec, seq))
+                         reach_intervals(spec, seq))
     u_rev = solve_checked(flows[:, 0].T, -flows[-1, 1],
                           "controllability matrix [G_{n-1},...,G_0]", axis=-2)
     return u_rev[::-1]

@@ -477,14 +477,13 @@ def simulate_impulse_train(real: ObservabilityForm, x0, seq, inputs) -> list:
 # ---------------------------------------------------------------------------
 # the sweep, one scale at a time
 
-def _sweep_row(spec, minimal, noise, trials, seed, idx, s):
+def _sweep_row(spec, minimal, trials, seed, idx, s):
     """One CSV row: each matrix built for this scale alone, each check in the
     order the CLI's stages run."""
     if s <= 0:
         raise InputError("interval scale must stay positive over the sweep")
     with np.errstate(over="ignore", invalid="ignore"):
-        seq = analysis.SamplingSequence(tuple(i * s for i in range(spec.n)),
-                                        final_instant=spec.n * s)
+        seq = analysis.SamplingSequence(tuple(i * s for i in range(spec.n)))
     av = analysis.alphas(seq)
     M = analysis.fundamental_matrix(spec.eigen, av)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -508,29 +507,20 @@ def _sweep_row(spec, minimal, noise, trials, seed, idx, s):
                                           "vanishes; shorten the sampling intervals")
         Yn = Ys / norms
         gram = float(min(np.linalg.det(Yn) ** 2, 1.0))
-    # trial t draws its initial state, then its noise / eps; noise above 1 is
-    # scaled with the states by the power of two 2**e >= eps
+    # trial t draws an initial state, then the noise w; the error of the
+    # least-squares estimate is O^{-1} w, whatever the state and noise level
     z = np.random.default_rng(seed * 1000003 + idx).standard_normal((trials, 2, spec.n))
-    e = math.frexp(noise)[1] if noise > 1 else 0
-    eps = math.ldexp(noise, -e)
-    x0 = np.ldexp(z[:, 0].T, -e)
+    w = z[:, 1].T
     O = analysis.bruteforce_observability_matrix(spec, av)
-    with np.errstate(over="ignore", invalid="ignore"):
-        noisy = O @ x0 + eps * z[:, 1].T
-    if not np.isfinite(noisy).all():
-        raise DegenerateSamplingError("the simulated outputs O x0 overflow a float; "
-                                      "shorten the sampling intervals")
     so = np.linalg.svd(O, compute_uv=False)
     if so[0] == 0.0 or so[-1] / so[0] <= analysis.RANK_REL_TOL:
         amp = math.inf
     else:
-        x0_hat = np.linalg.solve(O, noisy)
-        amp = float(np.median(np.linalg.norm(x0_hat - x0, axis=0))) / eps
+        amp = float(np.median(np.linalg.norm(np.linalg.solve(O, w), axis=0)))
     return [s, det, gram, cond, amp]
 
 
-def sweep(system, start, stop, points, noise=1e-4, trials=50,
-          seed=0) -> tuple[int, str, str]:
+def sweep(system, start, stop, points, trials=50, seed=0) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of ``nusample sweep`` run one scale at a
     time over np.linspace(start, stop, points): the rows before a failing
     scale, then that scale's error."""
@@ -544,7 +534,7 @@ def sweep(system, start, stop, points, noise=1e-4, trials=50,
         with np.errstate(over="ignore", invalid="ignore"):
             scales = np.linspace(start, stop, points)
         for idx, s in enumerate(scales):
-            row = _sweep_row(spec, minimal, noise, trials, seed, idx, s)
+            row = _sweep_row(spec, minimal, trials, seed, idx, s)
             writer.writerow([f"{float(x):.12g}" for x in row])
     except NuSampleError as exc:
         return 1, out.getvalue(), f"error: {exc}\n"

@@ -416,7 +416,7 @@ def _sweep(start="0.2", stop="1.0"):
     (["analyze", *THIRD_SEQ], "inf"),
     (["analyze", *THIRD_SEQ], "nan"),
     (["analyze", *THIRD_SEQ], "-inf"),
-    ([*_sweep(), "--noise", "inf"], None),
+    (["design", *THIRD, "--t0", "0", "--method", "geometric", "--t1", "inf"], None),
     (_sweep(stop="inf"), None),
     (_sweep(start="nan"), None),
     (["design", *THIRD, "--t0", "0", "--method", "generic", "--dmax", "inf"], None),
@@ -446,24 +446,46 @@ def test_sweep_reads_no_tolerance(capsys, monkeypatch):
     assert err.endswith("error: unrecognized arguments: --tol 1e-9\n")
 
 
+def test_sweep_takes_no_noise_level(capsys):
+    # the noise column is the error per unit noise, whatever the level
+    code, out, err = run(capsys, *_sweep(), "--noise", "1e-4")
+    assert (code, out) == (1, "")
+    assert err.endswith("error: unrecognized arguments: --noise 1e-4\n")
+
+
 def test_finite_tolerance_flag_outranks_a_non_finite_environment(capsys, monkeypatch):
     monkeypatch.setenv("NUSAMPLE_TOL", "inf")
     code, out, _ = run(capsys, "analyze", *THIRD_SEQ, "--tol", "1e-9")
     assert code == 0 and "admissible = yes" in out
 
 
+SWEEP_TWO = ["sweep", *THIRD, "--from", "0.2", "--to", "1.0", "--points", "2"]
+DESIGN_THIRD = ["design", *THIRD, "--t0", "0", "--method"]
+
+
 @pytest.mark.parametrize("argv", [
-    ["sweep", *THIRD, "--from", "0.2", "--to", "1.0", "--points", "2",
-     "--trials", "100000000000000"],
-    ["design", *THIRD, "--t0", "0", "--method", "geometric", "--m-max", "100000000000000"],
+    [*SWEEP_TWO, "--trials", "100000000000000"],
+    [*DESIGN_THIRD, "geometric", "--m-max", "100000000000000"],
+    # counts past the floats one array can hold, refused at the flag
+    [*SWEEP_TWO, "--trials", "4611686018427387904"],
+    [*DESIGN_THIRD, "geometric", "--m-max", "9223372036854775807"],
+    [*DESIGN_THIRD, "generic", "--steps", "9223372036854775807"],
+    ["design", "--system", str(DATA / "oscillator.json"), "--t0", "0", "--method", "closed",
+     "--m", str(10 ** 400)],
+    ["sweep", *THIRD, "--from", "0.2", "--to", "1.0", "--points", str(10 ** 400)],
+    # a count the flag takes, whose noise draws hold more bytes than numpy counts
+    [*SWEEP_TWO, "--trials", str(2 ** 59)],
 ])
 def test_unallocatable_count_is_an_error(capsys, argv):
-    # the arrays would take petabytes or hundreds of terabytes, so numpy
-    # refuses them at once, before any memory is touched
+    # a count past the floats one array can hold is a usage error of its
+    # flag; below that, numpy refuses arrays of petabytes or more at once,
+    # before any memory is touched
     code, _, err = run(capsys, *argv)
-    assert code == 1
-    assert err.startswith("error: out of memory (Unable to allocate ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    lines = err.splitlines()
+    assert code == 1 and "Traceback" not in err
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert (lines[-1].startswith("error: out of memory (")
+            or "count too large for an array" in lines[-1])
 
 
 def test_auto_design_skips_the_degenerate_geometric_step(capsys, tmp_path):
@@ -505,6 +527,12 @@ ONE_ROOT = {"order": 1, "roots": [{"re": -1.0, "im": 0.0, "mult": 1}], "markov":
 ONE_INSTANT = {"instants": [0.0]}
 ANALYZE = ["analyze", "--system", "{system}", "--instants", "{sequence}"]
 SWEEP = ["sweep", "--system", "{system}", "--from", "0.2", "--to", "1.0"]
+VERIFY = ["verify", "--system", "{system}", "--instants", "{sequence}", "--seed", "1"]
+TWO_ROOTS = {"order": 2, "roots": [{"re": -1.0, "im": 0.0, "mult": 1},
+                                   {"re": -2.0, "im": 0.0, "mult": 1}],
+             "mode_coefficients": [{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]}
+# the span from the first instant to the final one overflows a float
+SPAN_OVERFLOW = (TWO_ROOTS, {"instants": [-1e308, 0.0], "final_instant": 1e308})
 
 
 def _without(doc, field):
@@ -545,8 +573,12 @@ INPUT_ERRORS = [
     (ONE_ROOT, ONE_INSTANT, ANALYZE, "0", None, "NUSAMPLE_TOL must be positive"),
     (ONE_ROOT, ONE_INSTANT, [*SWEEP, "--points", "0"], None, None,
      "need at least one sweep point"),
-    (ONE_ROOT, ONE_INSTANT, [*SWEEP, "--points", "2", "--noise", "0"], None, None,
-     "noise magnitude must be positive"),
+    (TWO_ROOTS, {"instants": [0.0, 1.0], "final_instant": math.inf}, VERIFY, None,
+     "sequence", "final instant must be finite"),
+    (TWO_ROOTS, {"instants": [0.0, 1.0], "final_instant": math.nan}, VERIFY, None,
+     "sequence", "final instant must be finite"),
+    (TWO_ROOTS, SPAN_OVERFLOW[1], VERIFY, None, "sequence",
+     "the span from t = -1e+308 to t = 1e+308 overflows a float"),
 ]
 
 
@@ -857,6 +889,7 @@ ZERO_PIVOT = ({"order": 9, "roots": _real((-10.0, 1), (-64.93816315762113, 4), (
 @example(case=ZERO_PIVOT, flags=NO_FLAGS)
 @example(case=NEAR_CONJUGATE, flags=NO_FLAGS)
 @example(case=HIGH_ORDER, flags=NO_FLAGS)
+@example(case=SPAN_OVERFLOW, flags=NO_FLAGS)
 def test_every_subcommand_keeps_the_exit_contract(case, flags):
     # exit 0, 1 or 2, an error message for 1, and no exception or warning
     with tempfile.TemporaryDirectory() as tmp:

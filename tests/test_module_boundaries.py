@@ -1,16 +1,17 @@
-"""Module boundaries, read from the source: the CLI and the scripts reach the
-package only through public names, the CLI reads no block of a system (each
-design route checks the system's shape itself), the design module computes
-without writing a file (the CLI writes every output) and without linear
-algebra of its own (``analysis.unit_gram`` scores every candidate), and the
-simulation runs in the Jordan frame without the companion basis B or its
-inverse."""
+"""Module boundaries, read from the source: each module of the package and
+each script reaches the package's other modules only through public names,
+the CLI reads no block of a system (each design route checks the system's
+shape itself), the design module computes without writing a file (the CLI
+writes every output) and without linear algebra of its own
+(``analysis.unit_gram`` scores every candidate), and the simulation runs in
+the Jordan frame without the companion basis B or its inverse."""
 import ast
 from pathlib import Path
 
 from nusample import cli, design, simulate
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PACKAGE = Path(cli.__file__).resolve().parent
 
 
 def _tree(module):
@@ -98,8 +99,10 @@ def test_the_attribute_scan_sees_what_it_forbids():
     assert sorted(_attribute_reads(tree, COMPANION_BASIS)) == [("B", 1), ("B_inv", 2)]
 
 
-def test_cli_reads_no_private_name_of_the_package():
-    assert _private_reads(_tree(cli)) == []
+def test_modules_read_no_private_name_of_another():
+    found = [(module.name, *hit) for module in sorted(PACKAGE.glob("*.py"))
+             for hit in _private_reads(ast.parse(module.read_text()))]
+    assert found == []
 
 
 def test_cli_reads_no_block_of_the_system():

@@ -1,6 +1,6 @@
 """The batched sweep and the shape of a reconstruction: the noise column
-matches the per-trial loop, the whole output matches the per-scale loop
-byte for byte, the cost of a sweep grows with neither its points nor its
+matches the per-trial loop and a 50-digit route, the whole output matches
+the per-scale loop byte for byte, the cost of a sweep grows with neither its points nor its
 trials, and a reconstruction takes one output vector."""
 import argparse
 import contextlib
@@ -10,6 +10,7 @@ import os
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -50,20 +51,19 @@ def test_reconstruction_rejects_wrong_shapes(shape):
 # ---------------------------------------------------------------------------
 # the CLI column against the per-trial loop
 
-def _per_trial_amplification(spec, real, av, eps, trials, rng):
-    """Reference: each trial propagates its own x0 one alpha at a time and
-    solves its own system, with an O built column by column from the
-    state-frame flow, ``expA`` of the companion realization's Jordan frame
-    (the frame of the sweep's noise column)."""
+def _per_trial_amplification(spec, real, av, trials, rng):
+    """Reference: each trial draws an initial state (unused) and then its
+    noise w, and solves its own system for O^{-1} w, with an O built column
+    by column from the state-frame flow, ``expA`` of the companion
+    realization's Jordan frame (the frame of the sweep's noise column)."""
     n = spec.n
     O = np.array([[real.c @ expA(real.jordan, a) @ e for e in np.eye(n)] for a in av])
     errors = []
     for _ in range(trials):
-        x0 = rng.standard_normal(n)
-        outputs = np.array([float(real.c @ expA(real.jordan, a) @ x0) for a in av])
-        noisy = outputs + rng.normal(0.0, eps, n)
-        errors.append(float(np.linalg.norm(np.linalg.solve(O, noisy) - x0)))
-    return float(np.median(errors)) / eps
+        rng.standard_normal(n)
+        w = rng.standard_normal(n)
+        errors.append(float(np.linalg.norm(np.linalg.solve(O, w))))
+    return float(np.median(errors))
 
 
 def _write_system(path, spec):
@@ -76,11 +76,10 @@ def _write_system(path, spec):
     return str(path)
 
 
-def _sweep_amplification(capsys, system, seed, trials, eps, start, stop, points):
+def _sweep_amplification(capsys, system, seed, trials, start, stop, points):
     code, out, _ = run(capsys, "sweep", "--system", system, "--from", str(start),
                        "--to", str(stop), "--points", str(points),
-                       "--noise", str(eps), "--trials", str(trials),
-                       "--seed", str(seed))
+                       "--trials", str(trials), "--seed", str(seed))
     assert code == 0
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     return [float(r[0]) for r in rows], [float(r[4]) for r in rows]
@@ -95,21 +94,52 @@ def test_sweep_amplification_matches_per_trial_loop(capsys, tmp_path, source):
         system = _write_system(tmp_path / "random6.json", spec)
     spec = fileio.load_system(system)
     real = observability_canonical(spec)
-    seed, trials, eps = 4, 9, 1e-3
-    scales, amps = _sweep_amplification(capsys, system, seed, trials, eps,
-                                        0.3, 1.2, 5)
+    seed, trials = 4, 9
+    scales, amps = _sweep_amplification(capsys, system, seed, trials, 0.3, 1.2, 5)
     assert all(math.isfinite(a) for a in amps)
     for idx, (s, amp) in enumerate(zip(scales, amps)):
         av = ns.alphas(ns.SamplingSequence(tuple(i * s for i in range(spec.n))))
         rng = np.random.default_rng(seed * 1000003 + idx)
-        expected = _per_trial_amplification(spec, real, av, eps, trials, rng)
+        expected = _per_trial_amplification(spec, real, av, trials, rng)
         assert amp == pytest.approx(expected, rel=1e-8)
 
 
 def test_sweep_half_period_oscillator_is_inf(capsys):
     _, amps = _sweep_amplification(capsys, str(DATA / "oscillator.json"), 0, 5,
-                                   1e-4, math.pi, math.pi, 1)
+                                   math.pi, math.pi, 1)
     assert amps == [math.inf]
+
+
+# ---------------------------------------------------------------------------
+# the noise column against a 50-digit route from the same O and draws
+
+def _exact_median_error(O, w):
+    """The median over the columns w_k of w of ||O^{-1} w_k||, each solve and
+    norm in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        A = mpmath.matrix(O.tolist())
+        errors = sorted(mpmath.norm(mpmath.lu_solve(A, mpmath.matrix(col.tolist())))
+                        for col in w.T)
+        mid = len(errors) // 2
+        return errors[mid] if len(errors) % 2 else (errors[mid - 1] + errors[mid]) / 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_noise_amplification_is_accurate(n):
+    # the column is ||O^{-1} w|| for the draws w alone, so it keeps the
+    # accuracy of one solve: n eps cond(O) relative to the exact median
+    rng = np.random.default_rng(700 + n)
+    spec = random_minimal_spec(rng, n)
+    scales = rng.uniform(0.2, 1.0, 4)
+    O = analysis.bruteforce_observability_matrix(spec, np.arange(n) * scales[:, None])
+    trials = 6 + n % 2  # an even count takes the mean of the middle two
+    seeds = [n * 1000003 + idx for idx in range(len(scales))]
+    amps = cli._noise_amplification(O, trials, seeds)
+    for Op, amp, seed in zip(O, amps, seeds):
+        w = np.random.default_rng(seed).standard_normal((trials, 2, n))[:, 1].T
+        exact = _exact_median_error(Op, w)
+        bound = n * np.finfo(float).eps * np.linalg.cond(Op)
+        assert abs(mpmath.mpf(float(amp)) - exact) <= bound * exact
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +220,6 @@ def test_sweep_scales_are_slices_of_linspace(start, stop, points):
 
 
 # ---------------------------------------------------------------------------
-# noise above 1
-
-@pytest.mark.parametrize("noise", ["1e300", "1e308"])
-def test_sweep_huge_noise_stays_finite(capsys, noise):
-    argv = ["sweep", "--system", str(DATA / "third_order.json"), "--from", "0.2",
-            "--to", "1", "--points", "2", "--trials", "3"]
-    code, out, err = run(capsys, *argv, "--noise", noise)
-    assert (code, err) == (0, "")
-    amps = [float(row.split(",")[4]) for row in out.splitlines()[1:]]
-    assert all(math.isfinite(a) for a in amps)
-    # the error per unit noise is scale-free: it matches the value at noise 1
-    _, out, _ = run(capsys, *argv, "--noise", "1")
-    assert amps == pytest.approx([float(row.split(",")[4]) for row in out.splitlines()[1:]],
-                                 rel=1e-11)
-
-
-# ---------------------------------------------------------------------------
 # the whole output against the per-scale loop of tests/reference.py
 
 def _system_file(tmp_path, name, spec):
@@ -231,31 +244,30 @@ def _pinned_system(tmp_path, name):
 
 
 PINNED = [
-    # system, from, to, points, trials, seed, noise
-    ("third_order", 0.2, 1.0, 8, 6, 0, 1e-4),
-    ("third_order", 0.05, 6.0, 25, 3, 11, 0.37),
-    ("oscillator", 0.5, 3.5, 9, 5, 2, 1e-4),
-    ("oscillator", math.pi, math.pi, 3, 4, 0, 1e-4),  # half period: O singular, inf
-    ("third_order", 1.2, 0.1, 7, 4, 5, 1e-3),         # descending
-    ("oscillator", 1.0, -0.5, 7, 3, 0, 1e-4),         # reaches 0 after four rows
-    ("third_order", 0.3, -0.3, 1, 3, 0, 1e-4),
-    ("third_order", 0.2, 1.0, 5, 4, 1, 1e5),          # noise above 1, below overflow
-    ("non_minimal", 0.2, 2.0, 5, 6, 3, 1e-4),
-    ("overflowing", 700.0, 800.0, 2, 50, 0, 1e-4),    # one row, then the error
-    ("overflowing", 600.0, 760.0, 9, 4, 7, 1e-4),
-    ("hadamard", 60.0, 120.0, 7, 2, 0, 1e-4),
-    *[(f"random{n}", 0.2, 1.5, 6, 5, n, 1e-3) for n in range(2, 9)],
+    # system, from, to, points, trials, seed
+    ("third_order", 0.2, 1.0, 8, 6, 0),
+    ("third_order", 0.05, 6.0, 25, 3, 11),
+    ("oscillator", 0.5, 3.5, 9, 5, 2),
+    ("oscillator", math.pi, math.pi, 3, 4, 0),  # half period: O singular, inf
+    ("third_order", 1.2, 0.1, 7, 4, 5),         # descending
+    ("oscillator", 1.0, -0.5, 7, 3, 0),         # reaches 0 after four rows
+    ("third_order", 0.3, -0.3, 1, 3, 0),
+    ("third_order", 0.2, 1.0, 5, 4, 1),
+    ("non_minimal", 0.2, 2.0, 5, 6, 3),
+    ("overflowing", 700.0, 800.0, 2, 50, 0),    # one row, then the error
+    ("overflowing", 600.0, 760.0, 9, 4, 7),
+    ("hadamard", 60.0, 120.0, 7, 2, 0),
+    *[(f"random{n}", 0.2, 1.5, 6, 5, n) for n in range(2, 9)],
 ]
 
 
 def _pinned_output(capsys, monkeypatch, tmp_path, case):
-    name, start, stop, points, trials, seed, noise = case
+    name, start, stop, points, trials, seed = case
     monkeypatch.delenv("NUSAMPLE_TOL", raising=False)
     system = _pinned_system(tmp_path, name)
     got = run(capsys, "sweep", "--system", system, "--from", repr(start), "--to", repr(stop),
-              "--points", str(points), "--trials", str(trials), "--seed", str(seed),
-              "--noise", repr(noise))
-    assert got == reference.sweep(system, start, stop, points, noise, trials, seed)
+              "--points", str(points), "--trials", str(trials), "--seed", str(seed))
+    assert got == reference.sweep(system, start, stop, points, trials, seed)
     return got
 
 
@@ -298,5 +310,5 @@ def test_sweep_small_blocks_match_per_scale_loop(capsys, monkeypatch, tmp_path):
     # rows of the blocks before it and of its first scale still come out
     monkeypatch.setattr(cli, "SWEEP_BLOCK_FLOATS", 2 * (2 + 2 * 4) * 3)
     code, out, _ = _pinned_output(capsys, monkeypatch, tmp_path,
-                                  ("overflowing", 600.0, 760.0, 9, 4, 7, 1e-4))
+                                  ("overflowing", 600.0, 760.0, 9, 4, 7))
     assert code == 1 and len(out.splitlines()) == 7
