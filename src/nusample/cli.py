@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--t0", type=_finite_float, required=True)
     pd.add_argument("--method", choices=["auto", "closed", "geometric", "generic"],
                     default="auto")
-    pd.add_argument("--m", type=_count, default=0, help="branch integer for the closed form")
+    pd.add_argument("--m", type=int, default=0, help="branch integer for the closed form")
     pd.add_argument("--t1", type=_finite_float, default=None,
                     help="second instant for the geometric method "
                          "(default: t0 + pi/(2 b))")

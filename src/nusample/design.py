@@ -98,7 +98,12 @@ def optimal_interval_second_order(spec: SystemSpec, t0: float = 0.0,
     if m < 0:
         raise DesignError("branch integer m must be nonnegative")
     _require_minimal(spec)
-    t1 = t0 + (2 * m + 1) * math.pi / (2.0 * spec.eigen.blocks[0].value.imag)
+    try:
+        t1 = t0 + (2 * m + 1) * math.pi / (2.0 * spec.eigen.blocks[0].value.imag)
+    except OverflowError:  # an m past the float range
+        t1 = math.inf
+    if not math.isfinite(t1):
+        raise DesignError("branch integer m puts t1 past the float range")
     seq = SamplingSequence((t0, t1))
     return DesignResult(seq, _designed_metric(spec, seq), "closed-form-2nd", m)
 

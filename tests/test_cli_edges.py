@@ -463,29 +463,38 @@ SWEEP_TWO = ["sweep", *THIRD, "--from", "0.2", "--to", "1.0", "--points", "2"]
 DESIGN_THIRD = ["design", *THIRD, "--t0", "0", "--method"]
 
 
-@pytest.mark.parametrize("argv", [
-    [*SWEEP_TWO, "--trials", "100000000000000"],
-    [*DESIGN_THIRD, "geometric", "--m-max", "100000000000000"],
-    # counts past the floats one array can hold, refused at the flag
-    [*SWEEP_TWO, "--trials", "4611686018427387904"],
-    [*DESIGN_THIRD, "geometric", "--m-max", "9223372036854775807"],
-    [*DESIGN_THIRD, "generic", "--steps", "9223372036854775807"],
-    ["design", "--system", str(DATA / "oscillator.json"), "--t0", "0", "--method", "closed",
-     "--m", str(10 ** 400)],
-    ["sweep", *THIRD, "--from", "0.2", "--to", "1.0", "--points", str(10 ** 400)],
-    # a count the flag takes, whose noise draws hold more bytes than numpy counts
-    [*SWEEP_TWO, "--trials", str(2 ** 59)],
-])
-def test_unallocatable_count_is_an_error(capsys, argv):
-    # a count past the floats one array can hold is a usage error of its
-    # flag; below that, numpy refuses arrays of petabytes or more at once,
+UNALLOCATABLE = [
+    # numpy refuses arrays of petabytes or hundreds of terabytes at once,
     # before any memory is touched
+    ([*SWEEP_TWO, "--trials", "100000000000000"], "out of memory (Unable to allocate "),
+    ([*DESIGN_THIRD, "geometric", "--m-max", "100000000000000"],
+     "out of memory (Unable to allocate "),
+    # counts past the floats one array can hold, refused at the flag
+    ([*SWEEP_TWO, "--trials", "4611686018427387904"],
+     "argument --trials: count too large for an array: '4611686018427387904'"),
+    ([*DESIGN_THIRD, "geometric", "--m-max", "9223372036854775807"],
+     "argument --m-max: count too large for an array: '9223372036854775807'"),
+    ([*DESIGN_THIRD, "generic", "--steps", "9223372036854775807"],
+     "argument --steps: count too large for an array: '9223372036854775807'"),
+    ([*SWEEP_TWO[:-1], str(10 ** 400)], "argument --points: count too large for an array: "),
+    # a branch integer, not a count: its t1 leaves the float range
+    (["design", "--system", str(DATA / "oscillator.json"), "--t0", "0", "--method", "closed",
+      "--m", str(10 ** 400)], "branch integer m puts t1 past the float range"),
+    # a count the flag takes, whose noise draws hold more bytes than numpy counts
+    ([*SWEEP_TWO, "--trials", str(2 ** 59)], "out of memory (array is too big"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", UNALLOCATABLE,
+                         ids=[f"argv{i}" for i in range(len(UNALLOCATABLE))])
+def test_unallocatable_count_is_an_error(capsys, argv, expected):
     code, _, err = run(capsys, *argv)
     lines = err.splitlines()
     assert code == 1 and "Traceback" not in err
-    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
-    assert (lines[-1].startswith("error: out of memory (")
-            or "count too large for an array" in lines[-1])
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].startswith(f"error: {expected}")
+    if not expected.startswith("argument "):  # only a usage error prints usage lines first
+        assert len(lines) == 1
 
 
 def test_auto_design_skips_the_degenerate_geometric_step(capsys, tmp_path):
