@@ -13,8 +13,11 @@ in both checkouts, one after the other, the parent first in even pairs and
 the change first in odd ones, and prints each run's ``correct``,
 ``attempted``, ``failed`` and end-to-end metrics.  Then, for every end-to-end
 metric of the change's ``BENCHMARK.json``, it prints both medians, the
-spread of the parent's runs (the distance between their quartiles) and the
-pairs the change wins, ties counting for neither side; whether a gain claim
+spread of the parent's runs (the distance between their quartiles), the
+median and the range of the per-pair change/parent ratios, and the pairs
+the change wins, ties counting for neither side.  The two runs of a pair
+share a seed, so the ratio shows the change's own effect where seed-to-seed
+variation widens the parent's spread.  Last come whether a gain claim
 would hold (at least nine tenths of the pairs won, and the medians further
 apart than that spread); and whether the change is worse than the parent by
 more than the metric's bound: ``regression``, ``ok``, or ``unresolved``
@@ -69,6 +72,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> list[dict]:
         change = [p["change"][name] for p in pairs]
         p_med, c_med = statistics.median(parent), statistics.median(change)
         spread = _quartile_spread(parent)
+        ratios = [c / p for p, c in zip(parent, change)]
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         gain = sign * (c_med - p_med)
         allowed = bound * abs(p_med)
@@ -79,11 +83,28 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> list[dict]:
         else:
             verdict = "ok"
         rows.append({"name": name, "unit": metric.get("unit", ""), "parent_median": p_med,
-                     "change_median": c_med, "parent_spread": spread, "wins": wins,
+                     "change_median": c_med, "parent_spread": spread,
+                     "ratio_median": statistics.median(ratios),
+                     "ratio_range": (min(ratios), max(ratios)), "wins": wins,
                      "pairs": len(pairs),
                      "gain_holds": 10 * wins >= 9 * len(pairs) and gain > spread,
                      "verdict": verdict})
     return rows
+
+
+def table(rows: list[dict]) -> list[str]:
+    """The printed lines of ``summarize``'s rows, a header first."""
+    lines = [f"{'metric':<16}{'unit':>5}{'parent_med':>13}{'change_med':>13}"
+             f"{'parent_iqr':>12}{'ratio_med':>11}  {'ratio_range':<17}{'wins':>5}"
+             "  gain_claim  regression"]
+    for r in rows:
+        lo, hi = r["ratio_range"]
+        lines.append(f"{r['name']:<16}{r['unit']:>5}{r['parent_median']:>13.6g}"
+                     f"{r['change_median']:>13.6g}{r['parent_spread']:>12.4g}"
+                     f"{r['ratio_median']:>11.4f}  {f'{lo:.4f}-{hi:.4f}':<17}"
+                     f"{r['wins']:>2}/{r['pairs']:<2}  "
+                     f"{'holds' if r['gain_holds'] else 'not met':<10}  {r['verdict']}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -117,13 +138,7 @@ def main(argv=None) -> int:
     rows = summarize(pairs, end_to_end)
     print(f"workload {args.workload}: {args.pairs} pairs of {args.seconds:g} s; failed "
           + ", ".join(f"{side} {f} of {a}" for side, (f, a) in counts.items()))
-    print(f"{'metric':<16}{'unit':>5}{'parent_med':>13}{'change_med':>13}"
-          f"{'parent_iqr':>12}{'wins':>7}  gain_claim  regression")
-    for r in rows:
-        print(f"{r['name']:<16}{r['unit']:>5}{r['parent_median']:>13.6g}"
-              f"{r['change_median']:>13.6g}{r['parent_spread']:>12.4g}"
-              f"{r['wins']:>4}/{r['pairs']:<2}  {'holds' if r['gain_holds'] else 'not met':<10}"
-              f"  {r['verdict']}")
+    print("\n".join(table(rows)))
     return 0 if correct and all(r["verdict"] != "regression" for r in rows) else 1
 
 

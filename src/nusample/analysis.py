@@ -10,6 +10,9 @@ observability-canonical realization: G_J and O_J in its real Jordan frame
 from y0 of the spec and Phi's seed and D of the eigenstructure, and the
 companion frame's O = O_J B^{-1}, the one reader of B^{-1}, for ``sweep``'s
 noise column.  ``analyze`` makes two flow calls: Phi and the mode vectors.
+``sweep`` makes one per block of scales: ``sweep_arrays`` flows Phi's seed
+d and the real mode vector together, and reads Phi and O as the two
+right-products of d's flow.
 Every vector norm and unit vector, the verdict's unit rows of Phi and the
 degree metrics' unit mode vectors among them, comes from ``unit_vectors``,
 the one code that scales vectors.  Every normalized Gram determinant
@@ -44,6 +47,7 @@ from nusample.lti import (
     checked_flow,
     evaluate_fundamental_basis,
     jordan_flow,
+    require_finite,
 )
 
 RANK_REL_TOL = 1e-8  # the default sigma_min / sigma_max at or below which a matrix is deficient
@@ -206,17 +210,20 @@ _PLAIN_NORMS = (2.0 ** -460, 2.0 ** 460)
 
 
 def unit_vectors(Y: np.ndarray, axis: int):
-    """(Yn, usable, norms): each vector of Y along ``axis`` divided by its
-    power-of-two scale, then by the norm of the scaled vector; whether it is
-    usable (keeping that axis); and its 2-norm (dropping that axis), which
-    overflows only where the norm itself does.  A vector with an entry that
-    is not a finite float is not usable, nor is one whose largest |entry| is
-    zero or below the smallest normal float: it carries too few bits for any
-    metric.  An unusable vector is zero in Yn."""
+    """(Yn, usable, norms): each vector of the real array Y along ``axis``
+    divided by its power-of-two scale, then by the norm of the scaled
+    vector; whether it is usable (keeping that axis); and its 2-norm
+    (dropping that axis), which overflows only where the norm itself does.
+    A vector with an entry that is not a finite float is not usable, nor is
+    one whose largest |entry| is zero or below the smallest normal float: it
+    carries too few bits for any metric.  An unusable vector is zero in
+    Yn."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(Y, axis=axis, keepdims=True)
+        # np.linalg.norm's own arithmetic for a real Y, without its overhead
+        norms = np.sqrt(np.add.reduce(Y * Y, axis=axis, keepdims=True))
         lo, hi = _PLAIN_NORMS
-        if ((norms >= lo) & (norms <= hi)).all():
+        # a nan norm fails both tests, and the initial values pass an empty Y
+        if lo <= norms.min(initial=hi) and norms.max(initial=lo) <= hi:
             return Y / norms, np.ones(norms.shape, bool), np.squeeze(norms, axis)
         peak = np.abs(Y).max(axis=axis, keepdims=True)
         scale = _pow2_scale(peak)
@@ -305,6 +312,36 @@ def bruteforce_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> 
     es = spec.eigen
     d, R = es._basis_seed
     return checked_flow(es, d, av, (R / es._wronskian_scale) @ es.B_inv)
+
+
+# ---------------------------------------------------------------------------
+# one block of a sweep
+
+def sweep_arrays(spec: SystemSpec, av: np.ndarray, minimal: bool):
+    """(det, gram, cond, O) for each alpha vector of the stack av, shape
+    (k, n): det Phi and cond Phi (``joint_arrays``), the normalized Gram
+    determinant of the mode vectors (``checked_gram``; nan unless
+    ``minimal``) and the companion frame's observability matrix O
+    (``bruteforce_observability_matrix``), from one Jordan-flow call over the
+    seeds (d, real mode vector): Phi and O are the two right-products of
+    d's flow, R and (R / D) B^{-1}.  Each stage raises its route's error in
+    that route's order: Phi's overflow, det Phi, the mode vectors, O's
+    overflow."""
+    es = spec.eigen
+    d, R = es._basis_seed
+    flow = jordan_flow(es, np.stack([d, spec.real_mode_vector]), av)
+    # contiguous copies keep each product's memory layout, and so its bits,
+    # those of a lone flow
+    basis = np.ascontiguousarray(flow[..., 0, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = require_finite(es, av, basis @ R)
+    det, _, cond = joint_arrays(phi)
+    gram = np.full(len(av), math.nan)
+    if minimal:
+        gram = checked_gram(np.ascontiguousarray(flow[..., 1, :]).swapaxes(-1, -2))[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        O = require_finite(es, av, basis @ ((R / es._wronskian_scale) @ es.B_inv))
+    return det, gram, cond, O
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,25 @@ def _tolerance(args) -> float:
     return analysis.RANK_REL_TOL
 
 
+class _NegativeFloat:
+    """Stands in for argparse's negative-number pattern, which matches only
+    -12 and -1.5: any token that float() reads, such as -5e-06 or -inf, is
+    a value, not an unknown option."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeFloat  # subparsers are _Parsers too
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -193,8 +211,6 @@ def export_geometry_csv(trace: design.GeometryTrace, path) -> None:
 
 
 def run_design(args) -> int:
-    if args.steps < 1:
-        raise InputError("need at least one grid step")
     spec = fileio.load_system(args.system)
     method = design.route(spec) if args.method == "auto" else args.method
     if args.trace is not None and method != "geometric":
@@ -287,12 +303,24 @@ def _noise_amplification(O, trials, seeds) -> np.ndarray:
     # a deficient O may be exactly singular, so it solves I x = w instead
     x = np.linalg.solve(np.where(deficient[:, None, None], np.eye(n), O),
                         z[:, :, 1].swapaxes(-1, -2))
-    return np.where(deficient, math.inf, np.median(np.linalg.norm(x, axis=-2), axis=-1))
+    return np.where(deficient, math.inf, _median_norm(x))
+
+
+def _median_norm(x: np.ndarray) -> np.ndarray:
+    """np.median(np.linalg.norm(x, axis=-2), axis=-1), bit for bit, for a
+    real stack x of shape (..., n, trials), without either call's overhead:
+    the same sum of squares along the same axis, and the middle of the
+    sorted norms, or the mean of the middle two; nan where a norm is nan."""
+    trials = x.shape[-1]
+    norms = np.sort(np.sqrt(np.add.reduce(x * x, axis=-2)), axis=-1)
+    mid = trials // 2
+    median = norms[..., mid] if trials % 2 else (norms[..., mid - 1] + norms[..., mid]) / 2
+    return np.where(np.isnan(norms[..., -1]), math.nan, median)  # sort puts nan last
 
 
 def _sweep_columns(spec, minimal, args, lo: int, hi: int):
-    """The five CSV columns of scales lo..hi-1, each matrix built by one
-    call for all of them; raises the error of a failing scale."""
+    """The five CSV columns of scales lo..hi-1, every matrix of them read
+    from one Jordan-flow call; raises the error of a failing scale."""
     n = spec.n
     s = _scales(args, lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,11 +333,7 @@ def _sweep_columns(spec, minimal, args, lo: int, hi: int):
             raise InputError("interval scale must stay positive over the sweep")
         analysis.SamplingSequence(tuple(t[bad][0]))  # raises
     av = t[:, -1:] - t[:, ::-1]  # analysis.alphas, row by row
-    det, _, cond = analysis.joint_arrays(analysis.fundamental_matrix(spec.eigen, av))
-    gram = np.full(len(s), math.nan)
-    if minimal:
-        gram = analysis.checked_gram(analysis.sampled_mode_vectors(spec, av))[1]
-    O = analysis.bruteforce_observability_matrix(spec, av)
+    det, gram, cond, O = analysis.sweep_arrays(spec, av, minimal)
     seeds = [args.seed * 1000003 + idx for idx in range(lo, hi)]
     return s, det, gram, cond, _noise_amplification(O, args.trials, seeds)
 

@@ -73,6 +73,17 @@ def _require_minimal(spec: SystemSpec) -> None:
         raise DesignError(f"system is not minimal (blocks {report.offending_blocks})")
 
 
+def _after_t0(t0: float, interval: float, name: str) -> float:
+    """t0 + interval, the second instant of a route whose first interval is
+    ``name``; raises DesignError where the sum rounds back to t0, which a t0
+    far from zero does to a short interval."""
+    t1 = t0 + interval
+    if not t1 > t0:
+        raise DesignError(f"the first interval {name} = {interval:.6g} rounds away at "
+                          f"t0 = {t0:.6g}; move t0 nearer to zero")
+    return t1
+
+
 @dataclass(frozen=True, eq=False)
 class GeometryTrace:
     """Normalized-frame geometry of the 3rd-order design step."""
@@ -99,12 +110,12 @@ def optimal_interval_second_order(spec: SystemSpec, t0: float = 0.0,
         raise DesignError("branch integer m must be nonnegative")
     _require_minimal(spec)
     try:
-        t1 = t0 + (2 * m + 1) * math.pi / (2.0 * spec.eigen.blocks[0].value.imag)
+        interval = (2 * m + 1) * math.pi / (2.0 * spec.eigen.blocks[0].value.imag)
     except OverflowError:  # an m past the float range
-        t1 = math.inf
-    if not math.isfinite(t1):
+        interval = math.inf
+    if not math.isfinite(t0 + interval):
         raise DesignError("branch integer m puts t1 past the float range")
-    seq = SamplingSequence((t0, t1))
+    seq = SamplingSequence((t0, _after_t0(t0, interval, "(2m + 1) pi / (2b)")))
     return DesignResult(seq, _designed_metric(spec, seq), "closed-form-2nd", m)
 
 
@@ -187,7 +198,7 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float | None = Non
         raise DesignError(obstacle)
     lam, a, b = real.value.real, pair.value.real, pair.value.imag
     if t1 is None:
-        t1 = t0 + math.pi / (2.0 * b)
+        t1 = _after_t0(t0, math.pi / (2.0 * b), "pi / (2b)")
     if not t1 > t0:
         raise DesignError("need t1 > t0")
     _require_minimal(spec)
@@ -326,6 +337,7 @@ def design_sequence_generic(spec: SystemSpec, t0: float = 0.0,
         raise DesignError(f"invalid interval bounds {bounds}")
     if steps < 1:
         raise DesignError(f"need at least one grid step, got {steps}")
+    _after_t0(t0, dmin, "dmin")
     _require_minimal(spec)
     n = spec.n
     instants = [float(t0)]

@@ -33,7 +33,8 @@ whole array of alphas and a stack of seeds d, with no n x n exponential.
 The basis, the mode vectors, O_J, O, G_J, the free response of a deadbeat
 plan, the steps of an impulse train, the design grid and the third-order
 spiral (the flow of the normalized mode vector) all go through it;
-``checked_flow`` raises DegenerateSamplingError on overflow.
+``checked_flow`` raises DegenerateSamplingError on overflow, and
+``require_finite`` raises it for values read from a flow.
 """
 from __future__ import annotations
 
@@ -422,10 +423,17 @@ def checked_flow(es: EigenStructure, d, alphas, right: np.ndarray | None = None)
     if right is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             out = out @ right
-    bad = ~np.isfinite(out.reshape(al.shape + (-1,))).all(axis=-1)
+    return require_finite(es, al, out)
+
+
+def require_finite(es: EigenStructure, alphas: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values``, an array of shape ``alphas.shape + (...)`` read from the
+    flow at ``alphas``; raises DegenerateSamplingError for the first alpha
+    whose values have an entry that is not a finite float."""
+    bad = ~np.isfinite(values.reshape(alphas.shape + (-1,))).all(axis=-1)
     if bad.any():
-        raise _overflow(es, float(al[bad][0]))
-    return out
+        raise _overflow(es, float(alphas[bad][0]))
+    return values
 
 
 # ---------------------------------------------------------------------------

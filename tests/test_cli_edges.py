@@ -68,6 +68,47 @@ def test_design_zero_steps_is_an_input_error(capsys):
     assert err.startswith("error:")
 
 
+def test_closed_form_reads_no_steps(capsys):
+    # only the generic search reads --steps, and it refuses a zero count itself
+    code, out, err = run(capsys, "design", "--system", str(DATA / "oscillator.json"),
+                         "--t0", "0", "--method", "closed", "--steps", "0")
+    assert (code, err) == (0, "")
+    assert out.startswith("method = closed-form-2nd\n")
+
+
+@pytest.mark.parametrize("system, method, message", [
+    ("oscillator.json", "auto", "(2m + 1) pi / (2b) = 1.5708"),
+    ("third_order.json", "auto", "pi / (2b) = 1.309"),
+    ("third_order.json", "generic", "dmin = 0.05"),
+])
+def test_design_first_interval_rounding_away_is_named(capsys, system, method, message):
+    # at t0 = 1.7e18 (a timestamp in nanoseconds) a float's spacing is 256,
+    # so each route's first interval vanishes in t0 + interval
+    code, out, err = run(capsys, "design", "--system", str(DATA / system),
+                         "--t0", "1.7e18", "--method", method)
+    assert (code, out) == (1, "")
+    assert err == (f"error: the first interval {message} rounds away at t0 = 1.7e+18; "
+                   "move t0 nearer to zero\n")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["design", "--system", str(DATA / "oscillator.json")], "--t0", "-5e-06"),
+    (["design", "--system", str(DATA / "third_order.json"), "--t0", "0"], "--t1", "-2.5e-1"),
+    (["sweep", "--system", str(DATA / "third_order.json"), "--to", "1", "--points", "3",
+      "--trials", "2"], "--from", "-1e-3"),
+    (["design", "--system", str(DATA / "oscillator.json")], "--t0", "-1E+2"),
+    (["design", "--system", str(DATA / "oscillator.json")], "--t0", "-inf"),
+])
+def test_negative_float_in_any_form_is_a_value(capsys, argv, flag, value):
+    # argparse reads only -12 and -1.5 as negative numbers on its own
+    separate = run(capsys, *argv, flag, value)
+    assert separate == run(capsys, *argv, f"{flag}={value}")
+    assert "expected one argument" not in separate[2]
+    if flag == "--from":
+        assert separate[0] == 1
+        assert separate[2] == "error: interval scale must stay positive over the sweep\n"
+
+
 def test_sweep_zero_trials_is_an_input_error(capsys):
     code, out, err = run(capsys, "sweep", "--system", str(DATA / "third_order.json"),
                          "--from", "0.2", "--to", "1.0", "--points", "3",

@@ -314,6 +314,24 @@ def test_plain_scores_are_the_scaled_ones(monkeypatch, n):
     assert _unit_vector_readers(spec, cand) == plain
 
 
+@pytest.mark.parametrize("shape, axis", [((5, 3), 1), ((5, 3), 0), ((4, 6, 6), -2),
+                                         ((4, 6, 6), -1), ((2, 3, 9, 2), -2)])
+def test_plain_unit_vectors_are_the_scaled_ones(monkeypatch, shape, axis):
+    # vectors whose norms span 2^-300 to 2^300, their entries within 2^30 of
+    # each other: no square over- or underflows, so the plain route's sum of
+    # squares is np.linalg.norm's and its quotients are the scaled route's
+    rng = np.random.default_rng(sum(shape) - axis)
+    scale = np.exp2(rng.uniform(-300.0, 300.0, np.delete(shape, axis)))
+    Y = (rng.uniform(-1.0, 1.0, shape) * np.exp2(rng.uniform(-30.0, 0.0, shape))
+         * np.expand_dims(scale, axis))
+    plain = analysis.unit_vectors(Y, axis)
+    assert plain[2].tobytes() == np.linalg.norm(Y, axis=axis).tobytes()
+    assert plain[1].all()
+    monkeypatch.setattr(analysis, "_PLAIN_NORMS", (math.inf, 0.0))  # always scale
+    scaled = analysis.unit_vectors(Y, axis)
+    assert [a.tobytes() for a in plain] == [a.tobytes() for a in scaled]
+
+
 @pytest.mark.parametrize("lam, a, b, t1", [(-1.0, -0.3, 1.2, 1.0), (-0.5, 0.4, 0.7, 2.5),
                                            (0.2, -0.1, 3.0, 0.3), (-2.0, -0.3, 0.05, 40.0)])
 def test_plain_third_order_norms_are_the_scaled_ones(monkeypatch, lam, a, b, t1):
@@ -432,13 +450,16 @@ def test_analyze_builds_each_matrix_once(monkeypatch, capsys):
     assert len(flows) == 2
 
 
-def test_sweep_builds_one_observability_matrix_per_block(monkeypatch, capsys):
-    # both sweeps fit in one block of scales, so each builds O once
-    calls = count_calls(monkeypatch, analysis.bruteforce_observability_matrix,
-                        (analysis, simulate, ns))
-    for points in (4, 64):
-        calls.clear()
-        assert main(["sweep", "--system", str(DATA / "third_order.json"), "--from", "0.2",
-                     "--to", "1.0", "--points", str(points), "--trials", "30"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == points + 1
-        assert len(calls) == 1
+def test_sweep_makes_one_flow_call_per_block(monkeypatch, capsys):
+    # a block reads Phi, the mode vectors and O from one flow call: both
+    # sweeps fit in one default block, and at 3 (3 + 2 * 30) * 5 floats a
+    # block holds five scales of third_order.json at 30 trials
+    flows = count_calls(monkeypatch, lti.jordan_flow, (lti, analysis, simulate, ns))
+    for block_floats, scales_per_block in ((cli.SWEEP_BLOCK_FLOATS, 64), (3 * 63 * 5, 5)):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_FLOATS", block_floats)
+        for points in (4, 64):
+            flows.clear()
+            assert main(["sweep", "--system", str(DATA / "third_order.json"), "--from", "0.2",
+                         "--to", "1.0", "--points", str(points), "--trials", "30"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == points + 1
+            assert len(flows) == -(-points // scales_per_block)

@@ -137,3 +137,19 @@ def test_bench_pairs_flags_regressions_and_unresolved_metrics():
     assert (ops["parent_spread"] > 25.0, ops["verdict"]) == (True, "unresolved")
     ops = bench_pairs.summarize(_pairs(wide, [151.0 + i for i in range(10)]), E2E)[0]
     assert ops["verdict"] == "ok"
+
+
+def test_bench_pairs_prints_the_per_pair_ratios():
+    # the parent's runs spread by seed, and each pair's change runs 5% to
+    # 15% faster than its own parent run
+    parent = [100.0 + 10.0 * i for i in range(10)]
+    change = [p * (1.05 + 0.01 * i) for i, p in enumerate(parent)]
+    rows = bench_pairs.summarize(_pairs(parent, change), E2E)
+    assert rows[0]["ratio_median"] == pytest.approx(1.095)
+    assert rows[0]["ratio_range"] == pytest.approx((1.05, 1.14))
+    assert rows[1]["ratio_median"] == rows[1]["ratio_range"][0] == 1.0
+    header, ops, lat = bench_pairs.table(rows)
+    assert header.split() == ["metric", "unit", "parent_med", "change_med", "parent_iqr",
+                              "ratio_med", "ratio_range", "wins", "gain_claim", "regression"]
+    assert ops.split()[4:7] == ["1.0950", "1.0500-1.1400", "10/10"]
+    assert lat.split()[4:7] == ["1.0000", "1.0000-1.0000", "0/10"]

@@ -142,6 +142,22 @@ def test_noise_amplification_is_accurate(n):
         assert abs(mpmath.mpf(float(amp)) - exact) <= bound * exact
 
 
+@pytest.mark.parametrize("trials", [1, 2, 5, 6, 7, 50])
+def test_median_norm_is_numpys(trials):
+    # the noise column's norm and median, bit for bit, over odd and even
+    # trial counts, and rows that hold inf, nan or both
+    rng = np.random.default_rng(trials)
+    x = rng.standard_normal((8, 4, trials)) * np.exp2(rng.uniform(-40.0, 40.0, (8, 1, 1)))
+    x[1, 2, 0] = math.inf
+    x[2, :, -1] = math.inf
+    x[3, 0, trials // 2] = math.nan
+    x[4, 1, 0], x[4, 3, -1] = math.inf, math.nan
+    x[5] = math.inf
+    x[6, 2] = math.nan
+    expected = np.median(np.linalg.norm(x, axis=-2), axis=-1)
+    assert cli._median_norm(x).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # cost: one observability matrix per scale, whatever the number of trials
 
