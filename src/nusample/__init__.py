@@ -8,7 +8,6 @@ from nusample.analysis import (
     alphas,
     analyze,
     bruteforce_controllability_matrix,
-    bruteforce_observability_matrix,
     fundamental_matrix,
     joint_test,
     jordan_observability_matrix,

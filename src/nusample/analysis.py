@@ -7,12 +7,12 @@ checks the controllability-side determinant factorization, and builds the
 state-space matrices G and O as rank oracles.  Each matrix is one
 Jordan-flow call, built once, from the constants of the system's
 observability-canonical realization: G_J and O_J in its real Jordan frame
-from y0 of the spec and Phi's seed and D of the eigenstructure, and the
-companion frame's O = O_J B^{-1}, the one reader of B^{-1}, for ``sweep``'s
-noise column.  ``analyze`` makes two flow calls: Phi and the mode vectors.
-``sweep`` makes one per block of scales: ``sweep_arrays`` flows Phi's seed
-d and the real mode vector together, and reads Phi and O as the two
-right-products of d's flow.
+from y0 of the spec and Phi's seed and D of the eigenstructure, and, for
+``sweep``'s noise column only, the companion frame's O = O_J B^{-1}.
+``analyze`` makes two flow calls: Phi and the mode vectors.  ``sweep`` makes
+one per block of scales: ``sweep_arrays``, the one reader of B^{-1}, flows
+Phi's seed d and the real mode vector together, and reads Phi and O as the
+two right-products of d's flow.
 Every vector norm and unit vector, the verdict's unit rows of Phi and the
 degree metrics' unit mode vectors among them, comes from ``unit_vectors``,
 the one code that scales vectors.  Every normalized Gram determinant
@@ -29,8 +29,9 @@ modal coefficients: N1 is read from the Wronskian scale D, and N2 is carried
 as a mantissa and a power of two, so neither side of the identity leaves the
 float range on the way to the ratio.  The independent routes (per-alpha matrix
 exponentials, the swap-reversal permutation, numeric Hankel determinants,
-the observability identity on the companion form's expm rows) live in
-``tests/reference.py`` and the tests.
+the companion frame's O as one flow of its own, the observability identity
+on the companion form's expm rows) live in ``tests/reference.py`` and the
+tests.
 """
 from __future__ import annotations
 
@@ -305,15 +306,6 @@ def jordan_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> np.n
     return checked_flow(es, d, av, R / es._wronskian_scale)
 
 
-def bruteforce_observability_matrix(spec: SystemSpec, av: tuple[float, ...]) -> np.ndarray:
-    """Rows c exp(A alpha_m) = O_J B^{-1} in the companion frame, the frame of
-    ``sweep``'s noise column: one flow of Phi's seed through
-    (R / D) B^{-1}."""
-    es = spec.eigen
-    d, R = es._basis_seed
-    return checked_flow(es, d, av, (R / es._wronskian_scale) @ es.B_inv)
-
-
 # ---------------------------------------------------------------------------
 # one block of a sweep
 
@@ -321,10 +313,10 @@ def sweep_arrays(spec: SystemSpec, av: np.ndarray, minimal: bool):
     """(det, gram, cond, O) for each alpha vector of the stack av, shape
     (k, n): det Phi and cond Phi (``joint_arrays``), the normalized Gram
     determinant of the mode vectors (``checked_gram``; nan unless
-    ``minimal``) and the companion frame's observability matrix O
-    (``bruteforce_observability_matrix``), from one Jordan-flow call over the
-    seeds (d, real mode vector): Phi and O are the two right-products of
-    d's flow, R and (R / D) B^{-1}.  Each stage raises its route's error in
+    ``minimal``) and the companion frame's observability matrix O, rows
+    c exp(A alpha_m) = O_J B^{-1}, from one Jordan-flow call over the seeds
+    (d, real mode vector): Phi and O are the two right-products of d's flow,
+    R and (R / D) B^{-1}.  Each stage raises its route's error in
     that route's order: Phi's overflow, det Phi, the mode vectors, O's
     overflow."""
     es = spec.eigen

@@ -7,7 +7,10 @@ be written among them.  This module writes every output (standard output,
 the sweep CSV and the geometric design's trace CSV), and every number in
 them with 12 significant digits (``fmt``), so outputs are reproducible
 byte-for-byte for fixed seeds and inputs.  ``design`` hands the system to the
-route it picks; each route checks the system's shape itself.
+route it picks (``design.route`` for ``--method auto``: the closed form for a
+lone pair, the generic search otherwise); each route checks the system's
+shape itself, and ``--t1`` and ``--trace``, which only the geometric method
+reads, are usage errors on any other.
 """
 from __future__ import annotations
 
@@ -122,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto")
     pd.add_argument("--m", type=int, default=0, help="branch integer for the closed form")
     pd.add_argument("--t1", type=_finite_float, default=None,
-                    help="second instant for the geometric method "
-                         "(default: t0 + pi/(2 b))")
+                    help="second instant (geometric method only; "
+                         "default: t0 + pi/(2 b))")
     pd.add_argument("--m-max", type=_count, default=design.DEFAULT_M_MAX)
     pd.add_argument("--dmin", type=_finite_float, default=0.05,
                     help="shortest sampling interval of the generic search")
@@ -213,8 +216,9 @@ def export_geometry_csv(trace: design.GeometryTrace, path) -> None:
 def run_design(args) -> int:
     spec = fileio.load_system(args.system)
     method = design.route(spec) if args.method == "auto" else args.method
-    if args.trace is not None and method != "geometric":
-        raise InputError(f"--trace applies to the geometric method only; this design "
+    flag = "--trace" if args.trace is not None else "--t1" if args.t1 is not None else None
+    if flag is not None and method != "geometric":
+        raise InputError(f"{flag} applies to the geometric method only; this design "
                          f"takes the {method} method")
     trace = None
     if method == "closed":

@@ -1,12 +1,17 @@
 """Synthesis of sampling sequences maximizing mode-vector orthogonality.
 
-Three routes, of which ``route`` picks the one ``--method auto`` takes.
-Each takes the system and refuses one that is not minimal
+Three routes.  ``route`` picks the one ``--method auto`` takes: the closed
+form for a lone complex pair, the generic search for every other system.
+The spiral-geometry step runs only when asked for by name, to reproduce the
+paper's construction; on 3rd-order pair-plus-real systems the generic search
+designs a sequence with the higher Gram determinant on most draws.  Each
+route takes the system and refuses one that is not minimal
 (``_require_minimal``); the closed form and the geometric step also refuse a
 system of another shape and read b from its pair a +- ib themselves:
 
 * closed form for a 2nd-order complex pair (quarter-turn rule),
 * the spiral-geometry step for the 3rd-order {real pole, complex pair} case,
+  which also refuses a = 0 and lambda = a,
 * a greedy grid search for arbitrary order: each greedy step scores its
   whole candidate grid in one batched call, and each instant is then refined
   by two ever finer grids and one parabolic step, each one batched call.
@@ -49,7 +54,7 @@ from nusample.analysis import (
     unit_vectors,
 )
 from nusample.errors import DesignError, InadmissibleDesignError
-from nusample.lti import Block, SystemSpec, check_minimality, jordan_flow
+from nusample.lti import SystemSpec, check_minimality, jordan_flow
 
 DEFAULT_M_MAX = 8
 
@@ -132,31 +137,13 @@ def _third_order_blocks(spec: SystemSpec):
     return blocks[kinds.index("real")], blocks[kinds.index("pair")]
 
 
-def _geometric_obstacle(real: Block, pair: Block) -> str | None:
-    """Why the spiral-and-surface step cannot run on these blocks, or None
-    when it can: the surface exponent lambda/2a needs a != 0, and the
-    scaling relation needs lambda != a."""
-    lam, a = real.value.real, pair.value.real
-    if a == 0.0:
-        return ("surface exponent lambda/2a is undefined for a = 0; "
-                "use the generic search instead")
-    if abs(lam - a) < 1e-12 * (1.0 + abs(a)):
-        return "the surface scaling relation degenerates for lambda = a"
-    return None
-
-
 def route(spec: SystemSpec) -> str:
     """The route ``--method auto`` takes: "closed" for a lone complex pair at
-    n = 2, "geometric" for a 3rd-order real pole plus pair with no
-    ``_geometric_obstacle``, "generic" otherwise."""
+    n = 2, "generic" for every other system; never the geometric step."""
     blocks = spec.eigen.blocks
     if spec.n == 2 and len(blocks) == 1 and blocks[0].kind == "pair":
         return "closed"
-    try:
-        obstacle = _geometric_obstacle(*_third_order_blocks(spec))
-    except DesignError:  # not a real pole plus pair
-        return "generic"
-    return "geometric" if obstacle is None else "generic"
+    return "generic"
 
 
 def spiral_point(spec: SystemSpec, alpha) -> np.ndarray:
@@ -193,10 +180,14 @@ def next_instant_third_order(spec: SystemSpec, t0: float, t1: float | None = Non
     InadmissibleDesignError with it as ``best``.
     """
     real, pair = _third_order_blocks(spec)
-    obstacle = _geometric_obstacle(real, pair)
-    if obstacle is not None:
-        raise DesignError(obstacle)
     lam, a, b = real.value.real, pair.value.real, pair.value.imag
+    # the surface exponent lambda/2a needs a != 0, and the scaling relation
+    # needs lambda != a
+    if a == 0.0:
+        raise DesignError("surface exponent lambda/2a is undefined for a = 0; "
+                          "use the generic search instead")
+    if abs(lam - a) < 1e-12 * (1.0 + abs(a)):
+        raise DesignError("the surface scaling relation degenerates for lambda = a")
     if t1 is None:
         t1 = _after_t0(t0, math.pi / (2.0 * b), "pi / (2b)")
     if not t1 > t0:

@@ -1,7 +1,8 @@
 """Per-alpha matrix exponentials, a block-by-block Jordan matrix, the
 math.exp spiral, the per-root impulse response, the separate confluent loops,
 slot-by-slot builders of the real-basis layout, the companion route (the
-characteristic polynomial, the Markov parameters and the observability- and
+characteristic polynomial, the Markov parameters, the companion frame's
+observability matrix O = O_J B^{-1} and the observability- and
 controllability-canonical realizations (A, b, c) with their Jordan frames),
 the impulse train carried in the state frame, the sweep one scale at a time,
 the generic design search with a bounded Brent refinement per instant, the
@@ -28,7 +29,13 @@ from nusample.errors import (
     NuSampleError,
     RootFindingError,
 )
-from nusample.lti import EigenStructure, SystemSpec, _overflow, check_minimality
+from nusample.lti import (
+    EigenStructure,
+    SystemSpec,
+    _overflow,
+    check_minimality,
+    checked_flow,
+)
 
 
 def jordan_matrix(es: EigenStructure) -> np.ndarray:
@@ -350,6 +357,16 @@ def markov_from_modes(spec: SystemSpec) -> np.ndarray:
     return wronskian_at_zero(spec.eigen) @ spec.real_mode_vector
 
 
+def bruteforce_observability_matrix(spec: SystemSpec, av) -> np.ndarray:
+    """Rows c exp(A alpha_m) = O_J B^{-1} in the companion frame, the frame of
+    ``sweep``'s noise column: one flow of Phi's seed through
+    (R / D) B^{-1}, the product ``analysis.sweep_arrays`` takes of a
+    block's flow."""
+    es = spec.eigen
+    d, R = es._basis_seed
+    return checked_flow(es, d, av, (R / es._wronskian_scale) @ es.B_inv)
+
+
 @dataclass(frozen=True, eq=False)
 class JordanFrame:
     """A = B J B^{-1}, with y0 = B^{-1} b the input vector in the Jordan frame."""
@@ -511,7 +528,7 @@ def _sweep_row(spec, minimal, trials, seed, idx, s):
     # least-squares estimate is O^{-1} w, whatever the state and noise level
     z = np.random.default_rng(seed * 1000003 + idx).standard_normal((trials, 2, spec.n))
     w = z[:, 1].T
-    O = analysis.bruteforce_observability_matrix(spec, av)
+    O = bruteforce_observability_matrix(spec, av)
     so = np.linalg.svd(O, compute_uv=False)
     if so[0] == 0.0 or so[-1] / so[0] <= analysis.RANK_REL_TOL:
         amp = math.inf

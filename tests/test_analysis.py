@@ -148,7 +148,7 @@ def test_bruteforce_rank_drop_oscillator():
     spec = ns.system_from_markov([(1j, 1), (-1j, 1)], [0.0, 1.0])
     seq = ns.SamplingSequence((0.0, math.pi), final_instant=2 * math.pi)
     G = ns.bruteforce_controllability_matrix(spec, seq)
-    O = ns.bruteforce_observability_matrix(spec, ns.alphas(seq))
+    O = reference.bruteforce_observability_matrix(spec, ns.alphas(seq))
     O_J = ns.jordan_observability_matrix(spec, ns.alphas(seq))
     # 2 x 2, so deficient and nonzero is rank 1
     _, smax, _, deficient = analysis.spectrum(np.stack([G, O, O_J]))

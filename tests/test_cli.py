@@ -100,13 +100,15 @@ def test_design_auto_closed_form(capsys):
     assert "instants = 0 1.57079632679" in out
 
 
-def test_design_auto_geometric_with_trace(capsys, tmp_path):
+def test_design_geometric_with_trace(capsys, tmp_path):
+    # t1 defaults to t0 + pi/(2b); auto takes the generic search here
     out_csv = tmp_path / "trace.csv"
     code, out, _ = run(capsys, "design",
                        "--system", str(DATA / "third_order.json"),
-                       "--t0", "0.0", "--trace", str(out_csv))
+                       "--t0", "0.0", "--method", "geometric", "--trace", str(out_csv))
     assert code == 0
-    assert "method = geometric-3rd" in out
+    assert out.splitlines()[:2] == ["method = geometric-3rd",
+                                    "instants = 0 1.308996939 2.93508047806"]
     assert out_csv.exists()
     assert out_csv.read_text().startswith("alpha,x,y,z,kind")
 

@@ -78,7 +78,7 @@ def test_closed_form_reads_no_steps(capsys):
 
 @pytest.mark.parametrize("system, method, message", [
     ("oscillator.json", "auto", "(2m + 1) pi / (2b) = 1.5708"),
-    ("third_order.json", "auto", "pi / (2b) = 1.309"),
+    ("third_order.json", "geometric", "pi / (2b) = 1.309"),
     ("third_order.json", "generic", "dmin = 0.05"),
 ])
 def test_design_first_interval_rounding_away_is_named(capsys, system, method, message):
@@ -93,7 +93,8 @@ def test_design_first_interval_rounding_away_is_named(capsys, system, method, me
 
 @pytest.mark.parametrize("argv, flag, value", [
     (["design", "--system", str(DATA / "oscillator.json")], "--t0", "-5e-06"),
-    (["design", "--system", str(DATA / "third_order.json"), "--t0", "0"], "--t1", "-2.5e-1"),
+    (["design", "--system", str(DATA / "third_order.json"), "--t0", "0", "--method",
+      "geometric"], "--t1", "-2.5e-1"),
     (["sweep", "--system", str(DATA / "third_order.json"), "--to", "1", "--points", "3",
       "--trials", "2"], "--from", "-1e-3"),
     (["design", "--system", str(DATA / "oscillator.json")], "--t0", "-1E+2"),
@@ -231,15 +232,17 @@ def test_sweep_row_below_overflow_keeps_its_gram_det(capsys, tmp_path):
     assert (scale, float(gram)) == ("700", pytest.approx(0.5))
 
 
-def _write_spiral_system(tmp_path, lam=1.0, a=-0.3, b=1.2, c=0.5 - 0.25j):
-    """Real root lam and pair a +- jb, coefficients 1 and c, conj(c)."""
+def _write_spiral_system(tmp_path, lam=1.0, a=-0.3, b=1.2, c=0.5 - 0.25j, r=1.0):
+    """Real root lam and pair a +- jb, coefficients r and c, conj(c), in
+    ``tmp_path``, which is made if it is missing."""
+    tmp_path.mkdir(exist_ok=True)
     path = tmp_path / "spiral.json"
     path.write_text(json.dumps({
         "order": 3,
         "roots": [{"re": lam, "im": 0.0, "mult": 1},
                   {"re": a, "im": b, "mult": 1},
                   {"re": a, "im": -b, "mult": 1}],
-        "mode_coefficients": [{"re": 1.0, "im": 0.0}, {"re": c.real, "im": c.imag},
+        "mode_coefficients": [{"re": r, "im": 0.0}, {"re": c.real, "im": c.imag},
                               {"re": c.real, "im": -c.imag}],
     }))
     return str(path)
@@ -301,24 +304,29 @@ def test_unwritable_output_path_is_an_error(capsys, tmp_path):
                    f"directory: '{path}'\n")
 
 
-@pytest.mark.parametrize("system, flags, method, path", [
-    ("third_order.json", ["--method", "generic"], "generic", "t.csv"),
-    ("oscillator.json", ["--method", "closed"], "closed", "t.csv"),
-    ("oscillator.json", [], "closed", "t.csv"),  # auto on a lone pair
-    ("oscillator.json", [], "closed", "missing/t.csv"),
-], ids=["generic", "closed", "auto", "auto_missing_dir"])
+@pytest.mark.parametrize("system, flags, method, flag, value", [
+    ("third_order.json", ["--method", "generic"], "generic", "--trace", "t.csv"),
+    ("oscillator.json", ["--method", "closed"], "closed", "--trace", "t.csv"),
+    ("oscillator.json", [], "closed", "--trace", "t.csv"),  # auto on a lone pair
+    ("oscillator.json", [], "closed", "--trace", "missing/t.csv"),
+    ("third_order.json", ["--method", "generic"], "generic", "--t1", "1.0"),
+    ("oscillator.json", ["--method", "closed"], "closed", "--t1", "1.0"),
+    ("third_order.json", [], "generic", "--t1", "1.0"),  # auto on a pair plus a real root
+], ids=["generic", "closed", "auto", "auto_missing_dir", "t1_generic", "t1_closed",
+        "t1_auto"])
 def test_trace_off_the_geometric_step_is_a_usage_error(capsys, tmp_path, system, flags,
-                                                       method, path):
-    # only the geometric step has a trace; the method is decided before the
-    # search, so nothing is printed or written, whether or not the path could
-    # be written
-    path = tmp_path / path
+                                                       method, flag, value):
+    # only the geometric step has a trace and a t1; the method is decided
+    # before the search, so nothing is printed or written, whether or not
+    # the path could be written
+    if flag == "--trace":
+        value = str(tmp_path / value)
     code, out, err = run(capsys, "design", "--system", str(DATA / system), "--t0", "0",
-                         *flags, "--trace", str(path))
+                         *flags, flag, value)
     assert (code, out) == (1, "")
-    assert err == (f"error: --trace applies to the geometric method only; this "
+    assert err == (f"error: {flag} applies to the geometric method only; this "
                    f"design takes the {method} method\n")
-    assert not path.exists()
+    assert not any(tmp_path.iterdir())
 
 
 # the growing real mode e^{5.094 alpha} swamps the pair in the second and third
@@ -331,11 +339,21 @@ DEGENERATE_ERROR = ("error: the geometric step's sequence is inadmissible "
                     "(gram_determinant = 2.25757e-46)\n")
 
 
+def _auto_designs(capsys, system):
+    """auto on ``system`` at t0 = 0 exits 0 through the generic search."""
+    code, out, err = run(capsys, "design", "--system", system, "--t0", "0")
+    assert (code, err) == (0, "")
+    assert out.startswith("method = generic-search\n")
+
+
 @pytest.mark.parametrize("method", ["geometric", "auto"])
 def test_design_degenerate_geometric_step_is_an_error(capsys, tmp_path, method):
+    system = _write_spiral_system(tmp_path, **DEGENERATE_SPIRAL)
+    if method == "auto":  # auto takes the generic search, which designs it
+        _auto_designs(capsys, system)
+        return
     trace = tmp_path / "trace.csv"
-    code, out, err = run(capsys, "design", "--system",
-                         _write_spiral_system(tmp_path, **DEGENERATE_SPIRAL),
+    code, out, err = run(capsys, "design", "--system", system,
                          "--method", method, "--t0", "0", "--t1", "4.019",
                          "--trace", str(trace))
     assert (code, out, err) == (1, "", DEGENERATE_ERROR)
@@ -354,9 +372,12 @@ GEOMETRIC_TRACEBACKS = [(5.0, 0.001, 1.0, 0.5), (-6.979, 9.005, 0.0032, 1.28),
 @pytest.mark.parametrize("method", ["geometric", "auto"])
 def test_geometric_design_out_of_float_range_is_an_error(capsys, tmp_path,
                                                          lam, a, b, t1, method):
+    system = _write_spiral_system(tmp_path, lam, a, b)
+    if method == "auto":  # auto takes the generic search, which designs it
+        _auto_designs(capsys, system)
+        return
     trace = tmp_path / "trace.csv"
-    code, out, err = run(capsys, "design", "--system",
-                         _write_spiral_system(tmp_path, lam, a, b),
+    code, out, err = run(capsys, "design", "--system", system,
                          "--method", method, "--t0", "0", "--t1", str(t1),
                          "--trace", str(trace))
     _clean_error(code, err)
@@ -538,19 +559,39 @@ def test_unallocatable_count_is_an_error(capsys, argv, expected):
         assert len(lines) == 1
 
 
+# roots 0.75 and -0.73 +- 0.35j, coefficients -2.36 and 0.76 -+ 0.64j: the
+# geometric step's sequence is inadmissible, so auto exited 1 while it took
+# that step on every pair plus a real root
+INADMISSIBLE_SPIRAL = dict(lam=0.75, a=-0.73, b=0.35, c=0.76 - 0.64j, r=-2.36)
+
+
 def test_auto_design_skips_the_degenerate_geometric_step(capsys, tmp_path):
-    # roots -1, -1 +- 2j: lambda = a, where the surface scaling relation of
-    # the geometric step degenerates; auto takes the generic search instead
-    system = _write_spiral_system(tmp_path, lam=-1.0, a=-1.0, b=2.0)
-    code, _, err = run(capsys, "design", "--system", system, "--t0", "0",
-                       "--method", "geometric")
-    assert (code, err) == (1, "error: the surface scaling relation degenerates "
-                              "for lambda = a\n")
-    code, out, err = run(capsys, "design", "--system", system, "--t0", "0")
-    assert (code, err) == (0, "")
-    assert out.splitlines()[0] == "method = generic-search"
-    assert out == run(capsys, "design", "--system", system, "--t0", "0",
-                      "--method", "generic")[1]
+    # auto takes the generic search on a pair plus a real root, so it designs
+    # what the geometric step refuses and prints --method generic's bytes:
+    # roots -1, -1 +- 2j (lambda = a, where the surface scaling relation
+    # degenerates), INADMISSIBLE_SPIRAL, the fixture and seeded draws
+    def design(system, *flags):
+        return run(capsys, "design", "--system", system, "--t0", "0", *flags)
+
+    lam_is_a = _write_spiral_system(tmp_path / "lam_is_a", lam=-1.0, a=-1.0, b=2.0)
+    assert design(lam_is_a, "--method", "geometric") == (
+        1, "", "error: the surface scaling relation degenerates for lambda = a\n")
+    inadmissible = _write_spiral_system(tmp_path / "inadmissible", **INADMISSIBLE_SPIRAL)
+    assert design(inadmissible, "--method", "geometric") == (
+        1, "", "error: the geometric step's sequence is inadmissible "
+               "(gram_determinant = 5.85199e-18)\n")
+    assert design(inadmissible) == (0, "method = generic-search\n"
+                                       "instants = 0 5 5.71793783135\n"
+                                       "gram_determinant = 0.00199646783232\n"
+                                       "min_principal_angle = 0.283192111701\n", "")
+    rng = np.random.default_rng(3)
+    draws = [_write_spiral_system(tmp_path / f"draw{i}", lam, a, b, complex(*c), r)
+             for i, (lam, a, b, c, r) in enumerate(zip(
+                 *rng.uniform(-1.0, 1.0, (2, 5)), rng.uniform(0.3, 3.0, 5),
+                 rng.standard_normal((5, 2)), rng.standard_normal(5)))]
+    for system in [lam_is_a, inadmissible, str(DATA / "third_order.json"), *draws]:
+        _auto_designs(capsys, system)
+        assert design(system) == design(system, "--method", "generic")
 
 
 @pytest.mark.parametrize("field, message", [

@@ -19,6 +19,7 @@ from nusample.cli import main
 from nusample.errors import DegenerateSamplingError
 from conftest import count_builds, count_calls, random_minimal_spec, random_sequence
 from reference import (
+    bruteforce_observability_matrix,
     controllability_canonical,
     expA,
     exp_jordan,
@@ -159,7 +160,7 @@ def test_state_space_matrices_match_per_alpha_routes(n):
         leading[[blk.offset for blk in es.blocks]] = 1.0
         ob = observability_canonical(spec)
         assert np.array_equal(ob.c @ es.B, leading)
-        O = ns.bruteforce_observability_matrix(spec, av)
+        O = bruteforce_observability_matrix(spec, av)
         assert _close(O, np.array([ob.c @ expA(ob.jordan, a) for a in av]))
         assert _close(O, np.array([ob.c @ scipy.linalg.expm(ob.A * a) for a in av]))
         dts = [seq.final_instant - t for t in reversed(seq.instants)]
@@ -245,7 +246,7 @@ def test_batched_state_transition_matches_scalar_calls():
 
 
 @pytest.mark.parametrize("build", [
-    lambda spec, seq: ns.bruteforce_observability_matrix(spec, ns.alphas(seq)),
+    lambda spec, seq: bruteforce_observability_matrix(spec, ns.alphas(seq)),
     lambda spec, seq: ns.bruteforce_controllability_matrix(spec, seq),
     lambda spec, seq: ns.jordan_observability_matrix(spec, ns.alphas(seq)),
     lambda spec, seq: ns.deadbeat_inputs(spec, np.ones(2), seq),
@@ -393,7 +394,7 @@ def test_realization_builds_jordan_form_once(monkeypatch):
     ns.simulate_impulse_train(spec, np.ones(4), seq, np.ones(4))
     assert [len(calls) for calls in builds] == [0, 0]
     for _ in range(2):
-        ns.bruteforce_observability_matrix(spec, av)
+        bruteforce_observability_matrix(spec, av)
     assert spec.eigen.B is spec.eigen.B
     assert [len(calls) for calls in builds] == [1, 1]
 

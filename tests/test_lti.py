@@ -189,7 +189,7 @@ def test_layout_constants_are_built_once_and_read_only(monkeypatch):
     av = ns.alphas(seq)
     for _ in range(2):
         ns.fundamental_matrix(spec.eigen, av)
-        ns.bruteforce_observability_matrix(spec, av)
+        reference.bruteforce_observability_matrix(spec, av)
         ns.bruteforce_controllability_matrix(spec, seq)
     assert [len(calls) for calls in builds] == [1] * 5
     es = spec.eigen
@@ -472,6 +472,9 @@ def test_minimality_multiple_root_highest_coefficient():
     (ns.design, "MIN_GRAM_DET"),
     (analysis.AnalysisReport, "threshold"),
     (cli, "run_geometry"),
+    (ns, "bruteforce_observability_matrix"),
+    (analysis, "bruteforce_observability_matrix"),
+    (ns.design, "_geometric_obstacle"),
 ])
 def test_removed_api_is_gone(owner, name):
     # the package works in one realization's Jordan frame, which the system
@@ -482,7 +485,9 @@ def test_removed_api_is_gone(owner, name):
     # no state transition of the companion frame, the CLI writes the
     # geometry CSV, the trace carries no field that nothing reads, and every
     # verdict is spectrum's one tolerance on a sigma ratio; the geometric
-    # construction has one command, design --method geometric
+    # construction has one command, design --method geometric, which auto
+    # never takes; the companion frame's O has one runtime builder,
+    # analysis.sweep_arrays
     assert not hasattr(owner, name)
     if dataclasses.is_dataclass(owner):
         assert name not in {f.name for f in dataclasses.fields(owner)}

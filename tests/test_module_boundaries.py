@@ -3,12 +3,13 @@ each script reaches the package's other modules only through public names,
 the CLI reads no block of a system (each design route checks the system's
 shape itself), the design module computes without writing a file (the CLI
 writes every output) and without linear algebra of its own
-(``analysis.unit_gram`` scores every candidate), and the simulation runs in
-the Jordan frame without the companion basis B or its inverse."""
+(``analysis.unit_gram`` scores every candidate), the simulation runs in
+the Jordan frame without the companion basis B or its inverse, and
+``analysis.sweep_arrays`` is the one reader of B^{-1}."""
 import ast
 from pathlib import Path
 
-from nusample import cli, design, simulate
+from nusample import analysis, cli, design, simulate
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 PACKAGE = Path(cli.__file__).resolve().parent
@@ -90,6 +91,17 @@ COMPANION_BASIS = {"B", "B_inv"}
 
 def test_simulate_reads_no_companion_basis():
     assert _attribute_reads(_tree(simulate), COMPANION_BASIS) == []
+
+
+def test_sweep_arrays_is_the_one_reader_of_b_inv():
+    # the companion frame's O, for sweep's noise column, is the runtime's one
+    # product with B^{-1}; its second builder lives in tests/reference.py
+    found = [(module.name, line) for module in sorted(PACKAGE.glob("*.py"))
+             for _, line in _attribute_reads(ast.parse(module.read_text()), {"B_inv"})]
+    sweep_arrays = next(node for node in ast.walk(_tree(analysis))
+                        if isinstance(node, ast.FunctionDef) and node.name == "sweep_arrays")
+    assert [(name, sweep_arrays.lineno <= line <= sweep_arrays.end_lineno)
+            for name, line in found] == [("analysis.py", True)]
 
 
 def test_the_attribute_scan_sees_what_it_forbids():

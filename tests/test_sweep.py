@@ -131,7 +131,7 @@ def test_noise_amplification_is_accurate(n):
     rng = np.random.default_rng(700 + n)
     spec = random_minimal_spec(rng, n)
     scales = rng.uniform(0.2, 1.0, 4)
-    O = analysis.bruteforce_observability_matrix(spec, np.arange(n) * scales[:, None])
+    O = reference.bruteforce_observability_matrix(spec, np.arange(n) * scales[:, None])
     trials = 6 + n % 2  # an even count takes the mean of the middle two
     seeds = [n * 1000003 + idx for idx in range(len(scales))]
     amps = cli._noise_amplification(O, trials, seeds)
